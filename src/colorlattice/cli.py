@@ -15,7 +15,9 @@ lists a family's objects.  Families are addressed by name:
 Everything is printed in these native encodings; internal lattice
 coordinates never appear in output.  Exit codes: 0 success, 1 a verification
 sweep found a violation, 2 malformed arguments or unparsable positions,
-3 a position that parses but does not belong to the family.
+3 a position that parses but does not belong to the family, 4 an internal
+error (a failed lattice certificate, replay or correspondence check); its
+traceback is printed only under ``--debug``.
 """
 
 import argparse
@@ -40,7 +42,9 @@ from .characters import (
     wgf,
 )
 from .core import (
+    CapExceededError,
     ColoredDigraph,
+    LatticeError,
     bfs_distance,
     ideals_lattice,
     is_diamond_colored,
@@ -73,6 +77,7 @@ from .dominoes import (
 from .paths import all_shortest_paths, gods_number, lattice_distance, shortest_path
 from .polynomials import LaurentPoly, qbinomial
 from .snakes import (
+    NotIsomorphicError,
     c_lattice,
     cached_isomorphism,
     catalan_tuples,
@@ -103,7 +108,11 @@ _DOMINO_KINDS = {
 _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 
 # Everything downstream is exhaustive, so sizes are kept honest up front.
-_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 12, 6, 6
+_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 12, 6, 7
+
+# Failures of the program's own certificates and replays, never of the input.
+_INTERNAL_ERRORS = (LatticeError, NotIsomorphicError, CapExceededError,
+                    AssertionError, RecursionError)
 
 
 class _UsageError(Exception):
@@ -685,10 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="colorlattice",
         description="Solve, check, list and draw colored-lattice puzzles.",
         epilog="Exit codes: 0 success, 1 verification failure, "
-               "2 argument or parse error, 3 position outside the family.")
+               "2 argument or parse error, 3 position outside the family, "
+               "4 internal error (traceback under --debug).")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error")
 
-    p = subs.add_parser("solve", help="optimal play with a replayable certificate")
+    p = subs.add_parser("solve", parents=[common],
+                        help="optimal play with a replayable certificate")
     _add_family_args(p, positional=True)
     p.add_argument("--from", dest="src", required=True, metavar="POSITION",
                    help="start, in the family's native encoding")
@@ -699,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("verify", help="run a named sweep of internal cross-checks")
+    p = subs.add_parser("verify", parents=[common],
+                        help="run a named sweep of internal cross-checks")
     p.add_argument("suite", choices=tuple(s for (s, _, _) in _SUITES) + ("all",))
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
                    help="sweep bound; defaults per suite: "
@@ -708,14 +723,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("export", help="deterministic DOT diagrams and ASCII boards")
+    p = subs.add_parser("export", parents=[common],
+                        help="deterministic DOT diagrams and ASCII boards")
     _add_family_args(p, positional=False)
     p.add_argument("--format", required=True, choices=("dot", "text-board"))
     p.add_argument("--from", dest="src", metavar="POSITION",
                    help="tiling to draw (snakes text-board only)")
     p.set_defaults(func=cmd_export)
 
-    p = subs.add_parser("enumerate", help="list a family's objects natively")
+    p = subs.add_parser("enumerate", parents=[common],
+                        help="list a family's objects natively")
     _add_family_args(p, positional=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_enumerate)
@@ -732,6 +749,14 @@ def main(argv=None) -> int:
     except _MemberError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except _INTERNAL_ERRORS as err:
+        if args.debug:
+            import traceback    # only here: it would slow every startup
+            traceback.print_exc()
+        detail = str(err).partition("\n")[0]
+        print(f"internal error: {type(err).__name__}: {detail}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,12 +10,20 @@ rule is simply conj(t)_i <= t_i across the Durfee range.
 A move adds or removes tiles along a "centered southwesterly snake": a
 sequence of squares walking South or West one step at a time whose
 floor((m+1)/2)-th square sits on the main diagonal.  Moves are legal when
-the result is again a valid tiling.  Orienting additions of even-length
-snakes and removals of odd-length snakes (the length is the edge color)
-turns the move graph into the diagram of a distributive lattice of bounded
-weakly decreasing tuples - but the identification of the two graphs is not
-written down anywhere as a formula.  This module finds it by search,
-ships the searched tables for small boards, and verifies them on load.
+the result is again a valid tiling.  A snake whose addition or removal
+leaves a partition is a border strip, or rim hook, of the larger shape
+(Macdonald, Symmetric Functions and Hall Polynomials, I.1): one square per
+content j - i, each the outermost tiled (or innermost bare) square of its
+diagonal.  A snake's length fixes the contents it covers, so each tiling
+has at most one candidate removal and one candidate addition per length,
+and the move graph is built from those alone.
+
+Orienting additions of even-length snakes and removals of odd-length
+snakes (the length is the edge color) turns the move graph into the
+diagram of a distributive lattice of bounded weakly decreasing tuples -
+but the identification of the two graphs is not written down anywhere as
+a formula.  This module finds it by search, ships the searched tables for
+small boards, and verifies them on load.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ __all__ = [
     "is_tiling",
     "enumerate_tilings",
     "all_snakes",
+    "is_snake",
     "legal_snake_moves",
     "ming_digraph",
     "snake_moves_table",
@@ -146,7 +155,8 @@ def _cells(rows):
 
 
 def _shape(cells, n):
-    rows = tuple(sum(1 for (i, j) in cells if i == r) for r in range(1, n + 1))
+    count = Counter(i for (i, _) in cells)
+    rows = tuple(count[r] for r in range(1, n + 1))
     if _cells(rows) != cells:
         return None
     return rows
@@ -199,28 +209,74 @@ def all_snakes(n: int):
     return tuple(snakes)
 
 
+def is_snake(snake, n: int) -> bool:
+    """Whether ``snake`` is a centered southwesterly snake on the n x n board.
+
+    That is: a tuple of 1 to 2n-1 board squares, each a South or West step
+    from the one before, whose floor((m+1)/2)-th square is on the main
+    diagonal.  Accepts exactly the members of ``all_snakes(n)``.
+    """
+    if not isinstance(snake, tuple) or not 1 <= len(snake) <= 2 * n - 1:
+        return False
+    for sq in snake:
+        if not (isinstance(sq, tuple) and len(sq) == 2
+                and all(type(x) is int and 1 <= x <= n for x in sq)):
+            return False
+    for (a, b), (c, d) in zip(snake, snake[1:]):
+        if (c - a, d - b) not in ((1, 0), (0, -1)):
+            return False
+    i, j = snake[(len(snake) + 1) // 2 - 1]
+    return i == j
+
+
+def _diagonal_ends(rows, n):
+    """Per content c = j - i, the last tiled and the first bare square.
+
+    Tiled squares fill a prefix of each diagonal of the board, so these are
+    the squares of the inner and the outer rim; either is None where the
+    diagonal holds no such square.
+    """
+    inner, outer = {}, {}
+    for c in range(1 - n, n):
+        first, last = max(1, 1 - c), min(n, n - c)
+        i = first
+        while i <= last and rows[i - 1] >= i + c:
+            i += 1
+        inner[c] = (i - 1, i - 1 + c) if i > first else None
+        outer[c] = (i, i + c) if i <= last else None
+    return inner, outer
+
+
 def legal_snake_moves(n: int, rows):
     """All legal moves at a tiling: (snake, "add"|"remove", resulting tiling).
 
     Additions lay tiles on a fully untiled snake, removals clear a fully
     tiled one; either is legal only when the result is again a tiling.
+    Whatever a legal move adds or removes is a border strip (rim hook) of
+    the larger of the two shapes, so only segments of the inner rim
+    (removals) and of the outer rim inside the board (additions) are tried:
+    one of each per snake length, on the contents the centering fixes.
     Deterministically ordered.
     """
     rows = tuple(rows)
     if not is_tiling(rows, n):
         raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
     tiled = _cells(rows)
+    inner, outer = _diagonal_ends(rows, n)
     moves = []
-    for snake in all_snakes(n):
-        sq = set(snake)
-        if sq <= tiled:
-            result = _shape(tiled - sq, n)
+    for m in range(1, 2 * n):
+        # a snake's squares step down in content one at a time, and the
+        # centering puts content 0 on its floor((m+1)/2)-th square
+        p = (m + 1) // 2
+        contents = range(p - 1, p - m - 1, -1)
+        for rim, verb in ((inner, "remove"), (outer, "add")):
+            snake = tuple(rim[c] for c in contents)
+            if not is_snake(snake, n):
+                continue
+            sq = set(snake)
+            result = _shape(tiled - sq if verb == "remove" else tiled | sq, n)
             if result is not None and is_tiling(result, n):
-                moves.append((snake, "remove", result))
-        elif not (sq & tiled):
-            result = _shape(tiled | sq, n)
-            if result is not None and is_tiling(result, n):
-                moves.append((snake, "add", result))
+                moves.append((snake, verb, result))
     moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
     return moves
 
@@ -315,22 +371,29 @@ def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph, cap: int = 2000):
                 return False
         return True
 
-    def assign(idx):
-        if idx == len(order):
-            return True
+    # Depth-first over ``order`` with an explicit cursor per depth, so the
+    # search depth is not bounded by the interpreter's recursion limit.
+    cursor = [0] * len(order)
+    idx = 0
+    while idx < len(order):
         v = order[idx]
-        for w in classes_b[la[v]]:
+        if v in fwd:    # back from a dead end deeper down
+            used.remove(fwd.pop(v))
+        options = classes_b[la[v]]
+        while cursor[idx] < len(options):
+            w = options[cursor[idx]]
+            cursor[idx] += 1
             if w not in used and consistent(v, w):
                 fwd[v] = w
                 used.add(w)
-                if assign(idx + 1):
-                    return True
-                del fwd[v]
-                used.remove(w)
-        return False
-
-    if not assign(0):
-        raise NotIsomorphicError("backtracking exhausted all assignments")
+                idx += 1
+                break
+        else:
+            if idx == 0:
+                raise NotIsomorphicError(
+                    "backtracking exhausted all assignments")
+            cursor[idx] = 0
+            idx -= 1
     return fwd
 
 
@@ -449,11 +512,10 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
 def replay_snakes(sol: SnakeSolution) -> None:
     """Re-run a solution under the raw snake rules; raise if any move cheats."""
     n = sol.n
-    snakes = set(all_snakes(n))
     cur = sol.start
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,
                                                     sol.states[1:])):
-        if snake not in snakes:
+        if not is_snake(snake, n):
             raise AssertionError(f"move {step}: not a centered snake: {snake}")
         tiled = _cells(cur)
         sq = set(snake)

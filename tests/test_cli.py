@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from colorlattice import QPolynomial
+from colorlattice import LatticeError, QPolynomial
 from colorlattice.cli import main
 
 
@@ -102,6 +102,31 @@ def test_oversize_instances_are_refused(capsys):
     code, _, err = run(capsys, "solve", "mixedmiddleswitch", "--n", "13",
                        "--from", "0" * 13, "--to", "1" * 13)
     assert code == 2
+    code, _, err = run(capsys, "solve", "snakes", "--n", "8",
+                       "--from", "0,0,0,0,0,0,0,0", "--to", "1,0,0,0,0,0,0,0")
+    assert code == 2
+
+
+@pytest.mark.parametrize("error", [
+    LatticeError("coordinate join left the lattice"),
+    AssertionError("move 3: illegal or mismatched result"),
+    RecursionError("maximum recursion depth exceeded"),
+])
+def test_internal_errors_exit_four_with_one_line(capsys, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("colorlattice.cli.solve_mixedmiddleswitch", broken)
+    argv = ("solve", "mixedmiddleswitch", "--n", "5",
+            "--from", "00000", "--to", "01010")
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+    code, _, err = run(capsys, *argv, "--debug")
+    assert code == 4
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1].startswith("internal error: ")
 
 
 # ------------------------------------------------------------- export

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from colorlattice import (
     Board,
+    ColoredDigraph,
+    DiamondLattice,
     DominoSolution,
     LatticeError,
     StructureViolationError,
@@ -39,6 +41,7 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
+from colorlattice.dominoes import _certify_coordinates
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -209,6 +212,40 @@ def test_induced_lattices_count_and_rank_correctly(k, n):
         assert len(lat) == closed_card_c(n, k)
         assert lat.length == k * (2 * n - k)
         assert rgf(lat) == closed_rgf_c(n, k)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5)
+                                  for k in range(1, n + 1)])
+def test_closure_certificate_agrees_with_the_bound_search(k, n):
+    for lat in (kn_lattice(k, n), dec_lattice(k, n)):
+        lat.check_lattice()
+        _certify_coordinates(lat)
+
+
+def tuple_diagram(tuples):
+    """Unit-step covers among 0/1 tuples, colored by the raised coordinate."""
+    edges = [(u, v, q + 1) for u in tuples for v in tuples
+             for q in range(len(u))
+             if v == u[:q] + (u[q] + 1,) + u[q + 1:]]
+    return DiamondLattice(
+        ColoredDigraph(tuples, edges), "distributive",
+        coord_join=lambda a, b: tuple(map(max, a, b)),
+        coord_meet=lambda a, b: tuple(map(min, a, b)))
+
+
+@pytest.mark.parametrize("tuples", [
+    # 1000 and 0100 have two minimal upper bounds, 1110 and 1101
+    ["0000", "1000", "0100", "1010", "0110", "1001", "0101",
+     "1110", "1101", "1111"],
+    # 100 and 010 have the join 111 in the order, but not their max 110
+    ["000", "100", "010", "001", "101", "011", "111"],
+])
+def test_both_certificates_reject_doctored_diagrams(tuples):
+    lat = tuple_diagram([tuple(map(int, word)) for word in tuples])
+    with pytest.raises(LatticeError):
+        lat.check_lattice()
+    with pytest.raises(StructureViolationError):
+        _certify_coordinates(lat)
 
 
 def test_structure_violation_is_a_lattice_error():

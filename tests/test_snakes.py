@@ -13,6 +13,7 @@ from colorlattice import (
     catalan_tuples,
     enumerate_tilings,
     find_isomorphism,
+    is_snake,
     is_tiling,
     legal_snake_moves,
     ming_digraph,
@@ -22,6 +23,7 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.core import ColoredDigraph
+from colorlattice.snakes import _cells, _shape
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -84,6 +86,50 @@ def test_moves_from_the_empty_board():
     ]
     with pytest.raises(ValueError):
         legal_snake_moves(2, (1, 1))
+
+
+def scan_catalog_moves(n, rows):
+    """Reference: every catalogued snake tried against the tiling."""
+    tiled = _cells(rows)
+    moves = []
+    for snake in all_snakes(n):
+        sq = set(snake)
+        if sq <= tiled:
+            result = _shape(tiled - sq, n)
+            if result is not None and is_tiling(result, n):
+                moves.append((snake, "remove", result))
+        elif not (sq & tiled):
+            result = _shape(tiled | sq, n)
+            if result is not None and is_tiling(result, n):
+                moves.append((snake, "add", result))
+    moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
+    return moves
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rim_hook_moves_equal_the_whole_catalog_scan(n):
+    for rows in enumerate_tilings(n):
+        assert legal_snake_moves(n, rows) == scan_catalog_moves(n, rows)
+
+
+def south_west_walks(n):
+    """Every walk of South/West steps that stays on the n x n board."""
+    walks = [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
+    out = list(walks)
+    while walks:
+        walks = [w + ((i + di, j + dj),) for w in walks
+                 for (i, j) in [w[-1]] for (di, dj) in ((1, 0), (0, -1))
+                 if i + di <= n and j + dj >= 1]
+        out += walks
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_snake_predicate_accepts_exactly_the_catalog(n):
+    catalog = set(all_snakes(n))
+    walks = south_west_walks(n)
+    assert catalog <= set(walks)
+    assert {w for w in walks if is_snake(w, n)} == catalog
 
 
 @pytest.mark.parametrize("n, edge_count", [(1, 1), (2, 5), (3, 21), (4, 84), (5, 330)])
@@ -156,6 +202,13 @@ class TestSolving:
                                sol.color_counts, sol.certificate)
         with pytest.raises(AssertionError):
             replay_snakes(forged)
+
+    def test_seven_by_seven_board_matches_breadth_first_search(self):
+        # 1430 tilings: deeper than the interpreter's default recursion limit
+        s, t = (7, 7, 7, 5, 5, 0, 0), (4, 3, 3, 0, 0, 0, 0)
+        sol = solve_snakes(7, s, t)
+        assert sol.distance == bfs_distance(ming_digraph(7), s, t)
+        replay_snakes(sol)
 
     def test_non_tilings_are_refused(self):
         with pytest.raises(ValueError, match="not a tiling"):
