@@ -100,7 +100,6 @@ from .snakes import (
     catalan_tuples,
     enumerate_tilings,
     find_isomorphism,
-    is_snake,
     is_tiling,
     legal_snake_moves,
     ming_digraph,

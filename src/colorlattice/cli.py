@@ -713,8 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("verify", parents=[common],
-                        help="run a named sweep of internal cross-checks")
+    p = subs.add_parser("verify", help="run a named sweep of internal cross-checks")
     p.add_argument("suite", choices=tuple(s for (s, _, _) in _SUITES) + ("all",))
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
                    help="sweep bound; defaults per suite: "
@@ -750,7 +749,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except _INTERNAL_ERRORS as err:
-        if args.debug:
+        if getattr(args, "debug", False):    # verify has no --debug
             import traceback    # only here: it would slow every startup
             traceback.print_exc()
         detail = str(err).partition("\n")[0]

@@ -44,7 +44,6 @@ __all__ = [
     "is_tiling",
     "enumerate_tilings",
     "all_snakes",
-    "is_snake",
     "legal_snake_moves",
     "ming_digraph",
     "snake_moves_table",
@@ -209,7 +208,7 @@ def all_snakes(n: int):
     return tuple(snakes)
 
 
-def is_snake(snake, n: int) -> bool:
+def _is_snake(snake, n: int) -> bool:
     """Whether ``snake`` is a centered southwesterly snake on the n x n board.
 
     That is: a tuple of 1 to 2n-1 board squares, each a South or West step
@@ -271,7 +270,7 @@ def legal_snake_moves(n: int, rows):
         contents = range(p - 1, p - m - 1, -1)
         for rim, verb in ((inner, "remove"), (outer, "add")):
             snake = tuple(rim[c] for c in contents)
-            if not is_snake(snake, n):
+            if not _is_snake(snake, n):
                 continue
             sq = set(snake)
             result = _shape(tiled - sq if verb == "remove" else tiled | sq, n)
@@ -515,7 +514,7 @@ def replay_snakes(sol: SnakeSolution) -> None:
     cur = sol.start
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,
                                                     sol.states[1:])):
-        if not is_snake(snake, n):
+        if not _is_snake(snake, n):
             raise AssertionError(f"move {step}: not a centered snake: {snake}")
         tiled = _cells(cur)
         sq = set(snake)

@@ -13,7 +13,6 @@ from colorlattice import (
     catalan_tuples,
     enumerate_tilings,
     find_isomorphism,
-    is_snake,
     is_tiling,
     legal_snake_moves,
     ming_digraph,
@@ -23,7 +22,7 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.core import ColoredDigraph
-from colorlattice.snakes import _cells, _shape
+from colorlattice.snakes import _cells, _is_snake, _shape
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -129,7 +128,7 @@ def test_snake_predicate_accepts_exactly_the_catalog(n):
     catalog = set(all_snakes(n))
     walks = south_west_walks(n)
     assert catalog <= set(walks)
-    assert {w for w in walks if is_snake(w, n)} == catalog
+    assert {w for w in walks if _is_snake(w, n)} == catalog
 
 
 @pytest.mark.parametrize("n, edge_count", [(1, 1), (2, 5), (3, 21), (4, 84), (5, 330)])
