@@ -52,6 +52,7 @@ from .core import (
     join_irreducibles,
     rank_function,
     to_dot,
+    tuple_lattice,
 )
 from .dominoes import (
     Board,
@@ -74,7 +75,6 @@ from .dominoes import (
     l_map,
     legal_moves,
     part_to_tab,
-    recolor_sigma,
     replay_domino,
     sigma,
     solve_domino,

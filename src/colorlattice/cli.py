@@ -618,7 +618,7 @@ def _suite_catalan(max_n):
     for n in range(1, min(max_n, 5) + 1):
         checks.append((
             f"square board n={n}: tiling moves realize the lattice "
-            f"(bundled table re-verified)",
+            f"(searched correspondence verified)",
             lambda n=n: _ck(len(cached_isomorphism(n))
                             == comb(2 * n + 2, n + 1) // (n + 2),
                             "correspondence does not cover every vertex")))

@@ -17,6 +17,7 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "is_topographically_balanced",
     "bfs_distance",
     "ideals_lattice",
+    "tuple_lattice",
     "join_irreducibles",
     "attach_birkhoff_coords",
     "to_dot",
@@ -192,19 +194,6 @@ class ColoredDigraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self._vertices)
-
-    def relabel(self, mapping) -> "ColoredDigraph":
-        """Apply a vertex bijection, keeping edge colors."""
-        return ColoredDigraph(
-            [mapping[v] for v in self._vertices],
-            [(mapping[u], mapping[v], c) for (u, v, c) in self._edges],
-        )
-
-    def recolor(self, color_map) -> "ColoredDigraph":
-        """Apply a function to every edge color."""
-        return ColoredDigraph(
-            self._vertices, [(u, v, color_map(c)) for (u, v, c) in self._edges]
-        )
 
     def color_subgraph(self, color) -> "ColoredDigraph":
         """Subgraph on all vertices keeping only edges of the given color."""
@@ -444,10 +433,6 @@ class VertexColoredPoset:
         sub = set(subset)
         return sorted((e for e in sub if not (self._up[e] & sub)), key=canonical_key)
 
-    def is_ideal(self, members) -> bool:
-        mem = set(members)
-        return all(self._down[e] <= mem for e in mem)
-
     def ideals(self):
         """All order ideals (downward closed subsets), as frozensets."""
         start = frozenset()
@@ -461,45 +446,6 @@ class VertexColoredPoset:
                     seen.add(y)
                     queue.append(y)
         return sorted(seen, key=canonical_key)
-
-    def isomorphic_to(self, other: "VertexColoredPoset") -> bool:
-        """Color- and order-preserving bijection test (backtracking; small posets)."""
-        if len(self) != len(other):
-            return False
-        if sorted(self._color.values()) != sorted(other._color.values()):
-            return False
-
-        def signature(p, e):
-            return (p.color(e), len(p.upper_covers(e)), len(p.lower_covers(e)),
-                    len(p.strict_upset(e)), len(p.strict_downset(e)))
-
-        mine = sorted(self._elements, key=lambda e: (signature(self, e), canonical_key(e)))
-        candidates = {e: [f for f in other._elements
-                          if signature(other, f) == signature(self, e)]
-                      for e in mine}
-
-        def extend(i, mapping, used):
-            if i == len(mine):
-                return True
-            e = mine[i]
-            for f in candidates[e]:
-                if f in used:
-                    continue
-                ok = True
-                for e2, f2 in mapping.items():
-                    if self.lt(e, e2) != other.lt(f, f2) or self.lt(e2, e) != other.lt(f2, f):
-                        ok = False
-                        break
-                if ok:
-                    mapping[e] = f
-                    used.add(f)
-                    if extend(i + 1, mapping, used):
-                        return True
-                    del mapping[e]
-                    used.discard(f)
-            return False
-
-        return extend(0, {}, set())
 
 
 class DiamondLattice:
@@ -670,6 +616,28 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
     return DiamondLattice(diagram, "distributive", ideal_coords=coords, poset=p)
 
 
+def tuple_lattice(tuples, color) -> DiamondLattice:
+    """The lattice of a set of integer tuples under the component-wise order.
+
+    ``tuples`` is a sequence of equal-length tuples.  There is an edge
+    x -> y exactly when y raises one coordinate of x by 1 and is again in
+    ``tuples``; the raise of coordinate q (1-based) onto the value t wears
+    color ``color(q, t)``.  Join and meet are component-wise max and min;
+    certifying that the set is closed under them is left to the caller.
+    """
+    have = set(tuples)
+    edges = []
+    for x in tuples:
+        for q in range(1, len(x) + 1):
+            y = x[:q - 1] + (x[q - 1] + 1,) + x[q:]
+            if y in have:
+                edges.append((x, y, color(q, y[q - 1])))
+    return DiamondLattice(
+        ColoredDigraph(tuples, edges), "distributive",
+        coord_join=lambda a, b: tuple(map(max, a, b)),
+        coord_meet=lambda a, b: tuple(map(min, a, b)))
+
+
 def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     """The vertex-colored poset of join irreducibles of a distributive lattice.
 
@@ -697,7 +665,9 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     Each vertex is mapped to the set of join irreducibles below it; the
     resulting ideals are exactly the order ideals of `join_irreducibles(lat)`,
     so the returned lattice supports set-theoretic joins, meets and explicit
-    path construction while keeping the original vertex payloads.
+    path construction while keeping the original vertex payloads.  The
+    result is a copy that shares the argument's diagram, ranks and
+    reachability masks; the argument itself is left without coordinates.
     """
     if lat.ideal_coords is not None:
         return lat
@@ -705,10 +675,12 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     coords = {}
     for v in lat.vertices:
         coords[v] = frozenset(e for e in p.elements if lat.le(e, v))
-    if len(set(coords.values())) != len(lat.vertices):
+    by_ideal = {ideal: v for v, ideal in coords.items()}
+    if len(by_ideal) != len(lat.vertices):
         raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
-    return DiamondLattice(lat.diagram, "distributive", ideal_coords=coords, poset=p,
-                          coord_join=lat.coord_join, coord_meet=lat.coord_meet)
+    out = copy.copy(lat)
+    out.ideal_coords, out.poset, out._by_ideal = coords, p, by_ideal
+    return out
 
 
 def to_dot(g: ColoredDigraph, name: str = "G") -> str:

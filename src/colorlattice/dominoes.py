@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .core import (ColoredDigraph, DiamondLattice, LatticeError,
-                   attach_birkhoff_coords)
+                   attach_birkhoff_coords, tuple_lattice)
 from .paths import color_counts, shortest_path
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "domino_moves",
     "a_lattice",
     "sigma",
-    "recolor_sigma",
     "kn_lattice",
     "dec_lattice",
     "DominoSolution",
@@ -563,19 +562,8 @@ def a_lattice(k: int, m: int) -> DiamondLattice:
     """
     if k < 1 or m < 1:
         raise ValueError("box dimensions must be positive")
-    verts = enumerate_box_partitions(k, m)
-    have = set(verts)
-    edges = []
-    for tau in verts:
-        for q in range(1, k + 1):
-            up = tau[:q - 1] + (tau[q - 1] + 1,) + tau[q:]
-            if up in have:
-                edges.append((tau, up, q - up[q - 1] + m))
-    lat = DiamondLattice(
-        ColoredDigraph(verts, edges), "distributive",
-        coord_join=lambda a, b: tuple(map(max, a, b)),
-        coord_meet=lambda a, b: tuple(map(min, a, b)))
-    return attach_birkhoff_coords(lat)
+    return attach_birkhoff_coords(tuple_lattice(
+        enumerate_box_partitions(k, m), lambda q, t: q - t + m))
 
 
 def sigma(i: int, n: int) -> int:
@@ -583,17 +571,6 @@ def sigma(i: int, n: int) -> int:
     if not 1 <= i <= 2 * n - 1:
         raise ValueError(f"color {i} outside 1..{2 * n - 1}")
     return i if i <= n else 2 * n - i
-
-
-def recolor_sigma(lat: DiamondLattice) -> DiamondLattice:
-    """Fold a box lattice's colors; the rank 2n is read off the color span."""
-    top = max(lat.diagram.colors())
-    if top % 2 == 0:
-        raise ValueError("color span is even; no central rank to fold around")
-    n = (top + 1) // 2
-    g = lat.diagram.recolor(lambda c: sigma(c, n))
-    return DiamondLattice(g, lat.kind, coord_join=lat.coord_join,
-                          coord_meet=lat.coord_meet)
 
 
 def _certify_coordinates(lat: DiamondLattice) -> None:
@@ -623,23 +600,19 @@ def _certify_coordinates(lat: DiamondLattice) -> None:
 
 
 def _induced_lattice(k: int, n: int, admissible) -> DiamondLattice:
-    base = recolor_sigma(a_lattice(k, 2 * n - k))
-    keep = [v for v in base.vertices if admissible(v, k, n)]
-    kept = set(keep)
-    edges = [(u, v, c) for (u, v, c) in base.diagram.edges
-             if u in kept and v in kept]
+    """The admissible box partitions, with the box colors folded by sigma."""
+    m = 2 * n - k
+    keep = [tau for tau in enumerate_box_partitions(k, m)
+            if admissible(tau, k, n)]
     try:
-        lat = DiamondLattice(
-            ColoredDigraph(keep, edges), "distributive",
-            coord_join=lambda a, b: tuple(map(max, a, b)),
-            coord_meet=lambda a, b: tuple(map(min, a, b)))
+        lat = tuple_lattice(keep, lambda q, t: sigma(q - t + m, n))
     except (LatticeError, ValueError) as err:
         raise StructureViolationError(
             f"induced subgraph is not a ranked lattice diagram: {err}") from None
     _certify_coordinates(lat)
-    if lat.length != k * (2 * n - k):
+    if lat.length != k * m:
         raise StructureViolationError(
-            f"length {lat.length}, expected {k * (2 * n - k)}")
+            f"length {lat.length}, expected {k * m}")
     return attach_birkhoff_coords(lat)
 
 

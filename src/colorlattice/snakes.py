@@ -22,19 +22,17 @@ Orienting additions of even-length snakes and removals of odd-length
 snakes (the length is the edge color) turns the move graph into the
 diagram of a distributive lattice of bounded weakly decreasing tuples -
 but the identification of the two graphs is not written down anywhere as
-a formula.  This module finds it by search, ships the searched tables for
-small boards, and verifies them on load.
+a formula.  This module finds it by search and verifies it edge by edge.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
-from importlib import resources
+from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   LatticeError, attach_birkhoff_coords)
+                   attach_birkhoff_coords, tuple_lattice)
 from .paths import color_counts, shortest_path
 
 __all__ = [
@@ -91,19 +89,8 @@ def c_lattice(n: int) -> DiamondLattice:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    verts = catalan_tuples(n)
-    have = set(verts)
-    edges = []
-    for s in verts:
-        for q in range(1, n + 1):
-            t = s[:q - 1] + (s[q - 1] + 1,) + s[q:]
-            if t in have:
-                edges.append((s, t, n + q - t[q - 1]))
-    lat = DiamondLattice(
-        ColoredDigraph(verts, edges), "distributive",
-        coord_join=lambda a, b: tuple(map(max, a, b)),
-        coord_meet=lambda a, b: tuple(map(min, a, b)))
-    return attach_birkhoff_coords(lat)
+    return attach_birkhoff_coords(
+        tuple_lattice(catalan_tuples(n), lambda q, t: n + q - t))
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +324,12 @@ def _refine(graphs):
         labels = new
 
 
-def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph, cap: int = 2000):
+# The largest graphs the isomorphism search takes on, in vertices.
+_SEARCH_CAP = 2000
+
+
+def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph,
+                     cap: int = _SEARCH_CAP):
     """A color- and direction-preserving vertex bijection A -> B, by search.
 
     Vertices are first split into refinement classes (degree and color
@@ -412,22 +404,22 @@ def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
 
 @lru_cache(maxsize=None)
 def cached_isomorphism(n: int) -> dict:
-    """The lattice-to-tilings correspondence, from the shipped table or by search.
+    """The lattice-to-tilings correspondence, found by search and verified.
 
-    Tables bundled as package data cover small boards; they are re-verified
-    edge by edge on every load, so a corrupted table cannot pass silently.
-    Larger boards fall back to a fresh search.
+    The color-preserving isomorphism is unique: every color class of the
+    join-irreducible poset of ``c_lattice(n)`` is a chain (checked for
+    n <= 8), so the colored poset, and with it the colored lattice, has no
+    automorphism but the identity.  Boards whose Catalan number of tilings exceeds the search
+    cap raise CapExceededError before either graph is built.
     """
+    size = comb(2 * n + 2, n + 1) // (n + 2)
+    if size > _SEARCH_CAP:
+        raise CapExceededError(
+            f"isomorphism search capped at {_SEARCH_CAP} vertices; "
+            f"the {n} x {n} board has {size} tilings")
     lat = c_lattice(n)
     ming = ming_digraph(n)
-    path = resources.files("colorlattice") / "data" / f"ming_iso_{n}.json"
-    if path.is_file():
-        payload = json.loads(path.read_text())
-        if payload["n"] != n:
-            raise ValueError(f"table {path} is for n={payload['n']}")
-        mapping = {tuple(a): tuple(b) for a, b in payload["pairs"]}
-    else:
-        mapping = find_isomorphism(lat.diagram, ming)
+    mapping = find_isomorphism(lat.diagram, ming)
     verify_isomorphism(lat.diagram, ming, mapping)
     return mapping
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .core import ColoredDigraph, DiamondLattice, attach_birkhoff_coords
+from .core import (ColoredDigraph, DiamondLattice, attach_birkhoff_coords,
+                   tuple_lattice)
 from .paths import PathCertificate, lattice_distance, shortest_path
 
 __all__ = [
@@ -87,19 +88,8 @@ def z_lattice(n: int) -> DiamondLattice:
     component-wise max and min, and Birkhoff coordinates are attached so
     explicit optimal paths can be built.
     """
-    verts = all_cushioned(n)
-    have = set(verts)
-    edges = []
-    for x in verts:
-        for k in range(n):
-            y = x[:k] + (x[k] + 1,) + x[k + 1:]
-            if y in have:
-                edges.append((x, y, n + 1 - y[k]))
-    lat = DiamondLattice(
-        ColoredDigraph(verts, edges), "distributive",
-        coord_join=lambda a, b: tuple(map(max, a, b)),
-        coord_meet=lambda a, b: tuple(map(min, a, b)))
-    return attach_birkhoff_coords(lat)
+    return attach_birkhoff_coords(
+        tuple_lattice(all_cushioned(n), lambda q, t: n + 1 - t))
 
 
 def switch_moves(s):

@@ -145,10 +145,16 @@ def test_attach_birkhoff_coords_enables_set_joins():
     g = ColoredDigraph(
         [0, 1, 2, 3],
         [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)])
-    lat = attach_birkhoff_coords(DiamondLattice(g, "distributive"))
+    bare = DiamondLattice(g, "distributive")
+    lat = attach_birkhoff_coords(bare)
     assert lat.join(1, 2) == 3
     assert lat.meet(1, 2) == 0
     assert lat.ideal_coords[3] == lat.ideal_coords[1] | lat.ideal_coords[2]
+    # a copy: the argument keeps no coordinates, and the order is shared
+    assert bare.ideal_coords is None and bare.poset is None
+    assert lat.diagram == bare.diagram and lat.rank == bare.rank
+    assert all(lat.le(s, t) == bare.le(s, t) for s in g.vertices
+               for t in g.vertices)
 
 
 def test_dot_export_is_deterministic_and_labeled():

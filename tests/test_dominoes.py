@@ -16,6 +16,7 @@ from colorlattice import (
     LatticeError,
     StructureViolationError,
     a_lattice,
+    attach_birkhoff_coords,
     closed_card_c,
     closed_rgf_c,
     dec_admissible,
@@ -33,7 +34,6 @@ from colorlattice import (
     legal_moves,
     part_to_tab,
     qbinomial,
-    recolor_sigma,
     replay_domino,
     rgf,
     sigma,
@@ -202,8 +202,6 @@ def test_color_folding_and_its_guards():
         sigma(0, 3)
     with pytest.raises(ValueError):
         sigma(6, 3)
-    folded = recolor_sigma(a_lattice(2, 4))
-    assert folded.diagram.colors() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("k, n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
@@ -212,6 +210,28 @@ def test_induced_lattices_count_and_rank_correctly(k, n):
         assert len(lat) == closed_card_c(n, k)
         assert lat.length == k * (2 * n - k)
         assert rgf(lat) == closed_rgf_c(n, k)
+
+
+def folded_box_sublattice(k, n, admissible):
+    """The admissible vertices of the box lattice a_lattice(k, 2n-k), the
+    edges between them, and every color folded by sigma."""
+    box = a_lattice(k, 2 * n - k)
+    keep = [v for v in box.vertices if admissible(v, k, n)]
+    kept = set(keep)
+    edges = [(u, v, sigma(c, n)) for (u, v, c) in box.diagram.edges
+             if u in kept and v in kept]
+    return attach_birkhoff_coords(
+        DiamondLattice(ColoredDigraph(keep, edges), "distributive"))
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 6)
+                                  for k in range(1, n + 1)])
+def test_symplectic_lattices_are_folded_box_sublattices(k, n):
+    for build, admissible in ((kn_lattice, kn_admissible),
+                              (dec_lattice, dec_admissible)):
+        lat, oracle = build(k, n), folded_box_sublattice(k, n, admissible)
+        assert lat.diagram == oracle.diagram
+        assert lat.ideal_coords == oracle.ideal_coords
 
 
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5)

@@ -22,7 +22,8 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.core import ColoredDigraph
-from colorlattice.snakes import _cells, _is_snake, _shape
+from colorlattice.snakes import (_cells, _is_snake, _ming_digraph_and_moves,
+                                 _shape)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -166,11 +167,20 @@ def test_corrupted_mapping_is_caught():
         verify_isomorphism(c_lattice(2).diagram, ming_digraph(2), mapping)
 
 
-def test_bundled_tables_cover_every_vertex():
+def test_searched_correspondence_covers_every_vertex():
     for n in (2, 3, 4):
         iso = cached_isomorphism(n)
         assert sorted(iso) == catalan_tuples(n)
         assert sorted(iso.values()) == enumerate_tilings(n)
+
+
+def test_oversize_board_is_refused_before_any_build():
+    # 4862 tilings at n=8, past the search cap of 2000 vertices
+    builds = (c_lattice, _ming_digraph_and_moves)
+    before = [f.cache_info() for f in builds]
+    with pytest.raises(CapExceededError, match="4862 tilings"):
+        solve_snakes(8, (0,) * 8, (1,) + (0,) * 7)
+    assert [f.cache_info() for f in builds] == before
 
 
 class TestSolving:

@@ -1,5 +1,6 @@
 """The row-of-switches puzzle and its cushioned-tuple lattice."""
 
+import doctest
 import json
 import pathlib
 
@@ -19,6 +20,7 @@ from colorlattice import (
     switch_moves,
     z_lattice,
 )
+from colorlattice import core
 from colorlattice.switchgame import (
     all_cushioned,
     format_bits,
@@ -29,6 +31,7 @@ from colorlattice.switchgame import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def test_bit_string_parsing_round_trips_and_rejects_junk():
@@ -147,3 +150,18 @@ def test_hardest_pair_needs_fifteen_moves():
     assert gods_number(z_lattice(5)) == 15
     top, bottom = (5, 4, 3, 2, 1), (0, 0, 0, 0, 0)
     assert lattice_distance(z_lattice(5), bottom, top) == 15
+
+
+def test_a_fresh_lattice_build_ranks_its_diagram_once(monkeypatch):
+    calls = []
+    real = core.rank_function
+    monkeypatch.setattr(core, "rank_function",
+                        lambda g: calls.append(g) or real(g))
+    z_lattice.__wrapped__(5)
+    assert len(calls) == 1
+
+
+def test_readme_quick_start_runs_as_a_doctest():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
