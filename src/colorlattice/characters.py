@@ -209,11 +209,15 @@ def generators(rd: RootData):
     return gens
 
 
-def weyl_group(rd: RootData, cap: int = 10_000):
+# The largest reflection group or orbit that is enumerated (rank <= 5).
+_GROUP_CAP = 10_000
+
+
+def weyl_group(rd: RootData):
     """The full reflection group by closure under the simple reflections.
 
-    Enumeration stops with :class:`CapExceededError` past ``cap`` elements;
-    the expected order is 2^n n!.
+    Enumeration stops with :class:`CapExceededError` past ``_GROUP_CAP``
+    elements; the expected order is 2^n n!.
     """
     gens_list = generators(rd)
     identity = GroupElement(
@@ -226,9 +230,9 @@ def weyl_group(rd: RootData, cap: int = 10_000):
             for s in gens_list:
                 h = s * g
                 if h not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= _GROUP_CAP:
                         raise CapExceededError(
-                            f"reflection group exceeds cap {cap}")
+                            f"reflection group exceeds cap {_GROUP_CAP}")
                     seen[h] = h
                     nxt.append(h)
         frontier = nxt
@@ -242,7 +246,7 @@ def weyl_group(rd: RootData, cap: int = 10_000):
     return group
 
 
-def orbit(rd: RootData, lam, cap: int = 10_000):
+def orbit(rd: RootData, lam):
     """The reflection-group orbit of a weight, by saturation."""
     lam = tuple(lam)
     gens_list = generators(rd)
@@ -254,21 +258,21 @@ def orbit(rd: RootData, lam, cap: int = 10_000):
             for s in gens_list:
                 nu = s.apply(mu)
                 if nu not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(f"orbit exceeds cap {cap}")
+                    if len(seen) >= _GROUP_CAP:
+                        raise CapExceededError(f"orbit exceeds cap {_GROUP_CAP}")
                     seen.add(nu)
                     nxt.append(nu)
         frontier = nxt
     return seen
 
 
-def alternant(rd: RootData, mu, cap: int = 10_000) -> LaurentPoly:
+def alternant(rd: RootData, mu) -> LaurentPoly:
     """The signed group sum of z^mu: sum over sigma of det(sigma) z^(sigma mu)."""
     mu = tuple(mu)
-    return LaurentPoly([(g.apply(mu), g.sign) for g in weyl_group(rd, cap)])
+    return LaurentPoly([(g.apply(mu), g.sign) for g in weyl_group(rd)])
 
 
-def bialternant_check(rd: RootData, lam, X: LaurentPoly, cap: int = 10_000) -> bool:
+def bialternant_check(rd: RootData, lam, X: LaurentPoly) -> bool:
     """Does X satisfy the character identity for highest weight lam?
 
     True exactly when alternant(rho) * X = alternant(lam + rho) as formal
@@ -276,30 +280,12 @@ def bialternant_check(rd: RootData, lam, X: LaurentPoly, cap: int = 10_000) -> b
     """
     lam = tuple(lam)
     top = tuple(l + r for l, r in zip(lam, rd.rho))
-    return alternant(rd, rd.rho, cap) * X == alternant(rd, top, cap)
+    return alternant(rd, rd.rho) * X == alternant(rd, top)
 
 
 def w_invariant(rd: RootData, X: LaurentPoly) -> bool:
     """Whether a formal sum is fixed by every simple reflection."""
     return all(X.map_exponents(s.apply) == X for s in generators(rd))
-
-
-def _weak_components(g: ColoredDigraph):
-    remaining = set(g.vertices)
-    comps = []
-    while remaining:
-        start = remaining.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for (w, _, _) in g.undirected_neighbors(v):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 def poset_weights(lat: DiamondLattice, rd: RootData) -> dict:
@@ -317,12 +303,10 @@ def poset_weights(lat: DiamondLattice, rd: RootData) -> dict:
     coeff = {v: [0] * rd.n for v in g.vertices}
     for c in g.colors():
         sub = g.color_subgraph(c)
-        for comp in _weak_components(sub):
+        for comp in sub.weak_components():
             if len(comp) == 1:
                 continue
-            piece = ColoredDigraph(
-                sorted(comp, key=lambda v: str(v)),
-                [e for e in sub.edges if e[0] in comp])
+            piece = ColoredDigraph(comp, [e for e in sub.edges if e[0] in comp])
             try:
                 rk = rank_function(piece)
             except NotRankedError as err:

@@ -86,6 +86,7 @@ from .snakes import (
     ming_digraph,
     render_tiling,
     solve_snakes,
+    verify_isomorphism,
 )
 from .switchgame import (
     b_inv,
@@ -294,19 +295,10 @@ def _check_coords_rebuild(make):
     """The attached ideal coordinates identify the lattice with the lattice
     of order ideals of its irreducibles, edge colors included."""
     lat = make()
-    coords, p = lat.ideal_coords, lat.poset
+    p = lat.poset
     _ck(p is not None, "no ideal coordinates attached")
     ideals = ideals_lattice(p)
-    image = {coords[v] for v in lat.vertices}
-    _ck(len(image) == len(lat.vertices), "coordinate map is not injective")
-    _ck(image == set(ideals.vertices),
-        f"coordinate image has {len(image)} ideals, "
-        f"the ideal lattice has {len(ideals)}")
-    mapped = {(coords[u], coords[v], c) for (u, v, c) in lat.diagram.edges}
-    direct = set(ideals.diagram.edges)
-    if mapped != direct:
-        raise _CheckFailed("edge sets differ; e.g. "
-                           + sorted(map(str, mapped ^ direct))[0])
+    verify_isomorphism(lat.diagram, ideals.diagram, lat.ideal_coords)
     again = join_irreducibles(ideals)
     _ck(sorted(p.color(e) for e in p.elements)
         == sorted(again.color(e) for e in again.elements),
@@ -404,15 +396,9 @@ def _check_switch_bijection(n):
 
 
 def _check_switch_iso(n):
-    game = mixedmiddleswitch_digraph(n)
     lat = z_lattice(n)
-    mapped = {(b_map(u), b_map(v), c) for (u, v, c) in lat.diagram.edges}
-    direct = set(game.edges)
-    if mapped != direct:
-        raise _CheckFailed("game edges and lattice edges disagree; e.g. "
-                           + str(sorted(mapped ^ direct)[0]))
-    _ck({b_map(v) for v in lat.vertices} == set(game.vertices),
-        "vertex sets disagree under the encoding")
+    verify_isomorphism(lat.diagram, mixedmiddleswitch_digraph(n),
+                       {v: b_map(v) for v in lat.vertices})
 
 
 def _suite_minuscule(max_n):
@@ -466,14 +452,10 @@ def _check_domino_iso(k, n):
                "full": a_lattice(k, 2 * n - k)}
     for kind, lat in targets.items():
         g = domino_digraph(kind, k, n)
-        mapped = {(l_map(u, k, n), l_map(v, k, n), c) for (u, v, c) in g.edges}
-        direct = set(lat.diagram.edges)
-        if mapped != direct:
-            raise _CheckFailed(
-                f"{kind} board: tile moves and lattice edges disagree; e.g. "
-                + str(sorted(mapped ^ direct)[0]))
-        _ck({l_map(v, k, n) for v in g.vertices} == set(lat.vertices),
-            f"{kind} board: vertex sets disagree under the coding")
+        try:
+            verify_isomorphism(g, lat.diagram, {v: l_map(v, k, n) for v in g.vertices})
+        except NotIsomorphicError as err:
+            raise _CheckFailed(f"{kind} board: {err}") from None
 
 
 def _check_domino_tallies(k, n):

@@ -95,19 +95,19 @@ class ColoredDigraph:
     compare equal and print identically.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in", "_vset")
+    __slots__ = ("_vertices", "_edges", "_out", "_in")
 
     def __init__(self, vertices, edges):
         vs = sorted(vertices, key=canonical_key)
-        vset = set(vs)
-        if len(vs) != len(vset):
+        index = {v: i for i, v in enumerate(vs)}
+        if len(index) != len(vs):
             raise ValueError("duplicate vertices")
         out = {v: [] for v in vs}
         inc = {v: [] for v in vs}
         seen_pairs = set()
         es = []
         for (u, v, c) in edges:
-            if u not in vset or v not in vset:
+            if u not in index or v not in index:
                 raise ValueError(f"edge endpoint not a vertex: {(u, v)}")
             if u == v:
                 raise ValueError(f"loop at {u!r}")
@@ -117,7 +117,8 @@ class ColoredDigraph:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
             seen_pairs.add((u, v))
             es.append((u, v, c))
-        es.sort(key=lambda e: (canonical_key(e[0]), canonical_key(e[1])))
+        # the vertex order is canonical, so positions in it order the edges
+        es.sort(key=lambda e: (index[e[0]], index[e[1]]))
         for (u, v, c) in es:
             out[u].append((v, c))
             inc[v].append((u, c))
@@ -125,7 +126,6 @@ class ColoredDigraph:
         self._edges = tuple(es)
         self._out = {v: tuple(nbrs) for v, nbrs in out.items()}
         self._in = {v: tuple(nbrs) for v, nbrs in inc.items()}
-        self._vset = frozenset(vset)
 
     @property
     def vertices(self):
@@ -139,7 +139,7 @@ class ColoredDigraph:
         return len(self._vertices)
 
     def __contains__(self, v):
-        return v in self._vset
+        return v in self._out
 
     def __eq__(self, other):
         if not isinstance(other, ColoredDigraph):
@@ -182,18 +182,24 @@ class ColoredDigraph:
         res += [(w, c, -1) for (w, c) in self._in[v]]
         return res
 
+    def weak_components(self):
+        """Vertex sets of the weak components, in order of their first vertex."""
+        comps, seen = [], set()
+        for root in self._vertices:
+            if root in seen:
+                continue
+            comp, stack = {root}, [root]
+            while stack:
+                for (w, _, _) in self.undirected_neighbors(stack.pop()):
+                    if w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            comps.append(comp)
+        return comps
+
     def is_weakly_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        while stack:
-            v = stack.pop()
-            for (w, _, _) in self.undirected_neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        return len(self.weak_components()) <= 1
 
     def color_subgraph(self, color) -> "ColoredDigraph":
         """Subgraph on all vertices keeping only edges of the given color."""
@@ -319,24 +325,23 @@ class VertexColoredPoset:
     reduced (no cover pair may also be joined by a longer chain).
     """
 
-    __slots__ = ("_elements", "_covers", "_color", "_up", "_down", "_upcov", "_lowcov")
+    __slots__ = ("_elements", "_covers", "_color", "_index", "_up", "_down")
 
     def __init__(self, elements, covers, color):
         els = sorted(elements, key=canonical_key)
-        eset = set(els)
-        if len(els) != len(eset):
+        index = {e: i for i, e in enumerate(els)}
+        if len(index) != len(els):
             raise ValueError("duplicate elements")
-        covs = sorted(set((a, b) for (a, b) in covers),
-                      key=lambda p: (canonical_key(p[0]), canonical_key(p[1])))
-        upcov = {e: [] for e in els}
-        lowcov = {e: [] for e in els}
+        covs = set((a, b) for (a, b) in covers)
+        upcov = [[] for _ in els]
+        indeg = [0] * len(els)
         for (a, b) in covs:
-            if a not in eset or b not in eset:
+            if a not in index or b not in index:
                 raise ValueError(f"cover endpoint not an element: {(a, b)}")
             if a == b:
                 raise ValueError("reflexive cover")
-            upcov[a].append(b)
-            lowcov[b].append(a)
+            upcov[index[a]].append(index[b])
+            indeg[index[b]] += 1
         col = {}
         for e in els:
             if e not in color:
@@ -345,41 +350,37 @@ class VertexColoredPoset:
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"color of {e!r} must be a positive integer")
             col[e] = c
-        # strict up-sets by DFS; also detects cycles
-        up = {}
-
-        def upset(e, trail):
-            if e in up:
-                return up[e]
-            if e in trail:
-                raise ValueError("covers contain a cycle")
-            trail.add(e)
-            acc = set()
-            for b in upcov[e]:
-                acc.add(b)
-                acc |= upset(b, trail)
-            trail.discard(e)
-            up[e] = acc
-            return acc
-
-        for e in els:
-            upset(e, set())
+        # strict up- and down-sets as bitmasks over positions, one pass each
+        # way along a topological order (no recursion, so long chains build)
+        order = [i for i in range(len(els)) if not indeg[i]]
+        for i in order:
+            for j in upcov[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) != len(els):
+            raise ValueError("covers contain a cycle")
+        up = [0] * len(els)
+        for i in reversed(order):
+            for j in upcov[i]:
+                up[i] |= up[j] | 1 << j
+        down = [0] * len(els)
+        for i in order:
+            for j in upcov[i]:
+                down[j] |= down[i] | 1 << i
+        # the element order is canonical, so positions in it order the covers
+        covs = sorted(covs, key=lambda p: (index[p[0]], index[p[1]]))
         for (a, b) in covs:
             # transitive reduction: b must not be reachable from a in two or more steps
-            for m in upcov[a]:
-                if m != b and b in up[m]:
-                    raise ValueError(f"cover {(a, b)} is implied by a longer chain")
-        down = {e: set() for e in els}
-        for e in els:
-            for f in up[e]:
-                down[f].add(e)
+            i, j = index[a], index[b]
+            if any(m != j and up[m] >> j & 1 for m in upcov[i]):
+                raise ValueError(f"cover {(a, b)} is implied by a longer chain")
         self._elements = tuple(els)
         self._covers = tuple(covs)
-        self._color = dict(col)
-        self._up = {e: frozenset(s) for e, s in up.items()}
-        self._down = {e: frozenset(s) for e, s in down.items()}
-        self._upcov = {e: tuple(sorted(v, key=canonical_key)) for e, v in upcov.items()}
-        self._lowcov = {e: tuple(sorted(v, key=canonical_key)) for e, v in lowcov.items()}
+        self._color = col
+        self._index = index
+        self._up = up
+        self._down = down
 
     @property
     def elements(self):
@@ -391,9 +392,6 @@ class VertexColoredPoset:
 
     def color(self, e) -> int:
         return self._color[e]
-
-    def colors(self) -> dict:
-        return dict(self._color)
 
     def __len__(self):
         return len(self._elements)
@@ -407,31 +405,25 @@ class VertexColoredPoset:
     def __repr__(self):
         return f"VertexColoredPoset({len(self._elements)} elements, {len(self._covers)} covers)"
 
-    def lt(self, a, b) -> bool:
-        return b in self._up[a]
-
-    def le(self, a, b) -> bool:
-        return a == b or b in self._up[a]
-
-    def upper_covers(self, e):
-        return self._upcov[e]
-
-    def lower_covers(self, e):
-        return self._lowcov[e]
-
-    def strict_upset(self, e):
-        return self._up[e]
-
     def strict_downset(self, e):
-        return self._down[e]
+        m = self._down[self._index[e]]
+        return frozenset(f for i, f in enumerate(self._elements) if m >> i & 1)
 
     def minimal_of(self, subset):
-        sub = set(subset)
-        return sorted((e for e in sub if not (self._down[e] & sub)), key=canonical_key)
+        """The minimal elements of ``subset``, in canonical order."""
+        return self._extremes(subset, self._down)
 
     def maximal_of(self, subset):
-        sub = set(subset)
-        return sorted((e for e in sub if not (self._up[e] & sub)), key=canonical_key)
+        """The maximal elements of ``subset``, in canonical order."""
+        return self._extremes(subset, self._up)
+
+    def _extremes(self, subset, beyond):
+        # members of subset none of whose strict down- (or up-) set meets it
+        sub = 0
+        for e in subset:
+            sub |= 1 << self._index[e]
+        return [e for i, e in enumerate(self._elements)
+                if sub >> i & 1 and not beyond[i] & sub]
 
     def ideals(self):
         """All order ideals (downward closed subsets), as frozensets."""

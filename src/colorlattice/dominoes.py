@@ -695,15 +695,13 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     states = [l_inv(v, k, n) for v in cert.vertices]
     table = domino_moves(kind, k, n)
     actions = []
-    for (a, b), (color, _) in zip(zip(states, states[1:]), cert.steps):
-        if (a, b) in table:
-            mv = table[(a, b)]
-            verb = "remove" if mv.kind == "R" else "add"
-        elif (b, a) in table:
-            mv = table[(b, a)]
-            verb = "add" if mv.kind == "R" else "remove"
-        else:
+    for (a, b), (color, direction) in zip(zip(states, states[1:]), cert.steps):
+        # the coding keeps edge directions: a step down the lattice is a
+        # directed move played backwards
+        mv = table.get((a, b) if direction == +1 else (b, a))
+        if mv is None:
             raise AssertionError(f"no move joins {a} and {b}")
+        verb = "remove" if (mv.kind == "R") == (direction == +1) else "add"
         if mv.color != color:
             raise AssertionError("edge color disagrees between board and lattice")
         actions.append((verb, mv.squares, mv.color))

@@ -167,7 +167,7 @@ def _ascend(lat, x_ideal, target_ideal, vertices, steps):
     p = lat.poset
     while x_ideal != target_ideal:
         gap = target_ideal - x_ideal
-        u = min(p.minimal_of(gap), key=canonical_key)
+        u = p.minimal_of(gap)[0]
         x_ideal = x_ideal | {u}
         vertices.append(lat.vertex_of_ideal(x_ideal))
         steps.append((p.color(u), +1))
@@ -178,7 +178,7 @@ def _descend(lat, x_ideal, target_ideal, vertices, steps):
     p = lat.poset
     while x_ideal != target_ideal:
         gap = x_ideal - target_ideal
-        u = min(p.maximal_of(gap), key=canonical_key)
+        u = p.maximal_of(gap)[0]
         x_ideal = x_ideal - {u}
         vertices.append(lat.vertex_of_ideal(x_ideal))
         steps.append((p.color(u), -1))
@@ -217,14 +217,18 @@ def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertifica
     return cert
 
 
-def gods_number(lat: DiamondLattice, sweep_limit: int = 200) -> int:
+# The largest lattice, in vertices, whose diameter is re-checked pair by pair.
+_SWEEP_LIMIT = 200
+
+
+def gods_number(lat: DiamondLattice) -> int:
     """The maximum optimal move count over all vertex pairs: the length of L.
 
-    On lattices with at most ``sweep_limit`` vertices the claim is re-checked
+    On lattices with at most ``_SWEEP_LIMIT`` vertices the claim is re-checked
     by an exhaustive pairwise sweep before being returned.
     """
     value = lat.length
-    if len(lat) <= sweep_limit:
+    if len(lat) <= _SWEEP_LIMIT:
         worst = 0
         verts = lat.vertices
         for i in range(len(verts)):

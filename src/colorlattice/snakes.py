@@ -33,6 +33,7 @@ from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
                    attach_birkhoff_coords, tuple_lattice)
+from .dominoes import enumerate_box_partitions, is_box_partition
 from .paths import color_counts, shortest_path
 
 __all__ = [
@@ -64,20 +65,8 @@ class NotIsomorphicError(Exception):
 
 def catalan_tuples(n: int):
     """Weakly decreasing n-tuples with 0 <= s_i <= n+1-i, sorted."""
-    out = []
-
-    def grow(prefix):
-        i = len(prefix)
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        hi = min(n - i, prefix[-1] if prefix else n)
-        for v in range(hi + 1):
-            grow(prefix + [v])
-
-    grow([])
-    out.sort()
-    return out
+    return [s for s in enumerate_box_partitions(n, n)
+            if all(v <= n - i for i, v in enumerate(s))]
 
 
 @lru_cache(maxsize=None)
@@ -104,11 +93,7 @@ def is_tiling(rows, n: int) -> bool:
     exceed rows_i.
     """
     rows = tuple(rows)
-    if len(rows) != n or any(not isinstance(p, int) or isinstance(p, bool)
-                             for p in rows):
-        return False
-    if any(a < b for a, b in zip(rows, rows[1:])) or rows[-1] < 0 \
-            or rows[0] > n:
+    if not is_box_partition(rows, n, n):
         return False
     for i in range(1, n + 1):
         if rows[i - 1] >= i:
@@ -120,19 +105,7 @@ def is_tiling(rows, n: int) -> bool:
 
 def enumerate_tilings(n: int):
     """All valid tilings of the n x n board, as sorted row-length tuples."""
-    out = []
-
-    def grow(prefix):
-        if len(prefix) == n:
-            if is_tiling(tuple(prefix), n):
-                out.append(tuple(prefix))
-            return
-        for v in range((prefix[-1] if prefix else n) + 1):
-            grow(prefix + [v])
-
-    grow([])
-    out.sort()
-    return out
+    return [rows for rows in enumerate_box_partitions(n, n) if is_tiling(rows, n)]
 
 
 def _cells(rows):
@@ -483,14 +456,15 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     states = [iso[v] for v in cert.vertices]
     table = snake_moves_table(n)
     actions = []
-    for (a, b), (color, _) in zip(zip(states, states[1:]), cert.steps):
-        if (a, b) in table:
-            snake, verb = table[(a, b)]
-        elif (b, a) in table:
-            snake, verb = table[(b, a)]
-            verb = "add" if verb == "remove" else "remove"
-        else:
+    for (a, b), (color, direction) in zip(zip(states, states[1:]), cert.steps):
+        # the correspondence keeps edge directions: a step down the lattice
+        # is a move graph edge played backwards
+        move = table.get((a, b) if direction == +1 else (b, a))
+        if move is None:
             raise AssertionError(f"no snake move joins {a} and {b}")
+        snake, verb = move
+        if direction == -1:
+            verb = "add" if verb == "remove" else "remove"
         if len(snake) != color:
             raise AssertionError("snake length disagrees with the edge color")
         actions.append((verb, snake))

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .core import (ColoredDigraph, DiamondLattice, attach_birkhoff_coords,
                    tuple_lattice)
-from .paths import PathCertificate, lattice_distance, shortest_path
+from .paths import shortest_path
 
 __all__ = [
     "is_cushioned",
@@ -30,7 +30,6 @@ __all__ = [
     "switch_moves",
     "mixedmiddleswitch_digraph",
     "interval_family",
-    "change_intervals",
     "b_map",
     "b_inv",
     "parse_bits",
@@ -156,30 +155,6 @@ def interval_family(x):
     for i in range(n + 1):
         lo, hi = n + 1 - padded[i], n - padded[i + 1]
         fam.append((lo, hi) if lo <= hi else None)
-    return tuple(fam)
-
-
-def change_intervals(y):
-    """The run intervals (J_0, ..., J_n) of a bit sequence.
-
-    j_1 < ... < j_k are the positions where the bit differs from its left
-    neighbor (reading y_0 := 0); with j_0 := 1 and j_{k+1} := n + 1, the
-    interval J_i is [j_i, j_{i+1} - 1] for i <= k and empty above.  Runs of
-    equal bits, in other words, and run i has bit parity i mod 2.
-    """
-    y = tuple(y)
-    n = len(y)
-    if n < 2 or any(b not in (0, 1) for b in y):
-        raise ValueError("expected a 0/1 tuple of length >= 2")
-    changes = [j for j in range(1, n + 1) if (y[j - 2] if j > 1 else 0) != y[j - 1]]
-    marks = [1] + changes + [n + 1]
-    fam = []
-    for i in range(n + 1):
-        if i < len(marks) - 1:
-            lo, hi = marks[i], marks[i + 1] - 1
-            fam.append((lo, hi) if lo <= hi else None)
-        else:
-            fam.append(None)
     return tuple(fam)
 
 

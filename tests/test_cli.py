@@ -227,6 +227,21 @@ def test_verify_catches_an_injected_regression(capsys, monkeypatch):
     assert "counterexample:" in out
 
 
+def test_verify_catches_a_corrupted_encoding(capsys, monkeypatch):
+    # two swapped images keep the encoding a bijection but break its edges
+    from colorlattice.switchgame import b_map
+    a, b = (1, 0, 0), (2, 0, 0)
+    swapped = {a: b_map(b), b: b_map(a)}
+    monkeypatch.setattr("colorlattice.cli.b_map",
+                        lambda x: swapped.get(tuple(x)) or b_map(x))
+    code, out, _ = run(capsys, "verify", "minuscule", "--max-n", "3")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("[FAIL] minuscule: switch rows n=3: game graph matches "
+                     "the lattice diagram edge for edge")
+    assert lines[at + 1].lstrip().startswith("counterexample: NotIsomorphicError:")
+
+
 def test_verify_rejects_unknown_suites(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "everything"])

@@ -11,16 +11,22 @@ from colorlattice import (
     NotRankedError,
     UnreachableError,
     VertexColoredPoset,
+    a_lattice,
     attach_birkhoff_coords,
     bfs_distance,
+    c_lattice,
+    dec_lattice,
     ideals_lattice,
     is_diamond_colored,
     is_topographically_balanced,
     join_irreducibles,
+    kn_lattice,
     rank_function,
     to_dot,
+    z_lattice,
 )
-from helpers import random_poset
+from colorlattice.core import canonical_key
+from helpers import random_lattice, random_poset
 
 
 def diamond():
@@ -47,6 +53,16 @@ class TestColoredDigraph:
         rk = rank_function(diamond())
         assert rk["s"] == 0 and rk["t"] == 2
         assert rk["x"] == rk["y"] == 1
+
+    def test_weak_components(self):
+        g = ColoredDigraph(["a", "b", "c", "d", "e"],
+                           [("b", "a", 1), ("c", "d", 2), ("e", "d", 1)])
+        assert g.weak_components() == [{"a", "b"}, {"c", "d", "e"}]
+        assert not g.is_weakly_connected()
+        assert diamond().is_weakly_connected()
+        empty = ColoredDigraph([], [])
+        assert empty.weak_components() == []
+        assert empty.is_weakly_connected()
 
     def test_rank_function_rejects_unequal_chain_lengths(self):
         g = ColoredDigraph(["a", "b", "c"],
@@ -96,6 +112,14 @@ class TestVertexColoredPoset:
             VertexColoredPoset("ab", [("a", "b")], {"a": 1})
         with pytest.raises(ValueError):
             VertexColoredPoset("ab", [("a", "b")], {"a": 0, "b": 1})
+
+    def test_long_chain_builds_without_recursion(self):
+        size = 2000
+        p = VertexColoredPoset(range(size), [(i, i + 1) for i in range(size - 1)],
+                               {i: 1 for i in range(size)})
+        assert len(p.strict_downset(size - 1)) == size - 1
+        assert p.minimal_of(range(size)) == [0]
+        assert p.maximal_of(range(size)) == [size - 1]
 
     def test_ideals_of_an_antichain(self):
         p = VertexColoredPoset("abc", [], {"a": 1, "b": 2, "c": 3})
@@ -169,3 +193,31 @@ def test_lattice_constructor_wants_unique_extremes():
     vee = ColoredDigraph(["bot", "x", "y"], [("bot", "x", 1), ("bot", "y", 2)])
     with pytest.raises(LatticeError, match="sinks"):
         DiamondLattice(vee, "distributive")
+
+
+def _pair_key(p):
+    return (canonical_key(p[0]), canonical_key(p[1]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z_lattice(4), lambda: a_lattice(2, 3), lambda: c_lattice(4),
+    lambda: kn_lattice(2, 3), lambda: dec_lattice(2, 3),
+    lambda: random_lattice(3), lambda: random_lattice(11),
+    lambda: random_lattice(29),
+])
+def test_edges_covers_and_extremes_come_in_canonical_order(make):
+    """The constructors sort once; geodesic tie-breaks read that order."""
+    import random
+
+    lat = make()
+    edges = lat.diagram.edges
+    assert list(edges) == sorted(edges, key=_pair_key)
+    p = join_irreducibles(lat)
+    assert list(p.covers) == sorted(p.covers, key=_pair_key)
+    rng = random.Random(len(p))
+    for _ in range(20):
+        sub = [e for e in p.elements if rng.random() < 0.5]
+        minimal = [e for e in sub if not any(f != e and lat.le(f, e) for f in sub)]
+        maximal = [e for e in sub if not any(f != e and lat.le(e, f) for f in sub)]
+        assert p.minimal_of(sub) == sorted(minimal, key=canonical_key)
+        assert p.maximal_of(sub) == sorted(maximal, key=canonical_key)
