@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   NotRankedError, rank_function)
+from .core import (CapExceededError, DiamondLattice, NotRankedError,
+                   rank_function)
 from .polynomials import LaurentPoly, QPolynomial, qbinomial
 
 __all__ = [
@@ -303,16 +303,15 @@ def poset_weights(lat: DiamondLattice, rd: RootData) -> dict:
     coeff = {v: [0] * rd.n for v in g.vertices}
     for c in g.colors():
         sub = g.color_subgraph(c)
+        try:
+            rk = rank_function(sub)
+        except NotRankedError as err:
+            raise UnrankedComponentError(
+                f"color-{c} component is not ranked: {err}") from None
         for comp in sub.weak_components():
             if len(comp) == 1:
                 continue
-            piece = ColoredDigraph(comp, [e for e in sub.edges if e[0] in comp])
-            try:
-                rk = rank_function(piece)
-            except NotRankedError as err:
-                raise UnrankedComponentError(
-                    f"color-{c} component is not ranked: {err}") from None
-            top = max(rk.values())
+            top = max(rk[v] for v in comp)
             for v in comp:
                 coeff[v][c - 1] = 2 * rk[v] - top
     return {v: tuple(cs) for v, cs in coeff.items()}

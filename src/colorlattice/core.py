@@ -198,9 +198,6 @@ class ColoredDigraph:
             comps.append(comp)
         return comps
 
-    def is_weakly_connected(self) -> bool:
-        return len(self.weak_components()) <= 1
-
     def color_subgraph(self, color) -> "ColoredDigraph":
         """Subgraph on all vertices keeping only edges of the given color."""
         return ColoredDigraph(
@@ -209,17 +206,14 @@ class ColoredDigraph:
 
 
 def rank_function(g: ColoredDigraph) -> dict:
-    """Longest-path layering of an acyclic weakly connected digraph.
+    """Longest-path layering of an acyclic digraph.
 
-    Sources sit at rank 0; afterwards every edge is checked to raise rank by
-    exactly one.  Raises :class:`NotRankedError` when the check fails (e.g.
-    on an N-shaped diagram with chains of different lengths meeting), and
-    ValueError on cyclic or disconnected input.
+    Sources sit at rank 0, so every weak component is ranked from its own
+    sources; afterwards every edge is checked to raise rank by exactly one.
+    Raises :class:`NotRankedError` when the check fails (e.g. on an N-shaped
+    diagram with chains of different lengths meeting), and ValueError on
+    cyclic input.
     """
-    if len(g) == 0:
-        return {}
-    if not g.is_weakly_connected():
-        raise ValueError("digraph is not weakly connected")
     indeg = {v: len(g.in_edges(v)) for v in g.vertices}
     queue = deque(v for v in g.vertices if indeg[v] == 0)
     rank = {v: 0 for v in queue}
@@ -426,18 +420,20 @@ class VertexColoredPoset:
                 if sub >> i & 1 and not beyond[i] & sub]
 
     def ideals(self):
-        """All order ideals (downward closed subsets), as frozensets."""
-        start = frozenset()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+        """All order ideals (downward closed subsets), as frozensets.
+
+        Listed in breadth-first discovery order from the empty ideal;
+        ``ideals_lattice`` sorts them once, in its diagram.
+        """
+        found = [frozenset()]
+        seen = set(found)
+        for x in found:
             for m in self.minimal_of(set(self._elements) - x):
                 y = x | {m}
                 if y not in seen:
                     seen.add(y)
-                    queue.append(y)
-        return sorted(seen, key=canonical_key)
+                    found.append(y)
+        return found
 
 
 class DiamondLattice:

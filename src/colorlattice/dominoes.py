@@ -26,6 +26,7 @@ out of the full box lattice.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -121,6 +122,21 @@ def enumerate_box_partitions(k: int, m: int):
     grow([], m)
     out.sort()
     return out
+
+
+def _cells(rows):
+    """The squares (row, column) of a partition drawn from the top-left."""
+    return {(i, j) for i, p in enumerate(rows, start=1)
+            for j in range(1, p + 1)}
+
+
+def _shape(cells, k):
+    """The k row lengths of a set of squares, or None unless left-justified."""
+    count = Counter(i for (i, _) in cells)
+    rows = tuple(count[r] for r in range(1, k + 1))
+    if _cells(rows) != cells:
+        return None
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -716,8 +732,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     cur = sol.start
     for step, ((verb, squares, _color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
-        cells = {(r, c) for r in range(1, board.k + 1)
-                 for c in range(1, cur[r - 1] + 1)}
+        cells = _cells(cur)
         sq = set(squares)
         if len(sq) == 1:
             if squares != (board.singleton,):
@@ -738,10 +753,8 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
             if sq & cells:
                 raise AssertionError(f"step {step}: adding occupied squares")
             after = cells | sq
-        shape = tuple(sum(1 for (r, c) in after if r == row)
-                      for row in range(1, board.k + 1))
-        if set((r, c) for r in range(1, board.k + 1)
-               for c in range(1, shape[r - 1] + 1)) != after:
+        shape = _shape(after, board.k)
+        if shape is None:
             raise AssertionError(f"step {step}: result is not left-justified")
         if not board.valid(shape) or shape != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")

@@ -22,18 +22,20 @@ Orienting additions of even-length snakes and removals of odd-length
 snakes (the length is the edge color) turns the move graph into the
 diagram of a distributive lattice of bounded weakly decreasing tuples -
 but the identification of the two graphs is not written down anywhere as
-a formula.  This module finds it by search and verifies it edge by edge.
+a formula.  No tuple has two up-covers of one color, so once the bottom
+tiling is placed the colors force every other vertex: this module walks
+out from there and verifies the result edge by edge.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
                    attach_birkhoff_coords, tuple_lattice)
-from .dominoes import enumerate_box_partitions, is_box_partition
+from .dominoes import (_cells, _shape, enumerate_box_partitions,
+                       is_box_partition)
 from .paths import color_counts, shortest_path
 
 __all__ = [
@@ -106,19 +108,6 @@ def is_tiling(rows, n: int) -> bool:
 def enumerate_tilings(n: int):
     """All valid tilings of the n x n board, as sorted row-length tuples."""
     return [rows for rows in enumerate_box_partitions(n, n) if is_tiling(rows, n)]
-
-
-def _cells(rows):
-    return {(i, j) for i, p in enumerate(rows, start=1)
-            for j in range(1, p + 1)}
-
-
-def _shape(cells, n):
-    count = Counter(i for (i, _) in cells)
-    rows = tuple(count[r] for r in range(1, n + 1))
-    if _cells(rows) != cells:
-        return None
-    return rows
 
 
 def render_tiling(rows, n: int) -> str:
@@ -270,94 +259,46 @@ def snake_moves_table(n: int) -> dict:
 
 
 # --------------------------------------------------------------------------
-# isomorphism search
+# the correspondence
 
-def _refine(graphs):
-    """Shared Weisfeiler-Lehman-style refinement of several colored digraphs.
+def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph):
+    """A color- and direction-preserving vertex bijection A -> B, by a walk.
 
-    Returns one label per vertex per graph; vertices in different graphs
-    with different labels can never correspond under an isomorphism.
+    A's unique source goes to B's unique source; every out-edge of a placed
+    vertex then places its target on the out-neighbour of the image that has
+    the same color.  When no vertex of A has two out-edges of one color, the
+    colors force every step, so the walk finds the only isomorphism there is
+    or none; the result is checked edge by edge before it is returned.
+    Raises NotIsomorphicError when B does not match, and ValueError when A
+    is outside the walk's domain: no single source, two out-edges of one
+    color at a vertex, or a vertex the walk never reaches.
     """
-    labels = [{v: 0 for v in g.vertices} for g in graphs]
-    while True:
-        raw = []
-        for g, lab in zip(graphs, labels):
-            cur = {}
-            for v in g.vertices:
-                outs = tuple(sorted((c, lab[w]) for (w, c) in g.out_edges(v)))
-                ins = tuple(sorted((c, lab[w]) for (w, c) in g.in_edges(v)))
-                cur[v] = (lab[v], outs, ins)
-            raw.append(cur)
-        canon = {key: idx for idx, key in enumerate(
-            sorted({key for cur in raw for key in cur.values()}))}
-        new = [{v: canon[cur[v]] for v in cur} for cur in raw]
-        if all(len(set(lab.values())) == len(set(nlab.values()))
-               for lab, nlab in zip(labels, new)):
-            return new
-        labels = new
-
-
-# The largest graphs the isomorphism search takes on, in vertices.
-_SEARCH_CAP = 2000
-
-
-def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph,
-                     cap: int = _SEARCH_CAP):
-    """A color- and direction-preserving vertex bijection A -> B, by search.
-
-    Vertices are first split into refinement classes (degree and color
-    signatures, propagated to a fixpoint); backtracking then assigns
-    vertices rarest-class first.  Raises NotIsomorphicError when the
-    search space is exhausted, CapExceededError above ``cap`` vertices.
-    """
-    if len(A.vertices) > cap or len(B.vertices) > cap:
-        raise CapExceededError(
-            f"isomorphism search capped at {cap} vertices")
     if len(A.vertices) != len(B.vertices) or len(A.edges) != len(B.edges):
         raise NotIsomorphicError("vertex or edge counts differ")
-    la, lb = _refine([A, B])
-    if Counter(la.values()) != Counter(lb.values()):
-        raise NotIsomorphicError("refinement signatures differ")
-    classes_b = {}
-    for v, lbl in lb.items():
-        classes_b.setdefault(lbl, []).append(v)
-    order = sorted(A.vertices,
-                   key=lambda v: (len(classes_b[la[v]]), la[v], str(v)))
-    fwd = {}
-    used = set()
-
-    def consistent(v, w):
-        for (u, c) in A.out_edges(v):
-            if u in fwd and B.edge_color(w, fwd[u]) != c:
-                return False
-        for (u, c) in A.in_edges(v):
-            if u in fwd and B.edge_color(fwd[u], w) != c:
-                return False
-        return True
-
-    # Depth-first over ``order`` with an explicit cursor per depth, so the
-    # search depth is not bounded by the interpreter's recursion limit.
-    cursor = [0] * len(order)
-    idx = 0
-    while idx < len(order):
-        v = order[idx]
-        if v in fwd:    # back from a dead end deeper down
-            used.remove(fwd.pop(v))
-        options = classes_b[la[v]]
-        while cursor[idx] < len(options):
-            w = options[cursor[idx]]
-            cursor[idx] += 1
-            if w not in used and consistent(v, w):
-                fwd[v] = w
-                used.add(w)
-                idx += 1
-                break
-        else:
-            if idx == 0:
+    sources_a, sources_b = A.sources(), B.sources()
+    if len(sources_a) != 1:
+        raise ValueError("the walk needs a digraph with a single source")
+    if len(sources_b) != 1:
+        raise NotIsomorphicError("the target has no single source")
+    fwd = {sources_a[0]: sources_b[0]}
+    walk = [sources_a[0]]
+    for v in walk:
+        outs = A.out_edges(v)
+        if len({c for (_, c) in outs}) != len(outs):
+            raise ValueError(f"{v!r} has two out-edges of one color")
+        image_of = {c: w for (w, c) in B.out_edges(fwd[v])}
+        for (u, c) in outs:
+            if c not in image_of:
                 raise NotIsomorphicError(
-                    "backtracking exhausted all assignments")
-            cursor[idx] = 0
-            idx -= 1
+                    f"{fwd[v]!r} has no out-edge of color {c}")
+            if u not in fwd:
+                fwd[u] = image_of[c]
+                walk.append(u)
+            elif fwd[u] != image_of[c]:
+                raise NotIsomorphicError(f"{u!r} would get two images")
+    if len(fwd) != len(A.vertices):
+        raise ValueError("the walk does not reach every vertex")
+    verify_isomorphism(A, B, fwd)
     return fwd
 
 
@@ -375,26 +316,27 @@ def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
                 f"edge {u} -> {v} (color {c}) is not preserved")
 
 
+# The largest boards, in tilings, whose move graph and tuple lattice are
+# built; the cap bounds the cost of those builds, not of the walk.
+_TILINGS_CAP = 2000
+
+
 @lru_cache(maxsize=None)
 def cached_isomorphism(n: int) -> dict:
-    """The lattice-to-tilings correspondence, found by search and verified.
+    """The lattice-to-tilings correspondence, found by the color walk.
 
-    The color-preserving isomorphism is unique: every color class of the
-    join-irreducible poset of ``c_lattice(n)`` is a chain (checked for
-    n <= 8), so the colored poset, and with it the colored lattice, has no
-    automorphism but the identity.  Boards whose Catalan number of tilings exceeds the search
-    cap raise CapExceededError before either graph is built.
+    Every color class of the join-irreducible poset of ``c_lattice(n)`` is a
+    chain (checked for n <= 8), so no tuple has two up-covers of one color:
+    ``find_isomorphism`` applies, and the correspondence it returns is the
+    only one.  Boards whose Catalan number of tilings exceeds the cap raise
+    CapExceededError before either graph is built.
     """
     size = comb(2 * n + 2, n + 1) // (n + 2)
-    if size > _SEARCH_CAP:
+    if size > _TILINGS_CAP:
         raise CapExceededError(
-            f"isomorphism search capped at {_SEARCH_CAP} vertices; "
+            f"snake boards capped at {_TILINGS_CAP} tilings; "
             f"the {n} x {n} board has {size} tilings")
-    lat = c_lattice(n)
-    ming = ming_digraph(n)
-    mapping = find_isomorphism(lat.diagram, ming)
-    verify_isomorphism(lat.diagram, ming, mapping)
-    return mapping
+    return find_isomorphism(c_lattice(n).diagram, ming_digraph(n))
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +383,7 @@ class SnakeSolution:
 def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     """Optimal play between two tilings of the n x n board.
 
-    Endpoints are pulled back through the (searched) correspondence into
+    Endpoints are pulled back through the (walked) correspondence into
     the tuple lattice, a mountain or valley geodesic is built there, and
     each step is pushed forward again as a snake addition or removal.
     """

@@ -13,12 +13,15 @@ from colorlattice import (
     closed_card_c,
     closed_rgf_b,
     closed_rgf_c,
+    dec_lattice,
     is_structured,
     is_symmetric_unimodal,
+    kn_lattice,
     orbit,
     poset_weights,
     product_rgf,
     qbinomial,
+    rank_function,
     rgf,
     root_data,
     w_invariant,
@@ -99,6 +102,38 @@ def test_rank_generating_function_has_three_matching_forms(n):
 def test_weights_refuse_colors_beyond_the_rank():
     with pytest.raises(ValueError, match="exceed"):
         poset_weights(c_lattice(2), root_data("B", 2))
+
+
+def per_component_weights(lat, rd):
+    """Reference: rank a fresh digraph built for every color component."""
+    g = lat.diagram
+    coeff = {v: [0] * rd.n for v in g.vertices}
+    for c in g.colors():
+        sub = g.color_subgraph(c)
+        for comp in sub.weak_components():
+            if len(comp) == 1:
+                continue
+            piece = ColoredDigraph(comp, [e for e in sub.edges if e[0] in comp])
+            rk = rank_function(piece)
+            top = max(rk.values())
+            for v in comp:
+                coeff[v][c - 1] = 2 * rk[v] - top
+    return {v: tuple(cs) for v, cs in coeff.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_switch_weights_equal_the_per_component_construction(n):
+    lat, rd = z_lattice(n), root_data("B", n)
+    assert poset_weights(lat, rd) == per_component_weights(lat, rd)
+
+
+@pytest.mark.parametrize("build", [kn_lattice, dec_lattice],
+                         ids=["kn", "dec"])
+@pytest.mark.parametrize("k, n", [(k, n) for n in (2, 3)
+                                  for k in range(1, n + 1)])
+def test_board_weights_equal_the_per_component_construction(build, k, n):
+    lat, rd = build(k, n), root_data("C", n)
+    assert poset_weights(lat, rd) == per_component_weights(lat, rd)
 
 
 def test_weights_refuse_unranked_color_components():

@@ -1,5 +1,7 @@
 """Colored digraphs, rank functions, and the order-ideal correspondence."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,11 +60,16 @@ class TestColoredDigraph:
         g = ColoredDigraph(["a", "b", "c", "d", "e"],
                            [("b", "a", 1), ("c", "d", 2), ("e", "d", 1)])
         assert g.weak_components() == [{"a", "b"}, {"c", "d", "e"}]
-        assert not g.is_weakly_connected()
-        assert diamond().is_weakly_connected()
         empty = ColoredDigraph([], [])
         assert empty.weak_components() == []
-        assert empty.is_weakly_connected()
+
+    def test_rank_function_ranks_each_component_from_its_source(self):
+        g = ColoredDigraph(["a", "b", "c", "x", "y"],
+                           [("a", "b", 1), ("b", "c", 2), ("x", "y", 1)])
+        assert rank_function(g) == {"a": 0, "b": 1, "c": 2, "x": 0, "y": 1}
+        assert rank_function(ColoredDigraph([], [])) == {}
+        with pytest.raises(LatticeError, match="2 sources"):
+            DiamondLattice(g, "distributive")
 
     def test_rank_function_rejects_unequal_chain_lengths(self):
         g = ColoredDigraph(["a", "b", "c"],
@@ -124,6 +131,19 @@ class TestVertexColoredPoset:
     def test_ideals_of_an_antichain(self):
         p = VertexColoredPoset("abc", [], {"a": 1, "b": 2, "c": 3})
         assert len(p.ideals()) == 8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_ideals_are_listed_once_from_the_empty_ideal(self, seed):
+        p = random_poset(random.Random(seed), size=7)
+        found = p.ideals()
+        assert found[0] == frozenset()
+        assert len(set(found)) == len(found)
+        # reference: every subset that holds the strict down-set of each member
+        els = p.elements
+        subsets = (frozenset(e for i, e in enumerate(els) if bits >> i & 1)
+                   for bits in range(2 ** len(els)))
+        assert set(found) == {x for x in subsets
+                              if all(p.strict_downset(e) <= x for e in x)}
 
 
 def test_ideals_lattice_is_diamond_colored_and_balanced():

@@ -304,6 +304,17 @@ class TestSolving:
         with pytest.raises(AssertionError):
             replay_domino(Board("ballot", 3, 3), forged)
 
+    def test_replay_rejects_a_gap_in_a_row(self):
+        sol = solve_domino("ballot", 3, 3, (3, 2, 1), (0, 0, 0))
+        _verb, _squares, color = sol.actions[0]
+        # lifting the first two squares of row 1 strands its third square
+        forged = DominoSolution(
+            sol.kind, sol.k, sol.n, sol.states,
+            (("remove", ((1, 1), (1, 2)), color),) + sol.actions[1:],
+            sol.color_counts, sol.certificate)
+        with pytest.raises(AssertionError, match="not left-justified"):
+            replay_domino(Board("ballot", 3, 3), forged)
+
     def test_non_member_endpoints_are_refused(self):
         with pytest.raises(ValueError, match="not a ballot"):
             solve_domino("ballot", 3, 3, (3, 3, 0), (0, 0, 0))

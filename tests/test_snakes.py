@@ -1,4 +1,4 @@
-"""Square-board tilings, snake moves, and the searched correspondence."""
+"""Square-board tilings, snake moves, and the walked correspondence."""
 
 import pytest
 
@@ -22,8 +22,8 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.core import ColoredDigraph
-from colorlattice.snakes import (_cells, _is_snake, _ming_digraph_and_moves,
-                                 _shape)
+from colorlattice.dominoes import _cells, _shape
+from colorlattice.snakes import _is_snake, _ming_digraph_and_moves
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -140,7 +140,7 @@ def test_move_graph_edge_counts(n, edge_count):
     assert len(c_lattice(n).diagram.edges) == edge_count
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7])
 def test_search_finds_the_correspondence(n):
     mapping = find_isomorphism(c_lattice(n).diagram, ming_digraph(n))
     verify_isomorphism(c_lattice(n).diagram, ming_digraph(n), mapping)
@@ -154,8 +154,39 @@ def test_search_reports_genuine_failure():
                                 ("x", "t", 1), ("y", "t", 2)])
     with pytest.raises(NotIsomorphicError):
         find_isomorphism(a, b)
-    with pytest.raises(CapExceededError):
-        find_isomorphism(c_lattice(4).diagram, ming_digraph(4), cap=10)
+
+
+@pytest.mark.parametrize("a, b, reason", [
+    # the colors lead from x to t but from y to x
+    (ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
+                             ("x", "t", 2), ("y", "t", 1)]),
+     ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
+                             ("x", "t", 2), ("y", "x", 1)]),
+     "two images"),
+    (ColoredDigraph("sxy", [("s", "x", 1), ("s", "y", 2)]),
+     ColoredDigraph("xyt", [("x", "t", 1), ("y", "t", 2)]),
+     "single source"),
+    # every step is consistent, but a and c both land on q and p is missed
+    (ColoredDigraph("sabc", [("s", "a", 2), ("a", "b", 2),
+                             ("b", "c", 1), ("c", "b", 2)]),
+     ColoredDigraph("spqr", [("s", "p", 1), ("s", "q", 2),
+                             ("q", "r", 2), ("r", "q", 1)]),
+     "not a vertex bijection"),
+], ids=["second-image", "two-sources", "merged-images"])
+def test_walk_refuses_a_mismatched_target(a, b, reason):
+    with pytest.raises(NotIsomorphicError, match=reason):
+        find_isomorphism(a, b)
+
+
+@pytest.mark.parametrize("a", [
+    ColoredDigraph("sxy", [("s", "x", 1), ("s", "y", 1)]),
+    ColoredDigraph("xyt", [("x", "t", 1), ("y", "t", 2)]),
+    # one source, and a cycle it never reaches
+    ColoredDigraph("sxyz", [("s", "x", 1), ("y", "z", 1), ("z", "y", 2)]),
+], ids=["two-color-1-out-edges", "two-sources", "unreached"])
+def test_walk_refuses_graphs_outside_its_domain(a):
+    with pytest.raises(ValueError):
+        find_isomorphism(a, a)
 
 
 def test_corrupted_mapping_is_caught():
@@ -175,7 +206,7 @@ def test_searched_correspondence_covers_every_vertex():
 
 
 def test_oversize_board_is_refused_before_any_build():
-    # 4862 tilings at n=8, past the search cap of 2000 vertices
+    # 4862 tilings at n=8, past the cap of 2000 tilings
     builds = (c_lattice, _ming_digraph_and_moves)
     before = [f.cache_info() for f in builds]
     with pytest.raises(CapExceededError, match="4862 tilings"):
