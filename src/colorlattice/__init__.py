@@ -42,6 +42,7 @@ from .core import (
     DiamondLattice,
     LatticeError,
     NotRankedError,
+    TupleLattice,
     UnreachableError,
     VertexColoredPoset,
     attach_birkhoff_coords,
@@ -63,7 +64,6 @@ from .dominoes import (
     dec_admissible,
     dec_lattice,
     domino_digraph,
-    domino_moves,
     enumerate_box_partitions,
     enumerate_tableaux,
     is_ballot,

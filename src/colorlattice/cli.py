@@ -108,8 +108,12 @@ _DOMINO_KINDS = {
 }
 _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 
-# Everything downstream is exhaustive, so sizes are kept honest up front.
-_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 12, 6, 7
+# Sizes are kept honest up front.  ``solve`` walks switch rows and boards on
+# tuple coordinates, enumerating nothing; these caps keep a cold solve from
+# the lattice minimum to its maximum under about a second.  ``export`` and
+# ``enumerate`` list every position, so they keep the exhaustive caps.
+_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 20, 7
+_LIST_CAP_SWITCH, _LIST_CAP_DOMINO = 12, 6
 
 # Failures of the program's own certificates and replays, never of the input.
 _INTERNAL_ERRORS = (LatticeError, NotIsomorphicError, CapExceededError,
@@ -128,22 +132,27 @@ class _CheckFailed(Exception):
     """A verification check found a counterexample; the text carries it."""
 
 
-def _resolve_params(family, args):
-    """Validate --n/--k for the family and return (n, k or None)."""
+def _resolve_params(family, args, listing=False):
+    """Validate --n/--k for the family and return (n, k or None).
+
+    ``listing`` selects the caps of the commands that list every position.
+    """
     n, k = args.n, getattr(args, "k", None)
+    cap_switch, cap_domino = ((_LIST_CAP_SWITCH, _LIST_CAP_DOMINO) if listing
+                              else (_CAP_SWITCH, _CAP_DOMINO))
     if family in _DOMINO_KINDS:
         if k is None:
             raise _UsageError(f"family {family} needs --k")
         if not 1 <= k <= n:
             raise _UsageError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if n > _CAP_DOMINO:
-            raise _UsageError(f"board families are supported up to n={_CAP_DOMINO}")
+        if n > cap_domino:
+            raise _UsageError(f"board families are supported up to n={cap_domino}")
         return n, k
     if k is not None:
         raise _UsageError(f"--k does not apply to family {family}")
     if family == "mixedmiddleswitch":
-        if not 2 <= n <= _CAP_SWITCH:
-            raise _UsageError(f"switch rows are supported for 2 <= n <= {_CAP_SWITCH}")
+        if not 2 <= n <= cap_switch:
+            raise _UsageError(f"switch rows are supported for 2 <= n <= {cap_switch}")
     else:
         if not 1 <= n <= _CAP_SNAKES:
             raise _UsageError(f"square boards are supported for 1 <= n <= {_CAP_SNAKES}")
@@ -233,7 +242,7 @@ def cmd_solve(args):
 
 def cmd_export(args):
     family = args.family
-    n, k = _resolve_params(family, args)
+    n, k = _resolve_params(family, args, listing=True)
     if args.format == "dot":
         if family == "mixedmiddleswitch":
             raw = mixedmiddleswitch_digraph(n)
@@ -262,7 +271,7 @@ def cmd_export(args):
 
 def cmd_enumerate(args):
     family = args.family
-    n, k = _resolve_params(family, args)
+    n, k = _resolve_params(family, args, listing=True)
     if family == "mixedmiddleswitch":
         objects = [format_bits(int_to_bits(v, n)) for v in range(2 ** n)]
     elif family == "snakes":
@@ -600,7 +609,7 @@ def _suite_catalan(max_n):
     for n in range(1, min(max_n, 5) + 1):
         checks.append((
             f"square board n={n}: tiling moves realize the lattice "
-            f"(searched correspondence verified)",
+            f"(walked correspondence verified)",
             lambda n=n: _ck(len(cached_isomorphism(n))
                             == comb(2 * n + 2, n + 1) // (n + 2),
                             "correspondence does not cover every vertex")))

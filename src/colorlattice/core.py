@@ -12,13 +12,18 @@ families) is built on three carriers defined here:
   diagram, optionally equipped with order-ideal coordinates so that joins,
   meets and explicit geodesics can be computed set-theoretically.
 
+Two more live beside them: :class:`PathCertificate`, a replayable walk in a
+lattice, and :class:`TupleLattice`, a lattice of integer tuples given by a
+membership rule instead of a diagram, which builds such walks without
+enumerating its vertices.
+
 All values are immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
+from collections import Counter, deque
 
 __all__ = [
     "NotRankedError",
@@ -28,6 +33,8 @@ __all__ = [
     "ColoredDigraph",
     "VertexColoredPoset",
     "DiamondLattice",
+    "PathCertificate",
+    "TupleLattice",
     "canonical_key",
     "render_vertex",
     "rank_function",
@@ -624,6 +631,238 @@ def tuple_lattice(tuples, color) -> DiamondLattice:
         ColoredDigraph(tuples, edges), "distributive",
         coord_join=lambda a, b: tuple(map(max, a, b)),
         coord_meet=lambda a, b: tuple(map(min, a, b)))
+
+
+class PathCertificate:
+    """A replayable walk in a lattice diagram.
+
+    ``steps`` is a tuple of (color, direction) pairs, direction +1 when the
+    step follows a diagram edge upward and -1 when it traverses one downward.
+    ``orientation`` is "mountain" (rise then fall, apex = join of the ends),
+    "valley" (fall then rise, nadir = meet), or "mixed" for a geodesic that
+    is neither; ``turning_point`` holds the apex or nadir when applicable.
+    """
+
+    __slots__ = ("vertices", "orientation", "turning_point", "steps")
+
+    def __init__(self, vertices, orientation, turning_point, steps):
+        self.vertices = tuple(vertices)
+        self.orientation = orientation
+        self.turning_point = turning_point
+        self.steps = tuple(steps)
+        if orientation not in ("mountain", "valley", "mixed"):
+            raise ValueError(f"bad orientation {orientation!r}")
+        if len(self.steps) != len(self.vertices) - 1:
+            raise ValueError("step count does not match vertex count")
+
+    @property
+    def distance(self) -> int:
+        return len(self.steps)
+
+    def color_multiset(self) -> Counter:
+        return Counter(c for (c, _) in self.steps)
+
+    def validate(self, lat: DiamondLattice) -> None:
+        """Check every step is a diagram edge and the profile matches the
+        declared orientation; raises LatticeError on any defect."""
+        g = lat.diagram
+        for i in range(len(self.steps)):
+            u, v = self.vertices[i], self.vertices[i + 1]
+            color, direction = self.steps[i]
+            if direction == +1:
+                c = g.edge_color(u, v)
+            else:
+                c = g.edge_color(v, u)
+            if c is None or c != color:
+                raise LatticeError(
+                    f"step {i}: {render_vertex(u)} to {render_vertex(v)} "
+                    f"is not a color-{color} edge")
+        ranks = [lat.rank[v] for v in self.vertices]
+        if self.orientation == "mountain":
+            peak = max(ranks)
+            k = ranks.index(peak)
+            if ranks[:k + 1] != sorted(ranks[:k + 1]) or \
+               ranks[k:] != sorted(ranks[k:], reverse=True):
+                raise LatticeError("mountain certificate does not rise then fall")
+            if self.vertices[k] != self.turning_point:
+                raise LatticeError("apex is not the declared turning point")
+            if self.turning_point != lat.join(self.vertices[0], self.vertices[-1]):
+                raise LatticeError("apex differs from the join of the endpoints")
+        elif self.orientation == "valley":
+            low = min(ranks)
+            k = ranks.index(low)
+            if ranks[:k + 1] != sorted(ranks[:k + 1], reverse=True) or \
+               ranks[k:] != sorted(ranks[k:]):
+                raise LatticeError("valley certificate does not fall then rise")
+            if self.vertices[k] != self.turning_point:
+                raise LatticeError("nadir is not the declared turning point")
+            if self.turning_point != lat.meet(self.vertices[0], self.vertices[-1]):
+                raise LatticeError("nadir differs from the meet of the endpoints")
+
+    def serialize(self) -> str:
+        """Line-oriented text form: a header, then one step per line."""
+        head = f"distance={self.distance} orientation={self.orientation}"
+        if self.turning_point is not None:
+            word = "apex" if self.orientation == "mountain" else "nadir"
+            head += f" {word}={render_vertex(self.turning_point)}"
+        lines = [head]
+        for i, (color, direction) in enumerate(self.steps):
+            u = render_vertex(self.vertices[i])
+            v = render_vertex(self.vertices[i + 1])
+            arrow = f"--{color}-->" if direction == +1 else f"<--{color}--"
+            lines.append(f"{u} {arrow} {v}")
+        return "\n".join(lines) + "\n"
+
+    def __repr__(self):
+        return (f"PathCertificate({self.orientation}, distance {self.distance}, "
+                f"{render_vertex(self.vertices[0])} to {render_vertex(self.vertices[-1])})")
+
+
+class TupleLattice:
+    """A distributive lattice of integer tuples, given by rules, not enumerated.
+
+    The members are tuples x with 0 <= x_q <= top_q: the zero tuple is the
+    minimum and ``top`` the maximum.  As in :func:`tuple_lattice`, covers
+    raise one coordinate by 1, join and meet are component-wise max and min,
+    and the raise of coordinate q (1-based) onto the value v wears color
+    ``color(q, v)``.  A family supplies three rules:
+
+    * ``member(x)``: whether the tuple x is a member;
+    * ``color(q, v)``: the edge color;
+    * ``least(q, v)``: for 1 <= v <= top_q, the least member whose
+      coordinate q is >= v.
+
+    The members with x_q >= v form the interval [least(q, v), top], so
+    least(q, v) is the join irreducible that every edge raising coordinate q
+    onto v adds.  The irreducibles below x are therefore the pairs (q, v)
+    with 0 < v <= x_q: the rank is the coordinate sum, and color counts are
+    tallies over coordinate gaps.  Geodesics break ties as
+    :func:`~colorlattice.paths.shortest_path` does on the explicit lattice,
+    whose irreducibles sort as tuples.  That the members are closed under
+    max and min is the family's claim; as with :func:`tuple_lattice`,
+    certifying it is left to the caller.
+    """
+
+    __slots__ = ("top", "member", "color", "least")
+
+    def __init__(self, top, member, color, least):
+        self.top = tuple(top)
+        self.member = member
+        self.color = color
+        self.least = least
+
+    def __repr__(self):
+        return f"TupleLattice(top {render_vertex(self.top)})"
+
+    def rank(self, x) -> int:
+        return sum(x)
+
+    def join(self, s, t):
+        return tuple(map(max, s, t))
+
+    def meet(self, s, t):
+        return tuple(map(min, s, t))
+
+    def distance(self, s, t) -> int:
+        """The rank formula through the join and through the meet, which must agree."""
+        rs, rt = self.rank(s), self.rank(t)
+        via_join = 2 * self.rank(self.join(s, t)) - rs - rt
+        via_meet = rs + rt - 2 * self.rank(self.meet(s, t))
+        if via_join != via_meet:
+            raise LatticeError(
+                f"rank formulas disagree on ({render_vertex(s)}, {render_vertex(t)}): "
+                f"{via_join} via join, {via_meet} via meet")
+        return via_join
+
+    def colors(self):
+        """Every edge color, sorted."""
+        return sorted({self.color(q, v) for q, hi in enumerate(self.top, 1)
+                       for v in range(1, hi + 1)})
+
+    def _gaps(self, *pairs) -> Counter:
+        # colors of the irreducibles below upper and not below lower, summed
+        # over the (lower, upper) pairs
+        return Counter(self.color(q, v) for lower, upper in pairs
+                       for q, (a, b) in enumerate(zip(lower, upper), 1)
+                       for v in range(a + 1, b + 1))
+
+    def color_counts(self, s, t) -> dict:
+        """Per-color step counts of every geodesic from s to t, for every color.
+
+        Counted over the gaps from s and t up to their join and, as a check,
+        down to their meet.
+        """
+        hi, lo = self.join(s, t), self.meet(s, t)
+        up = self._gaps((s, hi), (t, hi))
+        if up != self._gaps((lo, s), (lo, t)):
+            raise LatticeError("join-based and meet-based color counts disagree")
+        return {c: up[c] for c in self.colors()}
+
+    def geodesic(self, s, t, via: str = "join") -> PathCertificate:
+        """An optimal mountain (via="join") or valley (via="meet") certificate."""
+        if via not in ("join", "meet"):
+            raise ValueError("via must be 'join' or 'meet'")
+        for x in (s, t):
+            if not self.member(x):
+                raise LatticeError(f"{x!r} is not a member of the lattice")
+        vertices, steps = [s], []
+        if via == "join":
+            turn = self.join(s, t)
+            self._ascend(turn, vertices, steps)
+            self._descend(t, vertices, steps)
+        else:
+            turn = self.meet(s, t)
+            self._descend(turn, vertices, steps)
+            self._ascend(t, vertices, steps)
+        cert = PathCertificate(vertices, "mountain" if via == "join" else "valley",
+                               turn, steps)
+        expected = self.distance(s, t)
+        if cert.distance != expected:
+            raise LatticeError(
+                f"constructed path has {cert.distance} steps, distance is {expected}")
+        return cert
+
+    def _ascend(self, goal, vertices, steps):
+        """Climb from the last vertex to ``goal``, adding the least missing
+        irreducible in tuple order each step.
+
+        The least one is minimal among the missing ones (an irreducible
+        below another sorts before it), so the raise needs no member test.
+        """
+        x = list(vertices[-1])
+        while True:
+            missing = [(self.least(q, a + 1), q)
+                       for q, (a, b) in enumerate(zip(x, goal), 1) if a < b]
+            if not missing:
+                return
+            q = min(missing)[1]
+            x[q - 1] += 1
+            vertices.append(tuple(x))
+            steps.append((self.color(q, x[q - 1]), +1))
+
+    def _descend(self, goal, vertices, steps):
+        """Fall from the last vertex to ``goal``, removing the least
+        irreducible in tuple order among those that can go.
+
+        Irreducible least(q, x_q) can go exactly when x - e_q is a member,
+        so the candidates are tested in tuple order until one is.
+        """
+        x = list(vertices[-1])
+        while True:
+            extra = sorted((self.least(q, a), q)
+                           for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
+            if not extra:
+                return
+            for _, q in extra:
+                x[q - 1] -= 1
+                if self.member(tuple(x)):
+                    break
+                x[q - 1] += 1
+            else:
+                raise LatticeError(f"no lower cover of {render_vertex(tuple(x))} "
+                                   f"leads to {render_vertex(tuple(goal))}")
+            vertices.append(tuple(x))
+            steps.append((self.color(q, x[q - 1] + 1), -1))
 
 
 def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:

@@ -30,9 +30,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (ColoredDigraph, DiamondLattice, LatticeError,
+from .core import (ColoredDigraph, DiamondLattice, LatticeError, TupleLattice,
                    attach_birkhoff_coords, tuple_lattice)
-from .paths import color_counts, shortest_path
 
 __all__ = [
     "StructureViolationError",
@@ -64,7 +63,6 @@ __all__ = [
     "Move",
     "legal_moves",
     "domino_digraph",
-    "domino_moves",
     "a_lattice",
     "sigma",
     "kn_lattice",
@@ -543,26 +541,13 @@ def legal_moves(board: Board, tau):
 
 
 @lru_cache(maxsize=None)
-def _digraph_and_moves(kind: str, k: int, n: int):
-    board = Board(kind, k, n)
-    verts = board.partitions()
-    table = {}
-    edges = []
-    for tau in verts:
-        for mv in legal_moves(board, tau):
-            edges.append((mv.source, mv.result, mv.color))
-            table[(mv.source, mv.result)] = mv
-    return ColoredDigraph(verts, edges), table
-
-
 def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
     """The directed move graph on all partitions of the board's kind."""
-    return _digraph_and_moves(kind, k, n)[0]
-
-
-def domino_moves(kind: str, k: int, n: int) -> dict:
-    """Map (source, result) -> Move for every edge of the move graph."""
-    return _digraph_and_moves(kind, k, n)[1]
+    board = Board(kind, k, n)
+    verts = board.partitions()
+    edges = [(mv.source, mv.result, mv.color)
+             for tau in verts for mv in legal_moves(board, tau)]
+    return ColoredDigraph(verts, edges)
 
 
 # --------------------------------------------------------------------------
@@ -648,6 +633,72 @@ def dec_lattice(k: int, n: int) -> DiamondLattice:
     return _induced_lattice(k, n, dec_admissible)
 
 
+@lru_cache(maxsize=None)
+def _least_table(k: int, n: int, admissible) -> dict:
+    """For each part q and 1 <= v <= 2n-k, the least admissible partition
+    whose part q is >= v.
+
+    The admissible partitions with part q >= v form an interval reaching up
+    to the full box, and every one of them above its bottom has a lower
+    cover (one part lowered by 1) inside it.  So lowering parts one unit at
+    a time while that holds ends on the bottom; going down in v, each bottom
+    is the start of the next descent.  The full box's closed form does not
+    serve: kn(2, 2) has (2, 1) least with part 1 >= 2, and dec(2, 2) has
+    (2, 1) least with part 2 >= 1.
+    """
+    m = 2 * n - k
+    table = {}
+    for q in range(1, k + 1):
+        x = [m] * k + [0]   # the zero after the last part keeps x[p + 1] in range
+        for v in range(m, 0, -1):
+            lowered = True
+            while lowered:
+                lowered = False
+                for p in range(k):
+                    # lowering part p must keep the parts weakly decreasing,
+                    # nonnegative, and part q at least v
+                    if x[p] > max(x[p + 1], v if p == q - 1 else 0):
+                        y = x[:k]
+                        y[p] -= 1
+                        if admissible(y, k, n):
+                            x[p] -= 1
+                            lowered = True
+            table[q, v] = tuple(x[:k])
+    return table
+
+
+def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
+    """The lattice ``solve_domino`` walks for a board kind, by rules.
+
+    Full boards walk ``a_lattice(k, 2n-k)``, where the least partition with
+    part q >= v is (v, ..., v, 0, ..., 0) with q parts v.  Ballot boards
+    walk ``dec_lattice(k, n)`` and staircase boards ``kn_lattice(k, n)``,
+    whose least partitions come from ``_least_table`` and decide membership
+    as well.
+    """
+    m = 2 * n - k
+    if kind == "full":
+        return TupleLattice(
+            (m,) * k, lambda x: is_box_partition(x, k, m),
+            lambda q, t: q - t + m, lambda q, v: (v,) * q + (0,) * (k - q))
+    table = _least_table(k, n, dec_admissible if kind == "ballot"
+                         else kn_admissible)
+
+    def member(x):
+        # an admissible partition is the join (part-wise max) of the least
+        # ones below it, table[q, x_q]; a join of admissible ones is admissible
+        join = (0,) * k
+        for q, v in enumerate(x, 1):
+            if (q, v) in table:
+                join = tuple(map(max, join, table[q, v]))
+            elif v:
+                return False
+        return join == tuple(x)
+
+    return TupleLattice((m,) * k, member, lambda q, t: sigma(q - t + m, n),
+                        lambda q, v: table[q, v])
+
+
 # --------------------------------------------------------------------------
 # solving
 
@@ -690,9 +741,13 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     """Optimal play between two partitions of a board's kind.
 
     Both endpoints are rewritten into the matching sublattice of the box
-    lattice, a mountain or valley geodesic is built there, and each lattice
-    step is translated back into a physical tile action (the reverse of a
-    directed move when the geodesic runs against the arrow).
+    lattice, a mountain or valley geodesic is built there on tuple
+    coordinates, and each lattice step is translated back into a physical
+    tile action.  Nothing is enumerated: the steps and the certificate are
+    those ``shortest_path`` builds on ``dec_lattice``, ``kn_lattice`` or
+    ``a_lattice``.  Each action is read off the squares the two states
+    differ in, its color is checked against the lattice step, and the whole
+    play is replayed under the tile rules.
     """
     board = Board(kind, k, n)
     start, target = tuple(start), tuple(target)
@@ -700,31 +755,46 @@ def solve_domino(kind: str, k: int, n: int, start, target,
         if not board.valid(tau):
             raise ValueError(f"{tau} is not a {kind} partition for "
                              f"k={k}, n={n}")
-    if kind == "ballot":
-        lat = dec_lattice(k, n)
-    elif kind == "staircase":
-        lat = kn_lattice(k, n)
-    else:
-        lat = a_lattice(k, 2 * n - k)
+    lat = _board_lattice(kind, k, n)
     enc_s, enc_t = l_map(start, k, n), l_map(target, k, n)
-    cert = shortest_path(lat, enc_s, enc_t, via=via)
+    cert = lat.geodesic(enc_s, enc_t, via=via)
     states = [l_inv(v, k, n) for v in cert.vertices]
-    table = domino_moves(kind, k, n)
-    actions = []
-    for (a, b), (color, direction) in zip(zip(states, states[1:]), cert.steps):
-        # the coding keeps edge directions: a step down the lattice is a
-        # directed move played backwards
-        mv = table.get((a, b) if direction == +1 else (b, a))
-        if mv is None:
-            raise AssertionError(f"no move joins {a} and {b}")
-        verb = "remove" if (mv.kind == "R") == (direction == +1) else "add"
-        if mv.color != color:
-            raise AssertionError("edge color disagrees between board and lattice")
-        actions.append((verb, mv.squares, mv.color))
+    actions = [_action(board, a, b, color, direction)
+               for a, b, (color, direction)
+               in zip(states, states[1:], cert.steps)]
     sol = DominoSolution(kind, k, n, states, actions,
-                         color_counts(lat, enc_s, enc_t), cert)
+                         lat.color_counts(enc_s, enc_t), cert)
     replay_domino(board, sol)
     return sol
+
+
+def _action(board: Board, a, b, color, direction):
+    """The tile action taking partition a to partition b, as (verb, squares, color).
+
+    The squares are those the two partitions differ in, row by row (the
+    symmetric difference of their cells, in sorted order).  The coding keeps edge
+    directions, so a lattice step up is a directed move played forward and a
+    step down is one played backward; the directed move removes tiles when
+    its red square sets the color (``removing_index``) and adds them when
+    its white square does (``adding_label``).  That color must be the
+    lattice step's.
+    """
+    squares = tuple((r, c) for r, (p, q) in enumerate(zip(a, b), 1)
+                    for c in range(min(p, q) + 1, max(p, q) + 1))
+    shrinks = sum(b) < sum(a)
+    # the directed move removes tiles when a step up shrinks the partition
+    # or a step down grows it
+    removes = shrinks == (direction == +1)
+    square = [sq for sq in squares if board.is_red(*sq) == removes]
+    try:
+        (r, c), = square
+        found = board.removing_index(r, c) if removes else board.adding_label(r, c)
+    except ValueError:
+        found = None
+    if found != color:
+        raise AssertionError(f"edge color disagrees between board and lattice "
+                             f"at squares {squares}")
+    return ("remove" if shrinks else "add", squares, color)
 
 
 def replay_domino(board: Board, sol: DominoSolution) -> None:

@@ -14,12 +14,13 @@ from the ideals.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 from .core import (
     CapExceededError,
     DiamondLattice,
     LatticeError,
+    PathCertificate,
     canonical_key,
     render_vertex,
 )
@@ -33,91 +34,6 @@ __all__ = [
     "gods_number",
     "all_shortest_paths",
 ]
-
-
-class PathCertificate:
-    """A replayable walk in a lattice diagram.
-
-    ``steps`` is a tuple of (color, direction) pairs, direction +1 when the
-    step follows a diagram edge upward and -1 when it traverses one downward.
-    ``orientation`` is "mountain" (rise then fall, apex = join of the ends),
-    "valley" (fall then rise, nadir = meet), or "mixed" for a geodesic that
-    is neither; ``turning_point`` holds the apex or nadir when applicable.
-    """
-
-    __slots__ = ("vertices", "orientation", "turning_point", "steps")
-
-    def __init__(self, vertices, orientation, turning_point, steps):
-        self.vertices = tuple(vertices)
-        self.orientation = orientation
-        self.turning_point = turning_point
-        self.steps = tuple(steps)
-        if orientation not in ("mountain", "valley", "mixed"):
-            raise ValueError(f"bad orientation {orientation!r}")
-        if len(self.steps) != len(self.vertices) - 1:
-            raise ValueError("step count does not match vertex count")
-
-    @property
-    def distance(self) -> int:
-        return len(self.steps)
-
-    def color_multiset(self) -> Counter:
-        return Counter(c for (c, _) in self.steps)
-
-    def validate(self, lat: DiamondLattice) -> None:
-        """Check every step is a diagram edge and the profile matches the
-        declared orientation; raises LatticeError on any defect."""
-        g = lat.diagram
-        for i in range(len(self.steps)):
-            u, v = self.vertices[i], self.vertices[i + 1]
-            color, direction = self.steps[i]
-            if direction == +1:
-                c = g.edge_color(u, v)
-            else:
-                c = g.edge_color(v, u)
-            if c is None or c != color:
-                raise LatticeError(
-                    f"step {i}: {render_vertex(u)} to {render_vertex(v)} "
-                    f"is not a color-{color} edge")
-        ranks = [lat.rank[v] for v in self.vertices]
-        if self.orientation == "mountain":
-            peak = max(ranks)
-            k = ranks.index(peak)
-            if ranks[:k + 1] != sorted(ranks[:k + 1]) or \
-               ranks[k:] != sorted(ranks[k:], reverse=True):
-                raise LatticeError("mountain certificate does not rise then fall")
-            if self.vertices[k] != self.turning_point:
-                raise LatticeError("apex is not the declared turning point")
-            if self.turning_point != lat.join(self.vertices[0], self.vertices[-1]):
-                raise LatticeError("apex differs from the join of the endpoints")
-        elif self.orientation == "valley":
-            low = min(ranks)
-            k = ranks.index(low)
-            if ranks[:k + 1] != sorted(ranks[:k + 1], reverse=True) or \
-               ranks[k:] != sorted(ranks[k:]):
-                raise LatticeError("valley certificate does not fall then rise")
-            if self.vertices[k] != self.turning_point:
-                raise LatticeError("nadir is not the declared turning point")
-            if self.turning_point != lat.meet(self.vertices[0], self.vertices[-1]):
-                raise LatticeError("nadir differs from the meet of the endpoints")
-
-    def serialize(self) -> str:
-        """Line-oriented text form: a header, then one step per line."""
-        head = f"distance={self.distance} orientation={self.orientation}"
-        if self.turning_point is not None:
-            word = "apex" if self.orientation == "mountain" else "nadir"
-            head += f" {word}={render_vertex(self.turning_point)}"
-        lines = [head]
-        for i, (color, direction) in enumerate(self.steps):
-            u = render_vertex(self.vertices[i])
-            v = render_vertex(self.vertices[i + 1])
-            arrow = f"--{color}-->" if direction == +1 else f"<--{color}--"
-            lines.append(f"{u} {arrow} {v}")
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self):
-        return (f"PathCertificate({self.orientation}, distance {self.distance}, "
-                f"{render_vertex(self.vertices[0])} to {render_vertex(self.vertices[-1])})")
 
 
 def lattice_distance(lat: DiamondLattice, s, t) -> int:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (ColoredDigraph, DiamondLattice, attach_birkhoff_coords,
-                   tuple_lattice)
-from .paths import shortest_path
+from .core import (ColoredDigraph, DiamondLattice, TupleLattice,
+                   attach_birkhoff_coords, tuple_lattice)
 
 __all__ = [
     "is_cushioned",
@@ -56,13 +55,20 @@ def is_cushioned(x, n=None) -> bool:
         return False
     if any(not isinstance(e, int) or isinstance(e, bool) for e in x):
         return False
-    if not all(n >= e >= 0 for e in x):
-        return False
-    for i in range(n - 1):
-        if x[i] != 0 and x[i] <= x[i + 1]:
+    return _cushioned(x)
+
+
+def _cushioned(x) -> bool:
+    """`is_cushioned` for a tuple of integers, by one pass.
+
+    Each entry lies in 0..n and below the nonzero entry before it; after a
+    zero only zeros may follow.
+    """
+    bound = len(x) + 1
+    for e in x:
+        if not 0 <= e < bound:
             return False
-        if x[i] == 0 and x[i + 1] != 0:
-            return False
+        bound = e or 1
     return True
 
 
@@ -89,6 +95,18 @@ def z_lattice(n: int) -> DiamondLattice:
     """
     return attach_birkhoff_coords(
         tuple_lattice(all_cushioned(n), lambda q, t: n + 1 - t))
+
+
+def _cushioned_lattice(n: int) -> TupleLattice:
+    """The lattice of `z_lattice(n)` by rules, with nothing enumerated.
+
+    The least cushioned tuple whose coordinate q is >= v has its first q
+    entries strictly decreasing down to v, and zeros after:
+    (v+q-1, ..., v+1, v, 0, ..., 0).
+    """
+    return TupleLattice(
+        range(n, 0, -1), _cushioned, lambda q, t: n + 1 - t,
+        lambda q, v: tuple(range(v + q - 1, v - 1, -1)) + (0,) * (n - q))
 
 
 def switch_moves(s):
@@ -243,17 +261,18 @@ class SwitchSolution:
 def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
     """Optimal play from position s to position t, with proof of optimality.
 
-    Decodes both positions into the cushioned-tuple lattice, builds a
-    mountain (or valley) geodesic there, and re-encodes each step as a bit
-    flip.  The reported distance equals the rank formula value; the flip
-    sequence is replayable move by move under the game rules.
+    Decodes both positions into cushioned tuples, builds a mountain (or
+    valley) geodesic between them on tuple coordinates, and re-encodes each
+    step as a bit flip.  Nothing is enumerated: the steps and the
+    certificate are those `shortest_path` builds on `z_lattice(n)`.  The
+    reported distance equals the rank formula value; the flip sequence is
+    replayed move by move under the game rules.
     """
     s, t = tuple(s), tuple(t)
     if len(s) != n or len(t) != n:
         raise ValueError(f"positions must have length {n}")
-    lat = z_lattice(n)
     xs, xt = b_inv(s), b_inv(t)
-    cert = shortest_path(lat, xs, xt, via=via)
+    cert = _cushioned_lattice(n).geodesic(xs, xt, via=via)
     positions = [b_map(v) for v in cert.vertices]
     flips = []
     for a, b in zip(positions, positions[1:]):

@@ -99,12 +99,31 @@ def test_bad_flag_values_exit_two_via_argparse(capsys):
 
 
 def test_oversize_instances_are_refused(capsys):
-    code, _, err = run(capsys, "solve", "mixedmiddleswitch", "--n", "13",
-                       "--from", "0" * 13, "--to", "1" * 13)
+    code, _, err = run(capsys, "solve", "mixedmiddleswitch", "--n", "81",
+                       "--from", "0" * 81, "--to", "1" * 81)
     assert code == 2
+    assert "2 <= n <= 80" in err
+    code, _, err = run(capsys, "solve", "domino-ballot", "--k", "3", "--n", "21",
+                       "--from", "0,0,0", "--to", "1,0,0")
+    assert code == 2
+    assert "up to n=20" in err
     code, _, err = run(capsys, "solve", "snakes", "--n", "8",
                        "--from", "0,0,0,0,0,0,0,0", "--to", "1,0,0,0,0,0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "mixedmiddleswitch", "--n", "13"),
+    ("export", "--family", "mixedmiddleswitch", "--n", "13", "--format", "dot"),
+    ("enumerate", "domino-full", "--k", "2", "--n", "7"),
+    ("export", "--family", "domino-ballot", "--k", "3", "--n", "7",
+     "--format", "dot"),
+])
+def test_listing_commands_keep_the_exhaustive_caps(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "n <= 12" in err or "up to n=6" in err
 
 
 @pytest.mark.parametrize("error", [

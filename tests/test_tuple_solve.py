@@ -1,0 +1,232 @@
+"""Solving on tuple coordinates, checked against the explicit lattices."""
+
+import pytest
+
+from colorlattice import (
+    Board,
+    LatticeError,
+    TupleLattice,
+    a_lattice,
+    b_map,
+    color_counts,
+    dec_admissible,
+    dec_lattice,
+    domino_digraph,
+    enumerate_box_partitions,
+    is_box_partition,
+    kn_admissible,
+    kn_lattice,
+    l_inv,
+    lattice_distance,
+    legal_moves,
+    shortest_path,
+    solve_domino,
+    solve_mixedmiddleswitch,
+    z_lattice,
+)
+from colorlattice.dominoes import _action, _board_lattice
+from colorlattice.switchgame import _cushioned_lattice, all_cushioned
+
+KINDS = ("ballot", "staircase", "full")
+BOARD_SIZES = [(k, n) for n in range(1, 5) for k in range(1, n + 1)]
+
+
+def explicit_lattice(kind, k, n):
+    if kind == "ballot":
+        return dec_lattice(k, n)
+    if kind == "staircase":
+        return kn_lattice(k, n)
+    return a_lattice(k, 2 * n - k)
+
+
+def same_certificate(cert, want):
+    assert cert.vertices == want.vertices
+    assert cert.steps == want.steps
+    assert cert.orientation == want.orientation
+    assert cert.turning_point == want.turning_point
+
+
+def legal_move_table(board):
+    """Every ``legal_moves`` entry, keyed by its pair of partitions both ways."""
+    table = {}
+    for tau in board.partitions():
+        for mv in legal_moves(board, tau):
+            table[mv.source, mv.result] = table[mv.result, mv.source] = mv
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_switch_solves_match_the_explicit_lattice_on_every_pair(n):
+    lat = z_lattice(n)
+    for xs in lat.vertices:
+        for xt in lat.vertices:
+            s, t = b_map(xs), b_map(xt)
+            for via in ("join", "meet"):
+                sol = solve_mixedmiddleswitch(n, s, t, via=via)
+                want = shortest_path(lat, xs, xt, via=via)
+                same_certificate(sol.certificate, want)
+                sol.certificate.validate(lat)
+                assert sol.distance == lattice_distance(lat, xs, xt)
+                assert sol.positions == tuple(b_map(v) for v in want.vertices)
+                assert sol.flips == tuple(c for (c, _) in want.steps)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k, n", BOARD_SIZES)
+def test_board_solves_match_the_explicit_lattice_on_every_pair(kind, k, n):
+    lat = explicit_lattice(kind, k, n)
+    moves = legal_move_table(Board(kind, k, n))
+    decode = {v: l_inv(v, k, n) for v in lat.vertices}
+    for xs in lat.vertices:
+        for xt in lat.vertices:
+            s, t = decode[xs], decode[xt]
+            counts = color_counts(lat, xs, xt)
+            for via in ("join", "meet"):
+                sol = solve_domino(kind, k, n, s, t, via=via)
+                want = shortest_path(lat, xs, xt, via=via)
+                same_certificate(sol.certificate, want)
+                sol.certificate.validate(lat)
+                assert sol.distance == lattice_distance(lat, xs, xt)
+                assert sol.color_counts == counts   # zero entries included
+                assert sol.states == tuple(decode[v] for v in want.vertices)
+                for a, b, (verb, squares, color) in zip(
+                        sol.states, sol.states[1:], sol.actions):
+                    mv = moves[a, b]
+                    assert (squares, color) == (mv.squares, mv.color)
+                    assert verb == ("remove" if sum(b) < sum(a) else "add")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_board_actions_are_the_legal_moves_at_the_largest_sizes(kind):
+    board = Board(kind, 3, 6)
+    parts = board.partitions()
+    moves = legal_move_table(board)
+    for s, t in [(parts[0], parts[-1]), (parts[-1], parts[0]),
+                 (parts[len(parts) // 3], parts[2 * len(parts) // 3])]:
+        for via in ("join", "meet"):
+            sol = solve_domino(kind, 3, 6, s, t, via=via)
+            for a, b, (_verb, squares, color) in zip(
+                    sol.states, sol.states[1:], sol.actions):
+                mv = moves[a, b]
+                assert (squares, color) == (mv.squares, mv.color)
+
+
+def test_an_action_whose_squares_disagree_with_the_lattice_color_is_refused():
+    board = Board("ballot", 3, 3)
+    mv = legal_moves(board, (3, 2, 1))[0]
+    a, b = mv.source, mv.result
+    assert _action(board, a, b, mv.color, +1)[1:] == (mv.squares, mv.color)
+    with pytest.raises(AssertionError, match="edge color disagrees"):
+        _action(board, a, b, mv.color + 1, +1)
+    with pytest.raises(AssertionError, match="edge color disagrees"):
+        _action(board, a, b, mv.color, -1)   # played against the arrow
+
+
+def brute_force_least(members, q, v):
+    """The least member whose coordinate q is >= v, searched directly."""
+    above = [x for x in members if x[q - 1] >= v]
+    least = [x for x in above
+             if all(a <= b for y in above for a, b in zip(x, y))]
+    assert len(least) == 1
+    return least[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cushioned_least_members_match_a_brute_force_search(n):
+    lat = _cushioned_lattice(n)
+    members = all_cushioned(n)
+    for q in range(1, n + 1):
+        for v in range(1, lat.top[q - 1] + 1):
+            assert lat.least(q, v) == brute_force_least(members, q, v)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 6)
+                                  for k in range(1, n + 1)])
+def test_board_least_members_match_a_brute_force_search(kind, k, n):
+    lat = _board_lattice(kind, k, n)
+    members = explicit_lattice(kind, k, n).vertices
+    for q in range(1, k + 1):
+        for v in range(1, 2 * n - k + 1):
+            assert lat.least(q, v) == brute_force_least(members, q, v)
+
+
+def test_no_closed_form_serves_the_symplectic_families():
+    # the full-box form (v, ..., v, 0, ..., 0) fails already at n=2
+    assert _board_lattice("staircase", 2, 2).least(1, 2) == (2, 1)   # kn(2, 2)
+    assert _board_lattice("ballot", 2, 2).least(2, 1) == (2, 1)      # dec(2, 2)
+    assert _board_lattice("full", 2, 2).least(1, 2) == (2, 0)
+    assert _board_lattice("full", 2, 2).least(2, 1) == (1, 1)
+
+
+@pytest.mark.parametrize("kind, admissible", [("ballot", dec_admissible),
+                                              ("staircase", kn_admissible)])
+def test_board_membership_agrees_with_admissibility(kind, admissible):
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            m = 2 * n - k
+            lat = _board_lattice(kind, k, n)
+            for x in enumerate_box_partitions(k, m + 1):
+                want = is_box_partition(x, k, m) and admissible(x, k, n)
+                assert lat.member(x) == want
+            assert not lat.member((1,) * (k - 1) + (-1,))
+            assert not lat.member((0,) * k + (0,))
+            if k > 1:
+                assert not lat.member((0,) * (k - 1) + (1,))
+
+
+def test_a_cold_solve_builds_no_lattice():
+    builds = (z_lattice, a_lattice, kn_lattice, dec_lattice, domino_digraph)
+    for f in builds:
+        f.cache_clear()
+    solve_mixedmiddleswitch(12, (0,) * 12, (0, 1) * 6)
+    for kind in KINDS:
+        parts = Board(kind, 3, 6).partitions()
+        solve_domino(kind, 3, 6, parts[0], parts[-1])
+    assert [f.cache_info().currsize for f in builds] == [0] * len(builds)
+    assert [f.cache_info().misses for f in builds] == [0] * len(builds)
+
+
+def test_solves_run_past_the_exhaustive_sizes():
+    n = 30
+    top = b_map(tuple(range(n, 0, -1)))
+    for via in ("join", "meet"):
+        sol = solve_mixedmiddleswitch(n, (0,) * n, top, via=via)
+        assert sol.distance == n * (n + 1) // 2
+    k, n = 4, 9
+    m = 2 * n - k
+    for kind in KINDS:
+        sol = solve_domino(kind, k, n, l_inv((0,) * k, k, n),
+                           l_inv((m,) * k, k, n))
+        assert sol.distance == k * m
+        assert sum(sol.color_counts.values()) == k * m
+
+
+def test_geodesics_refuse_non_members_and_unknown_turns():
+    lat = _cushioned_lattice(4)
+    with pytest.raises(LatticeError, match="not a member"):
+        lat.geodesic((0, 0, 0, 0), (2, 2, 0, 0))
+    with pytest.raises(ValueError, match="via"):
+        lat.geodesic((0, 0, 0, 0), (2, 1, 0, 0), via="around")
+
+
+def test_descent_reports_rules_that_leave_no_lower_cover():
+    # a bogus member rule that admits only the two endpoints
+    rules = _cushioned_lattice(3)
+    lat = TupleLattice(rules.top, lambda x: x in {(0, 0, 0), (2, 1, 0)},
+                       rules.color, rules.least)
+    with pytest.raises(LatticeError, match="no lower cover"):
+        lat.geodesic((2, 1, 0), (0, 0, 0))
+
+
+def test_rank_and_color_counts_match_the_explicit_lattice():
+    lat, rules = z_lattice(5), _cushioned_lattice(5)
+    assert rules.colors() == lat.diagram.colors()
+    for x in lat.vertices:
+        assert rules.rank(x) == lat.rank[x]
+    for s in lat.vertices[::5]:
+        for t in lat.vertices[::3]:
+            assert rules.color_counts(s, t) == color_counts(lat, s, t)
+            assert rules.distance(s, t) == lattice_distance(lat, s, t)
+            assert rules.join(s, t) == lat.join(s, t)
+            assert rules.meet(s, t) == lat.meet(s, t)
