@@ -99,7 +99,6 @@ from .snakes import (
     cached_isomorphism,
     catalan_tuples,
     enumerate_tilings,
-    find_isomorphism,
     is_tiling,
     legal_snake_moves,
     ming_digraph,

@@ -108,12 +108,12 @@ _DOMINO_KINDS = {
 }
 _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 
-# Sizes are kept honest up front.  ``solve`` walks switch rows and boards on
-# tuple coordinates, enumerating nothing; these caps keep a cold solve from
-# the lattice minimum to its maximum under about a second.  ``export`` and
+# Sizes are kept honest up front.  ``solve`` walks every family on tuple
+# coordinates, enumerating nothing; these caps keep a cold solve from the
+# lattice minimum to its maximum under about a second.  ``export`` and
 # ``enumerate`` list every position, so they keep the exhaustive caps.
-_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 20, 7
-_LIST_CAP_SWITCH, _LIST_CAP_DOMINO = 12, 6
+_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 20, 40
+_LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES = 12, 6, 7
 
 # Failures of the program's own certificates and replays, never of the input.
 _INTERNAL_ERRORS = (LatticeError, NotIsomorphicError, CapExceededError,
@@ -138,8 +138,9 @@ def _resolve_params(family, args, listing=False):
     ``listing`` selects the caps of the commands that list every position.
     """
     n, k = args.n, getattr(args, "k", None)
-    cap_switch, cap_domino = ((_LIST_CAP_SWITCH, _LIST_CAP_DOMINO) if listing
-                              else (_CAP_SWITCH, _CAP_DOMINO))
+    cap_switch, cap_domino, cap_snakes = (
+        (_LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES) if listing
+        else (_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES))
     if family in _DOMINO_KINDS:
         if k is None:
             raise _UsageError(f"family {family} needs --k")
@@ -154,8 +155,8 @@ def _resolve_params(family, args, listing=False):
         if not 2 <= n <= cap_switch:
             raise _UsageError(f"switch rows are supported for 2 <= n <= {cap_switch}")
     else:
-        if not 1 <= n <= _CAP_SNAKES:
-            raise _UsageError(f"square boards are supported for 1 <= n <= {_CAP_SNAKES}")
+        if not 1 <= n <= cap_snakes:
+            raise _UsageError(f"square boards are supported for 1 <= n <= {cap_snakes}")
     return n, None
 
 
@@ -609,7 +610,7 @@ def _suite_catalan(max_n):
     for n in range(1, min(max_n, 5) + 1):
         checks.append((
             f"square board n={n}: tiling moves realize the lattice "
-            f"(walked correspondence verified)",
+            f"(closed-form correspondence verified)",
             lambda n=n: _ck(len(cached_isomorphism(n))
                             == comb(2 * n + 2, n + 1) // (n + 2),
                             "correspondence does not cover every vertex")))

@@ -20,11 +20,29 @@ and the move graph is built from those alone.
 
 Orienting additions of even-length snakes and removals of odd-length
 snakes (the length is the edge color) turns the move graph into the
-diagram of a distributive lattice of bounded weakly decreasing tuples -
-but the identification of the two graphs is not written down anywhere as
-a formula.  No tuple has two up-covers of one color, so once the bottom
-tiling is placed the colors force every other vertex: this module walks
-out from there and verifies the result edge by edge.
+diagram of ``c_lattice(n)``: tuples with n+1-q >= x_q >= x_{q+1} >= 0,
+where raising coordinate q onto v wears color n+q-v.  The correspondence
+has a closed form.  Let d_c count the tiled squares of content c, and
+p = floor((m+1)/2).  A color-m snake covers the contents C(m) = {p-1, ...,
+p-m}, which adds c(m) = (m-1)/2 (m odd) or -m/2 (m even) to C(m-1), and a
+color-m step up changes d_c by (-1)^m on C(m).  The empty tiling is the
+top (n, ..., 1): an even-length snake added to the empty board is a hook
+whose leg is one longer than its arm, which breaks the diagonal rule, so
+it has no out-edge.  Climbing from x to the top adds the M_k color-k
+irreducibles not below x and ends with every d_c at 0, so
+d_{c(m)} = -sum_{k >= m} (-1)^k M_k, with d_{c(2n)} := 0.  The color-m
+irreducibles raise coordinate q onto n+q-m for max(1, m-n+1) <= q <= p;
+those below x have x_q >= n+q-m, a prefix in q since x_q - q strictly
+decreases.  So r_m = p + (-1)^m (d_{c(m)} - d_{c(m+1)}) = p - M_m counts
+the q <= p with x_q >= n+q-m (trivially so for q <= m-n), r_m >= q exactly
+when m >= n+q-x_q (which is >= 2q-1), and
+
+    x_q = n + q - min{m : r_m >= q},  or 0 when no r_m >= q.
+
+``solve_snakes`` builds neither graph: it pulls both ends back, walks a
+geodesic on tuple coordinates and pushes each step forward on the
+diagonal lengths.  ``cached_isomorphism`` checks the pull-back edge by
+edge on the boards small enough to build.
 """
 
 from __future__ import annotations
@@ -33,10 +51,9 @@ from functools import lru_cache
 from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   attach_birkhoff_coords, tuple_lattice)
+                   TupleLattice, attach_birkhoff_coords, tuple_lattice)
 from .dominoes import (_cells, _shape, enumerate_box_partitions,
                        is_box_partition)
-from .paths import color_counts, shortest_path
 
 __all__ = [
     "NotIsomorphicError",
@@ -47,8 +64,6 @@ __all__ = [
     "all_snakes",
     "legal_snake_moves",
     "ming_digraph",
-    "snake_moves_table",
-    "find_isomorphism",
     "verify_isomorphism",
     "cached_isomorphism",
     "render_tiling",
@@ -67,8 +82,8 @@ class NotIsomorphicError(Exception):
 
 def catalan_tuples(n: int):
     """Weakly decreasing n-tuples with 0 <= s_i <= n+1-i, sorted."""
-    return [s for s in enumerate_box_partitions(n, n)
-            if all(v <= n - i for i, v in enumerate(s))]
+    member = _catalan_lattice(n).member
+    return [s for s in enumerate_box_partitions(n, n) if member(s)]
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +97,17 @@ def c_lattice(n: int) -> DiamondLattice:
         raise ValueError("n must be positive")
     return attach_birkhoff_coords(
         tuple_lattice(catalan_tuples(n), lambda q, t: n + q - t))
+
+
+def _catalan_lattice(n: int) -> TupleLattice:
+    """The lattice of ``c_lattice(n)`` by rules, with nothing enumerated.
+
+    The least member with coordinate q >= v is (v, ..., v, 0, ..., 0), q parts v.
+    """
+    return TupleLattice(
+        range(n, 0, -1),
+        lambda x: is_box_partition(x, n, n) and all(v <= n - i for i, v in enumerate(x)),
+        lambda q, t: n + q - t, lambda q, v: (v,) * q + (0,) * (n - q))
 
 
 # --------------------------------------------------------------------------
@@ -177,22 +203,34 @@ def _is_snake(snake, n: int) -> bool:
     return i == j
 
 
-def _diagonal_ends(rows, n):
-    """Per content c = j - i, the last tiled and the first bare square.
+def _contents(m: int):
+    """The contents j - i of a length-m snake, head to tail: one step down
+    per square, and content 0 on its floor((m+1)/2)-th square."""
+    p = (m + 1) // 2
+    return range(p - 1, p - m - 1, -1)
 
-    Tiled squares fill a prefix of each diagonal of the board, so these are
-    the squares of the inner and the outer rim; either is None where the
-    diagonal holds no such square.
+
+def _diagonal_lengths(rows, n):
+    """Per content c = j - i, from -n to n-1, the number of tiled squares.
+
+    Tiled squares fill a prefix of each diagonal of the board, so the last
+    tiled square of content c is ``_on_diagonal(c, d_c - 1)`` and the first
+    bare one ``_on_diagonal(c, d_c)``.  Content -n lies off the board: 0.
     """
-    inner, outer = {}, {}
-    for c in range(1 - n, n):
+    d = {}
+    for c in range(-n, n):
         first, last = max(1, 1 - c), min(n, n - c)
         i = first
         while i <= last and rows[i - 1] >= i + c:
             i += 1
-        inner[c] = (i - 1, i - 1 + c) if i > first else None
-        outer[c] = (i, i + c) if i <= last else None
-    return inner, outer
+        d[c] = i - first
+    return d
+
+
+def _on_diagonal(c: int, k: int):
+    """Square k (from 0) of the diagonal of content c, possibly off the board."""
+    i = max(1, 1 - c) + k
+    return (i, i + c)
 
 
 def legal_snake_moves(n: int, rows):
@@ -210,15 +248,11 @@ def legal_snake_moves(n: int, rows):
     if not is_tiling(rows, n):
         raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
     tiled = _cells(rows)
-    inner, outer = _diagonal_ends(rows, n)
+    d = _diagonal_lengths(rows, n)
     moves = []
     for m in range(1, 2 * n):
-        # a snake's squares step down in content one at a time, and the
-        # centering puts content 0 on its floor((m+1)/2)-th square
-        p = (m + 1) // 2
-        contents = range(p - 1, p - m - 1, -1)
-        for rim, verb in ((inner, "remove"), (outer, "add")):
-            snake = tuple(rim[c] for c in contents)
+        for verb, shift in (("remove", -1), ("add", 0)):
+            snake = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
             if not _is_snake(snake, n):
                 continue
             sq = set(snake)
@@ -230,10 +264,12 @@ def legal_snake_moves(n: int, rows):
 
 
 @lru_cache(maxsize=None)
-def _ming_digraph_and_moves(n: int):
+def ming_digraph(n: int) -> ColoredDigraph:
+    """The directed snake-move graph on all tilings of the n x n board."""
+    if n < 1:
+        raise ValueError("n must be positive")
     verts = enumerate_tilings(n)
     edges = []
-    table = {}
     for rows in verts:
         for snake, verb, result in legal_snake_moves(n, rows):
             m = len(snake)
@@ -242,65 +278,11 @@ def _ming_digraph_and_moves(n: int):
             # seen from the other endpoint
             if (verb == "add") == (m % 2 == 0):
                 edges.append((rows, result, m))
-                table[(rows, result)] = (snake, verb)
-    return ColoredDigraph(verts, edges), table
-
-
-def ming_digraph(n: int) -> ColoredDigraph:
-    """The directed snake-move graph on all tilings of the n x n board."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _ming_digraph_and_moves(n)[0]
-
-
-def snake_moves_table(n: int) -> dict:
-    """Map (source, result) -> (snake, verb) for every edge of ming_digraph."""
-    return _ming_digraph_and_moves(n)[1]
+    return ColoredDigraph(verts, edges)
 
 
 # --------------------------------------------------------------------------
 # the correspondence
-
-def find_isomorphism(A: ColoredDigraph, B: ColoredDigraph):
-    """A color- and direction-preserving vertex bijection A -> B, by a walk.
-
-    A's unique source goes to B's unique source; every out-edge of a placed
-    vertex then places its target on the out-neighbour of the image that has
-    the same color.  When no vertex of A has two out-edges of one color, the
-    colors force every step, so the walk finds the only isomorphism there is
-    or none; the result is checked edge by edge before it is returned.
-    Raises NotIsomorphicError when B does not match, and ValueError when A
-    is outside the walk's domain: no single source, two out-edges of one
-    color at a vertex, or a vertex the walk never reaches.
-    """
-    if len(A.vertices) != len(B.vertices) or len(A.edges) != len(B.edges):
-        raise NotIsomorphicError("vertex or edge counts differ")
-    sources_a, sources_b = A.sources(), B.sources()
-    if len(sources_a) != 1:
-        raise ValueError("the walk needs a digraph with a single source")
-    if len(sources_b) != 1:
-        raise NotIsomorphicError("the target has no single source")
-    fwd = {sources_a[0]: sources_b[0]}
-    walk = [sources_a[0]]
-    for v in walk:
-        outs = A.out_edges(v)
-        if len({c for (_, c) in outs}) != len(outs):
-            raise ValueError(f"{v!r} has two out-edges of one color")
-        image_of = {c: w for (w, c) in B.out_edges(fwd[v])}
-        for (u, c) in outs:
-            if c not in image_of:
-                raise NotIsomorphicError(
-                    f"{fwd[v]!r} has no out-edge of color {c}")
-            if u not in fwd:
-                fwd[u] = image_of[c]
-                walk.append(u)
-            elif fwd[u] != image_of[c]:
-                raise NotIsomorphicError(f"{u!r} would get two images")
-    if len(fwd) != len(A.vertices):
-        raise ValueError("the walk does not reach every vertex")
-    verify_isomorphism(A, B, fwd)
-    return fwd
-
 
 def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
     """Check a claimed isomorphism completely; raise NotIsomorphicError if bad."""
@@ -316,27 +298,38 @@ def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
                 f"edge {u} -> {v} (color {c}) is not preserved")
 
 
+def _pull_back(rows, n: int):
+    """The tuple of a tiling, by the closed form in the module docstring."""
+    d = _diagonal_lengths(rows, n)
+    # d_{c(m)} for m = 1 ... 2n, where c(m) is the content C(m) adds
+    dc = [d[m // 2 if m % 2 else -(m // 2)] for m in range(1, 2 * n + 1)]
+    r = [(m + 1) // 2 + (-1) ** m * (dc[m - 1] - dc[m]) for m in range(1, 2 * n)]
+    return tuple(next((n + q - m for m, r_m in enumerate(r, 1) if r_m >= q), 0)
+                 for q in range(1, n + 1))
+
+
 # The largest boards, in tilings, whose move graph and tuple lattice are
-# built; the cap bounds the cost of those builds, not of the walk.
+# built; the cap bounds the cost of those builds.  Solving builds neither.
 _TILINGS_CAP = 2000
 
 
 @lru_cache(maxsize=None)
 def cached_isomorphism(n: int) -> dict:
-    """The lattice-to-tilings correspondence, found by the color walk.
+    """The lattice-to-tilings correspondence, from the closed-form pull-back.
 
-    Every color class of the join-irreducible poset of ``c_lattice(n)`` is a
-    chain (checked for n <= 8), so no tuple has two up-covers of one color:
-    ``find_isomorphism`` applies, and the correspondence it returns is the
-    only one.  Boards whose Catalan number of tilings exceeds the cap raise
-    CapExceededError before either graph is built.
+    The map is checked edge by edge against ``c_lattice(n)`` and
+    ``ming_digraph(n)`` (NotIsomorphicError if it fails).  Boards whose
+    Catalan number of tilings exceeds the cap raise CapExceededError before
+    either graph is built.
     """
     size = comb(2 * n + 2, n + 1) // (n + 2)
     if size > _TILINGS_CAP:
         raise CapExceededError(
             f"snake boards capped at {_TILINGS_CAP} tilings; "
             f"the {n} x {n} board has {size} tilings")
-    return find_isomorphism(c_lattice(n).diagram, ming_digraph(n))
+    iso = {_pull_back(rows, n): rows for rows in enumerate_tilings(n)}
+    verify_isomorphism(c_lattice(n).diagram, ming_digraph(n), iso)
+    return iso
 
 
 # --------------------------------------------------------------------------
@@ -383,35 +376,40 @@ class SnakeSolution:
 def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     """Optimal play between two tilings of the n x n board.
 
-    Endpoints are pulled back through the (walked) correspondence into
-    the tuple lattice, a mountain or valley geodesic is built there, and
-    each step is pushed forward again as a snake addition or removal.
+    Both endpoints are pulled back by the closed form, and a mountain or
+    valley geodesic is built on tuple coordinates: the one ``shortest_path``
+    builds on ``c_lattice(n)``, with nothing enumerated.  A step of color m
+    adds tiles exactly when (m is even) == (the step goes up), one square at
+    the end of each content's diagonal.  The play must reach t, and is
+    replayed under the raw rules.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     s, t = tuple(s), tuple(t)
     for rows in (s, t):
         if not is_tiling(rows, n):
             raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
-    iso = cached_isomorphism(n)
-    inv = {rows: v for v, rows in iso.items()}
-    lat = c_lattice(n)
-    cert = shortest_path(lat, inv[s], inv[t], via=via)
-    states = [iso[v] for v in cert.vertices]
-    table = snake_moves_table(n)
-    actions = []
-    for (a, b), (color, direction) in zip(zip(states, states[1:]), cert.steps):
-        # the correspondence keeps edge directions: a step down the lattice
-        # is a move graph edge played backwards
-        move = table.get((a, b) if direction == +1 else (b, a))
-        if move is None:
-            raise AssertionError(f"no snake move joins {a} and {b}")
-        snake, verb = move
-        if direction == -1:
-            verb = "add" if verb == "remove" else "remove"
-        if len(snake) != color:
-            raise AssertionError("snake length disagrees with the edge color")
-        actions.append((verb, snake))
-    sol = SnakeSolution(n, states, actions,
-                        color_counts(lat, inv[s], inv[t]), cert)
+    lat = _catalan_lattice(n)
+    xs, xt = _pull_back(s, n), _pull_back(t, n)
+    cert = lat.geodesic(xs, xt, via=via)
+    rows, d = list(s), _diagonal_lengths(s, n)
+    states, actions = [s], []
+    for color, direction in cert.steps:
+        adds = (color % 2 == 0) == (direction == +1)
+        shift = 1 if adds else -1
+        snake = []
+        for c in _contents(color):
+            i, j = _on_diagonal(c, d[c] if adds else d[c] - 1)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise AssertionError(f"no color-{color} snake fits at {tuple(rows)}")
+            snake.append((i, j))
+            d[c] += shift
+            rows[i - 1] += shift
+        states.append(tuple(rows))
+        actions.append(("add" if adds else "remove", tuple(snake)))
+    if states[-1] != t:
+        raise AssertionError("the pushed-forward play does not reach the target")
+    sol = SnakeSolution(n, states, actions, lat.color_counts(xs, xt), cert)
     replay_snakes(sol)
     return sol
 

@@ -29,7 +29,6 @@ from colorlattice import (
     domino_digraph,
     enumerate_tableaux,
     enumerate_tilings,
-    find_isomorphism,
     is_diamond_colored,
     is_structured,
     is_symmetric_unimodal,
@@ -202,15 +201,15 @@ def test_criterion_08_weyl_structure_and_rank_symmetry():
 
 def test_criterion_09_square_board_correspondence():
     with criterion(9, "tilings are counted by the Catalan numbers (n <= 6), "
-                      "the move graph is search-isomorphic to the tuple "
-                      "lattice (n <= 5), and the pinned 7-move instance "
-                      "matches search"):
+                      "the closed-form correspondence is a colored "
+                      "isomorphism onto the tuple lattice (n <= 5), and "
+                      "the pinned 7-move instance matches search"):
         for n in range(1, 7):
             catalan = comb(2 * n + 2, n + 1) // (n + 2)
             assert len(enumerate_tilings(n)) == catalan
             assert len(catalan_tuples(n)) == catalan
         for n in range(1, 6):
-            mapping = find_isomorphism(c_lattice(n).diagram, ming_digraph(n))
+            mapping = cached_isomorphism(n)
             verify_isomorphism(c_lattice(n).diagram, ming_digraph(n), mapping)
         sol = solve_snakes(4, (4, 4, 1, 0), (1, 0, 0, 0))
         assert sol.distance == 7

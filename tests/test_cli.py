@@ -107,9 +107,10 @@ def test_oversize_instances_are_refused(capsys):
                        "--from", "0,0,0", "--to", "1,0,0")
     assert code == 2
     assert "up to n=20" in err
-    code, _, err = run(capsys, "solve", "snakes", "--n", "8",
-                       "--from", "0,0,0,0,0,0,0,0", "--to", "1,0,0,0,0,0,0,0")
+    code, _, err = run(capsys, "solve", "snakes", "--n", "41",
+                       "--from", ",".join("0" * 41), "--to", "1" + ",0" * 40)
     assert code == 2
+    assert "1 <= n <= 40" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,12 +119,14 @@ def test_oversize_instances_are_refused(capsys):
     ("enumerate", "domino-full", "--k", "2", "--n", "7"),
     ("export", "--family", "domino-ballot", "--k", "3", "--n", "7",
      "--format", "dot"),
+    ("enumerate", "snakes", "--n", "8"),
+    ("export", "--family", "snakes", "--n", "8", "--format", "dot"),
 ])
 def test_listing_commands_keep_the_exhaustive_caps(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "n <= 12" in err or "up to n=6" in err
+    assert "n <= 12" in err or "up to n=6" in err or "1 <= n <= 7" in err
 
 
 @pytest.mark.parametrize("error", [

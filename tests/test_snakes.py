@@ -1,4 +1,4 @@
-"""Square-board tilings, snake moves, and the walked correspondence."""
+"""Square-board tilings, snake moves, and the closed-form correspondence."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from colorlattice import (
     cached_isomorphism,
     catalan_tuples,
     enumerate_tilings,
-    find_isomorphism,
     is_tiling,
     legal_snake_moves,
     ming_digraph,
@@ -21,9 +20,8 @@ from colorlattice import (
     solve_snakes,
     verify_isomorphism,
 )
-from colorlattice.core import ColoredDigraph
 from colorlattice.dominoes import _cells, _shape
-from colorlattice.snakes import _is_snake, _ming_digraph_and_moves
+from colorlattice.snakes import _is_snake
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -142,51 +140,8 @@ def test_move_graph_edge_counts(n, edge_count):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 7])
 def test_search_finds_the_correspondence(n):
-    mapping = find_isomorphism(c_lattice(n).diagram, ming_digraph(n))
+    mapping = cached_isomorphism(n)
     verify_isomorphism(c_lattice(n).diagram, ming_digraph(n), mapping)
-
-
-def test_search_reports_genuine_failure():
-    # two diamonds whose color-1 edges sit differently: no isomorphism exists
-    a = ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
-                                ("x", "t", 2), ("y", "t", 1)])
-    b = ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
-                                ("x", "t", 1), ("y", "t", 2)])
-    with pytest.raises(NotIsomorphicError):
-        find_isomorphism(a, b)
-
-
-@pytest.mark.parametrize("a, b, reason", [
-    # the colors lead from x to t but from y to x
-    (ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
-                             ("x", "t", 2), ("y", "t", 1)]),
-     ColoredDigraph("sxyt", [("s", "x", 1), ("s", "y", 2),
-                             ("x", "t", 2), ("y", "x", 1)]),
-     "two images"),
-    (ColoredDigraph("sxy", [("s", "x", 1), ("s", "y", 2)]),
-     ColoredDigraph("xyt", [("x", "t", 1), ("y", "t", 2)]),
-     "single source"),
-    # every step is consistent, but a and c both land on q and p is missed
-    (ColoredDigraph("sabc", [("s", "a", 2), ("a", "b", 2),
-                             ("b", "c", 1), ("c", "b", 2)]),
-     ColoredDigraph("spqr", [("s", "p", 1), ("s", "q", 2),
-                             ("q", "r", 2), ("r", "q", 1)]),
-     "not a vertex bijection"),
-], ids=["second-image", "two-sources", "merged-images"])
-def test_walk_refuses_a_mismatched_target(a, b, reason):
-    with pytest.raises(NotIsomorphicError, match=reason):
-        find_isomorphism(a, b)
-
-
-@pytest.mark.parametrize("a", [
-    ColoredDigraph("sxy", [("s", "x", 1), ("s", "y", 1)]),
-    ColoredDigraph("xyt", [("x", "t", 1), ("y", "t", 2)]),
-    # one source, and a cycle it never reaches
-    ColoredDigraph("sxyz", [("s", "x", 1), ("y", "z", 1), ("z", "y", 2)]),
-], ids=["two-color-1-out-edges", "two-sources", "unreached"])
-def test_walk_refuses_graphs_outside_its_domain(a):
-    with pytest.raises(ValueError):
-        find_isomorphism(a, a)
 
 
 def test_corrupted_mapping_is_caught():
@@ -207,10 +162,10 @@ def test_searched_correspondence_covers_every_vertex():
 
 def test_oversize_board_is_refused_before_any_build():
     # 4862 tilings at n=8, past the cap of 2000 tilings
-    builds = (c_lattice, _ming_digraph_and_moves)
+    builds = (c_lattice, ming_digraph)
     before = [f.cache_info() for f in builds]
     with pytest.raises(CapExceededError, match="4862 tilings"):
-        solve_snakes(8, (0,) * 8, (1,) + (0,) * 7)
+        cached_isomorphism(8)
     assert [f.cache_info() for f in builds] == before
 
 

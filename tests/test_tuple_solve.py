@@ -8,23 +8,32 @@ from colorlattice import (
     TupleLattice,
     a_lattice,
     b_map,
+    bfs_distance,
+    c_lattice,
+    cached_isomorphism,
+    catalan_tuples,
     color_counts,
     dec_admissible,
     dec_lattice,
     domino_digraph,
     enumerate_box_partitions,
+    enumerate_tilings,
     is_box_partition,
     kn_admissible,
     kn_lattice,
     l_inv,
     lattice_distance,
     legal_moves,
+    legal_snake_moves,
+    ming_digraph,
     shortest_path,
     solve_domino,
     solve_mixedmiddleswitch,
+    solve_snakes,
     z_lattice,
 )
 from colorlattice.dominoes import _action, _board_lattice
+from colorlattice.snakes import _catalan_lattice, _pull_back
 from colorlattice.switchgame import _cushioned_lattice, all_cushioned
 
 KINDS = ("ballot", "staircase", "full")
@@ -230,3 +239,94 @@ def test_rank_and_color_counts_match_the_explicit_lattice():
             assert rules.distance(s, t) == lattice_distance(lat, s, t)
             assert rules.join(s, t) == lat.join(s, t)
             assert rules.meet(s, t) == lat.meet(s, t)
+
+
+# --------------------------------------------------------------------------
+# snakes
+
+def bottom_tiling(n):
+    """ceil(n/2) full rows: the tiling whose tuple is the lattice minimum."""
+    return (n,) * ((n + 1) // 2) + (0,) * (n // 2)
+
+
+def legal_snake_move_table(n):
+    """Every ``legal_snake_moves`` entry as (verb, snake), keyed by its two tilings."""
+    return {(rows, result): (verb, snake) for rows in enumerate_tilings(n)
+            for snake, verb, result in legal_snake_moves(n, rows)}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_snake_solves_match_the_explicit_lattice_on_every_pair(n):
+    lat = c_lattice(n)
+    iso = cached_isomorphism(n)
+    inv = {rows: x for x, rows in iso.items()}
+    moves = legal_snake_move_table(n)
+    tilings = enumerate_tilings(n)
+    for s in tilings:
+        for t in tilings:
+            counts = color_counts(lat, inv[s], inv[t])
+            for via in ("join", "meet"):
+                sol = solve_snakes(n, s, t, via=via)
+                want = shortest_path(lat, inv[s], inv[t], via=via)
+                same_certificate(sol.certificate, want)
+                sol.certificate.validate(lat)
+                assert sol.distance == lattice_distance(lat, inv[s], inv[t])
+                assert sol.color_counts == counts   # zero entries included
+                assert sol.states == tuple(iso[x] for x in want.vertices)
+                for a, b, action in zip(sol.states, sol.states[1:], sol.actions):
+                    assert action == moves[a, b]
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_snake_distances_match_breadth_first_search(n):
+    g = ming_digraph(n)
+    tilings = enumerate_tilings(n)
+    for s in tilings:
+        for t in tilings:
+            assert solve_snakes(n, s, t).distance == bfs_distance(g, s, t)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pull_back_pins_the_lattice_ends(n):
+    assert _pull_back(bottom_tiling(n), n) == (0,) * n
+    assert _pull_back((0,) * n, n) == tuple(range(n, 0, -1))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_catalan_least_members_match_a_brute_force_search(n):
+    lat = _catalan_lattice(n)
+    members = catalan_tuples(n)
+    for q in range(1, n + 1):
+        for v in range(1, lat.top[q - 1] + 1):
+            assert lat.least(q, v) == brute_force_least(members, q, v)
+
+
+def test_catalan_membership_agrees_with_the_enumeration():
+    for n in range(1, 5):
+        lat = _catalan_lattice(n)
+        members = set(catalan_tuples(n))
+        for x in enumerate_box_partitions(n, n + 1):
+            assert lat.member(x) == (x in members)
+        assert not lat.member((0,) * (n - 1) + (-1,))
+        assert not lat.member((0,) * (n + 1))
+
+
+def test_a_cold_snake_solve_builds_no_graph():
+    # shortest_path and color_counts need c_lattice(n), so no call of theirs
+    # escapes these caches either
+    builds = (c_lattice, ming_digraph, cached_isomorphism)
+    for f in builds:
+        f.cache_clear()
+    solve_snakes(7, (7, 7, 7, 5, 5, 0, 0), (4, 3, 3, 0, 0, 0, 0))
+    solve_snakes(12, bottom_tiling(12), (0,) * 12, via="meet")
+    assert [f.cache_info().currsize for f in builds] == [0] * len(builds)
+    assert [f.cache_info().misses for f in builds] == [0] * len(builds)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_snake_solves_run_past_the_exhaustive_sizes(n):
+    for via in ("join", "meet"):
+        sol = solve_snakes(n, bottom_tiling(n), (0,) * n, via=via)
+        assert sol.distance == n * (n + 1) // 2
+        assert sum(sol.color_counts.values()) == n * (n + 1) // 2
+        assert sol.certificate.vertices[-1] == tuple(range(n, 0, -1))
