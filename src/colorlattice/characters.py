@@ -18,6 +18,7 @@ n-dimensional Euclidean space with exact rational coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .core import (CapExceededError, DiamondLattice, NotRankedError,
@@ -154,8 +155,12 @@ class RootData:
         return f"RootData({self.family}{self.n})"
 
 
+@lru_cache(maxsize=None)
 def root_data(family: str, n: int) -> RootData:
-    """Root-system data for family "B" or "C" at rank n >= 2."""
+    """Root-system data for family "B" or "C" at rank n >= 2.
+
+    Cached: every caller shares one instance, which holds only tuples.
+    """
     return RootData(family, n)
 
 

@@ -17,11 +17,13 @@ coordinates never appear in output.  Exit codes: 0 success, 1 a verification
 sweep found a violation, 2 malformed arguments or unparsable positions,
 3 a position that parses but does not belong to the family, 4 an internal
 error (a failed lattice certificate, replay or correspondence check); its
-traceback is printed only under ``--debug``.
+traceback is printed only under ``--debug``.  141 (128 + SIGPIPE) means the
+reader closed stdout before the output ended, as ``| head`` does.
 """
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from itertools import combinations
@@ -114,6 +116,7 @@ _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 # ``enumerate`` list every position, so they keep the exhaustive caps.
 _CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 20, 40
 _LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES = 12, 6, 7
+# (n=7 is also the largest square board within ``snakes._TILINGS_CAP``)
 
 # Failures of the program's own certificates and replays, never of the input.
 _INTERNAL_ERRORS = (LatticeError, NotIsomorphicError, CapExceededError,
@@ -607,10 +610,13 @@ def _suite_catalan(max_n):
     for n in range(1, max_n + 1):
         checks.append((f"square board n={n}: counts, length, colors, structure",
                        lambda n=n: _check_catalan_counts(n)))
-    for n in range(1, min(max_n, 5) + 1):
+    top = min(max_n, _LIST_CAP_SNAKES)
+    for n in range(1, top + 1):
+        clamp = (f"; clamped at n={top}, the largest board within the "
+                 "tiling cap" if n == top < max_n else "")
         checks.append((
             f"square board n={n}: tiling moves realize the lattice "
-            f"(closed-form correspondence verified)",
+            f"(closed-form correspondence verified{clamp})",
             lambda n=n: _ck(len(cached_isomorphism(n))
                             == comb(2 * n + 2, n + 1) // (n + 2),
                             "correspondence does not cover every vertex")))
@@ -687,7 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve, check, list and draw colored-lattice puzzles.",
         epilog="Exit codes: 0 success, 1 verification failure, "
                "2 argument or parse error, 3 position outside the family, "
-               "4 internal error (traceback under --debug).")
+               "4 internal error (traceback under --debug), "
+               "141 stdout closed early by its reader.")
     subs = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--debug", action="store_true",
@@ -710,7 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
                    help="sweep bound; defaults per suite: "
                         + ", ".join(f"{s}={d}" for (s, _, d) in _SUITES)
-                        + " (expensive sub-checks clamp themselves lower)")
+                        + " (expensive sub-checks clamp themselves lower;"
+                        " the catalan correspondence stops at"
+                        f" n={_LIST_CAP_SNAKES}, the largest board within"
+                        " the tiling cap)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify)
 
@@ -733,7 +743,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()    # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): nothing is wrong, so no
+        # traceback, and stdout goes nowhere so the exit flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141    # 128 + SIGPIPE, as a shell reports a piped command
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -207,9 +207,15 @@ class ColoredDigraph:
 
     def color_subgraph(self, color) -> "ColoredDigraph":
         """Subgraph on all vertices keeping only edges of the given color."""
-        return ColoredDigraph(
-            self._vertices, [e for e in self._edges if e[2] == color]
-        )
+        # filtering keeps the canonical orders, so nothing is sorted again
+        sub = object.__new__(ColoredDigraph)
+        sub._vertices = self._vertices
+        sub._edges = tuple(e for e in self._edges if e[2] == color)
+        sub._out = {v: tuple(p for p in nbrs if p[1] == color)
+                    for v, nbrs in self._out.items()}
+        sub._in = {v: tuple(p for p in nbrs if p[1] == color)
+                   for v, nbrs in self._in.items()}
+        return sub
 
 
 def rank_function(g: ColoredDigraph) -> dict:
@@ -460,8 +466,8 @@ class DiamondLattice:
     """
 
     __slots__ = ("diagram", "rank", "length", "kind", "ideal_coords", "poset",
-                 "coord_join", "coord_meet", "_index", "_upmask", "_downmask",
-                 "_by_ideal")
+                 "coord_join", "coord_meet", "_order", "_index", "_upmask",
+                 "_downmask", "_by_ideal")
 
     def __init__(self, diagram: ColoredDigraph, kind: str,
                  ideal_coords=None, poset=None,
@@ -486,18 +492,21 @@ class DiamondLattice:
             raise ValueError("ideal_coords and poset must be supplied together")
         if self.ideal_coords is not None and kind != "distributive":
             raise ValueError("ideal coordinates require a distributive lattice")
-        # reachability bitmasks for order tests and order-theoretic join/meet
-        verts = diagram.vertices
-        self._index = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
+        # Reachability bitmasks, with bits indexed by a linear extension:
+        # vertices by rank, equal ranks in canonical order.  The lowest bit
+        # of a set of common upper bounds is then one of least rank, and the
+        # highest bit of a set of common lower bounds one of greatest rank.
+        order = sorted(diagram.vertices, key=self.rank.__getitem__)
+        self._order = tuple(order)
+        self._index = {v: i for i, v in enumerate(order)}
+        n = len(order)
         up = [1 << i for i in range(n)]
-        by_rank = sorted(range(n), key=lambda i: -self.rank[verts[i]])
-        for i in by_rank:
-            for (w, _) in diagram.out_edges(verts[i]):
+        for i in range(n - 1, -1, -1):
+            for (w, _) in diagram.out_edges(order[i]):
                 up[i] |= up[self._index[w]]
         down = [1 << i for i in range(n)]
-        for i in sorted(range(n), key=lambda i: self.rank[verts[i]]):
-            for (w, _) in diagram.in_edges(verts[i]):
+        for i in range(n):
+            for (w, _) in diagram.in_edges(order[i]):
                 down[i] |= down[self._index[w]]
         self._upmask = up
         self._downmask = down
@@ -530,22 +539,15 @@ class DiamondLattice:
     def vertex_of_ideal(self, ideal):
         return self._by_ideal[ideal]
 
-    def _bound(self, s, t, masks, pick_rank):
+    def _bound(self, s, t, masks, least):
         common = masks[self._index[s]] & masks[self._index[t]]
         if not common:
             raise LatticeError(f"no common bound for {s!r}, {t!r}")
-        verts = self.diagram.vertices
-        best = None
-        m = common
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            if best is None or pick_rank(self.rank[verts[i]], self.rank[verts[best]]):
-                best = i
+        best = ((common & -common) if least else common).bit_length() - 1
         # least/greatest bound must dominate every other common bound
         if masks[best] & common != common:
             raise LatticeError(f"bounds of {s!r}, {t!r} have no unique extremum")
-        return verts[best]
+        return self._order[best]
 
     def join(self, s, t):
         """Least upper bound (ideal union / coordinate rule / order search)."""
@@ -558,7 +560,7 @@ class DiamondLattice:
             if v not in self._index:
                 raise LatticeError(f"coordinate join of {s!r}, {t!r} left the lattice")
             return v
-        return self._bound(s, t, self._upmask, lambda a, b: a < b)
+        return self._bound(s, t, self._upmask, True)
 
     def meet(self, s, t):
         """Greatest lower bound."""
@@ -571,26 +573,28 @@ class DiamondLattice:
             if v not in self._index:
                 raise LatticeError(f"coordinate meet of {s!r}, {t!r} left the lattice")
             return v
-        return self._bound(s, t, self._downmask, lambda a, b: a > b)
+        return self._bound(s, t, self._downmask, False)
 
     def order_join(self, s, t):
         """Join computed purely from the order, ignoring any coordinate rule."""
-        return self._bound(s, t, self._upmask, lambda a, b: a < b)
+        return self._bound(s, t, self._upmask, True)
 
     def order_meet(self, s, t):
-        return self._bound(s, t, self._downmask, lambda a, b: a > b)
+        return self._bound(s, t, self._downmask, False)
 
     def check_lattice(self) -> None:
         """Certify join and meet exist for every vertex pair (raises LatticeError)."""
         verts = self.diagram.vertices
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                j = self.order_join(verts[a], verts[b])
-                m = self.order_meet(verts[a], verts[b])
-                if self.ideal_coords is not None or self.coord_join is not None:
-                    if j != self.join(verts[a], verts[b]):
+        coords = self.ideal_coords is not None or self.coord_join is not None
+        up, down, bound = self._upmask, self._downmask, self._bound
+        for a, s in enumerate(verts):
+            for t in verts[a + 1:]:
+                j = bound(s, t, up, True)
+                m = bound(s, t, down, False)
+                if coords:
+                    if j != self.join(s, t):
                         raise LatticeError("coordinate join disagrees with order join")
-                    if m != self.meet(verts[a], verts[b]):
+                    if m != self.meet(s, t):
                         raise LatticeError("coordinate meet disagrees with order meet")
 
 

@@ -38,6 +38,16 @@ def test_root_data_rejects_unknown_families_and_tiny_ranks():
         root_data("B", 1)
 
 
+def test_root_data_is_built_once_per_family_and_rank():
+    rd = root_data("C", 3)
+    assert rd is root_data("C", 3)
+    assert rd.cartan == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
+    assert rd.positive_roots == (
+        (1, -1, 0), (1, 1, 0), (1, 0, -1), (1, 0, 1), (0, 1, -1), (0, 1, 1),
+        (2, 0, 0), (0, 2, 0), (0, 0, 2))
+    assert rd.rho_euclid == (3, 2, 1)
+
+
 def test_cartan_matrices_distinguish_the_two_families():
     b3, c3 = root_data("B", 3), root_data("C", 3)
     assert b3.cartan != c3.cartan

@@ -1,11 +1,17 @@
 """End-to-end exercises of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from math import comb
 
 import pytest
 
+import colorlattice
 from colorlattice import LatticeError, QPolynomial
-from colorlattice.cli import main
+from colorlattice.cli import _suite_catalan, main
+from colorlattice.snakes import _TILINGS_CAP
 
 
 def run(capsys, *argv):
@@ -151,6 +157,26 @@ def test_internal_errors_exit_four_with_one_line(capsys, monkeypatch, error):
     assert err.splitlines()[-1].startswith("internal error: ")
 
 
+def test_a_reader_closing_stdout_early_exits_141_quietly(tmp_path):
+    # the full path is about 550 KB, far more than a pipe buffers, so the
+    # solver is still writing when the reader goes away
+    src = os.path.dirname(os.path.dirname(colorlattice.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "colorlattice.cli", "solve",
+            "mixedmiddleswitch", "--n", "80", "--from", "0" * 80,
+            "--to", "10" * 40]
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err,
+                                env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert first == b"family=mixedmiddleswitch n=80 via=join\n"
+    assert code == 141
+    assert (tmp_path / "err").read_bytes() == b""
+
+
 # ------------------------------------------------------------- export
 
 def test_dot_export_is_deterministic_and_complete(capsys):
@@ -262,6 +288,32 @@ def test_verify_catches_a_corrupted_encoding(capsys, monkeypatch):
     at = lines.index("[FAIL] minuscule: switch rows n=3: game graph matches "
                      "the lattice diagram edge for edge")
     assert lines[at + 1].lstrip().startswith("counterexample: NotIsomorphicError:")
+
+
+def test_catalan_correspondence_follows_max_n_up_to_the_tiling_cap(capsys):
+    def labels(max_n):
+        return [name for (name, _) in _suite_catalan(max_n) if "realize" in name]
+
+    # n=7 is the largest square board within the tiling cap
+    assert comb(16, 8) // 9 <= _TILINGS_CAP < comb(18, 9) // 10
+    for max_n in (5, 7):
+        assert [l.split(":")[0] for l in labels(max_n)] == [
+            f"square board n={n}" for n in range(1, max_n + 1)]
+        assert not any("clamped" in l for l in labels(max_n))
+    assert len(labels(9)) == 7
+    assert labels(9)[-1].endswith(
+        "(closed-form correspondence verified; clamped at n=7, the largest "
+        "board within the tiling cap)")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert ("the catalan correspondence stops at n=7, the largest board "
+            "within the tiling cap") in " ".join(capsys.readouterr().out.split())
+    code, out, _ = run(capsys, "verify", "catalan", "--max-n", "6", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    assert ("square board n=6: tiling moves realize the lattice (closed-form "
+            "correspondence verified)") in [row["name"] for row in doc["checks"]]
 
 
 def test_verify_rejects_unknown_suites(capsys):

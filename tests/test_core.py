@@ -78,6 +78,22 @@ class TestColoredDigraph:
             rank_function(g)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: z_lattice(5), id="z5"),
+    pytest.param(lambda: c_lattice(4), id="c4"),
+    pytest.param(lambda: dec_lattice(2, 3), id="dec23"),
+])
+def test_color_subgraph_equals_the_constructor_build(make):
+    g = make().diagram
+    for c in g.colors():
+        fast = g.color_subgraph(c)
+        built = ColoredDigraph(g.vertices, [e for e in g.edges if e[2] == c])
+        assert fast == built
+        for v in g.vertices:
+            assert fast.out_edges(v) == built.out_edges(v)
+            assert fast.in_edges(v) == built.in_edges(v)
+
+
 def test_diamond_coloring_predicate():
     assert is_diamond_colored(diamond())
     skew = ColoredDigraph(
@@ -156,15 +172,94 @@ def test_ideals_lattice_is_diamond_colored_and_balanced():
     lat.check_lattice()
 
 
-def test_non_lattice_diagram_is_refused_by_check():
-    # two middle layers joined completely: x v y has no least upper bound
-    g = ColoredDigraph(
+def _skewed_bounds():
+    # x and y have incomparable common upper bounds u (rank 2) and w (rank 3)
+    return ColoredDigraph(
+        ["bot", "x", "y", "u", "p", "q", "v", "w", "top"],
+        [("bot", "x", 1), ("bot", "y", 2), ("x", "u", 2), ("y", "u", 1),
+         ("x", "p", 3), ("y", "q", 4), ("p", "w", 4), ("q", "w", 3),
+         ("u", "v", 5), ("v", "top", 6), ("w", "top", 5)])
+
+
+def _level_bounds():
+    # x and y have incomparable common upper bounds c and d, both at rank 2
+    return ColoredDigraph(
         ["bot", "x", "y", "c", "d", "top"],
         [("bot", "x", 1), ("bot", "y", 2), ("x", "c", 2), ("x", "d", 3),
          ("y", "c", 1), ("y", "d", 4), ("c", "top", 5), ("d", "top", 6)])
-    lat = DiamondLattice(g, "modular")
+
+
+def test_non_lattice_diagram_is_refused_by_check():
+    # two middle layers joined completely: x v y has no least upper bound
+    lat = DiamondLattice(_level_bounds(), "modular")
     with pytest.raises(LatticeError):
         lat.check_lattice()
+
+
+def _dual(g):
+    return ColoredDigraph(g.vertices, [(v, u, c) for (u, v, c) in g.edges])
+
+
+@pytest.mark.parametrize("make", [_skewed_bounds, _level_bounds])
+@pytest.mark.parametrize("flip", [False, True], ids=["joins", "meets"])
+def test_incomparable_minimal_bounds_are_refused(make, flip):
+    """The least-rank candidate is a bound but not the least one."""
+    g = _dual(make()) if flip else make()
+    lat = DiamondLattice(g, "modular")
+    with pytest.raises(LatticeError, match="no unique extremum"):
+        lat.check_lattice()
+    bound = lat.order_meet if flip else lat.order_join
+    with pytest.raises(LatticeError, match=r"bounds of 'x', 'y' have no unique"):
+        bound("x", "y")
+
+
+def _above(g):
+    """Each vertex's up-set, walked from the diagram alone."""
+    above = {}
+    for v in g.vertices:
+        seen, stack = {v}, [v]
+        while stack:
+            for (w, _) in g.out_edges(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        above[v] = seen
+    return above
+
+
+def _brute_extremum(bounds, within):
+    """The member of ``bounds`` that every member lies within, if unique."""
+    found = [u for u in bounds if bounds <= within[u]]
+    assert len(found) == 1, f"{len(found)} extremal bounds"
+    return found[0]
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda n=n: z_lattice(n), id=f"z{n}") for n in range(2, 6)),
+    *(pytest.param(lambda n=n: c_lattice(n), id=f"c{n}") for n in range(1, 5)),
+    *(pytest.param(lambda k=k, n=n, f=f: f(k, n), id=f"{f.__name__[:-8]}{k}{n}")
+      for f in (kn_lattice, dec_lattice)
+      for n in range(1, 4) for k in range(1, n + 1)),
+    pytest.param(lambda: a_lattice(2, 3), id="a23"),
+    *(pytest.param(lambda seed=seed: random_lattice(seed), id=f"random{seed}")
+      for seed in range(20)),
+])
+def test_order_bounds_match_a_brute_force_search(make):
+    """Order join and meet are the least common upper and greatest common
+    lower bound found by walking the order, on every ordered pair."""
+    lat = make()
+    bare = DiamondLattice(lat.diagram, lat.kind)    # no coordinate shortcut
+    above = _above(lat.diagram)
+    below = {v: {u for u in lat.vertices if v in above[u]} for v in lat.vertices}
+    for s in lat.vertices:
+        assert {t for t in lat.vertices if lat.le(s, t)} == above[s]
+        for t in lat.vertices:
+            j = _brute_extremum(above[s] & above[t], above)
+            m = _brute_extremum(below[s] & below[t], below)
+            assert lat.order_join(s, t) == bare.join(s, t) == j
+            assert lat.order_meet(s, t) == bare.meet(s, t) == m
+    lat.check_lattice()
+    bare.check_lattice()
 
 
 @settings(max_examples=40, deadline=None)
