@@ -26,7 +26,7 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, factorial
 
 from .characters import (
@@ -112,9 +112,12 @@ _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 
 # Sizes are kept honest up front.  ``solve`` walks every family on tuple
 # coordinates, enumerating nothing; these caps keep a cold solve from the
-# lattice minimum to its maximum under about a second.  ``export`` and
-# ``enumerate`` list every position, so they keep the exhaustive caps.
-_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 20, 40
+# lattice minimum to its maximum under about a second.  For boards that
+# holds between either pair of ends, lattice or board, both ways: the worst
+# cold board solve took 0.71-0.78 s at n=32 and 0.89-1.0 s at n=33-35
+# (python 3.11, shared 2-core host).  ``export`` and ``enumerate`` list every
+# position, so they keep the exhaustive caps.
+_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 32, 40
 _LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES = 12, 6, 7
 # (n=7 is also the largest square board within ``snakes._TILINGS_CAP``)
 
@@ -644,12 +647,19 @@ _SUITES = (
 
 def cmd_verify(args):
     wanted = [s for (s, _, _) in _SUITES] if args.suite == "all" else [args.suite]
+    suites = [(name, builder, builder(args.max_n if args.max_n is not None else default))
+              for name, builder, default in _SUITES if name in wanted]
+    empty = [(name, builder) for name, builder, checks in suites if not checks]
+    if empty:
+        # a sweep that checks nothing must not read as a pass
+        least = max(next(n for n in count(1) if builder(n)) for _, builder in empty)
+        raise _UsageError(
+            f"--max-n {args.max_n} builds no check in suite "
+            f"{', '.join(name for name, _ in empty)}; the smallest that builds "
+            f"one in each is {least}")
     rows = []
-    for name, builder, default in _SUITES:
-        if name not in wanted:
-            continue
-        bound = args.max_n if args.max_n is not None else default
-        for check_name, thunk in builder(bound):
+    for name, _, checks in suites:
+        for check_name, thunk in checks:
             try:
                 thunk()
                 rows.append((name, check_name, True, ""))
@@ -720,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
                         + " (expensive sub-checks clamp themselves lower;"
                         " the catalan correspondence stops at"
                         f" n={_LIST_CAP_SNAKES}, the largest board within"
-                        " the tiling cap)")
+                        " the tiling cap; a bound under which a suite"
+                        " builds no check is refused)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_verify)
 

@@ -635,70 +635,63 @@ def dec_lattice(k: int, n: int) -> DiamondLattice:
     return _induced_lattice(k, n, dec_admissible)
 
 
-@lru_cache(maxsize=None)
-def _least_table(k: int, n: int, admissible) -> dict:
-    """For each part q and 1 <= v <= 2n-k, the least admissible partition
-    whose part q is >= v.
-
-    The admissible partitions with part q >= v form an interval reaching up
-    to the full box, and every one of them above its bottom has a lower
-    cover (one part lowered by 1) inside it.  So lowering parts one unit at
-    a time while that holds ends on the bottom; going down in v, each bottom
-    is the start of the next descent.  The full box's closed form does not
-    serve: kn(2, 2) has (2, 1) least with part 1 >= 2, and dec(2, 2) has
-    (2, 1) least with part 2 >= 1.
-    """
-    m = 2 * n - k
-    table = {}
-    for q in range(1, k + 1):
-        x = [m] * k + [0]   # the zero after the last part keeps x[p + 1] in range
-        for v in range(m, 0, -1):
-            lowered = True
-            while lowered:
-                lowered = False
-                for p in range(k):
-                    # lowering part p must keep the parts weakly decreasing,
-                    # nonnegative, and part q at least v
-                    if x[p] > max(x[p + 1], v if p == q - 1 else 0):
-                        y = x[:k]
-                        y[p] -= 1
-                        if admissible(y, k, n):
-                            x[p] -= 1
-                            lowered = True
-            table[q, v] = tuple(x[:k])
-    return table
-
-
 def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
     """The lattice ``solve_domino`` walks for a board kind, by rules.
 
-    Full boards walk ``a_lattice(k, 2n-k)``, where the least partition with
-    part q >= v is (v, ..., v, 0, ..., 0) with q parts v.  Ballot boards
-    walk ``dec_lattice(k, n)`` and staircase boards ``kn_lattice(k, n)``,
-    whose least partitions come from ``_least_table`` and decide membership
-    as well.
+    Full boards walk ``a_lattice(k, m)``, m = 2n-k, ballot boards
+    ``dec_lattice(k, n)`` and staircase boards ``kn_lattice(k, n)``.  Each
+    least member with part q >= v has a closed form.  Write e = n-k (so
+    m = k+2e), B(q, v) = (v, ..., v, 0, ..., 0) with q parts v, and tau'
+    for the conjugate.  B(q, v) lies below every partition with part
+    q >= v, so it is the least one whenever it is a member; on full boards
+    it always is.
+
+    * Staircase (kn: tau_i - tau'_i <= 2e for i up to the Durfee size).
+      Put r = v-2e.  When r <= q, B(q, v) is admissible: on its Durfee
+      square tau_i - tau'_i = v-q <= 2e.  Otherwise v > q, so an admissible
+      tau with tau_q >= v has Durfee size >= q and tau'_q >= tau_q-2e >= r:
+      its first r parts are >= q (and r <= k, since v <= m).  So tau lies
+      above (v, ..., v, q, ..., q, 0, ..., 0), q parts v and r-q parts q,
+      which is admissible with tau_i - tau'_i = v-r = 2e for i <= q.
+    * Ballot (dec: the clipped conjugate c = (tau'_{e+1}, ..., tau'_{e+k})
+      has c_i <= c'_i for i up to its Durfee size).  Put r = v-e.  B(q, v)
+      clips to c = (q, ..., q, 0, ..., 0) with max(0, min(r, k)) parts q,
+      admissible when r <= 0 or r >= q.  Otherwise 0 < r < q, and an
+      admissible tau with tau_q >= v has c_i >= q > r for i <= r, so
+      c'_i >= c_i >= q there: c_q >= r, which is tau_i >= q+e for i <= r.
+      So tau lies above (q+e, ..., q+e, v, ..., v, 0, ..., 0), r parts q+e
+      and q-r parts v, whose clipped conjugate (q, ..., q, r, ..., r, 0,
+      ..., 0) passes with Durfee size r.
+
+    So least(q, v) is B(q, v) with its first r parts raised to h, where
+    (r, h) is (v-2e, q) or (v-e, q+e) in the two cases the box form fails
+    and (0, 0) elsewhere.  The least members decide membership as well: an
+    admissible partition x is the join (part-wise max) of the least ones
+    below it, least(q, x_q), and a join of admissible ones is admissible.
+    So a box partition x is a member exactly when it lies above each
+    least(q, x_q), that is, when x_r >= h for each of their (r, h).
     """
-    m = 2 * n - k
-    if kind == "full":
-        return TupleLattice(
-            (m,) * k, lambda x: is_box_partition(x, k, m),
-            lambda q, t: q - t + m, lambda q, v: (v,) * q + (0,) * (k - q))
-    table = _least_table(k, n, dec_admissible if kind == "ballot"
-                         else kn_admissible)
+    m, e = 2 * n - k, n - k
+
+    def raised(q, v):
+        if kind == "staircase" and v - 2 * e > q:
+            return v - 2 * e, q
+        if kind == "ballot" and 0 < v - e < q:
+            return v - e, q + e
+        return 0, 0
+
+    def least(q, v):
+        r, h = raised(q, v)
+        if r > q:
+            return (v,) * q + (h,) * (r - q) + (0,) * (k - r)
+        return (h,) * r + (v,) * (q - r) + (0,) * (k - q)
 
     def member(x):
-        # an admissible partition is the join (part-wise max) of the least
-        # ones below it, table[q, x_q]; a join of admissible ones is admissible
-        join = (0,) * k
-        for q, v in enumerate(x, 1):
-            if (q, v) in table:
-                join = tuple(map(max, join, table[q, v]))
-            elif v:
-                return False
-        return join == tuple(x)
+        return is_box_partition(x, k, m) and all(
+            x[r - 1] >= h for r, h in (raised(q, v) for q, v in enumerate(x, 1)) if r)
 
-    return TupleLattice((m,) * k, member, lambda q, t: sigma(q - t + m, n),
-                        lambda q, v: table[q, v])
+    color = (lambda q, t: q - t + m) if kind == "full" else (lambda q, t: sigma(q - t + m, n))
+    return TupleLattice((m,) * k, member, color, least)
 
 
 # --------------------------------------------------------------------------

@@ -109,10 +109,10 @@ def test_oversize_instances_are_refused(capsys):
                        "--from", "0" * 81, "--to", "1" * 81)
     assert code == 2
     assert "2 <= n <= 80" in err
-    code, _, err = run(capsys, "solve", "domino-ballot", "--k", "3", "--n", "21",
+    code, _, err = run(capsys, "solve", "domino-ballot", "--k", "3", "--n", "33",
                        "--from", "0,0,0", "--to", "1,0,0")
     assert code == 2
-    assert "up to n=20" in err
+    assert "up to n=32" in err
     code, _, err = run(capsys, "solve", "snakes", "--n", "41",
                        "--from", ",".join("0" * 41), "--to", "1" + ",0" * 40)
     assert code == 2
@@ -314,6 +314,30 @@ def test_catalan_correspondence_follows_max_n_up_to_the_tiling_cap(capsys):
     assert doc["failures"] == 0
     assert ("square board n=6: tiling moves realize the lattice (closed-form "
             "correspondence verified)") in [row["name"] for row in doc["checks"]]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("all", "--max-n", "0"), "error: --max-n 0 builds no check in suite "
+     "birkhoff, theorem2, minuscule, symplectic, weyl, catalan; the smallest "
+     "that builds one in each is 2\n"),
+    (("theorem2", "--max-n", "1"), "error: --max-n 1 builds no check in suite "
+     "theorem2; the smallest that builds one in each is 2\n"),
+    (("catalan", "--max-n", "-3", "--json"), "error: --max-n -3 builds no "
+     "check in suite catalan; the smallest that builds one in each is 1\n"),
+])
+def test_verify_refuses_a_bound_that_checks_nothing(capsys, argv, err):
+    assert run(capsys, "verify", *argv) == (2, "", err)
+
+
+def test_verify_runs_every_suite_at_the_smallest_working_bound(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    assert {row["suite"] for row in doc["checks"]} == set(doc["suites"])
+    code, out, _ = run(capsys, "verify", "weyl", "--max-n", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "checks=1 failures=0"
 
 
 def test_verify_rejects_unknown_suites(capsys):

@@ -32,6 +32,7 @@ from colorlattice import (
     solve_snakes,
     z_lattice,
 )
+from colorlattice.cli import _CAP_DOMINO
 from colorlattice.dominoes import _action, _board_lattice
 from colorlattice.snakes import _catalan_lattice, _pull_back
 from colorlattice.switchgame import _cushioned_lattice, all_cushioned
@@ -150,7 +151,7 @@ def test_cushioned_least_members_match_a_brute_force_search(n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 6)
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
                                   for k in range(1, n + 1)])
 def test_board_least_members_match_a_brute_force_search(kind, k, n):
     lat = _board_lattice(kind, k, n)
@@ -160,12 +161,39 @@ def test_board_least_members_match_a_brute_force_search(kind, k, n):
             assert lat.least(q, v) == brute_force_least(members, q, v)
 
 
-def test_no_closed_form_serves_the_symplectic_families():
+@pytest.mark.parametrize("kind, admissible", [("ballot", dec_admissible),
+                                              ("staircase", kn_admissible)])
+@pytest.mark.parametrize("n", sorted({10, 20, _CAP_DOMINO}))
+def test_board_least_members_are_locally_least_past_the_explicit_sizes(
+        kind, admissible, n):
+    # the admissible partitions with part q >= v are closed under min and
+    # their lower covers lower one part by 1, so an admissible one with no
+    # admissible unit-lowered partition keeping part q >= v is the least
+    # (the member rule is checked on the same partitions)
+    for k in range(1, n + 1):
+        m = 2 * n - k
+        lat = _board_lattice(kind, k, n)
+        for q in range(1, k + 1):
+            for v in range(1, m + 1):
+                x = lat.least(q, v)
+                assert is_box_partition(x, k, m) and admissible(x, k, n)
+                assert x[q - 1] >= v and lat.member(x)
+                for p in range(k):
+                    y = x[:p] + (x[p] - 1,) + x[p + 1:]
+                    if is_box_partition(y, k, m) and y[q - 1] >= v:
+                        assert not admissible(y, k, n), (k, q, v, x, y)
+                        assert not lat.member(y)
+
+
+def test_the_full_box_form_fails_on_the_symplectic_families():
     # the full-box form (v, ..., v, 0, ..., 0) fails already at n=2
     assert _board_lattice("staircase", 2, 2).least(1, 2) == (2, 1)   # kn(2, 2)
     assert _board_lattice("ballot", 2, 2).least(2, 1) == (2, 1)      # dec(2, 2)
     assert _board_lattice("full", 2, 2).least(1, 2) == (2, 0)
     assert _board_lattice("full", 2, 2).least(2, 1) == (1, 1)
+    # the raised parts: r - q parts q after q parts v, and r parts q + e
+    assert _board_lattice("staircase", 4, 4).least(2, 4) == (4, 4, 2, 2)   # kn(4, 4)
+    assert _board_lattice("ballot", 3, 4).least(3, 2) == (4, 2, 2)         # dec(3, 4)
 
 
 @pytest.mark.parametrize("kind, admissible", [("ballot", dec_admissible),
