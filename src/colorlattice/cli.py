@@ -610,16 +610,20 @@ def _check_catalan_counts(n):
 
 def _suite_catalan(max_n):
     checks = []
-    for n in range(1, max_n + 1):
-        checks.append((f"square board n={n}: counts, length, colors, structure",
-                       lambda n=n: _check_catalan_counts(n)))
     top = min(max_n, _LIST_CAP_SNAKES)
+
+    def clamp(n):
+        return (f"; clamped at n={top}, the largest board within the "
+                "tiling cap" if n == top < max_n else "")
+
     for n in range(1, top + 1):
-        clamp = (f"; clamped at n={top}, the largest board within the "
-                 "tiling cap" if n == top < max_n else "")
+        checks.append((f"square board n={n}: counts, length, colors, "
+                       f"structure{clamp(n)}",
+                       lambda n=n: _check_catalan_counts(n)))
+    for n in range(1, top + 1):
         checks.append((
             f"square board n={n}: tiling moves realize the lattice "
-            f"(closed-form correspondence verified{clamp})",
+            f"(closed-form correspondence verified{clamp(n)})",
             lambda n=n: _ck(len(cached_isomorphism(n))
                             == comb(2 * n + 2, n + 1) // (n + 2),
                             "correspondence does not cover every vertex")))
@@ -728,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep bound; defaults per suite: "
                         + ", ".join(f"{s}={d}" for (s, _, d) in _SUITES)
                         + " (expensive sub-checks clamp themselves lower;"
-                        " the catalan correspondence stops at"
+                        " the catalan counts and correspondence stop at"
                         f" n={_LIST_CAP_SNAKES}, the largest board within"
                         " the tiling cap; a bound under which a suite"
                         " builds no check is refused)")

@@ -26,7 +26,6 @@ out of the full box lattice.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -122,19 +121,21 @@ def enumerate_box_partitions(k: int, m: int):
     return out
 
 
-def _cells(rows):
-    """The squares (row, column) of a partition drawn from the top-left."""
-    return {(i, j) for i, p in enumerate(rows, start=1)
-            for j in range(1, p + 1)}
+def _move(rows, squares, add: bool):
+    """The row lengths after laying (add) or lifting the squares, or None.
 
-
-def _shape(cells, k):
-    """The k row lengths of a set of squares, or None unless left-justified."""
-    count = Counter(i for (i, _) in cells)
-    rows = tuple(count[r] for r in range(1, k + 1))
-    if _cells(rows) != cells:
-        return None
-    return rows
+    Taken in column order (right to left when lifting), each square must be
+    the next bare square of its row (add) or its last tiled one, so a
+    square listed twice is refused.  On distinct squares this is the rule
+    on sets of squares: disjoint from the tiled ones (add) or among them,
+    leaving every row left-justified.  The squares must lie on the board.
+    """
+    out = list(rows)
+    for r, c in sorted(squares, reverse=not add):
+        if c != (out[r - 1] + 1 if add else out[r - 1]):
+            return None
+        out[r - 1] += 1 if add else -1
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -574,45 +575,22 @@ def sigma(i: int, n: int) -> int:
     return i if i <= n else 2 * n - i
 
 
-def _certify_coordinates(lat: DiamondLattice) -> None:
-    """Certify a tuple-vertex diagram as a lattice with max/min join and meet.
-
-    The diagram's reachability order must agree with the component-wise
-    order: that makes every edge a cover and every cover an edge.  Given
-    that, max(u, v) and min(u, v) are the least upper and greatest lower
-    bounds of u and v among all tuples, so when both are vertices they are
-    the join and the meet in the diagram as well.  Closure under max and min
-    thus certifies what ``check_lattice`` certifies, in O(V^2) tuple
-    operations and without its reachability-mask bound search, which makes
-    it the cheaper of the two on the board builds.  Raises
-    StructureViolationError.
-    """
-    verts = lat.vertices
-    kept = set(verts)
-    for a, u in enumerate(verts):
-        for v in verts[a + 1:]:
-            top, bottom = tuple(map(max, u, v)), tuple(map(min, u, v))
-            if top not in kept or bottom not in kept:
-                raise StructureViolationError(
-                    f"component-wise max or min of {u} and {v} "
-                    f"is not a vertex")
-            # u <= v component-wise exactly when max(u, v) == v
-            if lat.le(u, v) != (top == v) or lat.le(v, u) != (top == u):
-                raise StructureViolationError(
-                    f"order mismatch between {u} and {v}")
-
-
 def _induced_lattice(k: int, n: int, admissible) -> DiamondLattice:
-    """The admissible box partitions, with the box colors folded by sigma."""
+    """The admissible box partitions, with the box colors folded by sigma.
+
+    ``check_lattice`` certifies the build: every pair has an order join and
+    meet, and they are the component-wise max and min (which must be
+    vertices).
+    """
     m = 2 * n - k
     keep = [tau for tau in enumerate_box_partitions(k, m)
             if admissible(tau, k, n)]
     try:
         lat = tuple_lattice(keep, lambda q, t: sigma(q - t + m, n))
+        lat.check_lattice()
     except (LatticeError, ValueError) as err:
         raise StructureViolationError(
             f"induced subgraph is not a ranked lattice diagram: {err}") from None
-    _certify_coordinates(lat)
     if lat.length != k * m:
         raise StructureViolationError(
             f"length {lat.length}, expected {k * m}")
@@ -741,8 +719,8 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     tile action.  Nothing is enumerated: the steps and the certificate are
     those ``shortest_path`` builds on ``dec_lattice``, ``kn_lattice`` or
     ``a_lattice``.  Each action is read off the squares the two states
-    differ in, its color is checked against the lattice step, and the whole
-    play is replayed under the tile rules.
+    differ in and wears its lattice step's color; the replay checks the
+    play under the tile rules, colors included.
     """
     board = Board(kind, k, n)
     start, target = tuple(start), tuple(target)
@@ -754,75 +732,65 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     enc_s, enc_t = l_map(start, k, n), l_map(target, k, n)
     cert = lat.geodesic(enc_s, enc_t, via=via)
     states = [l_inv(v, k, n) for v in cert.vertices]
-    actions = [_action(board, a, b, color, direction)
-               for a, b, (color, direction)
-               in zip(states, states[1:], cert.steps)]
+    actions = [_action(a, b, color)
+               for a, b, (color, _) in zip(states, states[1:], cert.steps)]
     sol = DominoSolution(kind, k, n, states, actions,
                          lat.color_counts(enc_s, enc_t), cert)
     replay_domino(board, sol)
     return sol
 
 
-def _action(board: Board, a, b, color, direction):
+def _action(a, b, color):
     """The tile action taking partition a to partition b, as (verb, squares, color).
 
-    The squares are those the two partitions differ in, row by row (the
-    symmetric difference of their cells, in sorted order).  The coding keeps edge
-    directions, so a lattice step up is a directed move played forward and a
-    step down is one played backward; the directed move removes tiles when
-    its red square sets the color (``removing_index``) and adds them when
-    its white square does (``adding_label``).  That color must be the
-    lattice step's.
+    The squares are those the two partitions differ in, row by row, in
+    sorted order.
     """
     squares = tuple((r, c) for r, (p, q) in enumerate(zip(a, b), 1)
                     for c in range(min(p, q) + 1, max(p, q) + 1))
-    shrinks = sum(b) < sum(a)
-    # the directed move removes tiles when a step up shrinks the partition
-    # or a step down grows it
-    removes = shrinks == (direction == +1)
-    square = [sq for sq in squares if board.is_red(*sq) == removes]
-    try:
-        (r, c), = square
-        found = board.removing_index(r, c) if removes else board.adding_label(r, c)
-    except ValueError:
-        found = None
-    if found != color:
-        raise AssertionError(f"edge color disagrees between board and lattice "
-                             f"at squares {squares}")
-    return ("remove" if shrinks else "add", squares, color)
+    return ("remove" if sum(b) < sum(a) else "add", squares, color)
 
 
 def replay_domino(board: Board, sol: DominoSolution) -> None:
-    """Re-run a solution under the raw tile rules; raise if any step cheats."""
+    """Re-run a solution under the raw tile rules; raise if any step cheats.
+
+    Each action must wear its tiles' color.  The directed move through a
+    tile removes it exactly when the tile is the corner singleton or its
+    red square has the smaller content c - r of the two; that move wears
+    ``removing_index`` of the red square, any other ``adding_label`` of
+    the white one.
+    """
     cur = sol.start
-    for step, ((verb, squares, _color), nxt) in enumerate(
+    for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
-        cells = _cells(cur)
-        sq = set(squares)
-        if len(sq) == 1:
+        if len(squares) == 1:
             if squares != (board.singleton,):
                 raise AssertionError(f"step {step}: singleton is not the corner")
-        elif len(sq) == 2:
-            (r1, c1), (r2, c2) = sorted(sq)
+        elif len(squares) == 2:
+            (r1, c1), (r2, c2) = sorted(squares)
             if not ((r1 == r2 and c2 == c1 + 1) or (c1 == c2 and r2 == r1 + 1)):
                 raise AssertionError(f"step {step}: tiles are not a domino")
         else:
             raise AssertionError(f"step {step}: bad tile count")
-        if not all(board.has_square(r, c) for (r, c) in sq):
+        if not all(board.has_square(r, c) for (r, c) in squares):
             raise AssertionError(f"step {step}: tile leaves the board")
-        if verb == "remove":
-            if not sq <= cells:
-                raise AssertionError(f"step {step}: removing absent squares")
-            after = cells - sq
-        else:
-            if sq & cells:
-                raise AssertionError(f"step {step}: adding occupied squares")
-            after = cells | sq
-        shape = _shape(after, board.k)
-        if shape is None:
-            raise AssertionError(f"step {step}: result is not left-justified")
-        if not board.valid(shape) or shape != nxt:
+        if verb not in ("add", "remove"):
+            raise AssertionError(f"step {step}: unknown verb {verb!r}")
+        after = _move(cur, squares, verb == "add")
+        if after is None:
+            raise AssertionError(f"step {step}: squares are not at their "
+                                 f"rows' ends; result is not left-justified")
+        if not board.valid(after) or after != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")
+        # the red square first: a domino has one square of each color
+        (r, c), *white = sorted(squares, key=lambda sq: not board.is_red(*sq))
+        if not white or c - r < white[0][1] - white[0][0]:
+            wears = board.removing_index(r, c)
+        else:
+            wears = board.adding_label(*white[0])
+        if wears != color:
+            raise AssertionError(f"step {step}: edge color disagrees between "
+                                 f"board and lattice at squares {squares}")
         cur = nxt
     if cur != sol.target:
         raise AssertionError("replay did not reach the target")

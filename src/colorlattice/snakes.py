@@ -52,8 +52,7 @@ from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
                    TupleLattice, attach_birkhoff_coords, tuple_lattice)
-from .dominoes import (_cells, _shape, enumerate_box_partitions,
-                       is_box_partition)
+from .dominoes import _move, enumerate_box_partitions, is_box_partition
 
 __all__ = [
     "NotIsomorphicError",
@@ -247,7 +246,6 @@ def legal_snake_moves(n: int, rows):
     rows = tuple(rows)
     if not is_tiling(rows, n):
         raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
-    tiled = _cells(rows)
     d = _diagonal_lengths(rows, n)
     moves = []
     for m in range(1, 2 * n):
@@ -255,8 +253,7 @@ def legal_snake_moves(n: int, rows):
             snake = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
             if not _is_snake(snake, n):
                 continue
-            sq = set(snake)
-            result = _shape(tiled - sq if verb == "remove" else tiled | sq, n)
+            result = _move(rows, snake, verb == "add")
             if result is not None and is_tiling(result, n):
                 moves.append((snake, verb, result))
     moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
@@ -422,18 +419,10 @@ def replay_snakes(sol: SnakeSolution) -> None:
                                                     sol.states[1:])):
         if not _is_snake(snake, n):
             raise AssertionError(f"move {step}: not a centered snake: {snake}")
-        tiled = _cells(cur)
-        sq = set(snake)
-        if verb == "remove":
-            if not sq <= tiled:
-                raise AssertionError(f"move {step}: removing untiled squares")
-            after = tiled - sq
-        else:
-            if sq & tiled:
-                raise AssertionError(f"move {step}: tiling occupied squares")
-            after = tiled | sq
-        shape = _shape(after, n)
-        if shape is None or not is_tiling(shape, n) or shape != nxt:
+        if verb not in ("add", "remove"):
+            raise AssertionError(f"move {step}: unknown verb {verb!r}")
+        after = _move(cur, snake, verb == "add")
+        if after is None or not is_tiling(after, n) or after != nxt:
             raise AssertionError(f"move {step}: illegal or mismatched result")
         cur = nxt
     if cur != sol.target:

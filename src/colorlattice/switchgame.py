@@ -28,7 +28,6 @@ __all__ = [
     "z_lattice",
     "switch_moves",
     "mixedmiddleswitch_digraph",
-    "interval_family",
     "b_map",
     "b_inv",
     "parse_bits",
@@ -157,40 +156,23 @@ def int_to_bits(value: int, n: int):
     return tuple((value >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def interval_family(x):
-    """The index intervals (I_0, ..., I_n) that a cushioned tuple carves out.
+def b_map(x):
+    """Encode a cushioned tuple as a bit sequence.
 
-    With x_0 := n and x_{n+1} := 0, interval I_i is
-    [n + 1 - x_i, n - x_{i+1}] — empty when that reads backwards.  The
-    nonempty ones partition {1, ..., n}; the parity of i paints the bits.
+    Reading a leading 0, the bits change value exactly at the positions
+    n + 1 - x_i of the nonzero entries x_i.  This is one direction of the
+    color-preserving isomorphism between the cushioned-tuple lattice and
+    the game graph; `b_inv` reads the tuple back off the changes.
     """
     x = tuple(x)
     n = len(x)
     if not is_cushioned(x, n):
         raise ValueError(f"not a cushioned tuple: {x}")
-    padded = (n,) + x + (0,)
-    fam = []
-    for i in range(n + 1):
-        lo, hi = n + 1 - padded[i], n - padded[i + 1]
-        fam.append((lo, hi) if lo <= hi else None)
-    return tuple(fam)
-
-
-def b_map(x):
-    """Encode a cushioned tuple as a bit sequence.
-
-    Bit j gets the parity of the interval of `interval_family(x)` containing
-    j.  This is one direction of the color-preserving isomorphism between
-    the cushioned-tuple lattice and the game graph.
-    """
-    x = tuple(x)
-    n = len(x)
-    y = [0] * n
-    for i, iv in enumerate(interval_family(x)):
-        if iv is None:
-            continue
-        for j in range(iv[0], iv[1] + 1):
-            y[j - 1] = i % 2
+    changes = {n + 1 - v for v in x if v}
+    y, bit = [], 0
+    for j in range(1, n + 1):
+        bit ^= j in changes
+        y.append(bit)
     return tuple(y)
 
 
@@ -274,15 +256,8 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
     xs, xt = b_inv(s), b_inv(t)
     cert = _cushioned_lattice(n).geodesic(xs, xt, via=via)
     positions = [b_map(v) for v in cert.vertices]
-    flips = []
-    for a, b in zip(positions, positions[1:]):
-        diff = [j for j in range(n) if a[j] != b[j]]
-        if len(diff) != 1:
-            raise AssertionError("geodesic step changed more than one bit")
-        flips.append(diff[0] + 1)
-    for (color, _), flip in zip(cert.steps, flips):
-        if color != flip:
-            raise AssertionError("edge color disagrees with flipped index")
+    # each step flips the bit its color names; the replay checks the landing
+    flips = [color for color, _ in cert.steps]
     sol = SwitchSolution(s, t, positions, flips, cert)
     replay_switches(sol)
     return sol

@@ -291,23 +291,25 @@ def test_verify_catches_a_corrupted_encoding(capsys, monkeypatch):
 
 
 def test_catalan_correspondence_follows_max_n_up_to_the_tiling_cap(capsys):
-    def labels(max_n):
-        return [name for (name, _) in _suite_catalan(max_n) if "realize" in name]
+    def labels(max_n, check):
+        return [name for (name, _) in _suite_catalan(max_n) if check in name]
 
     # n=7 is the largest square board within the tiling cap
     assert comb(16, 8) // 9 <= _TILINGS_CAP < comb(18, 9) // 10
-    for max_n in (5, 7):
-        assert [l.split(":")[0] for l in labels(max_n)] == [
-            f"square board n={n}" for n in range(1, max_n + 1)]
-        assert not any("clamped" in l for l in labels(max_n))
-    assert len(labels(9)) == 7
-    assert labels(9)[-1].endswith(
-        "(closed-form correspondence verified; clamped at n=7, the largest "
-        "board within the tiling cap)")
+    clamp = "; clamped at n=7, the largest board within the tiling cap"
+    for check, last in (("realize", f"correspondence verified{clamp})"),
+                        ("counts", f"colors, structure{clamp}")):
+        for max_n in (5, 7):
+            assert [l.split(":")[0] for l in labels(max_n, check)] == [
+                f"square board n={n}" for n in range(1, max_n + 1)]
+            assert not any("clamped" in l for l in labels(max_n, check))
+        assert len(labels(9, check)) == 7
+        assert labels(9, check)[-1].endswith(last)
+        assert not any("clamped" in l for l in labels(9, check)[:-1])
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
-    assert ("the catalan correspondence stops at n=7, the largest board "
-            "within the tiling cap") in " ".join(capsys.readouterr().out.split())
+    assert ("the catalan counts and correspondence stop at n=7, the largest "
+            "board within the tiling cap") in " ".join(capsys.readouterr().out.split())
     code, out, _ = run(capsys, "verify", "catalan", "--max-n", "6", "--json")
     assert code == 0
     doc = json.loads(out)

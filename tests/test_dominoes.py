@@ -41,7 +41,7 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
-from colorlattice.dominoes import _certify_coordinates
+from colorlattice.dominoes import _induced_lattice
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -237,9 +237,19 @@ def test_symplectic_lattices_are_folded_box_sublattices(k, n):
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5)
                                   for k in range(1, n + 1)])
 def test_closure_certificate_agrees_with_the_bound_search(k, n):
+    # check_lattice fails unless each max and min is a vertex and equals
+    # the order join and meet
     for lat in (kn_lattice(k, n), dec_lattice(k, n)):
         lat.check_lattice()
-        _certify_coordinates(lat)
+
+
+def test_a_build_that_fails_check_lattice_is_a_structure_violation():
+    # one minimum, one maximum and a rank function, but (2, 1) and (3, 0)
+    # have no join: their max (3, 1) is missing
+    kept = {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (3, 0), (3, 2),
+            (4, 0), (4, 1), (4, 2), (4, 3), (4, 4)}
+    with pytest.raises(StructureViolationError, match="left the lattice"):
+        _induced_lattice(2, 3, lambda tau, k, n: tau in kept)
 
 
 def tuple_diagram(tuples):
@@ -260,12 +270,10 @@ def tuple_diagram(tuples):
     # 100 and 010 have the join 111 in the order, but not their max 110
     ["000", "100", "010", "001", "101", "011", "111"],
 ])
-def test_both_certificates_reject_doctored_diagrams(tuples):
+def test_check_lattice_rejects_doctored_diagrams(tuples):
     lat = tuple_diagram([tuple(map(int, word)) for word in tuples])
     with pytest.raises(LatticeError):
         lat.check_lattice()
-    with pytest.raises(StructureViolationError):
-        _certify_coordinates(lat)
 
 
 def test_structure_violation_is_a_lattice_error():
@@ -314,6 +322,24 @@ class TestSolving:
             sol.color_counts, sol.certificate)
         with pytest.raises(AssertionError, match="not left-justified"):
             replay_domino(Board("ballot", 3, 3), forged)
+
+    @pytest.mark.parametrize("verb, squares, message", [
+        # a replay that counts set(squares) takes this one
+        ("remove", ((1, 2), (2, 2), (1, 2)), "bad tile count"),
+        ("remove", ((1, 2), (1, 2)), "not a domino"),
+        # a domino, but not at the ends of rows 1 and 2
+        ("remove", ((1, 1), (2, 1)), "not at their rows' ends"),
+        ("lift", ((1, 2), (2, 2)), "unknown verb"),
+    ])
+    def test_replay_refuses_squares_off_the_row_ends(self, verb, squares, message):
+        board = Board("ballot", 3, 3)
+        states = [(2, 2, 1), (1, 1, 1)]
+        replay_domino(board, DominoSolution(
+            "ballot", 3, 3, states, [("remove", ((1, 2), (2, 2)), 2)], {}, None))
+        forged = DominoSolution("ballot", 3, 3, states,
+                                [(verb, squares, 2)], {}, None)
+        with pytest.raises(AssertionError, match=message):
+            replay_domino(board, forged)
 
     def test_non_member_endpoints_are_refused(self):
         with pytest.raises(ValueError, match="not a ballot"):

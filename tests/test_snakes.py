@@ -1,8 +1,11 @@
 """Square-board tilings, snake moves, and the closed-form correspondence."""
 
+from collections import Counter
+
 import pytest
 
 from colorlattice import (
+    Board,
     CapExceededError,
     NotIsomorphicError,
     SnakeSolution,
@@ -11,6 +14,7 @@ from colorlattice import (
     c_lattice,
     cached_isomorphism,
     catalan_tuples,
+    enumerate_box_partitions,
     enumerate_tilings,
     is_tiling,
     legal_snake_moves,
@@ -20,7 +24,7 @@ from colorlattice import (
     solve_snakes,
     verify_isomorphism,
 )
-from colorlattice.dominoes import _cells, _shape
+from colorlattice.dominoes import _move
 from colorlattice.snakes import _is_snake
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
@@ -86,22 +90,69 @@ def test_moves_from_the_empty_board():
         legal_snake_moves(2, (1, 1))
 
 
+def cells(rows):
+    """The squares (row, column) of a partition drawn from the top-left."""
+    return {(i, j) for i, p in enumerate(rows, start=1)
+            for j in range(1, p + 1)}
+
+
+def cell_set_move(rows, squares, add):
+    """Reference for ``_move``, on sets of squares.
+
+    Lays a set of squares disjoint from the tiled ones, or lifts a set of
+    tiled ones, and reads the row lengths back; None when the squares are
+    neither, or the result is not left-justified.
+    """
+    tiled, sq = cells(rows), set(squares)
+    if add and not sq & tiled:
+        after = tiled | sq
+    elif not add and sq <= tiled:
+        after = tiled - sq
+    else:
+        return None
+    count = Counter(i for (i, _) in after)
+    shape = tuple(count[r] for r in range(1, len(rows) + 1))
+    return shape if cells(shape) == after else None
+
+
 def scan_catalog_moves(n, rows):
     """Reference: every catalogued snake tried against the tiling."""
-    tiled = _cells(rows)
     moves = []
     for snake in all_snakes(n):
-        sq = set(snake)
-        if sq <= tiled:
-            result = _shape(tiled - sq, n)
+        for verb in ("remove", "add"):
+            result = cell_set_move(rows, snake, verb == "add")
             if result is not None and is_tiling(result, n):
-                moves.append((snake, "remove", result))
-        elif not (sq & tiled):
-            result = _shape(tiled | sq, n)
-            if result is not None and is_tiling(result, n):
-                moves.append((snake, "add", result))
+                moves.append((snake, verb, result))
     moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
     return moves
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_wise_move_equals_the_cell_set_rule_on_snakes(n):
+    for rows in enumerate_tilings(n):
+        for snake in all_snakes(n):
+            for add in (True, False):
+                assert _move(rows, snake, add) == cell_set_move(rows, snake, add)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5)
+                                  for k in range(1, n + 1)])
+def test_row_wise_move_equals_the_cell_set_rule_on_dominoes(k, n):
+    board = Board("full", k, n)
+    squares = [(r, c) for r in range(1, k + 1) for c in range(1, board.width + 1)]
+    tiles = [(board.singleton,)] + [
+        ((r, c), nb) for (r, c) in squares for nb in ((r, c + 1), (r + 1, c))
+        if board.has_square(*nb)]
+    for rows in enumerate_box_partitions(k, board.width):
+        for tile in tiles:
+            for add in (True, False):
+                assert _move(rows, tile, add) == cell_set_move(rows, tile, add)
+
+
+def test_row_wise_move_refuses_a_repeated_square():
+    assert _move((1, 0), ((1, 2), (1, 2)), True) is None
+    assert _move((2, 0), ((1, 2), (1, 2)), False) is None
+    assert _move((2, 0), ((1, 2), (1, 1)), False) == (0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -197,6 +248,26 @@ class TestSolving:
                                sol.color_counts, sol.certificate)
         with pytest.raises(AssertionError):
             replay_snakes(forged)
+
+    @pytest.mark.parametrize("start, action, nxt", [
+        # laid as a set of squares this lands on nxt, but a repeated square
+        # is no South/West step
+        ((0, 0, 0), ("add", ((1, 1), (1, 1))), (1, 0, 0)),
+        # (2, 2) is a centered snake, but row 2 is bare from (2, 1) on
+        ((2, 0, 0), ("add", ((2, 2),)), (2, 1, 0)),
+        # (2, 2) is tiled, but row 2 ends at (2, 3)
+        ((3, 3, 0), ("remove", ((2, 2),)), (3, 2, 0)),
+        # the wrong verb, and verbs the replay does not know
+        ((0, 0, 0), ("remove", ((1, 1),)), (1, 0, 0)),
+        ((0, 0, 0), ("lay", ((1, 1),)), (1, 0, 0)),
+        ((1, 0, 0), ("lift", ((1, 1),)), (0, 0, 0)),
+    ])
+    def test_replay_refuses_squares_off_the_row_ends(self, start, action, nxt):
+        assert is_tiling(start, 3) and is_tiling(nxt, 3)
+        with pytest.raises(AssertionError):
+            replay_snakes(SnakeSolution(3, (start, nxt), (action,), {}, None))
+        replay_snakes(SnakeSolution(3, ((0, 0, 0), (1, 0, 0)),
+                                    (("add", ((1, 1),)),), {}, None))
 
     def test_seven_by_seven_board_matches_breadth_first_search(self):
         # 1430 tilings: deeper than the interpreter's default recursion limit

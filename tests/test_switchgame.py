@@ -92,6 +92,13 @@ def test_encoding_bijection_pinned_values():
     assert b_map((0,) * 6) == (0,) * 6
 
 
+@pytest.mark.parametrize("x", [(1, 2, 0), (3, 3, 0), (4, 0, 0), (1, 0, 1),
+                               (-1, 0, 0), (1,), (2.0, 0, 0)])
+def test_encoding_refuses_a_tuple_that_is_not_cushioned(x):
+    with pytest.raises(ValueError, match="not a cushioned tuple"):
+        b_map(x)
+
+
 @given(st.integers(min_value=2, max_value=9), st.data())
 def test_encoding_and_decoding_are_mutually_inverse(n, data):
     parts = data.draw(st.sets(st.integers(min_value=1, max_value=n)))

@@ -1,9 +1,12 @@
 """Solving on tuple coordinates, checked against the explicit lattices."""
 
+from itertools import product
+
 import pytest
 
 from colorlattice import (
     Board,
+    DominoSolution,
     LatticeError,
     TupleLattice,
     a_lattice,
@@ -26,6 +29,7 @@ from colorlattice import (
     legal_moves,
     legal_snake_moves,
     ming_digraph,
+    replay_domino,
     shortest_path,
     solve_domino,
     solve_mixedmiddleswitch,
@@ -122,14 +126,22 @@ def test_board_actions_are_the_legal_moves_at_the_largest_sizes(kind):
 
 
 def test_an_action_whose_squares_disagree_with_the_lattice_color_is_refused():
-    board = Board("ballot", 3, 3)
-    mv = legal_moves(board, (3, 2, 1))[0]
-    a, b = mv.source, mv.result
-    assert _action(board, a, b, mv.color, +1)[1:] == (mv.squares, mv.color)
-    with pytest.raises(AssertionError, match="edge color disagrees"):
-        _action(board, a, b, mv.color + 1, +1)
-    with pytest.raises(AssertionError, match="edge color disagrees"):
-        _action(board, a, b, mv.color, -1)   # played against the arrow
+    # every directed move, played both ways, replays with its own color only
+    for kind, (k, n) in product(KINDS, [(k, n) for n in range(1, 6)
+                                        for k in range(1, n + 1)]):
+        board = Board(kind, k, n)
+        for tau in board.partitions():
+            for mv in legal_moves(board, tau):
+                for a, b in ((mv.source, mv.result), (mv.result, mv.source)):
+                    action = _action(a, b, mv.color)
+                    assert action[1:] == (mv.squares, mv.color)
+                    replay_domino(board, DominoSolution(
+                        kind, k, n, [a, b], [action], {}, None))
+                    forged = _action(a, b, mv.color + 1)
+                    with pytest.raises(AssertionError,
+                                       match="edge color disagrees"):
+                        replay_domino(board, DominoSolution(
+                            kind, k, n, [a, b], [forged], {}, None))
 
 
 def brute_force_least(members, q, v):
