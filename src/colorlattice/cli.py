@@ -12,20 +12,23 @@ lists a family's objects.  Families are addressed by name:
 * ``snakes`` -- square-board tilings, positions as comma-separated row
   lengths (``4,4,1,0``).
 
-Everything is printed in these native encodings; internal lattice
-coordinates never appear in output.  Exit codes: 0 success, 1 a verification
-sweep found a violation, 2 malformed arguments or unparsable positions,
-3 a position that parses but does not belong to the family, 4 an internal
-error (a failed lattice certificate, replay or correspondence check); its
-traceback is printed only under ``--debug``.  141 (128 + SIGPIPE) means the
-reader closed stdout before the output ended, as ``| head`` does.
+``solve``, ``export`` and ``enumerate`` read a family only through its
+record in ``_FAMILIES``, and every solution through ``states``, ``actions``
+and ``color_counts``.  Output is in native encodings, never in lattice
+coordinates: DOT vertices are the positions of the move graph, and
+``--from`` on ``export`` names the tiling of the snakes text-board only.
+Exit codes: 0 success, 1 a verification sweep found a violation, 2 bad
+arguments or unparsable positions, 3 a position that parses but is not in
+the family, 4 an internal error (a failed lattice certificate, replay or
+correspondence check; traceback only under ``--debug``), 141 (128 +
+SIGPIPE) the reader closed stdout early, as ``| head`` does.
 """
 
 import argparse
 import json
 import os
 import sys
-from collections import Counter
+from collections import namedtuple
 from itertools import combinations, count
 from math import comb, factorial
 
@@ -45,7 +48,6 @@ from .characters import (
 )
 from .core import (
     CapExceededError,
-    ColoredDigraph,
     LatticeError,
     bfs_distance,
     ideals_lattice,
@@ -103,13 +105,6 @@ from .switchgame import (
     z_lattice,
 )
 
-_DOMINO_KINDS = {
-    "domino-ballot": "ballot",
-    "domino-staircase": "staircase",
-    "domino-full": "full",
-}
-_FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
-
 # Sizes are kept honest up front.  ``solve`` walks every family on tuple
 # coordinates, enumerating nothing; these caps keep a cold solve from the
 # lattice minimum to its maximum under about a second.  For boards that
@@ -120,6 +115,60 @@ _FAMILIES = ("mixedmiddleswitch",) + tuple(_DOMINO_KINDS) + ("snakes",)
 _CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES = 80, 32, 40
 _LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES = 12, 6, 7
 # (n=7 is also the largest square board within ``snakes._TILINGS_CAP``)
+
+# One record per family: the board ``kind`` (None: no --k), the ``least`` n,
+# the (solve, listing) ``caps`` and ``sizes`` refusal, ``parse``, ``format``,
+# ``member`` and ``want`` (what a member is), ``solve``, one action's JSON
+# ``move``, the ``listing``, the move ``graph``, the text-``board`` and what
+# --from ``draws`` on it (None: none).  Callables look names up when called.
+_Family = namedtuple("_Family", "kind least caps sizes parse format member want "
+                                "solve move listing graph board draws")
+
+
+def _board_family(kind):
+    return _Family(
+        kind=kind, least=1, caps=(_CAP_DOMINO, _LIST_CAP_DOMINO),
+        sizes="board families are supported up to n={}",
+        parse=parse_tuple, format=format_tuple,
+        member=lambda n, k, tau: Board(kind, k, n).valid(tau),
+        want="a {kind} partition at k={k}, n={n}",
+        solve=lambda n, k, s, t, via: solve_domino(kind, k, n, s, t, via=via),
+        move=lambda a: {"verb": a[0], "squares": [list(sq) for sq in a[1]],
+                        "color": a[2]},
+        listing=lambda n, k: Board(kind, k, n).partitions(),
+        graph=lambda n, k: domino_digraph(kind, k, n),
+        board=lambda n, k, _: Board(kind, k, n).render_ascii(), draws=None)
+
+
+_FAMILIES = {
+    "mixedmiddleswitch": _Family(
+        kind=None, least=2, caps=(_CAP_SWITCH, _LIST_CAP_SWITCH),
+        sizes="switch rows are supported for 2 <= n <= {}",
+        parse=parse_bits, format=format_bits,
+        member=lambda n, k, bits: len(bits) == n,
+        want="a bit string of length {n}",
+        solve=lambda n, k, s, t, via: solve_mixedmiddleswitch(n, s, t, via=via),
+        move=lambda i: {"flip": i, "color": i},
+        listing=lambda n, k: [int_to_bits(v, n) for v in range(2 ** n)],
+        graph=lambda n, k: mixedmiddleswitch_digraph(n),
+        board=None, draws=None),
+    "domino-ballot": _board_family("ballot"),
+    "domino-staircase": _board_family("staircase"),
+    "domino-full": _board_family("full"),
+    "snakes": _Family(
+        kind=None, least=1, caps=(_CAP_SNAKES, _LIST_CAP_SNAKES),
+        sizes="square boards are supported for 1 <= n <= {}",
+        parse=parse_tuple, format=format_tuple,
+        member=lambda n, k, rows: is_tiling(rows, n),
+        want="a tiling of the {n} x {n} board",
+        solve=lambda n, k, s, t, via: solve_snakes(n, s, t, via=via),
+        move=lambda a: {"verb": a[0], "snake": [list(sq) for sq in a[1]],
+                        "color": len(a[1])},
+        listing=lambda n, k: enumerate_tilings(n),
+        graph=lambda n, k: ming_digraph(n),
+        board=lambda n, k, rows: render_tiling(rows, n),
+        draws="ROWS (the tiling to draw)"),
+}
 
 # Failures of the program's own certificates and replays, never of the input.
 _INTERNAL_ERRORS = (LatticeError, NotIsomorphicError, CapExceededError,
@@ -138,106 +187,68 @@ class _CheckFailed(Exception):
     """A verification check found a counterexample; the text carries it."""
 
 
-def _resolve_params(family, args, listing=False):
-    """Validate --n/--k for the family and return (n, k or None).
-
-    ``listing`` selects the caps of the commands that list every position.
-    """
-    n, k = args.n, getattr(args, "k", None)
-    cap_switch, cap_domino, cap_snakes = (
-        (_LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES) if listing
-        else (_CAP_SWITCH, _CAP_DOMINO, _CAP_SNAKES))
-    if family in _DOMINO_KINDS:
-        if k is None:
-            raise _UsageError(f"family {family} needs --k")
-        if not 1 <= k <= n:
-            raise _UsageError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if n > cap_domino:
-            raise _UsageError(f"board families are supported up to n={cap_domino}")
-        return n, k
-    if k is not None:
-        raise _UsageError(f"--k does not apply to family {family}")
-    if family == "mixedmiddleswitch":
-        if not 2 <= n <= cap_switch:
-            raise _UsageError(f"switch rows are supported for 2 <= n <= {cap_switch}")
-    else:
-        if not 1 <= n <= cap_snakes:
-            raise _UsageError(f"square boards are supported for 1 <= n <= {cap_snakes}")
-    return n, None
+def _resolve(args, listing=False):
+    """The family's record, n and k (None where --k does not apply), checked
+    against the solve caps or, under ``listing``, the listing caps."""
+    fam, n, k = _FAMILIES[args.family], args.n, args.k
+    if fam.kind is None:
+        if k is not None:
+            raise _UsageError(f"--k does not apply to family {args.family}")
+    elif k is None:
+        raise _UsageError(f"family {args.family} needs --k")
+    elif not 1 <= k <= n:
+        raise _UsageError(f"need 1 <= k <= n, got k={k}, n={n}")
+    cap = fam.caps[listing]
+    if not fam.least <= n <= cap:
+        raise _UsageError(fam.sizes.format(cap))
+    return fam, n, k
 
 
-def _parse_position(family, text):
+def _positions(fam, n, k, *flagged):
+    """Parse every (flag, text) pair, then check that each is a member."""
     try:
-        if family == "mixedmiddleswitch":
-            return parse_bits(text)
-        return parse_tuple(text)
+        objs = [fam.parse(text) for _, text in flagged]
     except ValueError as err:
         raise _UsageError(str(err)) from None
+    for (flag, _), obj in zip(flagged, objs):
+        if not fam.member(n, k, obj):
+            want = fam.want.format(n=n, k=k, kind=fam.kind)
+            raise _MemberError(f"--{flag} value is not {want}")
+    return objs
 
 
-def _require_member(family, n, k, obj, flag):
-    if family == "mixedmiddleswitch":
-        ok, want = len(obj) == n, f"a bit string of length {n}"
-    elif family == "snakes":
-        ok, want = is_tiling(obj, n), f"a tiling of the {n} x {n} board"
-    else:
-        kind = _DOMINO_KINDS[family]
-        ok = Board(kind, k, n).valid(obj)
-        want = f"a {kind} partition at k={k}, n={n}"
-    if not ok:
-        raise _MemberError(f"--{flag} value is not {want}")
+def _header(family, n, k):
+    """The ``params`` of a JSON payload, and the text head's words."""
+    params = {"n": n} if k is None else {"n": n, "k": k}
+    return params, [f"family={family}"] + [f"{p}={v}" for p, v in params.items()]
 
 
 # --------------------------------------------------------------------------
 # solve
 
 def cmd_solve(args):
-    family = args.family
-    n, k = _resolve_params(family, args)
-    src = _parse_position(family, args.src)
-    dst = _parse_position(family, args.dst)
-    _require_member(family, n, k, src, "from")
-    _require_member(family, n, k, dst, "to")
-
-    if family == "mixedmiddleswitch":
-        sol = solve_mixedmiddleswitch(n, src, dst, via=args.via)
-        counts = dict(Counter(sol.flips))
-        states = [format_bits(p) for p in sol.positions]
-        moves = [{"flip": i, "color": i} for i in sol.flips]
-    elif family == "snakes":
-        sol = solve_snakes(n, src, dst, via=args.via)
-        counts = {c: m for c, m in sol.color_counts.items() if m}
-        states = [format_tuple(r) for r in sol.states]
-        moves = [{"verb": verb, "snake": [list(sq) for sq in snake],
-                  "color": len(snake)} for (verb, snake) in sol.actions]
-    else:
-        sol = solve_domino(_DOMINO_KINDS[family], k, n, src, dst, via=args.via)
-        counts = {c: m for c, m in sol.color_counts.items() if m}
-        states = [format_tuple(t) for t in sol.states]
-        moves = [{"verb": verb, "squares": [list(sq) for sq in squares],
-                  "color": color} for (verb, squares, color) in sol.actions]
-
-    params = {"n": n} if k is None else {"n": n, "k": k}
+    fam, n, k = _resolve(args)
+    src, dst = _positions(fam, n, k, ("from", args.src), ("to", args.dst))
+    sol = fam.solve(n, k, src, dst, args.via)
+    counts = {c: m for c, m in sol.color_counts.items() if m}
+    params, head = _header(args.family, n, k)
     if args.json:
         print(json.dumps({
-            "family": family,
+            "family": args.family,
             "params": params,
             "distance": sol.distance,
             "color_counts": {str(c): counts[c] for c in sorted(counts)},
-            "path": states,
-            "moves": moves,
+            "path": [fam.format(s) for s in sol.states],
+            "moves": [fam.move(a) for a in sol.actions],
             "via": args.via,
             "shape": sol.certificate.orientation,
         }, indent=2))
         return 0
-    head = [f"family={family}"] + [f"{p}={v}" for p, v in params.items()]
     print(" ".join(head + [f"via={args.via}"]))
     body = sol.serialize().splitlines()
     print(body[0])
-    if counts:
-        print("color counts: " + " ".join(f"{c}:{counts[c]}" for c in sorted(counts)))
-    else:
-        print("color counts: (none)")
+    print("color counts: "
+          + (" ".join(f"{c}:{counts[c]}" for c in sorted(counts)) or "(none)"))
     print(f"geodesic shape: {sol.certificate.orientation}")
     for line in body[1:]:
         print(line)
@@ -248,52 +259,35 @@ def cmd_solve(args):
 # export / enumerate
 
 def cmd_export(args):
-    family = args.family
-    n, k = _resolve_params(family, args, listing=True)
-    if args.format == "dot":
-        if family == "mixedmiddleswitch":
-            raw = mixedmiddleswitch_digraph(n)
-            g = ColoredDigraph(
-                [format_bits(v) for v in raw.vertices],
-                [(format_bits(u), format_bits(v), c) for (u, v, c) in raw.edges])
-        elif family == "snakes":
-            g = c_lattice(n).diagram
-        else:
-            g = domino_digraph(_DOMINO_KINDS[family], k, n)
-        sys.stdout.write(to_dot(g, family.replace("-", "_")))
-        return 0
-    # text-board
-    if family == "mixedmiddleswitch":
+    fam, n, k = _resolve(args, listing=True)
+    board = args.format == "text-board"
+    if board and fam.board is None:
         raise _UsageError("text-board applies to the board families only")
-    if family == "snakes":
-        if args.src is None:
-            raise _UsageError("snakes text-board needs --from ROWS (the tiling to draw)")
-        rows = _parse_position(family, args.src)
-        _require_member(family, n, k, rows, "from")
-        print(render_tiling(rows, n))
+    if args.src is not None and not (board and fam.draws):
+        names = " and ".join(name for name, f in _FAMILIES.items() if f.draws)
+        raise _UsageError(f"--from applies to the {names} text-board only")
+    if not board:
+        sys.stdout.write(to_dot(fam.graph(n, k), args.family.replace("-", "_"),
+                                fam.format))
         return 0
-    print(Board(_DOMINO_KINDS[family], k, n).render_ascii())
+    drawn = None
+    if fam.draws:
+        if args.src is None:
+            raise _UsageError(f"{args.family} text-board needs --from {fam.draws}")
+        drawn, = _positions(fam, n, k, ("from", args.src))
+    print(fam.board(n, k, drawn))
     return 0
 
 
 def cmd_enumerate(args):
-    family = args.family
-    n, k = _resolve_params(family, args, listing=True)
-    if family == "mixedmiddleswitch":
-        objects = [format_bits(int_to_bits(v, n)) for v in range(2 ** n)]
-    elif family == "snakes":
-        objects = [format_tuple(rows) for rows in enumerate_tilings(n)]
-    else:
-        objects = [format_tuple(t)
-                   for t in Board(_DOMINO_KINDS[family], k, n).partitions()]
-    params = {"n": n} if k is None else {"n": n, "k": k}
+    fam, n, k = _resolve(args, listing=True)
+    objects = [fam.format(p) for p in fam.listing(n, k)]
+    params, head = _header(args.family, n, k)
     if args.json:
-        print(json.dumps({"family": family, "params": params,
+        print(json.dumps({"family": args.family, "params": params,
                           "count": len(objects), "objects": objects}, indent=2))
         return 0
-    print(" ".join([f"family={family}"]
-                   + [f"{p}={v}" for p, v in params.items()]
-                   + [f"count={len(objects)}"]))
+    print(" ".join(head + [f"count={len(objects)}"]))
     for text in objects:
         print(text)
     return 0

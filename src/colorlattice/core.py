@@ -914,15 +914,16 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     return out
 
 
-def to_dot(g: ColoredDigraph, name: str = "G") -> str:
-    """Deterministic DOT rendering: one node per vertex labeled with its
-    canonical coordinates, edges labeled with their color."""
+def to_dot(g: ColoredDigraph, name: str = "G", label=render_vertex) -> str:
+    """Deterministic DOT rendering: one node per vertex labeled with
+    ``label(vertex)`` (its canonical coordinates by default), edges labeled
+    with their color."""
     lines = [f"digraph {name} {{"]
     lines.append('  rankdir=BT;')
     ids = {}
     for i, v in enumerate(g.vertices):
         ids[v] = f"n{i}"
-        lines.append(f'  n{i} [label="{render_vertex(v)}"];')
+        lines.append(f'  n{i} [label="{label(v)}"];')
     for (u, v, c) in g.edges:
         lines.append(f'  {ids[u]} -> {ids[v]} [label="{c}"];')
     lines.append("}")

@@ -16,6 +16,7 @@ mountain or valley certificates translated back into bit flips.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -228,6 +229,10 @@ class SwitchSolution:
         self.flips = tuple(flips)
         self.distance = len(flips)
         self.certificate = certificate
+
+    states = property(lambda self: self.positions)
+    actions = property(lambda self: self.flips)
+    color_counts = property(lambda self: dict(Counter(self.flips)))
 
     def __repr__(self):
         return (f"SwitchSolution({format_bits(self.start)} -> "

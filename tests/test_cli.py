@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from math import comb
@@ -18,6 +20,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Each entry is one ``main(argv)`` call with its exit code, stdout and stderr:
+# every family's solve (text and --json, both --via, zero-move ones too),
+# listing and export, and every refusal.  An intended output change rewrites
+# the entries it affects, and only those.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                     / "cli_golden.json").read_text())
+FAMILY_ARGS = [pytest.param(family, extra, id=family) for family, extra in (
+    ("mixedmiddleswitch", ()), ("domino-ballot", ("--k", "2")),
+    ("domino-staircase", ("--k", "2")), ("domino-full", ("--k", "2")),
+    ("snakes", ()))]
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(
+    a if len(a) <= 12 else a[:9] + "..." for a in e["argv"]))
+def test_output_matches_the_golden_record(capsys, entry):
+    assert run(capsys, *entry["argv"]) == (
+        entry["code"], entry["stdout"], entry["stderr"])
 
 
 # ----------------------------------------------------------------- solve
@@ -195,6 +216,35 @@ def test_snakes_dot_uses_tuple_vertices(capsys):
     assert code == 0
     assert out.startswith("digraph snakes {")
     assert 'label="3,2,1"' in out
+
+
+@pytest.mark.parametrize("family, extra", FAMILY_ARGS)
+def test_dot_vertices_are_the_enumerated_positions(capsys, family, extra):
+    code, dot, _ = run(capsys, "export", "--family", family, *extra, "--n", "3",
+                       "--format", "dot")
+    assert code == 0
+    code, listing, _ = run(capsys, "enumerate", family, *extra, "--n", "3")
+    assert code == 0
+    labels = re.findall(r'^  n\d+ \[label="([^"]*)"\];$', dot, re.MULTILINE)
+    assert labels == listing.splitlines()[1:]
+
+
+@pytest.mark.parametrize("text", ["9,9", "x"])
+@pytest.mark.parametrize("fmt", ["dot", "text-board"])
+@pytest.mark.parametrize("family, extra", FAMILY_ARGS)
+def test_export_refuses_a_from_that_nothing_draws(capsys, family, extra, fmt,
+                                                  text):
+    code, out, err = run(capsys, "export", "--family", family, *extra,
+                         "--n", "2", "--format", fmt, "--from", text)
+    if fmt == "text-board" and family == "mixedmiddleswitch":
+        want, why = 2, "text-board applies to the board families only"
+    elif fmt == "dot" or family != "snakes":
+        want, why = 2, "--from applies to the snakes text-board only"
+    elif text == "x":    # parsed before its membership is checked
+        want, why = 2, "not a comma-separated integer tuple: 'x'"
+    else:
+        want, why = 3, "--from value is not a tiling of the 2 x 2 board"
+    assert (code, out, err) == (want, "", f"error: {why}\n")
 
 
 def test_board_rendering_shows_checkered_diagonals(capsys):

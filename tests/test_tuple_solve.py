@@ -85,6 +85,19 @@ def test_switch_solves_match_the_explicit_lattice_on_every_pair(n):
                 assert sol.flips == tuple(c for (c, _) in want.steps)
 
 
+@pytest.mark.parametrize("n", range(2, 5))
+def test_switch_color_counts_come_from_the_lattice(n):
+    rules = _cushioned_lattice(n)
+    for xs in all_cushioned(n):
+        for xt in all_cushioned(n):
+            want = {c: m for c, m in rules.color_counts(xs, xt).items() if m}
+            for via in ("join", "meet"):
+                sol = solve_mixedmiddleswitch(n, b_map(xs), b_map(xt), via=via)
+                assert sol.color_counts == want
+                assert sol.states == sol.positions
+                assert sol.actions == sol.flips
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k, n", BOARD_SIZES)
 def test_board_solves_match_the_explicit_lattice_on_every_pair(kind, k, n):
