@@ -482,62 +482,53 @@ class Move:
                 f"{self.source} -> {self.result})")
 
 
+def _wears(board: Board, squares):
+    """The board's one move rule: the (verb, color) a tile's move wears.
+
+    Played forward, a tile is removed exactly when it is the corner
+    singleton or its red square has the smaller content c - r of the two;
+    that move wears ``removing_index`` of the red square.  Otherwise it
+    adds the tile and wears ``adding_label`` of the white square.  The
+    squares must lie on the board, a domino having one of each color.
+    """
+    if len(squares) == 1:
+        return "remove", board.removing_index(*squares[0])
+    red, white = squares if board.is_red(*squares[0]) else squares[::-1]
+    if red[1] - red[0] < white[1] - white[0]:
+        return "remove", board.removing_index(*red)
+    return "add", board.adding_label(*white)
+
+
 def legal_moves(board: Board, tau):
     """All directed moves out of a partition, in a fixed deterministic order.
 
-    Removals go forward when their tiles sit red-west (horizontal),
-    red-south (vertical), or are the red corner singleton; additions go
-    forward when their tiles sit red-east (horizontal) or red-north
-    (vertical).  The mirror-image placements are exactly the reversals of
-    these and appear as forward moves of the partner partition instead.
+    Only tiles at the row ends can move: per row, the horizontal domino at
+    its end (lifted) and just past it (laid); per pair of adjacent rows of
+    equal length, the vertical domino at their common end and just past it;
+    and the corner singleton (lifted).  A tile is kept when ``_move`` plays it, its squares are on
+    the board, ``_wears`` names the verb played, and the result is again a
+    partition of the board's kind.  The reversals of these moves appear as
+    forward moves of the partner partition instead.
     """
     tau = tuple(tau)
     if not board.valid(tau):
         raise ValueError(f"{tau} is not a {board.kind} partition here")
-    k, width = board.k, board.width
+    tiles = []
+    for r, cur in enumerate(tau, 1):
+        tiles += [(False, ((r, cur - 1), (r, cur))),
+                  (True, ((r, cur + 1), (r, cur + 2)))]
+        if r < board.k and tau[r] == cur:
+            tiles += [(False, ((r, cur), (r + 1, cur))),
+                      (True, ((r, cur + 1), (r + 1, cur + 1)))]
+    tiles.append((False, (board.singleton,)))
     moves = []
-
-    def parts_with(updates):
-        out = list(tau)
-        for r, delta in updates:
-            out[r - 1] += delta
-        return tuple(out)
-
-    for r in range(1, k + 1):
-        cur = tau[r - 1]
-        # horizontal domino removal: the two rightmost boxes of row r; the
-        # west square must be red (else this shape is an addition's mirror)
-        if cur >= 2:
-            result = parts_with([(r, -2)])
-            if board.valid(result) and board.is_red(r, cur - 1):
-                moves.append(Move("R", [(r, cur - 1), (r, cur)],
-                                  board.removing_index(r, cur - 1), tau, result))
-        # horizontal domino addition just past row r; west square white
-        result = parts_with([(r, +2)])
-        if board.valid(result) and not board.is_red(r, cur + 1):
-            moves.append(Move("A", [(r, cur + 1), (r, cur + 2)],
-                              board.adding_label(r, cur + 1), tau, result))
-        if r < k and tau[r - 1] == tau[r]:
-            # vertical domino removal off rows r, r+1; south square red
-            if cur >= 1:
-                result = parts_with([(r, -1), (r + 1, -1)])
-                if board.valid(result) and board.is_red(r + 1, cur):
-                    moves.append(Move("R", [(r, cur), (r + 1, cur)],
-                                      board.removing_index(r + 1, cur), tau, result))
-            # vertical domino addition onto rows r, r+1; north square red
-            result = parts_with([(r, +1), (r + 1, +1)])
-            if board.valid(result) and board.is_red(r, cur + 1):
-                moves.append(Move("A", [(r, cur + 1), (r + 1, cur + 1)],
-                                  board.adding_label(r + 1, cur + 1), tau, result))
-    # the corner singleton, removal only
-    if tau[0] == width:
-        result = parts_with([(1, -1)])
-        if board.valid(result):
-            moves.append(Move("R", [board.singleton],
-                              board.removing_index(1, width), tau, result))
-    for mv in moves:
-        if not all(board.has_square(r, c) for (r, c) in mv.squares):
-            raise AssertionError(f"move uses off-board squares: {mv}")
+    for add, tile in tiles:
+        result = _move(tau, tile, add)
+        if result is None or not all(board.has_square(*sq) for sq in tile):
+            continue
+        verb, color = _wears(board, tile)
+        if (verb == "add") == add and board.valid(result):
+            moves.append(Move("A" if add else "R", tile, color, tau, result))
     return moves
 
 
@@ -754,12 +745,12 @@ def _action(a, b, color):
 def replay_domino(board: Board, sol: DominoSolution) -> None:
     """Re-run a solution under the raw tile rules; raise if any step cheats.
 
-    Each action must wear its tiles' color.  The directed move through a
-    tile removes it exactly when the tile is the corner singleton or its
-    red square has the smaller content c - r of the two; that move wears
-    ``removing_index`` of the red square, any other ``adding_label`` of
-    the white one.
+    The play must hold one more state than actions, and each action must
+    wear its tile's color: the one ``_wears`` gives the move
+    ``legal_moves`` lists through that tile, played either way.
     """
+    if len(sol.states) != len(sol.actions) + 1:
+        raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     cur = sol.start
     for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
@@ -782,13 +773,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
                                  f"rows' ends; result is not left-justified")
         if not board.valid(after) or after != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")
-        # the red square first: a domino has one square of each color
-        (r, c), *white = sorted(squares, key=lambda sq: not board.is_red(*sq))
-        if not white or c - r < white[0][1] - white[0][0]:
-            wears = board.removing_index(r, c)
-        else:
-            wears = board.adding_label(*white[0])
-        if wears != color:
+        if _wears(board, squares)[1] != color:
             raise AssertionError(f"step {step}: edge color disagrees between "
                                  f"board and lattice at squares {squares}")
         cur = nxt

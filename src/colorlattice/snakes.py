@@ -413,6 +413,8 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
 
 def replay_snakes(sol: SnakeSolution) -> None:
     """Re-run a solution under the raw snake rules; raise if any move cheats."""
+    if len(sol.states) != len(sol.actions) + 1:
+        raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     n = sol.n
     cur = sol.start
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,

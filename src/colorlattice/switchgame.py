@@ -1,11 +1,10 @@
 """The switch game on binary strings and the cushioned-tuple lattice behind it.
 
-Positions of the game are 0/1 sequences of a fixed length n > 1.  A switch
-may flip one bit, but only when its neighborhood permits: the leftmost bit
-needs a 1 to its right, the rightmost bit toggles freely-ish (two one-sided
-rules), and an interior bit needs specific patterns on both sides.  Each
-legal flip is directed and carries the index of the flipped bit as its
-color, giving a colored digraph on all 2^n positions.
+Positions of the game are 0/1 sequences of a fixed length n > 1.  With a
+virtual 0 read before bit 1, switch i may toggle when it is the last one or
+when its two neighbours differ (`_may_toggle`).  Each legal toggle is
+directed, up when bit i equals its left neighbour, and carries the index of
+the flipped bit as its color, giving a colored digraph on all 2^n positions.
 
 Under a bijection with "zero-cushioned" weakly decreasing integer tuples,
 this digraph is revealed to be the order diagram of a distributive lattice,
@@ -109,35 +108,32 @@ def _cushioned_lattice(n: int) -> TupleLattice:
         lambda q, v: tuple(range(v + q - 1, v - 1, -1)) + (0,) * (n - q))
 
 
+def _may_toggle(s, i) -> bool:
+    """The game's one rule: may switch i (1-indexed) toggle at position s?
+
+    Yes when i = n, or when its two neighbours differ, reading a virtual 0
+    before bit 1.  The rule is symmetric: it holds before and after the
+    toggle.  Any i that is not an int in 1..n is refused.
+    """
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(s):
+        return False
+    return i == len(s) or (s[i - 2] if i > 1 else 0) != s[i]
+
+
 def switch_moves(s):
     """The legal flips from position s, as (index, result) pairs, 1-indexed.
 
-    The five rules, writing s_i for the bit at 1-indexed position i:
-      * interior i (1 < i < n): flip 0->1 when (s_{i-1}, s_i, s_{i+1}) = (0,0,1),
-        flip 1->0 when it is (1,1,0);
-      * i = 1: flip 0->1 when (s_1, s_2) = (0,1);
-      * i = n: flip 0->1 when (s_{n-1}, s_n) = (0,0), 1->0 when it is (1,1).
-    Each legal toggle of the (symmetric) game appears here in exactly one
-    direction; the reversals are the same toggles played backwards.
+    Each toggle `_may_toggle` allows appears once, pointing up the lattice:
+    from the side where bit i equals its left neighbour (a virtual 0 before
+    bit 1).  The reversals are the same toggles played backwards.
     """
     s = tuple(s)
     n = len(s)
     if n < 2 or any(b not in (0, 1) for b in s):
         raise ValueError("positions are 0/1 tuples of length >= 2")
-
-    def flipped(i):
-        return s[:i - 1] + (1 - s[i - 1],) + s[i:]
-
-    moves = []
-    if (s[0], s[1]) == (0, 1):
-        moves.append((1, flipped(1)))
-    for i in range(2, n):
-        window = (s[i - 2], s[i - 1], s[i])
-        if window in ((0, 0, 1), (1, 1, 0)):
-            moves.append((i, flipped(i)))
-    if (s[n - 2], s[n - 1]) in ((0, 0), (1, 1)):
-        moves.append((n, flipped(n)))
-    return moves
+    z = (0,) + s   # z[i] is bit i, z[0] the virtual 0
+    return [(i, s[:i - 1] + (1 - s[i - 1],) + s[i:]) for i in range(1, n + 1)
+            if _may_toggle(s, i) and z[i] == z[i - 1]]
 
 
 def mixedmiddleswitch_digraph(n: int) -> ColoredDigraph:
@@ -271,21 +267,18 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
 def replay_switches(sol: SwitchSolution) -> None:
     """Re-run a solution under the raw game rules; raise if any move is illegal.
 
-    The game rules are symmetric: a switch may be toggled either way whenever
-    its neighborhood condition holds (an interior switch needs differing
-    neighbors, switch 1 needs switch 2 on, switch n toggles freely).  The
-    directed clauses of switch_moves orient each such toggle once.
+    The play must start at the start, hold one more position than flips,
+    and toggle, either way, only what `_may_toggle` allows: the rule
+    `switch_moves` orients.
     """
+    if len(sol.positions) != len(sol.flips) + 1:
+        raise AssertionError(f"{len(sol.positions)} states for {len(sol.flips)} moves")
     pos = sol.start
-    n = len(pos)
+    if sol.positions[0] != pos:
+        raise AssertionError(f"play starts at {format_bits(sol.positions[0])}, "
+                             f"not at the start {format_bits(pos)}")
     for step, (i, nxt) in enumerate(zip(sol.flips, sol.positions[1:])):
-        if i == 1:
-            allowed = pos[1] == 1
-        elif i == n:
-            allowed = True
-        else:
-            allowed = pos[i - 2] != pos[i]
-        if not allowed:
+        if not _may_toggle(pos, i):
             raise AssertionError(f"move {step}: flip {i} illegal at {format_bits(pos)}")
         landed = pos[:i - 1] + (1 - pos[i - 1],) + pos[i:]
         if landed != nxt:

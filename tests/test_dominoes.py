@@ -344,3 +344,76 @@ class TestSolving:
     def test_non_member_endpoints_are_refused(self):
         with pytest.raises(ValueError, match="not a ballot"):
             solve_domino("ballot", 3, 3, (3, 3, 0), (0, 0, 0))
+
+
+def four_case_moves(board, tau):
+    """Reference for ``legal_moves``: the four tile cases and the singleton.
+
+    Removals go forward when their tiles sit red-west (horizontal),
+    red-south (vertical), or are the red corner singleton; additions go
+    forward when their tiles sit red-east (horizontal) or red-north
+    (vertical).  Records are (kind, squares, color, source, result).
+    """
+    k, width = board.k, board.width
+    moves = []
+
+    def parts_with(updates):
+        out = list(tau)
+        for r, delta in updates:
+            out[r - 1] += delta
+        return tuple(out)
+
+    def record(kind, squares, color, result):
+        moves.append((kind, tuple(sorted(squares)), color, tau, result))
+
+    for r in range(1, k + 1):
+        cur = tau[r - 1]
+        if cur >= 2:
+            result = parts_with([(r, -2)])
+            if board.valid(result) and board.is_red(r, cur - 1):
+                record("R", [(r, cur - 1), (r, cur)],
+                       board.removing_index(r, cur - 1), result)
+        result = parts_with([(r, +2)])
+        if board.valid(result) and not board.is_red(r, cur + 1):
+            record("A", [(r, cur + 1), (r, cur + 2)],
+                   board.adding_label(r, cur + 1), result)
+        if r < k and tau[r - 1] == tau[r]:
+            if cur >= 1:
+                result = parts_with([(r, -1), (r + 1, -1)])
+                if board.valid(result) and board.is_red(r + 1, cur):
+                    record("R", [(r, cur), (r + 1, cur)],
+                           board.removing_index(r + 1, cur), result)
+            result = parts_with([(r, +1), (r + 1, +1)])
+            if board.valid(result) and board.is_red(r, cur + 1):
+                record("A", [(r, cur + 1), (r + 1, cur + 1)],
+                       board.adding_label(r + 1, cur + 1), result)
+    if tau[0] == width:
+        result = parts_with([(1, -1)])
+        if board.valid(result):
+            record("R", [board.singleton], board.removing_index(1, width), result)
+    assert all(board.has_square(*sq) for mv in moves for sq in mv[1])
+    return moves
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
+                                  for k in range(1, n + 1)])
+def test_legal_moves_equal_the_four_case_generator(k, n):
+    for kind in ("ballot", "staircase", "full"):
+        board = Board(kind, k, n)
+        for tau in board.partitions():
+            got = [(mv.kind, mv.squares, mv.color, mv.source, mv.result)
+                   for mv in legal_moves(board, tau)]
+            assert got == four_case_moves(board, tau)
+
+
+@pytest.mark.parametrize("states", [
+    # too few states: zip would stop before the one action
+    [(2, 2, 1)],
+    # too many: zip would drop the last state
+    [(2, 2, 1), (1, 1, 1), (1, 1, 1)],
+])
+def test_replay_refuses_a_state_count_off_the_action_count(states):
+    sol = DominoSolution("ballot", 3, 3, states,
+                         [("remove", ((1, 2), (2, 2)), 2)], {}, None)
+    with pytest.raises(AssertionError, match="states for 1 moves"):
+        replay_domino(Board("ballot", 3, 3), sol)

@@ -279,3 +279,15 @@ class TestSolving:
     def test_non_tilings_are_refused(self):
         with pytest.raises(ValueError, match="not a tiling"):
             solve_snakes(4, (1, 1, 0, 0), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("states", [
+    # too few states: zip would stop before the one action
+    [(0, 0, 0)],
+    # too many: zip would drop the last state
+    [(0, 0, 0), (1, 0, 0), (1, 0, 0)],
+])
+def test_replay_refuses_a_state_count_off_the_action_count(states):
+    sol = SnakeSolution(3, states, [("add", ((1, 1),))], {}, None)
+    with pytest.raises(AssertionError, match="states for 1 moves"):
+        replay_snakes(sol)

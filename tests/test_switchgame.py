@@ -25,6 +25,7 @@ from colorlattice.switchgame import (
     all_cushioned,
     format_bits,
     format_tuple,
+    int_to_bits,
     is_cushioned,
     parse_bits,
     parse_tuple,
@@ -172,3 +173,66 @@ def test_readme_quick_start_runs_as_a_doctest():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def five_clause_moves(s):
+    """Reference for ``switch_moves``: the game's five directed clauses.
+
+    Writing s_i for bit i: an interior i (1 < i < n) flips 0->1 when
+    (s_{i-1}, s_i, s_{i+1}) = (0,0,1) and 1->0 when it is (1,1,0); i = 1
+    flips 0->1 when (s_1, s_2) = (0,1); i = n flips 0->1 when
+    (s_{n-1}, s_n) = (0,0) and 1->0 when it is (1,1).
+    """
+    n = len(s)
+
+    def flipped(i):
+        return s[:i - 1] + (1 - s[i - 1],) + s[i:]
+
+    moves = []
+    if (s[0], s[1]) == (0, 1):
+        moves.append((1, flipped(1)))
+    for i in range(2, n):
+        if (s[i - 2], s[i - 1], s[i]) in ((0, 0, 1), (1, 1, 0)):
+            moves.append((i, flipped(i)))
+    if (s[n - 2], s[n - 1]) in ((0, 0), (1, 1)):
+        moves.append((n, flipped(n)))
+    return moves
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_switch_moves_equal_the_five_clauses_everywhere(n):
+    for v in range(2 ** n):
+        s = int_to_bits(v, n)
+        assert switch_moves(s) == five_clause_moves(s)
+
+
+@pytest.mark.parametrize("flip, start, nxt", [
+    # negative indexing would read flip -1 as flip 2, which lands on nxt
+    (-1, (1, 0, 0), (1, 1, 0)),
+    (0, (1, 0, 0), (1, 1, 0)),
+    (4, (1, 0, 0), (1, 1, 0)),
+    # a bool is no flip index, though True == 1 and flip 1 lands on nxt
+    (True, (0, 1, 0), (1, 1, 0)),
+])
+def test_replay_refuses_a_flip_off_the_row(flip, start, nxt):
+    sol = SwitchSolution(start, nxt, [start, nxt], [flip], None)
+    with pytest.raises(AssertionError, match=f"flip {flip} illegal"):
+        replay_switches(sol)
+
+
+@pytest.mark.parametrize("target, positions, flips", [
+    # too few positions: zip would stop after none of the two flips
+    ((0, 0, 0), [(0, 0, 0)], [3, 3]),
+    # too many: zip would drop the last position
+    ((0, 0, 0), [(0, 0, 0), (0, 0, 1), (0, 0, 0)], [3]),
+])
+def test_replay_refuses_a_position_count_off_the_flip_count(target, positions, flips):
+    sol = SwitchSolution((0, 0, 0), target, positions, flips, None)
+    with pytest.raises(AssertionError, match="states for"):
+        replay_switches(sol)
+
+
+def test_replay_refuses_a_play_that_leaves_from_elsewhere():
+    sol = SwitchSolution((0, 0, 0), (0, 0, 1), [(1, 1, 1), (0, 0, 1)], [3], None)
+    with pytest.raises(AssertionError, match="play starts at 111"):
+        replay_switches(sol)
