@@ -19,9 +19,12 @@ digraphs turn out to be diagrams of distributive lattices, which is what
 makes optimal play computable by rank arithmetic.
 
 Alongside the boards live several codings of the same objects - columnar
-tableaux, 0/1 tally sequences, and a reordering bijection between them -
-plus the two admissibility conditions that carve the symplectic sublattices
-out of the full box lattice.
+tableaux and their 0/1 tally sequences - and the board coding ``l_map``,
+which reorders a tableau's values into places 1..2n: odd v goes to place
+(v+1)/2 and even v to place 2n+1-v/2, so the odd values fill the first n
+places in order and the even values the last n in reverse.  Last come the
+two admissibility conditions that carve the symplectic sublattices out of
+the full box lattice.
 """
 
 from __future__ import annotations
@@ -43,11 +46,7 @@ __all__ = [
     "part_to_tab",
     "wt_c",
     "to_tally",
-    "tally_to_tab",
-    "reorder_tally",
-    "unreorder_tally",
     "box_to_tab",
-    "tab_to_box",
     "l_map",
     "l_inv",
     "conjugate",
@@ -211,7 +210,7 @@ def wt_c(T, n: int):
 
 
 # --------------------------------------------------------------------------
-# tally sequences and the reordering
+# tally sequences
 
 def to_tally(T, n: int):
     """Length-2n indicator sequence of a tableau's value set."""
@@ -224,41 +223,8 @@ def to_tally(T, n: int):
     return tuple(bits)
 
 
-def tally_to_tab(t):
-    """Positions of the ones, as an increasing tuple."""
-    return tuple(i + 1 for i, b in enumerate(t) if b)
-
-
-def _reorder_perm(n: int):
-    # position i of the reordered sequence reads position perm(i) of the
-    # original: odd positions 1,3,...,2n-1 first, then 2n,2n-2,...,2
-    return tuple((2 * i - 1 if i <= n else 4 * n + 2 - 2 * i)
-                 for i in range(1, 2 * n + 1))
-
-
-def reorder_tally(t):
-    """Rewrite a length-2n tally in the zigzag order t'_i = t_{perm(i)}."""
-    t = tuple(t)
-    if len(t) % 2 or any(b not in (0, 1) for b in t):
-        raise ValueError("expected a 0/1 tuple of even length")
-    perm = _reorder_perm(len(t) // 2)
-    return tuple(t[p - 1] for p in perm)
-
-
-def unreorder_tally(tp):
-    """Invert reorder_tally."""
-    tp = tuple(tp)
-    if len(tp) % 2 or any(b not in (0, 1) for b in tp):
-        raise ValueError("expected a 0/1 tuple of even length")
-    perm = _reorder_perm(len(tp) // 2)
-    out = [0] * len(tp)
-    for i, p in enumerate(perm):
-        out[p - 1] = tp[i]
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
-# the complementary tableau coding used on the box-lattice side
+# the complementary tableau coding and the board coding
 
 def box_to_tab(tau, m: int):
     """Tableau of a box partition under the complementary coding T_j = m+j-tau_j."""
@@ -268,35 +234,44 @@ def box_to_tab(tau, m: int):
     return tuple(m + j + 1 - tau[j] for j in range(len(tau)))
 
 
-def tab_to_box(T, m: int):
-    """Invert box_to_tab: tau_j = m + j - T_j."""
-    T = _check_tab(T)
-    return tuple(m + j + 1 - T[j] for j in range(len(T)))
-
-
 def l_map(tau, k: int, n: int):
     """The five-stage rewriting of one box partition into another.
 
-    partition -> tableau -> tally -> reordered tally -> tableau (read off the
-    ones) -> partition (complementary coding).  A bijection on k x (2n-k)
-    box partitions; it carries staircase partitions onto the first
-    admissible family and ballot partitions onto the second.
+    By definition: partition -> tableau (``part_to_tab``, T_j = j +
+    tau_{k+1-j}) -> tally (``to_tally``) -> reordered tally (t'_i =
+    t_{perm(i)}, perm(i) = 2i-1 for i <= n and 4n+2-2i above) -> tableau
+    (the places of the ones) -> partition (the complementary coding
+    x_j = m+j-T_j, m = 2n-k).  A bijection on k x m box partitions; it
+    carries staircase partitions onto the first admissible family and
+    ballot partitions onto the second.
+
+    In one step: the reordering moves value v to the place z(v) with
+    perm(z(v)) = v, which is (v+1)/2 for odd v and 2n+1-v/2 for even v.
+    So the ones of t' sit at the places of the values j + tau_{k+1-j};
+    sorted, p_1 < ... < p_k, they give x_j = m + j - p_j.
     """
     tau = tuple(tau)
-    if not is_box_partition(tau, k, 2 * n - k):
-        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
-    T = part_to_tab(tau)
-    tp = reorder_tally(to_tally(T, n))
-    return tab_to_box(tally_to_tab(tp), 2 * n - k)
+    m = 2 * n - k
+    if not tau or not is_box_partition(tau, k, m):
+        raise ValueError(f"not a partition in a {k} x {m} box: {tau}")
+    places = sorted((v + 1) // 2 if v % 2 else 2 * n + 1 - v // 2
+                    for v in (j + p for j, p in enumerate(reversed(tau), 1)))
+    return tuple(m + j - p for j, p in enumerate(places, 1))
 
 
 def l_inv(tau, k: int, n: int):
-    """Invert l_map."""
+    """Invert l_map in one step.
+
+    The places m + j - x_j hold the values 2p-1 (place p <= n) and 4n+2-2p
+    (above); sorted, T_1 < ... < T_k, they give tau_{k+1-i} = T_i - i.
+    """
     tau = tuple(tau)
-    if not is_box_partition(tau, k, 2 * n - k):
-        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
-    tp = to_tally(box_to_tab(tau, 2 * n - k), n)
-    return tab_to_part(tally_to_tab(unreorder_tally(tp)))
+    m = 2 * n - k
+    if not tau or not is_box_partition(tau, k, m):
+        raise ValueError(f"not a partition in a {k} x {m} box: {tau}")
+    values = sorted(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+                    for p in (m + j - x for j, x in enumerate(tau, 1)))
+    return tuple(v - i for i, v in enumerate(values, 1))[::-1]
 
 
 # --------------------------------------------------------------------------
@@ -745,15 +720,22 @@ def _action(a, b, color):
 def replay_domino(board: Board, sol: DominoSolution) -> None:
     """Re-run a solution under the raw tile rules; raise if any step cheats.
 
-    The play must hold one more state than actions, and each action must
-    wear its tile's color: the one ``_wears`` gives the move
-    ``legal_moves`` lists through that tile, played either way.
+    The play must hold one more state than actions and start on a
+    partition of the board's kind.  Each square must be a pair of ints, and
+    each action must wear its tile's color: the one ``_wears`` gives the
+    move ``legal_moves`` lists through that tile, played either way.
     """
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     cur = sol.start
+    if not board.valid(cur):
+        raise AssertionError(f"play starts at {cur}, not a {board.kind} partition")
     for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
+        if not all(type(sq) is tuple and len(sq) == 2
+                   and all(type(x) is int for x in sq) for sq in squares):
+            raise AssertionError(f"step {step}: squares {squares!r} are not "
+                                 f"pairs of ints")
         if len(squares) == 1:
             if squares != (board.singleton,):
                 raise AssertionError(f"step {step}: singleton is not the corner")

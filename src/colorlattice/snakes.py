@@ -412,11 +412,16 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
 
 
 def replay_snakes(sol: SnakeSolution) -> None:
-    """Re-run a solution under the raw snake rules; raise if any move cheats."""
+    """Re-run a solution under the raw snake rules; raise if any move cheats.
+
+    The play must hold one more state than actions and start on a tiling.
+    """
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     n = sol.n
     cur = sol.start
+    if not is_tiling(cur, n):
+        raise AssertionError(f"play starts at {cur}, not a tiling")
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,
                                                     sol.states[1:])):
         if not _is_snake(snake, n):

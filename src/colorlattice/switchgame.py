@@ -267,9 +267,9 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
 def replay_switches(sol: SwitchSolution) -> None:
     """Re-run a solution under the raw game rules; raise if any move is illegal.
 
-    The play must start at the start, hold one more position than flips,
-    and toggle, either way, only what `_may_toggle` allows: the rule
-    `switch_moves` orients.
+    The play must start at the start, a 0/1 tuple of length >= 2, hold one
+    more position than flips, and toggle, either way, only what
+    `_may_toggle` allows: the rule `switch_moves` orients.
     """
     if len(sol.positions) != len(sol.flips) + 1:
         raise AssertionError(f"{len(sol.positions)} states for {len(sol.flips)} moves")
@@ -277,6 +277,8 @@ def replay_switches(sol: SwitchSolution) -> None:
     if sol.positions[0] != pos:
         raise AssertionError(f"play starts at {format_bits(sol.positions[0])}, "
                              f"not at the start {format_bits(pos)}")
+    if type(pos) is not tuple or len(pos) < 2 or any(b not in (0, 1) for b in pos):
+        raise AssertionError(f"play starts at {pos}, not a 0/1 tuple of length >= 2")
     for step, (i, nxt) in enumerate(zip(sol.flips, sol.positions[1:])):
         if not _may_toggle(pos, i):
             raise AssertionError(f"move {step}: flip {i} illegal at {format_bits(pos)}")

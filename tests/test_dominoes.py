@@ -41,7 +41,7 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
-from colorlattice.dominoes import _induced_lattice
+from colorlattice.dominoes import _check_tab, _induced_lattice, box_to_tab, to_tally
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -417,3 +417,117 @@ def test_replay_refuses_a_state_count_off_the_action_count(states):
                          [("remove", ((1, 2), (2, 2)), 2)], {}, None)
     with pytest.raises(AssertionError, match="states for 1 moves"):
         replay_domino(Board("ballot", 3, 3), sol)
+
+
+@pytest.mark.parametrize("sol", [
+    # (0, 1) is no partition, though laying (1,1),(1,2) lands on (2, 1)
+    DominoSolution("ballot", 2, 3, [(0, 1), (2, 1)],
+                   [("add", ((1, 1), (1, 2)), 1)], {}, None),
+    # a zero-move play checks no later state
+    DominoSolution("ballot", 2, 3, [(9, 9)], [], {}, None),
+])
+def test_replay_refuses_a_play_that_starts_off_the_board(sol):
+    with pytest.raises(AssertionError, match="not a ballot partition"):
+        replay_domino(Board("ballot", 2, 3), sol)
+
+
+@pytest.mark.parametrize("squares", [
+    ((1.0, 1), (1.0, 2)),
+    ((1, 1, 1), (1, 2)),
+    # True == 1, so this tile would replay clean
+    ((True, 1), (True, 2)),
+])
+def test_replay_refuses_a_square_that_is_not_a_pair_of_ints(squares):
+    board = Board("ballot", 2, 3)
+    replay_domino(board, DominoSolution(
+        "ballot", 2, 3, [(0, 0), (2, 0)], [("add", ((1, 1), (1, 2)), 1)], {}, None))
+    forged = DominoSolution("ballot", 2, 3, [(0, 0), (2, 0)],
+                            [("add", squares, 1)], {}, None)
+    with pytest.raises(AssertionError, match="step 0: squares .* are not pairs of ints"):
+        replay_domino(board, forged)
+
+
+# The board coding as the five stages that define it: partition -> tableau
+# -> tally -> reordered tally -> tableau (the ones) -> partition (the
+# complementary coding).  ``l_map`` and ``l_inv`` compute it in one step.
+
+def tally_to_tab(t):
+    """Positions of the ones, as an increasing tuple."""
+    return tuple(i + 1 for i, b in enumerate(t) if b)
+
+
+def _reorder_perm(n):
+    # position i of the reordered sequence reads position perm(i) of the
+    # original: odd positions 1,3,...,2n-1 first, then 2n,2n-2,...,2
+    return tuple((2 * i - 1 if i <= n else 4 * n + 2 - 2 * i)
+                 for i in range(1, 2 * n + 1))
+
+
+def reorder_tally(t):
+    """Rewrite a length-2n tally in the zigzag order t'_i = t_{perm(i)}."""
+    t = tuple(t)
+    if len(t) % 2 or any(b not in (0, 1) for b in t):
+        raise ValueError("expected a 0/1 tuple of even length")
+    perm = _reorder_perm(len(t) // 2)
+    return tuple(t[p - 1] for p in perm)
+
+
+def unreorder_tally(tp):
+    """Invert reorder_tally."""
+    tp = tuple(tp)
+    if len(tp) % 2 or any(b not in (0, 1) for b in tp):
+        raise ValueError("expected a 0/1 tuple of even length")
+    perm = _reorder_perm(len(tp) // 2)
+    out = [0] * len(tp)
+    for i, p in enumerate(perm):
+        out[p - 1] = tp[i]
+    return tuple(out)
+
+
+def tab_to_box(T, m):
+    """Invert box_to_tab: tau_j = m + j - T_j."""
+    T = _check_tab(T)
+    return tuple(m + j + 1 - T[j] for j in range(len(T)))
+
+
+def pipeline_l_map(tau, k, n):
+    tau = tuple(tau)
+    if not is_box_partition(tau, k, 2 * n - k):
+        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
+    T = part_to_tab(tau)
+    tp = reorder_tally(to_tally(T, n))
+    return tab_to_box(tally_to_tab(tp), 2 * n - k)
+
+
+def pipeline_l_inv(tau, k, n):
+    tau = tuple(tau)
+    if not is_box_partition(tau, k, 2 * n - k):
+        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
+    tp = to_tally(box_to_tab(tau, 2 * n - k), n)
+    return tab_to_part(tally_to_tab(unreorder_tally(tp)))
+
+
+def test_board_coding_equals_the_five_stage_pipeline():
+    count = 0
+    for n in range(1, 8):
+        for k in range(1, 2 * n + 1):
+            for tau in enumerate_box_partitions(k, 2 * n - k):
+                assert l_map(tau, k, n) == pipeline_l_map(tau, k, n)
+                assert l_inv(tau, k, n) == pipeline_l_inv(tau, k, n)
+                count += 1
+    assert count == 21837
+
+
+@pytest.mark.parametrize("tau, k", [
+    ((), 0),              # k = 0: the pipeline finds no tableau
+    ((5, 0), 2),          # a part wider than the 2 x 4 box
+    ((1, -1), 2),         # a negative part
+    ((1, 3), 2),          # an increase
+    ((True, 0), 2),
+    ((2.0, 1), 2),
+    ((2, 1, 0), 2),       # three parts for k = 2
+])
+@pytest.mark.parametrize("coding", [l_map, l_inv, pipeline_l_map, pipeline_l_inv])
+def test_board_coding_refuses_what_the_pipeline_refuses(coding, tau, k):
+    with pytest.raises(ValueError):
+        coding(tau, k, 3)

@@ -291,3 +291,14 @@ def test_replay_refuses_a_state_count_off_the_action_count(states):
     sol = SnakeSolution(3, states, [("add", ((1, 1),))], {}, None)
     with pytest.raises(AssertionError, match="states for 1 moves"):
         replay_snakes(sol)
+
+
+@pytest.mark.parametrize("sol", [
+    # (0, 2) is no tiling, though lifting the snake lands on (0, 0)
+    SnakeSolution(2, [(0, 2), (0, 0)], [("remove", ((2, 2), (2, 1)))], {}, None),
+    # a zero-move play checks no later state
+    SnakeSolution(2, [(3, 3)], [], {}, None),
+])
+def test_replay_refuses_a_play_that_starts_off_the_tilings(sol):
+    with pytest.raises(AssertionError, match="not a tiling"):
+        replay_snakes(sol)

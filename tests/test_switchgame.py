@@ -236,3 +236,15 @@ def test_replay_refuses_a_play_that_leaves_from_elsewhere():
     sol = SwitchSolution((0, 0, 0), (0, 0, 1), [(1, 1, 1), (0, 0, 1)], [3], None)
     with pytest.raises(AssertionError, match="play starts at 111"):
         replay_switches(sol)
+
+
+@pytest.mark.parametrize("sol", [
+    # flip 3 is allowed and lands on the next position, but 2 is no bit
+    SwitchSolution((2, 0, 0), (2, 0, 1), [(2, 0, 0), (2, 0, 1)], [3], None),
+    # a zero-move play checks no flip; the game needs n >= 2
+    SwitchSolution((5,), (5,), [(5,)], [], None),
+    SwitchSolution((1,), (1,), [(1,)], [], None),
+])
+def test_replay_refuses_a_play_that_starts_off_the_positions(sol):
+    with pytest.raises(AssertionError, match="not a 0/1 tuple of length >= 2"):
+        replay_switches(sol)
