@@ -29,6 +29,7 @@ __all__ = [
     "NotRankedError",
     "UnreachableError",
     "LatticeError",
+    "NotIsomorphicError",
     "CapExceededError",
     "ColoredDigraph",
     "VertexColoredPoset",
@@ -59,6 +60,10 @@ class UnreachableError(ValueError):
 
 class LatticeError(ValueError):
     """A structure that was promised to be a lattice is not one."""
+
+
+class NotIsomorphicError(Exception):
+    """The two colored digraphs admit no color-preserving isomorphism."""
 
 
 class CapExceededError(RuntimeError):

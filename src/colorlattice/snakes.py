@@ -51,7 +51,8 @@ from functools import lru_cache
 from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   TupleLattice, attach_birkhoff_coords, tuple_lattice)
+                   NotIsomorphicError, TupleLattice, attach_birkhoff_coords,
+                   tuple_lattice)
 from .dominoes import _move, enumerate_box_partitions, is_box_partition
 
 __all__ = [
@@ -70,10 +71,6 @@ __all__ = [
     "solve_snakes",
     "replay_snakes",
 ]
-
-
-class NotIsomorphicError(Exception):
-    """The two colored digraphs admit no color-preserving isomorphism."""
 
 
 # --------------------------------------------------------------------------

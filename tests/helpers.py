@@ -1,8 +1,18 @@
-"""Seeded random posets shared by the structural and property suites."""
+"""Seeded random posets shared by the structural and property suites, and
+the environment of a fresh interpreter for the subprocess tests."""
 
+import os
 import random
 
+import colorlattice
 from colorlattice import VertexColoredPoset, ideals_lattice
+
+
+def module_env(**extra):
+    """``os.environ`` with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(colorlattice.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_poset(rng, size=8, colors=3, edge_p=0.3):

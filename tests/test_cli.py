@@ -1,7 +1,6 @@
 """End-to-end exercises of the command-line front end."""
 
 import json
-import os
 import pathlib
 import re
 import subprocess
@@ -10,10 +9,12 @@ from math import comb
 
 import pytest
 
-import colorlattice
-from colorlattice import LatticeError, QPolynomial
-from colorlattice.cli import _suite_catalan, main
+from colorlattice import (CapExceededError, LatticeError, NotIsomorphicError,
+                          QPolynomial)
+from colorlattice.cli import main
 from colorlattice.snakes import _TILINGS_CAP
+from colorlattice.verify import _suite_catalan
+from helpers import module_env
 
 
 def run(capsys, *argv):
@@ -24,8 +25,8 @@ def run(capsys, *argv):
 
 # Each entry is one ``main(argv)`` call with its exit code, stdout and stderr:
 # every family's solve (text and --json, both --via, zero-move ones too),
-# listing and export, and every refusal.  An intended output change rewrites
-# the entries it affects, and only those.
+# listing and export, every refusal, and each --help at 80 columns.  An
+# intended output change rewrites the entries it affects, and only those.
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
                      / "cli_golden.json").read_text())
 FAMILY_ARGS = [pytest.param(family, extra, id=family) for family, extra in (
@@ -36,9 +37,14 @@ FAMILY_ARGS = [pytest.param(family, extra, id=family) for family, extra in (
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(
     a if len(a) <= 12 else a[:9] + "..." for a in e["argv"]))
-def test_output_matches_the_golden_record(capsys, entry):
-    assert run(capsys, *entry["argv"]) == (
-        entry["code"], entry["stdout"], entry["stderr"])
+def test_output_matches_the_golden_record(capsys, monkeypatch, entry):
+    monkeypatch.setenv("COLUMNS", "80")    # argparse wraps help to the terminal
+    try:
+        result = run(capsys, *entry["argv"])
+    except SystemExit as done:    # --help exits inside argparse
+        out = capsys.readouterr()
+        result = done.code, out.out, out.err
+    assert result == (entry["code"], entry["stdout"], entry["stderr"])
 
 
 # ----------------------------------------------------------------- solve
@@ -160,12 +166,14 @@ def test_listing_commands_keep_the_exhaustive_caps(capsys, argv):
     LatticeError("coordinate join left the lattice"),
     AssertionError("move 3: illegal or mismatched result"),
     RecursionError("maximum recursion depth exceeded"),
+    NotIsomorphicError("edge 1 -> 2 (color 3) is not preserved"),
+    CapExceededError("snake boards capped at 2000 tilings"),
 ])
 def test_internal_errors_exit_four_with_one_line(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr("colorlattice.cli.solve_mixedmiddleswitch", broken)
+    monkeypatch.setattr("colorlattice.solve_mixedmiddleswitch", broken)
     argv = ("solve", "mixedmiddleswitch", "--n", "5",
             "--from", "00000", "--to", "01010")
     code, out, err = run(capsys, *argv)
@@ -181,9 +189,7 @@ def test_internal_errors_exit_four_with_one_line(capsys, monkeypatch, error):
 def test_a_reader_closing_stdout_early_exits_141_quietly(tmp_path):
     # the full path is about 550 KB, far more than a pipe buffers, so the
     # solver is still writing when the reader goes away
-    src = os.path.dirname(os.path.dirname(colorlattice.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = module_env()
     argv = [sys.executable, "-m", "colorlattice.cli", "solve",
             "mixedmiddleswitch", "--n", "80", "--from", "0" * 80,
             "--to", "10" * 40]
@@ -317,7 +323,7 @@ def test_verify_text_mode_prints_one_line_per_check(capsys):
 
 def test_verify_catches_an_injected_regression(capsys, monkeypatch):
     # a corrupted closed form must flip the sweep to failure, with evidence
-    monkeypatch.setattr("colorlattice.cli.closed_rgf_b",
+    monkeypatch.setattr("colorlattice.verify.closed_rgf_b",
                         lambda n: QPolynomial([1]))
     code, out, _ = run(capsys, "verify", "weyl", "--max-n", "2")
     assert code == 1
@@ -330,7 +336,7 @@ def test_verify_catches_a_corrupted_encoding(capsys, monkeypatch):
     from colorlattice.switchgame import b_map
     a, b = (1, 0, 0), (2, 0, 0)
     swapped = {a: b_map(b), b: b_map(a)}
-    monkeypatch.setattr("colorlattice.cli.b_map",
+    monkeypatch.setattr("colorlattice.verify.b_map",
                         lambda x: swapped.get(tuple(x)) or b_map(x))
     code, out, _ = run(capsys, "verify", "minuscule", "--max-n", "3")
     assert code == 1
@@ -379,6 +385,22 @@ def test_catalan_correspondence_follows_max_n_up_to_the_tiling_cap(capsys):
 ])
 def test_verify_refuses_a_bound_that_checks_nothing(capsys, argv, err):
     assert run(capsys, "verify", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("theorem2", "--max-n", "1"), 2, "error: --max-n 1 builds no check in "
+     "suite theorem2; the smallest that builds one in each is 2\n"),
+    (("minuscule", "--max-n", "3", "--json"), 0, ""),
+])
+def test_verify_under_python_dash_m(argv, code, err):
+    # ``-m`` runs the CLI as ``__main__``; the suites must reach it without
+    # importing ``colorlattice.cli`` a second time, with its own error classes
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorlattice.cli", "verify", *argv],
+        capture_output=True, text=True, env=module_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if code == 0:
+        assert json.loads(proc.stdout)["failures"] == 0
 
 
 def test_verify_runs_every_suite_at_the_smallest_working_bound(capsys):
