@@ -23,6 +23,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import copy
+from bisect import insort
 from collections import Counter, deque
 
 __all__ = [
@@ -745,11 +746,24 @@ class TupleLattice:
     least(q, v) is the join irreducible that every edge raising coordinate q
     onto v adds.  The irreducibles below x are therefore the pairs (q, v)
     with 0 < v <= x_q: the rank is the coordinate sum, and color counts are
-    tallies over coordinate gaps.  Geodesics break ties as
-    :func:`~colorlattice.paths.shortest_path` does on the explicit lattice,
-    whose irreducibles sort as tuples.  That the members are closed under
-    max and min is the family's claim; as with :func:`tuple_lattice`,
+    tallies over coordinate gaps.  That the members are closed under max
+    and min is the family's claim; as with :func:`tuple_lattice`,
     certifying it is left to the caller.
+
+    Geodesics break ties as :func:`~colorlattice.paths.shortest_path` does
+    on the explicit lattice, whose irreducibles sort as tuples: a climb adds
+    the least missing irreducible at each step, and a fall removes the least
+    one that can go.  Each leg sorts once, for two reasons.  First,
+    least(q, v) has part q equal to v and lies part-wise below
+    least(q, v+1), so each coordinate's irreducibles increase strictly in
+    tuple order, and the least of the coordinates' next ones is the least of
+    all that are left: a climb adds every missing irreducible in one sorted
+    pass.  An irreducible below another sorts before it, so the least
+    missing one is minimal among the missing ones and each raise lands on a
+    member untested.  Second, a fall may remove least(q, x_q) exactly when
+    x - e_q is a member, and a step changes only the removed coordinate's
+    top: the fall keeps the tops (least(q, x_q), q) sorted, tests them in
+    order, and re-inserts only the one that changed.
     """
 
     __slots__ = ("top", "member", "color", "least")
@@ -832,37 +846,22 @@ class TupleLattice:
         return cert
 
     def _ascend(self, goal, vertices, steps):
-        """Climb from the last vertex to ``goal``, adding the least missing
-        irreducible in tuple order each step.
-
-        The least one is minimal among the missing ones (an irreducible
-        below another sorts before it), so the raise needs no member test.
-        """
+        """Climb from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
-        while True:
-            missing = [(self.least(q, a + 1), q)
-                       for q, (a, b) in enumerate(zip(x, goal), 1) if a < b]
-            if not missing:
-                return
-            q = min(missing)[1]
+        for _, q in sorted((self.least(q, v), q)
+                           for q, (a, b) in enumerate(zip(x, goal), 1)
+                           for v in range(a + 1, b + 1)):
             x[q - 1] += 1
             vertices.append(tuple(x))
             steps.append((self.color(q, x[q - 1]), +1))
 
     def _descend(self, goal, vertices, steps):
-        """Fall from the last vertex to ``goal``, removing the least
-        irreducible in tuple order among those that can go.
-
-        Irreducible least(q, x_q) can go exactly when x - e_q is a member,
-        so the candidates are tested in tuple order until one is.
-        """
+        """Fall from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
-        while True:
-            extra = sorted((self.least(q, a), q)
-                           for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
-            if not extra:
-                return
-            for _, q in extra:
+        tops = sorted((self.least(q, a), q)
+                      for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
+        while tops:
+            for i, (_, q) in enumerate(tops):
                 x[q - 1] -= 1
                 if self.member(tuple(x)):
                     break
@@ -870,6 +869,9 @@ class TupleLattice:
             else:
                 raise LatticeError(f"no lower cover of {render_vertex(tuple(x))} "
                                    f"leads to {render_vertex(tuple(goal))}")
+            del tops[i]
+            if x[q - 1] > goal[q - 1]:
+                insort(tops, (self.least(q, x[q - 1]), q))
             vertices.append(tuple(x))
             steps.append((self.color(q, x[q - 1] + 1), -1))
 

@@ -307,6 +307,11 @@ def _pull_back(rows, n: int):
 _TILINGS_CAP = 2000
 
 
+def _tilings(n: int) -> int:
+    """How many tilings the n x n board has: the Catalan number C(n+1)."""
+    return comb(2 * n + 2, n + 1) // (n + 2)
+
+
 @lru_cache(maxsize=None)
 def cached_isomorphism(n: int) -> dict:
     """The lattice-to-tilings correspondence, from the closed-form pull-back.
@@ -316,7 +321,7 @@ def cached_isomorphism(n: int) -> dict:
     Catalan number of tilings exceeds the cap raise CapExceededError before
     either graph is built.
     """
-    size = comb(2 * n + 2, n + 1) // (n + 2)
+    size = _tilings(n)
     if size > _TILINGS_CAP:
         raise CapExceededError(
             f"snake boards capped at {_TILINGS_CAP} tilings; "

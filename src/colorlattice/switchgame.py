@@ -256,9 +256,12 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
         raise ValueError(f"positions must have length {n}")
     xs, xt = b_inv(s), b_inv(t)
     cert = _cushioned_lattice(n).geodesic(xs, xt, via=via)
-    positions = [b_map(v) for v in cert.vertices]
-    # each step flips the bit its color names; the replay checks the landing
+    # each step flips the bit its color names; the replay checks every flip
     flips = [color for color, _ in cert.steps]
+    positions = [s]
+    for i in flips:
+        p = positions[-1]
+        positions.append(p[:i - 1] + (1 - p[i - 1],) + p[i:])
     sol = SwitchSolution(s, t, positions, flips, cert)
     replay_switches(sol)
     return sol

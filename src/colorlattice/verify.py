@@ -12,7 +12,7 @@ second copy of the CLI.
 
 import json
 from itertools import combinations, count
-from math import comb, factorial
+from math import factorial
 
 from .characters import (
     bialternant_check,
@@ -60,6 +60,7 @@ from .paths import all_shortest_paths, gods_number, lattice_distance, shortest_p
 from .polynomials import LaurentPoly, qbinomial
 from .snakes import (
     _TILINGS_CAP,
+    _tilings,
     c_lattice,
     cached_isomorphism,
     catalan_tuples,
@@ -378,11 +379,6 @@ def _suite_weyl(max_n):
                 lambda k=k, m=m: _ck(rgf(a_lattice(k, m)) == qbinomial(k + m, k),
                                      "rank polynomial differs from the Gaussian binomial")))
     return checks
-
-
-def _tilings(n):
-    """How many tilings the n x n board has: the Catalan number C(n+1)."""
-    return comb(2 * n + 2, n + 1) // (n + 2)
 
 
 # The largest square board within the tiling cap, where the catalan counts

@@ -1,5 +1,6 @@
 """Solving on tuple coordinates, checked against the explicit lattices."""
 
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from colorlattice import (
     LatticeError,
     TupleLattice,
     a_lattice,
+    b_inv,
     b_map,
     bfs_distance,
     c_lattice,
@@ -36,10 +38,10 @@ from colorlattice import (
     solve_snakes,
     z_lattice,
 )
-from colorlattice.cli import _CAP_DOMINO
+from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH
 from colorlattice.dominoes import _action, _board_lattice
 from colorlattice.snakes import _catalan_lattice, _pull_back
-from colorlattice.switchgame import _cushioned_lattice, all_cushioned
+from colorlattice.switchgame import _cushioned_lattice, all_cushioned, int_to_bits
 
 KINDS = ("ballot", "staircase", "full")
 BOARD_SIZES = [(k, n) for n in range(1, 5) for k in range(1, n + 1)]
@@ -383,3 +385,116 @@ def test_snake_solves_run_past_the_exhaustive_sizes(n):
         assert sol.distance == n * (n + 1) // 2
         assert sum(sol.color_counts.values()) == n * (n + 1) // 2
         assert sol.certificate.vertices[-1] == tuple(range(n, 0, -1))
+
+
+# --------------------------------------------------------------------------
+# the one-pass geodesic legs against the per-step walk
+
+def stepwise_climb(lat, goal, vertices, steps):
+    """Climb to ``goal``, rebuilding and taking the least of every
+    coordinate's next missing irreducible at each step."""
+    x = list(vertices[-1])
+    while True:
+        missing = [(lat.least(q, a + 1), q)
+                   for q, (a, b) in enumerate(zip(x, goal), 1) if a < b]
+        if not missing:
+            return
+        q = min(missing)[1]
+        x[q - 1] += 1
+        vertices.append(tuple(x))
+        steps.append((lat.color(q, x[q - 1]), +1))
+
+
+def stepwise_fall(lat, goal, vertices, steps):
+    """Fall to ``goal``, re-sorting every coordinate's top irreducible at
+    each step and removing the first whose removal leaves a member."""
+    x = list(vertices[-1])
+    while True:
+        extra = sorted((lat.least(q, a), q)
+                       for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
+        if not extra:
+            return
+        for _, q in extra:
+            x[q - 1] -= 1
+            if lat.member(tuple(x)):
+                break
+            x[q - 1] += 1
+        else:
+            raise LatticeError("no lower cover")
+        vertices.append(tuple(x))
+        steps.append((lat.color(q, x[q - 1] + 1), -1))
+
+
+def stepwise_geodesic(lat, s, t, via):
+    vertices, steps = [s], []
+    if via == "join":
+        stepwise_climb(lat, lat.join(s, t), vertices, steps)
+        stepwise_fall(lat, t, vertices, steps)
+    else:
+        stepwise_fall(lat, lat.meet(s, t), vertices, steps)
+        stepwise_climb(lat, t, vertices, steps)
+    return tuple(vertices), tuple(steps)
+
+
+def random_join_meet(lat, rng):
+    """The meet of two joins of random least members: a member, by closure."""
+    def join_of_leasts():
+        x = (0,) * len(lat.top)
+        for _ in range(rng.randint(0, len(lat.top))):
+            q = rng.randint(1, len(lat.top))
+            x = lat.join(x, lat.least(q, rng.randint(1, lat.top[q - 1])))
+        return x
+    return lat.meet(join_of_leasts(), join_of_leasts())
+
+
+def random_switch_member(lat, rng):
+    # uniform over the 2^n positions; joins of least members crowd the top
+    n = len(lat.top)
+    return b_inv(int_to_bits(rng.getrandbits(n), n))
+
+
+# 1 753 random pairs in all, and the lattice ends both ways on each lattice
+WALK_CASES = (
+    [pytest.param(_cushioned_lattice(n), random_switch_member, pairs,
+                  id=f"switch n={n}")
+     for n, pairs in ((9, 400), (20, 200), (80, 10))]
+    + [pytest.param(_board_lattice(kind, k, n), random_join_meet, pairs,
+                    id=f"{kind} k={k} n={n}")
+       for (k, n), pairs in (((6, 9), 150), ((10, 12), 100), ((32, 32), 6))
+       for kind in KINDS]
+    + [pytest.param(_catalan_lattice(n), random_join_meet, pairs,
+                    id=f"catalan n={n}")
+       for n, pairs in ((12, 350), (40, 25))])
+
+
+@pytest.mark.parametrize("lat, draw, pairs", WALK_CASES)
+def test_one_pass_geodesics_match_the_stepwise_walk(lat, draw, pairs):
+    rng = random.Random(0)
+    bottom = (0,) * len(lat.top)
+    cases = [(bottom, lat.top), (lat.top, bottom)]
+    cases += [(draw(lat, rng), draw(lat, rng)) for _ in range(pairs)]
+    for s, t in cases:
+        assert lat.member(s) and lat.member(t)
+        for via in ("join", "meet"):
+            cert = lat.geodesic(s, t, via=via)
+            assert (cert.vertices, cert.steps) == stepwise_geodesic(lat, s, t, via)
+
+
+@pytest.mark.parametrize("lat", [
+    pytest.param(_cushioned_lattice(_CAP_SWITCH), id=f"switch n={_CAP_SWITCH}"),
+    pytest.param(_catalan_lattice(_CAP_SNAKES), id=f"catalan n={_CAP_SNAKES}"),
+    *[pytest.param(_board_lattice(kind, k, _CAP_DOMINO), id=f"{kind} k={k} n={_CAP_DOMINO}")
+      for kind, k in [(kind, _CAP_DOMINO) for kind in KINDS]
+      + [("ballot", 20), ("staircase", 20)]]])
+def test_least_members_rise_strictly_along_each_coordinate(lat):
+    # what the one-pass legs rest on: least(q, v) is a member with part q
+    # equal to v, below least(q, v + 1) part-wise, and no two coincide
+    seen = set()
+    for q, top in enumerate(lat.top, 1):
+        chain = [lat.least(q, v) for v in range(1, top + 1)]
+        for v, x in enumerate(chain, 1):
+            assert lat.member(x) and x[q - 1] == v, (q, v, x)
+        for x, y in zip(chain, chain[1:]):
+            assert all(a <= b for a, b in zip(x, y)), (q, x, y)
+        seen.update(chain)
+    assert len(seen) == sum(lat.top)
