@@ -78,14 +78,15 @@ def canonical_key(v):
     tuples, and frozensets (order ideals) — recursively, tagging each value
     with a type marker so mixed payloads sort without raising.
     """
-    if isinstance(v, (set, frozenset)):
-        return ("set", tuple(sorted(canonical_key(x) for x in v)))
+    # tuples and ints first: they are almost every call
     if isinstance(v, tuple):
-        return ("tup", tuple(canonical_key(x) for x in v))
+        return ("tup", tuple(map(canonical_key, v)))
     if isinstance(v, bool):
         return ("int", int(v))
     if isinstance(v, int):
         return ("int", v)
+    if isinstance(v, (set, frozenset)):
+        return ("set", tuple(sorted(map(canonical_key, v))))
     return (type(v).__name__, str(v))
 
 
@@ -459,8 +460,10 @@ class DiamondLattice:
     """A ranked lattice carried by a colored order diagram.
 
     The constructor checks that the diagram has a unique minimum and maximum
-    and admits a rank function; `check_lattice` additionally certifies that
-    every pair of vertices has a least upper and greatest lower bound.
+    and admits a rank function, and stores every up-set and down-set as a
+    bitmask.  `check_lattice` additionally certifies, by equality of those
+    masks, that `join` and `meet` give every pair of vertices its least upper
+    and greatest lower bound.
 
     ``ideal_coords`` (optional) maps each vertex to a frozenset — its order
     ideal of join irreducibles — and ``poset`` is the vertex-colored poset
@@ -589,19 +592,30 @@ class DiamondLattice:
         return self._bound(s, t, self._downmask, False)
 
     def check_lattice(self) -> None:
-        """Certify join and meet exist for every vertex pair (raises LatticeError)."""
+        """Certify that `join` and `meet` are the order's, on every vertex pair.
+
+        j is the least upper bound of s and t exactly when its up-set is
+        their common up-set: ``up[j] == up[s] & up[t]`` (j is then a common
+        upper bound, and every common upper bound lies above it).  The meet
+        is checked dually with the down-sets.  So a coordinate rule is
+        checked against the order, and a lattice without one raises the
+        order search's own LatticeError when a pair has no least bound.
+        """
         verts = self.diagram.vertices
-        coords = self.ideal_coords is not None or self.coord_join is not None
-        up, down, bound = self._upmask, self._downmask, self._bound
+        index, up, down = self._index, self._upmask, self._downmask
+        join, meet = self.join, self.meet
         for a, s in enumerate(verts):
+            us, ds = up[index[s]], down[index[s]]
             for t in verts[a + 1:]:
-                j = bound(s, t, up, True)
-                m = bound(s, t, down, False)
-                if coords:
-                    if j != self.join(s, t):
-                        raise LatticeError("coordinate join disagrees with order join")
-                    if m != self.meet(s, t):
-                        raise LatticeError("coordinate meet disagrees with order meet")
+                i = index[t]
+                j = join(s, t)
+                if up[index[j]] != us & up[i]:
+                    raise LatticeError(
+                        f"join {j!r} of {s!r}, {t!r} is not their least upper bound")
+                m = meet(s, t)
+                if down[index[m]] != ds & down[i]:
+                    raise LatticeError(
+                        f"meet {m!r} of {s!r}, {t!r} is not their greatest lower bound")
 
 
 def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
@@ -881,19 +895,23 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
 
     A join irreducible covers exactly one vertex; its color is the color of
     that unique incoming diagram edge.  The order is inherited from the
-    lattice and transitively reduced.
+    lattice and transitively reduced, read off the reachability masks: with
+    ``below`` the irreducibles strictly below a, a covers b exactly when b
+    is in ``below`` and is the only one of them above b,
+    ``up[b] & below == bit(b)``.
     """
     if lat.kind != "distributive":
         raise ValueError("join irreducibles of the colored kind require a distributive lattice")
-    g = lat.diagram
+    g, index, up, down = lat.diagram, lat._index, lat._upmask, lat._downmask
     irr = [v for v in g.vertices if len(g.in_edges(v)) == 1]
     color = {v: g.in_edges(v)[0][1] for v in irr}
+    places = [(v, index[v], 1 << index[v]) for v in irr]
+    irr_mask = sum(bit for _, _, bit in places)
     covers = []
-    for a in irr:
-        below = [b for b in irr if b != a and lat.le(b, a)]
-        for b in below:
-            if not any(lat.le(b, m) and lat.le(m, a) for m in below if m != b):
-                covers.append((b, a))
+    for a, i, abit in places:
+        below = down[i] & irr_mask & ~abit
+        covers += [(b, a) for b, k, bbit in places
+                   if below & bbit and up[k] & below == bbit]
     return VertexColoredPoset(irr, covers, color)
 
 
@@ -906,13 +924,40 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     path construction while keeping the original vertex payloads.  The
     result is a copy that shares the argument's diagram, ranks and
     reachability masks; the argument itself is left without coordinates.
+
+    The coordinates are read off the down-set masks, by rank: a vertex v
+    with a lower cover u gets those of u plus the one irreducible it adds,
+    the single set bit of ``(down[v] ^ down[u]) & irr``.  In a ranked
+    lattice every cover adds at least one join irreducible to the set below
+    and removes at least one meet irreducible (a vertex with one upper
+    cover) from the set above, so both sets have at least as many members
+    as the lattice is long.  The lattice is distributive exactly when both
+    counts equal the length: the rank is then modular and the coordinates
+    of a join are the union of theirs.  So a cover that adds no irreducible
+    or more than one, or a count of meet irreducibles other than the
+    length, raises LatticeError: the argument, a lattice (`check_lattice`
+    certifies that), is not distributive.
     """
     if lat.ideal_coords is not None:
         return lat
     p = join_irreducibles(lat)
-    coords = {}
-    for v in lat.vertices:
-        coords[v] = frozenset(e for e in p.elements if lat.le(e, v))
+    g, order, index, down = lat.diagram, lat._order, lat._index, lat._downmask
+    irr_mask = sum(1 << index[e] for e in p.elements)
+    coords = {order[0]: frozenset()}
+    for i in range(1, len(order)):
+        v = order[i]
+        u = g.in_edges(v)[0][0]
+        added = (down[i] ^ down[index[u]]) & irr_mask
+        if not added or added & (added - 1):
+            raise LatticeError(
+                f"the cover {u!r} -> {v!r} adds {bin(added).count('1')} join "
+                "irreducibles, not one; lattice not distributive")
+        coords[v] = coords[u] | {order[added.bit_length() - 1]}
+    meet_irreducibles = sum(len(g.out_edges(v)) == 1 for v in order)
+    if meet_irreducibles != lat.length:
+        raise LatticeError(
+            f"{meet_irreducibles} meet irreducibles in a lattice of length "
+            f"{lat.length}; lattice not distributive")
     by_ideal = {ideal: v for v, ideal in coords.items()}
     if len(by_ideal) != len(lat.vertices):
         raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")

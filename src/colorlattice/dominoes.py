@@ -544,9 +544,11 @@ def sigma(i: int, n: int) -> int:
 def _induced_lattice(k: int, n: int, admissible) -> DiamondLattice:
     """The admissible box partitions, with the box colors folded by sigma.
 
-    ``check_lattice`` certifies the build: every pair has an order join and
-    meet, and they are the component-wise max and min (which must be
-    vertices).
+    ``check_lattice`` certifies the build: for every pair, the component-wise
+    max and min are vertices whose up-set (down-set) mask is the pair's
+    common one, so they are the order join and meet.  The lattice is then a
+    sublattice of a product of chains, hence distributive, and
+    ``attach_birkhoff_coords`` cannot refuse it.
     """
     m = 2 * n - k
     keep = [tau for tau in enumerate_box_partitions(k, m)

@@ -188,10 +188,18 @@ def _is_snake(snake, n: int) -> bool:
     """
     if not isinstance(snake, tuple) or not 1 <= len(snake) <= 2 * n - 1:
         return False
-    for sq in snake:
-        if not (isinstance(sq, tuple) and len(sq) == 2
-                and all(type(x) is int and 1 <= x <= n for x in sq)):
-            return False
+    if not all(isinstance(sq, tuple) and len(sq) == 2
+               and type(sq[0]) is int and type(sq[1]) is int for sq in snake):
+        return False
+    return _snake_shape(snake, n)
+
+
+def _snake_shape(snake, n: int) -> bool:
+    """`_is_snake` for a tuple of 1 to 2n-1 int pairs: its squares lie on the
+    board, each is a South or West step from the one before, and the
+    floor((m+1)/2)-th of its m squares is on the main diagonal."""
+    if not all(1 <= i <= n and 1 <= j <= n for i, j in snake):
+        return False
     for (a, b), (c, d) in zip(snake, snake[1:]):
         if (c - a, d - b) not in ((1, 0), (0, -1)):
             return False
@@ -248,7 +256,7 @@ def legal_snake_moves(n: int, rows):
     for m in range(1, 2 * n):
         for verb, shift in (("remove", -1), ("add", 0)):
             snake = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
-            if not _is_snake(snake, n):
+            if not _snake_shape(snake, n):
                 continue
             result = _move(rows, snake, verb == "add")
             if result is not None and is_tiling(result, n):

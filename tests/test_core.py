@@ -74,8 +74,17 @@ class TestColoredDigraph:
     def test_rank_function_rejects_unequal_chain_lengths(self):
         g = ColoredDigraph(["a", "b", "c"],
                            [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
+        # N5 has chains of length 3 and 2 from bot to top, so it cannot
+        # even be declared distributive
+        n5 = ColoredDigraph(
+            ["bot", "a", "b", "c", "top"],
+            [("bot", "a", 1), ("a", "b", 2), ("b", "top", 3),
+             ("bot", "c", 3), ("c", "top", 1)])
+        for h in (g, n5):
+            with pytest.raises(NotRankedError):
+                rank_function(h)
         with pytest.raises(NotRankedError):
-            rank_function(g)
+            DiamondLattice(n5, "distributive")
 
 
 @pytest.mark.parametrize("make", [
@@ -294,6 +303,94 @@ def test_attach_birkhoff_coords_enables_set_joins():
     assert lat.diagram == bare.diagram and lat.rank == bare.rank
     assert all(lat.le(s, t) == bare.le(s, t) for s in g.vertices
                for t in g.vertices)
+
+
+def pairwise_join_irreducibles(lat):
+    """The irreducible poset by pairwise order queries: b is covered by a
+    when no third irreducible lies between them."""
+    g = lat.diagram
+    irr = [v for v in g.vertices if len(g.in_edges(v)) == 1]
+    color = {v: g.in_edges(v)[0][1] for v in irr}
+    covers = []
+    for a in irr:
+        below = [b for b in irr if b != a and lat.le(b, a)]
+        for b in below:
+            if not any(lat.le(b, m) and lat.le(m, a) for m in below if m != b):
+                covers.append((b, a))
+    return VertexColoredPoset(irr, covers, color)
+
+
+def pairwise_birkhoff_coords(lat):
+    """Each vertex's set of irreducibles below it, queried one by one."""
+    p = pairwise_join_irreducibles(lat)
+    return {v: frozenset(e for e in p.elements if lat.le(e, v))
+            for v in lat.vertices}
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda n=n: z_lattice(n), id=f"z{n}") for n in range(2, 11)),
+    *(pytest.param(lambda k=k, n=n, f=f: f(k, n), id=f"{f.__name__[:-8]}{k}{n}")
+      for f in (kn_lattice, dec_lattice)
+      for n in range(1, 6) for k in range(1, n + 1)),
+    *(pytest.param(lambda n=n: c_lattice(n), id=f"c{n}") for n in range(1, 7)),
+    *(pytest.param(lambda k=k, m=m: a_lattice(k, m), id=f"a{k}{m}")
+      for k in range(1, 4) for m in range(1, 6)),
+    *(pytest.param(lambda seed=seed: random_lattice(seed), id=f"random{seed}")
+      for seed in range(20)),
+])
+def test_mask_birkhoff_coords_match_the_pairwise_walk(make):
+    """Irreducibles, their covers and colors, and every vertex's ideal are
+    those the pairwise order queries find."""
+    lat = make()
+    bare = DiamondLattice(lat.diagram, lat.kind)
+    p = pairwise_join_irreducibles(bare)
+    assert join_irreducibles(bare) == p
+    got = attach_birkhoff_coords(bare)
+    assert got.poset == p
+    assert got.ideal_coords == pairwise_birkhoff_coords(bare)
+
+
+def _m3():
+    return ColoredDigraph(
+        ["bot", "a", "b", "c", "top"],
+        [("bot", "a", 1), ("bot", "b", 2), ("bot", "c", 3),
+         ("a", "top", 2), ("b", "top", 3), ("c", "top", 1)])
+
+
+def _hexagon():
+    # two chains of length 3 from bot to top: N5 = {bot, a, b, d, top} is a
+    # sublattice, and unlike N5 itself the diagram has a rank function
+    return ColoredDigraph(
+        ["bot", "a", "b", "c", "d", "top"],
+        [("bot", "a", 1), ("a", "b", 2), ("b", "top", 3),
+         ("bot", "c", 3), ("c", "d", 2), ("d", "top", 1)])
+
+
+def _intervals():
+    # the intervals of the chain 1 < 2 < 3 under inclusion: every cover
+    # adds one join irreducible (a singleton), yet {1} v {3} = {1,2,3}
+    # while {2} meets both in the empty interval
+    sets = ["", "1", "2", "3", "12", "23", "123"]
+    return ColoredDigraph(sets, [(u, v, int(*set(v) - set(u)))
+                                 for u in sets for v in sets
+                                 if len(v) == len(u) + 1 and set(u) < set(v)])
+
+
+@pytest.mark.parametrize("make, match", [
+    (_m3, "adds 2 join irreducibles"),
+    (_hexagon, "adds 2 join irreducibles"),
+    (_intervals, "4 meet irreducibles in a lattice of length 3"),
+    (lambda: _dual(_intervals()), "adds 2 join irreducibles"),
+], ids=["m3", "hexagon", "intervals", "dual-intervals"])
+def test_birkhoff_coords_refuse_a_lattice_that_is_not_distributive(make, match):
+    """A lattice declared distributive that is not gets no coordinates,
+    though the pairwise walk gave each vertex a distinct set."""
+    lat = DiamondLattice(make(), "distributive")
+    lat.check_lattice()
+    coords = pairwise_birkhoff_coords(lat)
+    assert len(set(coords.values())) == len(coords)
+    with pytest.raises(LatticeError, match=match):
+        attach_birkhoff_coords(lat)
 
 
 def test_dot_export_is_deterministic_and_labeled():

@@ -252,28 +252,51 @@ def test_a_build_that_fails_check_lattice_is_a_structure_violation():
         _induced_lattice(2, 3, lambda tau, k, n: tau in kept)
 
 
-def tuple_diagram(tuples):
+def _max(a, b):
+    return tuple(map(max, a, b))
+
+
+def _min(a, b):
+    return tuple(map(min, a, b))
+
+
+def tuple_diagram(tuples, join=_max, meet=_min):
     """Unit-step covers among 0/1 tuples, colored by the raised coordinate."""
     edges = [(u, v, q + 1) for u in tuples for v in tuples
              for q in range(len(u))
              if v == u[:q] + (u[q] + 1,) + u[q + 1:]]
-    return DiamondLattice(
-        ColoredDigraph(tuples, edges), "distributive",
-        coord_join=lambda a, b: tuple(map(max, a, b)),
-        coord_meet=lambda a, b: tuple(map(min, a, b)))
+    return DiamondLattice(ColoredDigraph(tuples, edges), "distributive",
+                          coord_join=join, coord_meet=meet)
 
 
-@pytest.mark.parametrize("tuples", [
+_CUBE = ["000", "100", "010", "001", "110", "101", "011", "111"]
+
+
+@pytest.mark.parametrize("tuples, join, meet, match", [
     # 1000 and 0100 have two minimal upper bounds, 1110 and 1101
-    ["0000", "1000", "0100", "1010", "0110", "1001", "0101",
-     "1110", "1101", "1111"],
+    (["0000", "1000", "0100", "1010", "0110", "1001", "0101",
+      "1110", "1101", "1111"], _max, _min, "left the lattice"),
     # 100 and 010 have the join 111 in the order, but not their max 110
-    ["000", "100", "010", "001", "101", "011", "111"],
-])
-def test_check_lattice_rejects_doctored_diagrams(tuples):
-    lat = tuple_diagram([tuple(map(int, word)) for word in tuples])
-    with pytest.raises(LatticeError):
+    (["000", "100", "010", "001", "101", "011", "111"], _max, _min,
+     "left the lattice"),
+    # on the whole cube, a join rule naming the top gives a common upper
+    # bound of every pair, but not the least one; dually for the meet
+    (_CUBE, lambda a, b: (1, 1, 1), _min, "not their least upper bound"),
+    (_CUBE, _max, lambda a, b: (0, 0, 0), "not their greatest lower bound"),
+    # the rules swapped: the join rule names a common lower bound, which
+    # lies below every common upper bound but is not one; dually the meet
+    (_CUBE, _min, _min, "not their least upper bound"),
+    (_CUBE, _max, _max, "not their greatest lower bound"),
+], ids=["two-minimal-bounds", "max-missing", "top-join", "bottom-meet",
+        "min-join", "max-meet"])
+def test_check_lattice_rejects_doctored_diagrams(tuples, join, meet, match):
+    lat = tuple_diagram([tuple(map(int, word)) for word in tuples], join, meet)
+    with pytest.raises(LatticeError, match=match):
         lat.check_lattice()
+
+
+def test_check_lattice_passes_the_cube_with_max_and_min():
+    tuple_diagram([tuple(map(int, word)) for word in _CUBE]).check_lattice()
 
 
 def test_structure_violation_is_a_lattice_error():
