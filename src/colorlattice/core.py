@@ -439,6 +439,40 @@ class VertexColoredPoset:
         return [e for i, e in enumerate(self._elements)
                 if sub >> i & 1 and not beyond[i] & sub]
 
+    def peel(self, subset, maximal=False):
+        """The elements of ``subset`` in the order that removes, one at a
+        time, its canonical-first minimal (``maximal``: maximal) element.
+
+        Removing an element can free only members of its strict up-set
+        (down-set), so each removal tests just those: one pass over the
+        subset, where calling :meth:`minimal_of` per element costs O(len(self))
+        each time.  The free members are a bitmask over positions, whose
+        lowest bit is the canonical-first one.
+        """
+        beyond, freed = (self._up, self._down) if maximal else (self._down, self._up)
+        places = [self._index[e] for e in subset]
+        rest = 0
+        for i in places:
+            rest |= 1 << i
+        ready = 0
+        for i in places:
+            if not beyond[i] & rest:
+                ready |= 1 << i
+        order = []
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            rest ^= low
+            i = low.bit_length() - 1
+            order.append(self._elements[i])
+            near = freed[i] & rest
+            while near:
+                bit = near & -near
+                near ^= bit
+                if not beyond[bit.bit_length() - 1] & rest:
+                    ready |= bit
+        return order
+
     def ideals(self):
         """All order ideals (downward closed subsets), as frozensets.
 
@@ -563,7 +597,11 @@ class DiamondLattice:
         if s == t:
             return s
         if self.ideal_coords is not None:
-            return self._by_ideal[self.ideal_coords[s] | self.ideal_coords[t]]
+            try:
+                return self._by_ideal[self.ideal_coords[s] | self.ideal_coords[t]]
+            except KeyError:
+                raise LatticeError(
+                    f"ideal join of {s!r}, {t!r} left the lattice") from None
         if self.coord_join is not None:
             v = self.coord_join(s, t)
             if v not in self._index:
@@ -576,7 +614,11 @@ class DiamondLattice:
         if s == t:
             return s
         if self.ideal_coords is not None:
-            return self._by_ideal[self.ideal_coords[s] & self.ideal_coords[t]]
+            try:
+                return self._by_ideal[self.ideal_coords[s] & self.ideal_coords[t]]
+            except KeyError:
+                raise LatticeError(
+                    f"ideal meet of {s!r}, {t!r} left the lattice") from None
         if self.coord_meet is not None:
             v = self.coord_meet(s, t)
             if v not in self._index:

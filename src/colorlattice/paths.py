@@ -18,6 +18,7 @@ from collections import deque
 
 from .core import (
     CapExceededError,
+    ColoredDigraph,
     DiamondLattice,
     LatticeError,
     PathCertificate,
@@ -81,9 +82,7 @@ def color_counts(lat: DiamondLattice, s, t) -> dict:
 def _ascend(lat, x_ideal, target_ideal, vertices, steps):
     """Extend a path upward from ideal x to a target ideal one element at a time."""
     p = lat.poset
-    while x_ideal != target_ideal:
-        gap = target_ideal - x_ideal
-        u = p.minimal_of(gap)[0]
+    for u in p.peel(target_ideal - x_ideal):
         x_ideal = x_ideal | {u}
         vertices.append(lat.vertex_of_ideal(x_ideal))
         steps.append((p.color(u), +1))
@@ -92,9 +91,7 @@ def _ascend(lat, x_ideal, target_ideal, vertices, steps):
 
 def _descend(lat, x_ideal, target_ideal, vertices, steps):
     p = lat.poset
-    while x_ideal != target_ideal:
-        gap = x_ideal - target_ideal
-        u = p.maximal_of(gap)[0]
+    for u in p.peel(x_ideal - target_ideal, maximal=True):
         x_ideal = x_ideal - {u}
         vertices.append(lat.vertex_of_ideal(x_ideal))
         steps.append((p.color(u), -1))
@@ -106,8 +103,10 @@ def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertifica
 
     Mountain paths add, one at a time, a minimal missing element of the
     ideal of s v t until the apex is reached, then remove maximal elements
-    not lying in t.  Ties are broken by the canonical element order, so the
-    certificate is reproducible.
+    not lying in t.  Each leg is one :meth:`VertexColoredPoset.peel` of the
+    gap between its two ideals: every step takes the canonical-first minimal
+    (on the way down, maximal) element still missing, so the certificate is
+    reproducible.
     """
     if lat.ideal_coords is None:
         raise ValueError("explicit path construction requires ideal coordinates")
@@ -171,27 +170,57 @@ def _classify(lat, vertices, steps):
     return PathCertificate(vertices, "mixed", None, steps)
 
 
+def distances_from(g: ColoredDigraph, s) -> dict:
+    """Breadth-first distances from s to every vertex it reaches, ignoring
+    edge direction; the keys come in order of distance."""
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for (w, _, _) in g.undirected_neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def geodesic_multisets(g: ColoredDigraph, s) -> dict:
+    """For every vertex t that s reaches, the per-color step multisets of
+    all geodesics from s to t in the undirected diagram.
+
+    One layered pass, reading no ranks: a geodesic to w ends with an edge
+    from a neighbor v one layer nearer s, so the multisets of w are those of
+    each such v plus that edge's color.  A multiset is a sorted tuple of
+    (color, count) pairs, as ``all_shortest_paths`` would tally them.
+    """
+    colors = g.colors()
+    slot = {c: i for i, c in enumerate(colors)}
+    dist = distances_from(g, s)
+    counts = {s: {(0,) * len(colors)}}
+    for w, d in dist.items():
+        if w == s:
+            continue
+        got = set()
+        for (v, c, _) in g.undirected_neighbors(w):
+            if dist[v] == d - 1:
+                i = slot[c]
+                got.update(m[:i] + (m[i] + 1,) + m[i + 1:] for m in counts[v])
+        counts[w] = got
+    return {t: {tuple((c, k) for c, k in zip(colors, m) if k) for m in got}
+            for t, got in counts.items()}
+
+
 def all_shortest_paths(lat: DiamondLattice, s, t, cap: int = 12):
     """Every geodesic between s and t in the undirected diagram.
 
-    Purely graph-theoretic (no rank formulas): used as the oracle certifying
-    that geodesics all share one per-color step multiset.  Refuses distances
-    above ``cap`` to keep the enumeration finite in practice.
+    Purely graph-theoretic (no rank formulas).  It enumerates the paths
+    one by one, so ``verify`` reads their color multisets off
+    :func:`geodesic_multisets` instead; the tests keep this enumeration as
+    that function's oracle.  Refuses distances above ``cap`` to keep the
+    enumeration finite in practice.
     """
     g = lat.diagram
-
-    def levels(root):
-        d = {root: 0}
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for (w, _, _) in g.undirected_neighbors(v):
-                if w not in d:
-                    d[w] = d[v] + 1
-                    q.append(w)
-        return d
-
-    ds, dt = levels(s), levels(t)
+    ds, dt = distances_from(g, s), distances_from(g, t)
     dist = dt[s]
     if dist > cap:
         raise CapExceededError(f"distance {dist} exceeds enumeration cap {cap}")

@@ -5,7 +5,7 @@ import os
 import random
 
 import colorlattice
-from colorlattice import VertexColoredPoset, ideals_lattice
+from colorlattice import ColoredDigraph, DiamondLattice, VertexColoredPoset, ideals_lattice
 
 
 def module_env(**extra):
@@ -40,3 +40,12 @@ def random_poset(rng, size=8, colors=3, edge_p=0.3):
 def random_lattice(seed, size=8):
     """The ideal lattice of a seeded random poset (deterministic per seed)."""
     return ideals_lattice(random_poset(random.Random(seed), size=size))
+
+
+def two_colored_square():
+    """A ranked square lattice whose sides each wear one color, so its two
+    geodesics from bottom "0" to top "1" differ in color: not
+    diamond-colored."""
+    g = ColoredDigraph(["0", "a", "b", "1"],
+                       [("0", "a", 1), ("a", "1", 1), ("0", "b", 2), ("b", "1", 2)])
+    return DiamondLattice(g, "modular")

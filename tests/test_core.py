@@ -171,6 +171,29 @@ class TestVertexColoredPoset:
                               if all(p.strict_downset(e) <= x for e in x)}
 
 
+def stepwise_peel(p, subset, maximal=False):
+    """Remove the canonical-first minimal (maximal) element again and again,
+    finding it afresh each time."""
+    rest, order = set(subset), []
+    while rest:
+        e = (p.maximal_of(rest) if maximal else p.minimal_of(rest))[0]
+        rest.discard(e)
+        order.append(e)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_peel_matches_repeated_extremes(seed):
+    # any subset, convex or not: removing an element frees only its up-set
+    rng = random.Random(seed)
+    p = random_poset(rng, size=rng.randint(1, 12), colors=2, edge_p=rng.random())
+    for _ in range(20):
+        sub = {e for e in p.elements if rng.random() < 0.6}
+        for maximal in (False, True):
+            assert p.peel(sub, maximal) == stepwise_peel(p, sub, maximal)
+    assert p.peel(set()) == []
+
+
 def test_ideals_lattice_is_diamond_colored_and_balanced():
     p = VertexColoredPoset(
         "abcd", [("a", "c"), ("b", "c"), ("b", "d")],
@@ -303,6 +326,21 @@ def test_attach_birkhoff_coords_enables_set_joins():
     assert lat.diagram == bare.diagram and lat.rank == bare.rank
     assert all(lat.le(s, t) == bare.le(s, t) for s in g.vertices
                for t in g.vertices)
+
+
+def test_ideal_joins_and_meets_off_the_lattice_are_refused():
+    # the chain 1 < 2 < 3, each vertex given itself as its ideal: unions and
+    # intersections of two such sets are no vertex's ideal
+    g = ColoredDigraph(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
+    p = VertexColoredPoset(g.vertices, [], {v: 1 for v in g.vertices})
+    lat = DiamondLattice(g, "distributive", poset=p,
+                         ideal_coords={v: frozenset({v}) for v in g.vertices})
+    with pytest.raises(LatticeError, match="^ideal join of '1', '3' left the lattice$"):
+        lat.join("1", "3")
+    with pytest.raises(LatticeError, match="^ideal meet of '2', '3' left the lattice$"):
+        lat.meet("2", "3")
+    with pytest.raises(LatticeError, match="^ideal join of '1', '2' left the lattice$"):
+        lat.check_lattice()
 
 
 def pairwise_join_irreducibles(lat):

@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 from colorlattice import (
     CapExceededError,
     LatticeError,
+    PathCertificate,
+    a_lattice,
     all_shortest_paths,
     bfs_distance,
+    c_lattice,
     color_counts,
+    dec_lattice,
     gods_number,
+    kn_lattice,
     lattice_distance,
     shortest_path,
     z_lattice,
 )
-from helpers import random_lattice
+from colorlattice.paths import distances_from, geodesic_multisets
+from helpers import random_lattice, two_colored_square
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +115,96 @@ def test_rank_formula_matches_search_on_random_ideal_lattices(seed):
             cert = shortest_path(lat, s, t, via=random.Random(seed + i + j).choice(["join", "meet"]))
             assert cert.distance == d
             cert.validate(lat)
+
+
+# --------------------------------------------------------------------------
+# the one-search-per-source walks against the per-pair and per-step ones
+
+def stepwise_ascend(lat, x_ideal, target_ideal, vertices, steps):
+    """Climb to the target ideal, finding the canonical-first minimal
+    missing element afresh at each step."""
+    p = lat.poset
+    while x_ideal != target_ideal:
+        u = p.minimal_of(target_ideal - x_ideal)[0]
+        x_ideal = x_ideal | {u}
+        vertices.append(lat.vertex_of_ideal(x_ideal))
+        steps.append((p.color(u), +1))
+    return x_ideal
+
+
+def stepwise_descend(lat, x_ideal, target_ideal, vertices, steps):
+    p = lat.poset
+    while x_ideal != target_ideal:
+        u = p.maximal_of(x_ideal - target_ideal)[0]
+        x_ideal = x_ideal - {u}
+        vertices.append(lat.vertex_of_ideal(x_ideal))
+        steps.append((p.color(u), -1))
+    return x_ideal
+
+
+def stepwise_shortest_path(lat, s, t, via):
+    cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]
+    vertices, steps = [s], []
+    if via == "join":
+        x = stepwise_ascend(lat, cs, cs | ct, vertices, steps)
+        stepwise_descend(lat, x, ct, vertices, steps)
+        return PathCertificate(vertices, "mountain", lat.join(s, t), steps)
+    x = stepwise_descend(lat, cs, cs & ct, vertices, steps)
+    stepwise_ascend(lat, x, ct, vertices, steps)
+    return PathCertificate(vertices, "valley", lat.meet(s, t), steps)
+
+
+def fields(cert):
+    return cert.vertices, cert.steps, cert.orientation, cert.turning_point
+
+
+# every pair up to 64 vertices, 300 seeded pairs past that
+CERTIFICATE_FAMILIES = (
+    [pytest.param(lambda n=n: z_lattice(n), id=f"z n={n}") for n in range(2, 7)]
+    + [pytest.param(lambda n=n: c_lattice(n), id=f"c n={n}") for n in range(1, 6)]
+    + [pytest.param(lambda k=k, n=n, make=make: make(k, n), id=f"{make.__name__} k={k} n={n}")
+       for n in range(1, 5) for k in range(1, n + 1) for make in (kn_lattice, dec_lattice)]
+    + [pytest.param(lambda k=k, m=m: a_lattice(k, m), id=f"a k={k} m={m}")
+       for k, m in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4))]
+    + [pytest.param(lambda seed=seed: random_lattice(seed), id=f"random seed={seed}")
+       for seed in range(12)])
+
+
+@pytest.mark.parametrize("make", CERTIFICATE_FAMILIES)
+def test_peeled_legs_give_the_stepwise_certificates(make):
+    lat = make()
+    verts = lat.vertices
+    if len(verts) <= 64:
+        pairs = [(s, t) for s in verts for t in verts]
+    else:
+        rng = random.Random(len(verts))
+        pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(300)]
+    for s, t in pairs:
+        for via in ("join", "meet"):
+            assert fields(shortest_path(lat, s, t, via=via)) == \
+                fields(stepwise_shortest_path(lat, s, t, via))
+
+
+SWEEP_FAMILIES = (
+    [pytest.param(lambda n=n: z_lattice(n), id=f"z n={n}") for n in range(2, 5)]
+    + [pytest.param(lambda n=n: c_lattice(n), id=f"c n={n}") for n in range(1, 5)]
+    + [pytest.param(lambda: kn_lattice(2, 3), id="kn k=2 n=3"),
+       pytest.param(lambda: dec_lattice(2, 3), id="dec k=2 n=3"),
+       pytest.param(lambda: random_lattice(5), id="random seed=5"),
+       pytest.param(two_colored_square, id="two-colored square")])
+
+
+@pytest.mark.parametrize("make", SWEEP_FAMILIES)
+def test_one_search_per_source_matches_the_per_pair_oracles(make):
+    lat = make()
+    g = lat.diagram
+    for s in lat.vertices:
+        dist = distances_from(g, s)
+        sets = geodesic_multisets(g, s)
+        assert list(dist.values()) == sorted(dist.values())
+        assert set(dist) == set(sets) == set(lat.vertices)
+        for t in lat.vertices:
+            assert dist[t] == bfs_distance(g, s, t)
+            paths = all_shortest_paths(lat, s, t, cap=lat.length)
+            assert sets[t] == {tuple(sorted(p.color_multiset().items())) for p in paths}
+

@@ -1,0 +1,73 @@
+"""The pairwise sweeps of ``verify theorem2``: each passes on the switch rows
+and refuses doctored input with a pinned message."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from colorlattice import (
+    ColoredDigraph,
+    PathCertificate,
+    shortest_path,
+    z_lattice,
+)
+from colorlattice import verify
+from colorlattice.core import render_vertex
+from colorlattice.switchgame import format_bits
+from helpers import two_colored_square
+
+SWEEPS = [verify._check_distance_formula, verify._check_certificates,
+          verify._check_color_multisets]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_sweeps_pass_on_the_switch_rows(sweep, n):
+    sweep(z_lattice(n), format_bits)
+
+
+def test_multiset_sweep_refuses_a_square_with_two_colorings():
+    lat = two_colored_square()
+    verify._check_distance_formula(lat, render_vertex)
+    with pytest.raises(verify._CheckFailed) as err:
+        verify._check_color_multisets(lat, render_vertex)
+    assert str(err.value) == ("geodesics 0 -> 1 use different color multisets: "
+                              "[((1, 2),), ((2, 2),)]")
+
+
+def test_distance_sweep_refuses_a_formula_off_on_one_pair(monkeypatch):
+    exact = verify.lattice_distance
+
+    def skewed(lat, s, t):
+        return exact(lat, s, t) + ((s, t) == ((1, 0), (2, 1)))
+
+    monkeypatch.setattr(verify, "lattice_distance", skewed)
+    with pytest.raises(verify._CheckFailed) as err:
+        verify._check_distance_formula(z_lattice(2), format_bits)
+    assert str(err.value) == ("rank formula gives 3, breadth-first search 2 "
+                              "between 10 and 21")
+
+
+def test_distance_sweep_refuses_an_unreachable_target(monkeypatch):
+    # no lattice diagram is disconnected, so the sweep gets a bare one
+    g = ColoredDigraph(["x", "y"], [])
+    monkeypatch.setattr(verify, "lattice_distance", lambda lat, s, t: int(s != t))
+    with pytest.raises(verify._CheckFailed) as err:
+        verify._check_distance_formula(
+            SimpleNamespace(vertices=g.vertices, diagram=g), render_vertex)
+    assert str(err.value) == "y is not reachable from x in the diagram"
+
+
+def test_certificate_sweep_refuses_a_walk_of_the_wrong_length(monkeypatch):
+    def detoured(lat, s, t, via="join"):
+        # out along the first edge and back: a walk that validates as
+        # "mixed" but is two steps longer than the distance
+        cert = shortest_path(lat, s, t, via=via)
+        (w, c), = lat.diagram.out_edges(s)[:1]
+        return PathCertificate((s, w) + cert.vertices, "mixed", None,
+                               ((c, +1), (c, -1)) + cert.steps)
+
+    monkeypatch.setattr(verify, "shortest_path", detoured)
+    with pytest.raises(verify._CheckFailed) as err:
+        verify._check_certificates(z_lattice(2), format_bits)
+    assert str(err.value) == "join certificate for 00 -> 00 has length 2, distance is 0"
