@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 from bisect import insort
 from collections import Counter, deque
+from operator import le
 
 __all__ = [
     "NotRankedError",
@@ -730,7 +731,9 @@ class PathCertificate:
 
     def validate(self, lat: DiamondLattice) -> None:
         """Check every step is a diagram edge and the profile matches the
-        declared orientation; raises LatticeError on any defect."""
+        declared orientation, and that a "mixed" walk is as long as the
+        rank-formula distance between its ends; raises LatticeError on any
+        defect."""
         g = lat.diagram
         for i in range(len(self.steps)):
             u, v = self.vertices[i], self.vertices[i + 1]
@@ -764,6 +767,12 @@ class PathCertificate:
                 raise LatticeError("nadir is not the declared turning point")
             if self.turning_point != lat.meet(self.vertices[0], self.vertices[-1]):
                 raise LatticeError("nadir differs from the meet of the endpoints")
+        else:
+            a, b = self.vertices[0], self.vertices[-1]
+            d = 2 * lat.rank[lat.join(a, b)] - lat.rank[a] - lat.rank[b]
+            if self.distance != d:
+                raise LatticeError(
+                    f"mixed certificate has {self.distance} steps, distance is {d}")
 
     def serialize(self) -> str:
         """Line-oriented text form: a header, then one step per line."""
@@ -791,47 +800,74 @@ class TupleLattice:
     minimum and ``top`` the maximum.  As in :func:`tuple_lattice`, covers
     raise one coordinate by 1, join and meet are component-wise max and min,
     and the raise of coordinate q (1-based) onto the value v wears color
-    ``color(q, v)``.  A family supplies three rules:
+    ``color(q, v)``.  A family supplies two rules:
 
-    * ``member(x)``: whether the tuple x is a member;
     * ``color(q, v)``: the edge color;
     * ``least(q, v)``: for 1 <= v <= top_q, the least member whose
       coordinate q is >= v.
 
-    The members with x_q >= v form the interval [least(q, v), top], so
-    least(q, v) is the join irreducible that every edge raising coordinate q
-    onto v adds.  The irreducibles below x are therefore the pairs (q, v)
-    with 0 < v <= x_q: the rank is the coordinate sum, and color counts are
-    tallies over coordinate gaps.  That the members are closed under max
-    and min is the family's claim; as with :func:`tuple_lattice`,
-    certifying it is left to the caller.
+    The least members decide membership (Birkhoff: a distributive lattice
+    is fixed by its join irreducibles).  A tuple x with 0 <= x <= top is a
+    member exactly when it lies part-wise above least(q, x_q) for each q
+    with x_q > 0.  The family claims two things of ``least``: (a) least(q, v)
+    is a member with part q equal to v, and (b) least(q, v) lies part-wise
+    below least(q, v+1).  The rest follows.
+
+    * The members are closed under max and min.  Let z be the max or the
+      min of members x and y, and say z_q = x_q > 0.  For the max, z lies above
+      x, so above least(q, z_q).  For the min, y_q >= x_q, so y lies above
+      least(q, y_q) and by (b) above least(q, x_q), as x does; so does z.
+    * least(q, v) is the least member with part q >= v: it is one by (a),
+      and a member x with x_q >= v lies above least(q, x_q), so by (b)
+      above least(q, v).  Each least(q, top_q) is a member, so lies below
+      ``top``, and ``top`` is the maximum member.
+    * The members with x_q >= v therefore form the interval
+      [least(q, v), top], so least(q, v) is the join irreducible that every
+      edge raising coordinate q onto v adds.  The irreducibles below x are
+      the pairs (q, v) with 0 < v <= x_q: the rank is the coordinate sum,
+      and color counts are tallies over coordinate gaps.
+    * A member x with x_q > 0 may lower coordinate q (x - e_q is a member)
+      exactly when no other coordinate's current least member,
+      least(r, x_r) with r != q and x_r > 0, has part q >= x_q.  Coordinate
+      q itself passes: if x_q > 1, least(q, x_q - 1) lies below
+      least(q, x_q), so below x, and its part q is x_q - 1.  Every other r passes exactly when
+      least(r, x_r), which lies below x, has part q below x_q.  On a fall
+      to a member goal below x, a coordinate r already at goal never
+      blocks one above it: least(r, goal_r) lies below goal, so its part q
+      is at most goal_q < x_q.
 
     Geodesics break ties as :func:`~colorlattice.paths.shortest_path` does
     on the explicit lattice, whose irreducibles sort as tuples: a climb adds
     the least missing irreducible at each step, and a fall removes the least
-    one that can go.  Each leg sorts once, for two reasons.  First,
-    least(q, v) has part q equal to v and lies part-wise below
-    least(q, v+1), so each coordinate's irreducibles increase strictly in
-    tuple order, and the least of the coordinates' next ones is the least of
-    all that are left: a climb adds every missing irreducible in one sorted
-    pass.  An irreducible below another sorts before it, so the least
-    missing one is minimal among the missing ones and each raise lands on a
-    member untested.  Second, a fall may remove least(q, x_q) exactly when
-    x - e_q is a member, and a step changes only the removed coordinate's
-    top: the fall keeps the tops (least(q, x_q), q) sorted, tests them in
-    order, and re-inserts only the one that changed.
+    one that can go.  Each leg sorts once.  By (a) and (b) each
+    coordinate's irreducibles increase strictly in tuple order, so the least
+    of the coordinates' next ones is the least of all that are left: a
+    climb adds every missing irreducible in one sorted pass.  An irreducible
+    below another sorts before it, so the least missing one is minimal
+    among the missing ones and each raise lands on a member untested.  A
+    fall keeps the current least members (least(q, x_q), q) of the
+    coordinates above goal sorted, lowers the first that no other one
+    blocks, and re-inserts only the one that changed.  A blocker of
+    least(q, x_q) is a member with part q >= x_q, so it lies above
+    least(q, x_q) and sorts after it: the test looks from the end.
     """
 
-    __slots__ = ("top", "member", "color", "least")
+    __slots__ = ("top", "color", "least")
 
-    def __init__(self, top, member, color, least):
+    def __init__(self, top, color, least):
         self.top = tuple(top)
-        self.member = member
         self.color = color
         self.least = least
 
     def __repr__(self):
         return f"TupleLattice(top {render_vertex(self.top)})"
+
+    def member(self, x) -> bool:
+        """Whether ``x`` lies in the box and above least(q, x_q) wherever x_q > 0."""
+        return (len(x) == len(self.top)
+                and all(0 <= a <= b for a, b in zip(x, self.top))
+                and all(all(map(le, self.least(q, v), x))
+                        for q, v in enumerate(x, 1) if v))
 
     def rank(self, x) -> int:
         return sum(x)
@@ -918,14 +954,14 @@ class TupleLattice:
                       for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
         while tops:
             for i, (_, q) in enumerate(tops):
-                x[q - 1] -= 1
-                if self.member(tuple(x)):
+                v = x[q - 1]
+                if not any(lo[q - 1] >= v for lo, r in reversed(tops) if r != q):
                     break
-                x[q - 1] += 1
             else:
                 raise LatticeError(f"no lower cover of {render_vertex(tuple(x))} "
                                    f"leads to {render_vertex(tuple(goal))}")
             del tops[i]
+            x[q - 1] -= 1
             if x[q - 1] > goal[q - 1]:
                 insort(tops, (self.least(q, x[q - 1]), q))
             vertices.append(tuple(x))

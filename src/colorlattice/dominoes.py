@@ -611,11 +611,7 @@ def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
 
     So least(q, v) is B(q, v) with its first r parts raised to h, where
     (r, h) is (v-2e, q) or (v-e, q+e) in the two cases the box form fails
-    and (0, 0) elsewhere.  The least members decide membership as well: an
-    admissible partition x is the join (part-wise max) of the least ones
-    below it, least(q, x_q), and a join of admissible ones is admissible.
-    So a box partition x is a member exactly when it lies above each
-    least(q, x_q), that is, when x_r >= h for each of their (r, h).
+    and (0, 0) elsewhere.
     """
     m, e = 2 * n - k, n - k
 
@@ -632,12 +628,8 @@ def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
             return (v,) * q + (h,) * (r - q) + (0,) * (k - r)
         return (h,) * r + (v,) * (q - r) + (0,) * (k - q)
 
-    def member(x):
-        return is_box_partition(x, k, m) and all(
-            x[r - 1] >= h for r, h in (raised(q, v) for q, v in enumerate(x, 1)) if r)
-
     color = (lambda q, t: q - t + m) if kind == "full" else (lambda q, t: sigma(q - t + m, n))
-    return TupleLattice((m,) * k, member, color, least)
+    return TupleLattice((m,) * k, color, least)
 
 
 # --------------------------------------------------------------------------

@@ -100,10 +100,8 @@ def _catalan_lattice(n: int) -> TupleLattice:
 
     The least member with coordinate q >= v is (v, ..., v, 0, ..., 0), q parts v.
     """
-    return TupleLattice(
-        range(n, 0, -1),
-        lambda x: is_box_partition(x, n, n) and all(v <= n - i for i, v in enumerate(x)),
-        lambda q, t: n + q - t, lambda q, v: (v,) * q + (0,) * (n - q))
+    return TupleLattice(range(n, 0, -1), lambda q, t: n + q - t,
+                        lambda q, v: (v,) * q + (0,) * (n - q))
 
 
 # --------------------------------------------------------------------------

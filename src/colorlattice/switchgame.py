@@ -54,16 +54,9 @@ def is_cushioned(x, n=None) -> bool:
         return False
     if any(not isinstance(e, int) or isinstance(e, bool) for e in x):
         return False
-    return _cushioned(x)
-
-
-def _cushioned(x) -> bool:
-    """`is_cushioned` for a tuple of integers, by one pass.
-
-    Each entry lies in 0..n and below the nonzero entry before it; after a
-    zero only zeros may follow.
-    """
-    bound = len(x) + 1
+    # each entry lies in 0..n and below the nonzero entry before it; after a
+    # zero only zeros may follow
+    bound = n + 1
     for e in x:
         if not 0 <= e < bound:
             return False
@@ -104,7 +97,7 @@ def _cushioned_lattice(n: int) -> TupleLattice:
     (v+q-1, ..., v+1, v, 0, ..., 0).
     """
     return TupleLattice(
-        range(n, 0, -1), _cushioned, lambda q, t: n + 1 - t,
+        range(n, 0, -1), lambda q, t: n + 1 - t,
         lambda q, v: tuple(range(v + q - 1, v - 1, -1)) + (0,) * (n - q))
 
 

@@ -156,11 +156,11 @@ def _check_certificates(lat, fmt):
             d = lattice_distance(lat, s, t)
             for via in ("join", "meet"):
                 cert = shortest_path(lat, s, t, via=via)
-                cert.validate(lat)
                 if cert.distance != d:
                     raise _CheckFailed(
                         f"{via} certificate for {fmt(s)} -> {fmt(t)} has length "
                         f"{cert.distance}, distance is {d}")
+                cert.validate(lat)
 
 
 def _check_color_multisets(lat, fmt):

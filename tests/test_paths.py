@@ -84,6 +84,18 @@ def test_every_geodesic_shares_one_color_multiset(zee4):
         p.validate(zee4)
 
 
+def test_every_enumerated_geodesic_validates(zee4):
+    # the mixed ones too, which validate checks against the rank formula
+    verts = zee4.vertices
+    orientations = Counter()
+    for s in verts:
+        for t in verts:
+            for p in all_shortest_paths(zee4, s, t, cap=10):
+                p.validate(zee4)
+                orientations[p.orientation] += 1
+    assert orientations["mixed"] > 0
+
+
 def test_enumeration_refuses_distances_beyond_the_cap(zee4):
     with pytest.raises(CapExceededError):
         all_shortest_paths(zee4, (0, 0, 0, 0), (4, 3, 2, 1), cap=9)

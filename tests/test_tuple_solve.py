@@ -21,7 +21,6 @@ from colorlattice import (
     dec_admissible,
     dec_lattice,
     domino_digraph,
-    enumerate_box_partitions,
     enumerate_tilings,
     is_box_partition,
     kn_admissible,
@@ -41,7 +40,8 @@ from colorlattice import (
 from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH
 from colorlattice.dominoes import _action, _board_lattice
 from colorlattice.snakes import _catalan_lattice, _pull_back
-from colorlattice.switchgame import _cushioned_lattice, all_cushioned, int_to_bits
+from colorlattice.switchgame import (_cushioned_lattice, all_cushioned, int_to_bits,
+                                     is_cushioned)
 
 KINDS = ("ballot", "staircase", "full")
 BOARD_SIZES = [(k, n) for n in range(1, 5) for k in range(1, n + 1)]
@@ -177,6 +177,16 @@ def test_cushioned_least_members_match_a_brute_force_search(n):
             assert lat.least(q, v) == brute_force_least(members, q, v)
 
 
+def test_switch_membership_agrees_with_is_cushioned():
+    for n in range(2, 7):
+        lat = _cushioned_lattice(n)
+        for x in product(range(n + 1), repeat=n):
+            assert lat.member(x) == is_cushioned(x, n), x
+        assert not lat.member((0,) * (n - 1) + (-1,))
+        assert not lat.member((0,) * (n + 1))
+        assert not lat.member((n + 1,) + (0,) * (n - 1))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
                                   for k in range(1, n + 1)])
@@ -224,15 +234,17 @@ def test_the_full_box_form_fails_on_the_symplectic_families():
 
 
 @pytest.mark.parametrize("kind, admissible", [("ballot", dec_admissible),
-                                              ("staircase", kn_admissible)])
+                                              ("staircase", kn_admissible),
+                                              ("full", lambda x, k, n: True)],
+                         ids=["ballot-dec_admissible", "staircase-kn_admissible", "full"])
 def test_board_membership_agrees_with_admissibility(kind, admissible):
     for n in range(1, 6):
         for k in range(1, n + 1):
             m = 2 * n - k
             lat = _board_lattice(kind, k, n)
-            for x in enumerate_box_partitions(k, m + 1):
+            for x in product(range(m + 2), repeat=k):
                 want = is_box_partition(x, k, m) and admissible(x, k, n)
-                assert lat.member(x) == want
+                assert lat.member(x) == want, x
             assert not lat.member((1,) * (k - 1) + (-1,))
             assert not lat.member((0,) * k + (0,))
             if k > 1:
@@ -275,12 +287,13 @@ def test_geodesics_refuse_non_members_and_unknown_turns():
 
 
 def test_descent_reports_rules_that_leave_no_lower_cover():
-    # a bogus member rule that admits only the two endpoints
+    # a bogus least rule that puts every irreducible at the top: the top and
+    # the bottom are members, but each coordinate blocks every other's fall
     rules = _cushioned_lattice(3)
-    lat = TupleLattice(rules.top, lambda x: x in {(0, 0, 0), (2, 1, 0)},
-                       rules.color, rules.least)
+    lat = TupleLattice(rules.top, rules.color, lambda q, v: rules.top)
+    assert lat.member(lat.top) and lat.member((0, 0, 0))
     with pytest.raises(LatticeError, match="no lower cover"):
-        lat.geodesic((2, 1, 0), (0, 0, 0))
+        lat.geodesic(lat.top, (0, 0, 0))
 
 
 def test_rank_and_color_counts_match_the_explicit_lattice():
@@ -356,14 +369,18 @@ def test_catalan_least_members_match_a_brute_force_search(n):
             assert lat.least(q, v) == brute_force_least(members, q, v)
 
 
-def test_catalan_membership_agrees_with_the_enumeration():
-    for n in range(1, 5):
+def test_catalan_membership_agrees_with_the_definition():
+    # weakly decreasing with 0 <= s_i <= n+1-i, written out here rather
+    # than read from catalan_tuples, which filters through lat.member
+    for n in range(1, 6):
         lat = _catalan_lattice(n)
-        members = set(catalan_tuples(n))
-        for x in enumerate_box_partitions(n, n + 1):
-            assert lat.member(x) == (x in members)
+        for x in product(range(n + 2), repeat=n):
+            want = (all(a >= b for a, b in zip(x, x[1:]))
+                    and all(0 <= v <= n - i for i, v in enumerate(x)))
+            assert lat.member(x) == want, x
         assert not lat.member((0,) * (n - 1) + (-1,))
         assert not lat.member((0,) * (n + 1))
+        assert not lat.member((n + 1,) + (0,) * (n - 1))
 
 
 def test_a_cold_snake_solve_builds_no_graph():

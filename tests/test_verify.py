@@ -7,6 +7,7 @@ import pytest
 
 from colorlattice import (
     ColoredDigraph,
+    LatticeError,
     PathCertificate,
     shortest_path,
     z_lattice,
@@ -58,16 +59,25 @@ def test_distance_sweep_refuses_an_unreachable_target(monkeypatch):
     assert str(err.value) == "y is not reachable from x in the diagram"
 
 
-def test_certificate_sweep_refuses_a_walk_of_the_wrong_length(monkeypatch):
-    def detoured(lat, s, t, via="join"):
-        # out along the first edge and back: a walk that validates as
-        # "mixed" but is two steps longer than the distance
-        cert = shortest_path(lat, s, t, via=via)
-        (w, c), = lat.diagram.out_edges(s)[:1]
-        return PathCertificate((s, w) + cert.vertices, "mixed", None,
-                               ((c, +1), (c, -1)) + cert.steps)
+def detoured(lat, s, t, via="join"):
+    # out along the first edge and back: a "mixed" walk whose every step is
+    # a diagram edge, two steps longer than the distance
+    cert = shortest_path(lat, s, t, via=via)
+    (w, c), = lat.diagram.out_edges(s)[:1]
+    return PathCertificate((s, w) + cert.vertices, "mixed", None,
+                           ((c, +1), (c, -1)) + cert.steps)
 
+
+def test_certificate_sweep_refuses_a_walk_of_the_wrong_length(monkeypatch):
     monkeypatch.setattr(verify, "shortest_path", detoured)
     with pytest.raises(verify._CheckFailed) as err:
         verify._check_certificates(z_lattice(2), format_bits)
     assert str(err.value) == "join certificate for 00 -> 00 has length 2, distance is 0"
+
+
+def test_validate_refuses_a_mixed_walk_of_the_wrong_length():
+    lat = z_lattice(2)
+    s = lat.vertices[0]
+    with pytest.raises(LatticeError) as err:
+        detoured(lat, s, s).validate(lat)
+    assert str(err.value) == "mixed certificate has 2 steps, distance is 0"
