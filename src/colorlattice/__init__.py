@@ -41,12 +41,12 @@ _EXPORTS = {
         "is_diamond_colored", "is_topographically_balanced",
         "join_irreducibles", "rank_function", "to_dot", "tuple_lattice"),
     "dominoes": (
-        "Board", "DominoSolution", "Move", "StructureViolationError",
-        "a_lattice", "dec_admissible", "dec_lattice", "domino_digraph",
-        "enumerate_box_partitions", "enumerate_tableaux", "is_ballot",
-        "is_box_partition", "is_staircase", "kn_admissible", "kn_lattice",
-        "l_inv", "l_map", "legal_moves", "part_to_tab", "replay_domino",
-        "sigma", "solve_domino", "tab_to_part", "wt_c"),
+        "Board", "DominoSolution", "Move", "a_lattice", "dec_admissible",
+        "dec_lattice", "domino_digraph", "enumerate_box_partitions",
+        "enumerate_tableaux", "is_ballot", "is_box_partition", "is_staircase",
+        "kn_admissible", "kn_lattice", "l_inv", "l_map", "legal_moves",
+        "part_to_tab", "replay_domino", "sigma", "solve_domino",
+        "tab_to_part", "wt_c"),
     "paths": (
         "all_shortest_paths", "color_count_min", "color_counts",
         "gods_number", "lattice_distance", "shortest_path"),

@@ -13,8 +13,8 @@ families) is built on three carriers defined here:
   meets and explicit geodesics can be computed set-theoretically.
 
 Two more live beside them: :class:`PathCertificate`, a replayable walk in a
-lattice, and :class:`TupleLattice`, a lattice of integer tuples given by a
-membership rule instead of a diagram, which builds such walks without
+lattice, and :class:`TupleLattice`, a lattice of integer tuples given by
+its least members instead of a diagram, which builds such walks without
 enumerating its vertices.
 
 All values are immutable after construction; every function here is pure.
@@ -678,26 +678,28 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
     return DiamondLattice(diagram, "distributive", ideal_coords=coords, poset=p)
 
 
-def tuple_lattice(tuples, color) -> DiamondLattice:
-    """The lattice of a set of integer tuples under the component-wise order.
-
-    ``tuples`` is a sequence of equal-length tuples.  There is an edge
-    x -> y exactly when y raises one coordinate of x by 1 and is again in
-    ``tuples``; the raise of coordinate q (1-based) onto the value t wears
-    color ``color(q, t)``.  Join and meet are component-wise max and min;
-    certifying that the set is closed under them is left to the caller.
-    """
-    have = set(tuples)
-    edges = []
-    for x in tuples:
-        for q in range(1, len(x) + 1):
-            y = x[:q - 1] + (x[q - 1] + 1,) + x[q:]
-            if y in have:
-                edges.append((x, y, color(q, y[q - 1])))
-    return DiamondLattice(
-        ColoredDigraph(tuples, edges), "distributive",
-        coord_join=lambda a, b: tuple(map(max, a, b)),
-        coord_meet=lambda a, b: tuple(map(min, a, b)))
+def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
+    """Certify ``rules``, then climb from the zero tuple to its explicit lattice
+    (see :class:`TupleLattice`), reading each coordinate's least members and
+    colors from a table; Birkhoff coordinates are attached."""
+    rules.certify()
+    tables = [[(rules.least(q, v), rules.color(q, v)) for v in range(1, hi + 1)]
+              for q, hi in enumerate(rules.top, 1)]
+    top, zero = rules.top, (0,) * len(rules.top)
+    members, edges, seen = [zero], [], {zero: zero}
+    for x in members:
+        for q, (a, hi) in enumerate(zip(x, top)):
+            if a < hi:
+                lo, c = tables[q][a]
+                y = x[:q] + (a + 1,) + x[q + 1:]
+                if all(map(le, lo, y)):
+                    if y not in seen:
+                        seen[y] = y
+                        members.append(y)
+                    edges.append((x, seen[y], c))   # one tuple per member
+    return attach_birkhoff_coords(DiamondLattice(
+        ColoredDigraph(members, edges), "distributive",
+        coord_join=rules.join, coord_meet=rules.meet))
 
 
 class PathCertificate:
@@ -797,10 +799,10 @@ class TupleLattice:
     """A distributive lattice of integer tuples, given by rules, not enumerated.
 
     The members are tuples x with 0 <= x_q <= top_q: the zero tuple is the
-    minimum and ``top`` the maximum.  As in :func:`tuple_lattice`, covers
-    raise one coordinate by 1, join and meet are component-wise max and min,
-    and the raise of coordinate q (1-based) onto the value v wears color
-    ``color(q, v)``.  A family supplies two rules:
+    minimum and ``top`` the maximum.  Covers raise one coordinate by 1,
+    join and meet are component-wise max and min, and the raise of
+    coordinate q (1-based) onto the value v wears color ``color(q, v)``.
+    A family supplies two rules:
 
     * ``color(q, v)``: the edge color;
     * ``least(q, v)``: for 1 <= v <= top_q, the least member whose
@@ -809,9 +811,9 @@ class TupleLattice:
     The least members decide membership (Birkhoff: a distributive lattice
     is fixed by its join irreducibles).  A tuple x with 0 <= x <= top is a
     member exactly when it lies part-wise above least(q, x_q) for each q
-    with x_q > 0.  The family claims two things of ``least``: (a) least(q, v)
-    is a member with part q equal to v, and (b) least(q, v) lies part-wise
-    below least(q, v+1).  The rest follows.
+    with x_q > 0.  :meth:`certify` checks three claims on ``least``: (a)
+    least(q, v) is a member with part q equal to v, (b) least(q, v) lies
+    part-wise below least(q, v+1), and (c) no two are equal.  The rest follows.
 
     * The members are closed under max and min.  Let z be the max or the
       min of members x and y, and say z_q = x_q > 0.  For the max, z lies above
@@ -826,6 +828,11 @@ class TupleLattice:
       edge raising coordinate q onto v adds.  The irreducibles below x are
       the pairs (q, v) with 0 < v <= x_q: the rank is the coordinate sum,
       and color counts are tallies over coordinate gaps.
+    * Each nonzero member x has a member lower cover, so a climb from the
+      zero tuple meets every member: a raise x + e_q of a member is one
+      exactly when it lies in the box and above least(q, x_q + 1).  Take
+      least(q, x_q) maximal among the irreducibles below x: the join of the
+      others is x - e_q, as a larger part q would put one above it, by (c).
     * A member x with x_q > 0 may lower coordinate q (x - e_q is a member)
       exactly when no other coordinate's current least member,
       least(r, x_r) with r != q and x_r > 0, has part q >= x_q.  Coordinate
@@ -862,6 +869,26 @@ class TupleLattice:
     def __repr__(self):
         return f"TupleLattice(top {render_vertex(self.top)})"
 
+    def certify(self) -> None:
+        """Check claims (a)-(c) on the least members; LatticeError if one fails."""
+        seen = {}
+        for q, hi in enumerate(self.top, 1):
+            below = ()
+            for v in range(1, hi + 1):
+                x = self.least(q, v)
+                if not self.member(x):
+                    why = "is not a member"
+                elif x[q - 1] != v:
+                    why = f"has part {q} equal to {x[q - 1]}, not {v}"
+                elif not all(map(le, below, x)):
+                    why = f"does not lie above least({q}, {v - 1}) = {render_vertex(below)}"
+                elif x in seen:
+                    why = f"repeats least{seen[x]}"
+                else:
+                    seen[x], below = (q, v), x
+                    continue
+                raise LatticeError(f"least({q}, {v}) = {render_vertex(x)} {why}")
+
     def member(self, x) -> bool:
         """Whether ``x`` lies in the box and above least(q, x_q) wherever x_q > 0."""
         return (len(x) == len(self.top)
@@ -878,8 +905,13 @@ class TupleLattice:
     def meet(self, s, t):
         return tuple(map(min, s, t))
 
+    def _lengths(self, *xs):
+        if any(len(x) != len(self.top) for x in xs):   # zip would drop a trailing part
+            raise ValueError(f"tuples of {len(self.top)} parts expected, got {xs}")
+
     def distance(self, s, t) -> int:
         """The rank formula through the join and through the meet, which must agree."""
+        self._lengths(s, t)
         rs, rt = self.rank(s), self.rank(t)
         via_join = 2 * self.rank(self.join(s, t)) - rs - rt
         via_meet = rs + rt - 2 * self.rank(self.meet(s, t))
@@ -907,6 +939,7 @@ class TupleLattice:
         Counted over the gaps from s and t up to their join and, as a check,
         down to their meet.
         """
+        self._lengths(s, t)
         hi, lo = self.join(s, t), self.meet(s, t)
         up = self._gaps((s, hi), (t, hi))
         if up != self._gaps((lo, s), (lo, t)):

@@ -24,19 +24,17 @@ which reorders a tableau's values into places 1..2n: odd v goes to place
 (v+1)/2 and even v to place 2n+1-v/2, so the odd values fill the first n
 places in order and the even values the last n in reverse.  Last come the
 two admissibility conditions that carve the symplectic sublattices out of
-the full box lattice.
+the full box lattice, which ``verify symplectic`` holds `_board_lattice` to.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
-from .core import (ColoredDigraph, DiamondLattice, LatticeError, TupleLattice,
-                   attach_birkhoff_coords, tuple_lattice)
+from .core import ColoredDigraph, DiamondLattice, TupleLattice, tuple_lattice
 
 __all__ = [
-    "StructureViolationError",
     "is_box_partition",
     "is_ballot",
     "is_staircase",
@@ -71,10 +69,6 @@ __all__ = [
 ]
 
 
-class StructureViolationError(LatticeError):
-    """An induced subgraph failed its lattice validation; implementation bug."""
-
-
 # --------------------------------------------------------------------------
 # partitions and their validity per board kind
 
@@ -106,18 +100,7 @@ def is_staircase(tau, k: int, n: int) -> bool:
 
 def enumerate_box_partitions(k: int, m: int):
     """All weakly decreasing k-tuples with entries in 0..m, sorted."""
-    out = []
-
-    def grow(prefix, cap):
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for p in range(cap + 1):
-            grow(prefix + [p], p)
-
-    grow([], m)
-    out.sort()
-    return out
+    return sorted(combinations_with_replacement(range(m, -1, -1), k))
 
 
 def _move(rows, squares, add: bool):
@@ -530,8 +513,7 @@ def a_lattice(k: int, m: int) -> DiamondLattice:
     """
     if k < 1 or m < 1:
         raise ValueError("box dimensions must be positive")
-    return attach_birkhoff_coords(tuple_lattice(
-        enumerate_box_partitions(k, m), lambda q, t: q - t + m))
+    return tuple_lattice(_box_lattice(k, m))
 
 
 def sigma(i: int, n: int) -> int:
@@ -541,36 +523,12 @@ def sigma(i: int, n: int) -> int:
     return i if i <= n else 2 * n - i
 
 
-def _induced_lattice(k: int, n: int, admissible) -> DiamondLattice:
-    """The admissible box partitions, with the box colors folded by sigma.
-
-    ``check_lattice`` certifies the build: for every pair, the component-wise
-    max and min are vertices whose up-set (down-set) mask is the pair's
-    common one, so they are the order join and meet.  The lattice is then a
-    sublattice of a product of chains, hence distributive, and
-    ``attach_birkhoff_coords`` cannot refuse it.
-    """
-    m = 2 * n - k
-    keep = [tau for tau in enumerate_box_partitions(k, m)
-            if admissible(tau, k, n)]
-    try:
-        lat = tuple_lattice(keep, lambda q, t: sigma(q - t + m, n))
-        lat.check_lattice()
-    except (LatticeError, ValueError) as err:
-        raise StructureViolationError(
-            f"induced subgraph is not a ranked lattice diagram: {err}") from None
-    if lat.length != k * m:
-        raise StructureViolationError(
-            f"length {lat.length}, expected {k * m}")
-    return attach_birkhoff_coords(lat)
-
-
 @lru_cache(maxsize=None)
 def kn_lattice(k: int, n: int) -> DiamondLattice:
     """The sublattice of the folded box lattice on the first admissible family."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return _induced_lattice(k, n, kn_admissible)
+    return tuple_lattice(_board_lattice("staircase", k, n))
 
 
 @lru_cache(maxsize=None)
@@ -578,19 +536,25 @@ def dec_lattice(k: int, n: int) -> DiamondLattice:
     """The sublattice of the folded box lattice on the second admissible family."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return _induced_lattice(k, n, dec_admissible)
+    return tuple_lattice(_board_lattice("ballot", k, n))
+
+
+def _box_lattice(k: int, m: int) -> TupleLattice:
+    """``a_lattice(k, m)`` by rules: least(q, v) is (v, ..., v, 0, ..., 0), q parts v."""
+    return TupleLattice((m,) * k, lambda q, t: q - t + m,
+                        lambda q, v: (v,) * q + (0,) * (k - q))
 
 
 def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
     """The lattice ``solve_domino`` walks for a board kind, by rules.
 
     Full boards walk ``a_lattice(k, m)``, m = 2n-k, ballot boards
-    ``dec_lattice(k, n)`` and staircase boards ``kn_lattice(k, n)``.  Each
-    least member with part q >= v has a closed form.  Write e = n-k (so
-    m = k+2e), B(q, v) = (v, ..., v, 0, ..., 0) with q parts v, and tau'
-    for the conjugate.  B(q, v) lies below every partition with part
-    q >= v, so it is the least one whenever it is a member; on full boards
-    it always is.
+    ``dec_lattice(k, n)`` and staircase boards ``kn_lattice(k, n)``, built
+    from these rules.  Each least member with part q >= v has a closed form.
+    Write e = n-k (so m = k+2e), B(q, v) = (v, ..., v, 0, ..., 0) with q
+    parts v, and tau' for the conjugate.  B(q, v) lies below every partition
+    with part q >= v, so it is the least one whenever it is a member; on
+    full boards it always is.
 
     * Staircase (kn: tau_i - tau'_i <= 2e for i up to the Durfee size).
       Put r = v-2e.  When r <= q, B(q, v) is admissible: on its Durfee
@@ -611,25 +575,21 @@ def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
 
     So least(q, v) is B(q, v) with its first r parts raised to h, where
     (r, h) is (v-2e, q) or (v-e, q+e) in the two cases the box form fails
-    and (0, 0) elsewhere.
+    and (0, 0) elsewhere.  ``check_lattice`` runs in ``verify symplectic``.
     """
-    m, e = 2 * n - k, n - k
-
-    def raised(q, v):
-        if kind == "staircase" and v - 2 * e > q:
-            return v - 2 * e, q
-        if kind == "ballot" and 0 < v - e < q:
-            return v - e, q + e
-        return 0, 0
+    box = _box_lattice(k, 2 * n - k)
+    if kind == "full":
+        return box
+    e = n - k
 
     def least(q, v):
-        r, h = raised(q, v)
+        r, h = ((v - 2 * e, q) if kind == "staircase" and v - 2 * e > q else
+                (v - e, q + e) if kind == "ballot" and 0 < v - e < q else (0, 0))
         if r > q:
             return (v,) * q + (h,) * (r - q) + (0,) * (k - r)
         return (h,) * r + (v,) * (q - r) + (0,) * (k - q)
 
-    color = (lambda q, t: q - t + m) if kind == "full" else (lambda q, t: sigma(q - t + m, n))
-    return TupleLattice((m,) * k, color, least)
+    return TupleLattice(box.top, lambda q, t: sigma(box.color(q, t), n), least)
 
 
 # --------------------------------------------------------------------------

@@ -51,8 +51,7 @@ from functools import lru_cache
 from math import comb
 
 from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   NotIsomorphicError, TupleLattice, attach_birkhoff_coords,
-                   tuple_lattice)
+                   NotIsomorphicError, TupleLattice, tuple_lattice)
 from .dominoes import _move, enumerate_box_partitions, is_box_partition
 
 __all__ = [
@@ -78,8 +77,7 @@ __all__ = [
 
 def catalan_tuples(n: int):
     """Weakly decreasing n-tuples with 0 <= s_i <= n+1-i, sorted."""
-    member = _catalan_lattice(n).member
-    return [s for s in enumerate_box_partitions(n, n) if member(s)]
+    return list(filter(_catalan_lattice(n).member, enumerate_box_partitions(n, n)))
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +89,7 @@ def c_lattice(n: int) -> DiamondLattice:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return attach_birkhoff_coords(
-        tuple_lattice(catalan_tuples(n), lambda q, t: n + q - t))
+    return tuple_lattice(_catalan_lattice(n))
 
 
 def _catalan_lattice(n: int) -> TupleLattice:

@@ -19,8 +19,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (ColoredDigraph, DiamondLattice, TupleLattice,
-                   attach_birkhoff_coords, tuple_lattice)
+from .core import ColoredDigraph, DiamondLattice, TupleLattice, tuple_lattice
 
 __all__ = [
     "is_cushioned",
@@ -68,12 +67,8 @@ def all_cushioned(n: int):
     """All cushioned tuples of length n, sorted; there are exactly 2^n."""
     if n < 2:
         raise ValueError("the game is played at n >= 2")
-    out = []
-    for k in range(n + 1):
-        for sub in combinations(range(1, n + 1), k):
-            out.append(tuple(sorted(sub, reverse=True)) + (0,) * (n - k))
-    out.sort()
-    return out
+    return sorted(sub[::-1] + (0,) * (n - k)
+                  for k in range(n + 1) for sub in combinations(range(1, n + 1), k))
 
 
 @lru_cache(maxsize=None)
@@ -85,8 +80,9 @@ def z_lattice(n: int) -> DiamondLattice:
     component-wise max and min, and Birkhoff coordinates are attached so
     explicit optimal paths can be built.
     """
-    return attach_birkhoff_coords(
-        tuple_lattice(all_cushioned(n), lambda q, t: n + 1 - t))
+    if n < 2:
+        raise ValueError("the game is played at n >= 2")
+    return tuple_lattice(_cushioned_lattice(n))
 
 
 def _cushioned_lattice(n: int) -> TupleLattice:

@@ -277,6 +277,16 @@ def _check_domino_iso(k, n):
             raise _CheckFailed(f"{kind} board: {err}") from None
 
 
+def _check_domino_members(k, n):
+    for label, lat, admissible in (("kn", kn_lattice(k, n), kn_admissible),
+                                   ("dec", dec_lattice(k, n), dec_admissible)):
+        odd = sorted({tau for tau in enumerate_box_partitions(k, 2 * n - k)
+                      if admissible(tau, k, n)}.symmetric_difference(lat.vertices))
+        _ck(not odd, f"{label} lattice and the {label} admissible partitions "
+                     f"differ on {format_tuple(odd[0]) if odd else ''}")
+        lat.check_lattice()
+
+
 def _check_domino_tallies(k, n):
     for tau in enumerate_box_partitions(k, 2 * n - k):
         _ck(kn_admissible(tau, k, n) == kn_admissible_tally(tau, k, n),
@@ -295,6 +305,9 @@ def _suite_symplectic(max_n):
     checks = []
     pairs = [(k, n) for n in range(1, max_n + 1) for k in range(1, n + 1)]
     for k, n in pairs:
+        checks.append((f"columns k={k} n={n}: kn and dec lattices list the "
+                       f"admissible partitions and pass the lattice certificate",
+                       lambda k=k, n=n: _check_domino_members(k, n)))
         checks.append((f"columns k={k} n={n}: five cardinality countings agree",
                        lambda k=k, n=n: _check_domino_counts(k, n)))
         checks.append((f"columns k={k} n={n}: rank polynomials match the closed form",

@@ -28,7 +28,7 @@ EXPORTS = [
     "bfs_distance", "ideals_lattice", "is_diamond_colored",
     "is_topographically_balanced", "join_irreducibles", "rank_function",
     "to_dot", "tuple_lattice", "Board", "DominoSolution", "Move",
-    "StructureViolationError", "a_lattice", "dec_admissible", "dec_lattice",
+    "a_lattice", "dec_admissible", "dec_lattice",
     "domino_digraph", "enumerate_box_partitions", "enumerate_tableaux",
     "is_ballot", "is_box_partition", "is_staircase", "kn_admissible",
     "kn_lattice", "l_inv", "l_map", "legal_moves", "part_to_tab",

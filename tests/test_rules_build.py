@@ -1,0 +1,150 @@
+"""Explicit lattices built from the family rules, against the member sets.
+
+``tuple_lattice(rules)`` certifies a :class:`TupleLattice` and climbs from
+the zero tuple.  The oracle lists the members from each family's own
+definition (cushioned tuples, box partitions, the kn/dec admissibility
+filters, staircase-bounded tuples) and finds the unit raises among them
+through a set.
+"""
+
+import pytest
+
+from colorlattice import (
+    ColoredDigraph,
+    DiamondLattice,
+    LatticeError,
+    TupleLattice,
+    a_lattice,
+    attach_birkhoff_coords,
+    c_lattice,
+    catalan_tuples,
+    dec_admissible,
+    dec_lattice,
+    enumerate_box_partitions,
+    kn_admissible,
+    kn_lattice,
+    sigma,
+    tuple_lattice,
+    z_lattice,
+)
+from colorlattice.dominoes import _box_lattice
+from colorlattice.switchgame import _cushioned_lattice, all_cushioned
+
+
+def set_tuple_lattice(tuples, color):
+    """Unit raises found among the listed members; Birkhoff coordinates
+    from the reachability masks."""
+    have = set(tuples)
+    edges = []
+    for x in tuples:
+        for q in range(1, len(x) + 1):
+            y = x[:q - 1] + (x[q - 1] + 1,) + x[q:]
+            if y in have:
+                edges.append((x, y, color(q, y[q - 1])))
+    return attach_birkhoff_coords(DiamondLattice(
+        ColoredDigraph(tuples, edges), "distributive",
+        coord_join=lambda a, b: tuple(map(max, a, b)),
+        coord_meet=lambda a, b: tuple(map(min, a, b))))
+
+
+def staircase_tuples(n):
+    """Weakly decreasing n-tuples with 0 <= s_i <= n+1-i, by definition."""
+    return [s for s in enumerate_box_partitions(n, n)
+            if all(a <= n - i for i, a in enumerate(s))]
+
+
+def admissible_lattice(k, n, admissible):
+    """The admissible box partitions with sigma-folded colors, certified
+    pair by pair as the builds once were."""
+    m = 2 * n - k
+    keep = [tau for tau in enumerate_box_partitions(k, m) if admissible(tau, k, n)]
+    lat = set_tuple_lattice(keep, lambda q, t: sigma(q - t + m, n))
+    lat.check_lattice()
+    assert lat.length == k * m
+    return lat
+
+
+def same_lattice(lat, oracle):
+    assert lat.diagram == oracle.diagram
+    assert lat.rank == oracle.rank
+    assert lat.ideal_coords == oracle.ideal_coords
+    assert lat.poset == oracle.poset
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_switch_rows_match_the_cushioned_tuples(n):
+    same_lattice(z_lattice(n), set_tuple_lattice(all_cushioned(n), lambda q, t: n + 1 - t))
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for m in range(1, 5) for k in range(1, m + 1)]
+                         + [(3, 9)])
+def test_boxes_match_the_box_partitions(k, m):
+    same_lattice(a_lattice(k, m), set_tuple_lattice(enumerate_box_partitions(k, m),
+                                                    lambda q, t: q - t + m))
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 6) for k in range(1, n + 1)])
+def test_symplectic_lattices_match_the_admissible_partitions(k, n):
+    same_lattice(kn_lattice(k, n), admissible_lattice(k, n, kn_admissible))
+    same_lattice(dec_lattice(k, n), admissible_lattice(k, n, dec_admissible))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_catalan_lattices_match_the_staircase_tuples(n):
+    tuples = staircase_tuples(n)
+    assert catalan_tuples(n) == tuples
+    same_lattice(c_lattice(n), set_tuple_lattice(tuples, lambda q, t: n + q - t))
+
+
+# --------------------------------------------------------------------------
+# doctored rules
+
+def doctored(rules, changes):
+    """``rules`` with some least members replaced: ``changes`` maps (q, v)
+    to the tuple it should name instead."""
+    return TupleLattice(rules.top, rules.color,
+                        lambda q, v: changes.get((q, v)) or rules.least(q, v))
+
+
+# Switch rows at n=3: least(q, v) = (v+q-1, ..., v, 0, ..., 0).
+SWITCH3 = _cushioned_lattice(3)
+# The 2 x 2 box: least(q, v) = (v, ..., v, 0, ..., 0), q parts v.
+BOX2 = _box_lattice(2, 2)
+
+
+@pytest.mark.parametrize("rules, match", [
+    # (1, 1, 1) has part 3 equal to 1, but its part 2 does not lie above
+    # least(2, 1) = (2, 1, 0)
+    (doctored(SWITCH3, {(3, 1): (1, 1, 1)}), r"least\(3, 1\) = 1,1,1 is not a member"),
+    # a member, but its part 1 is 2
+    (doctored(SWITCH3, {(1, 1): (2, 0, 0)}), r"least\(1, 1\) = 2,0,0 has part 1 equal to 2"),
+    # (1, 2, 0) is a member of the doctored rules with part 2 equal to 2,
+    # but it does not lie above least(2, 1) = (2, 1, 0)
+    (doctored(SWITCH3, {(2, 2): (1, 2, 0)}),
+     r"least\(2, 2\) = 1,2,0 does not lie above least\(2, 1\) = 2,1,0"),
+    # least(1, 1) = least(2, 1) = (1, 1): each passes (a) and (b)
+    (doctored(BOX2, {(1, 1): (1, 1), (1, 2): (2, 1)}),
+     r"least\(2, 1\) = 1,1 repeats least\(1, 1\)"),
+    # every least member is the top (the rules of the descent test)
+    (TupleLattice(SWITCH3.top, SWITCH3.color, lambda q, v: SWITCH3.top),
+     r"least\(1, 1\) = 3,2,1 has part 1 equal to 3"),
+], ids=["not-a-member", "wrong-part", "falls", "repeated", "all-top"])
+def test_doctored_rules_are_refused(rules, match):
+    with pytest.raises(LatticeError, match=match):
+        rules.certify()
+    with pytest.raises(LatticeError, match=match):
+        tuple_lattice(rules)
+
+
+def test_distances_and_color_counts_refuse_tuples_of_the_wrong_length():
+    lat = _cushioned_lattice(4)
+    # zip would drop the fourth part and report 2
+    for s, t in [((1, 0, 0, 0), (2, 1, 0)), ((2, 1, 0), (1, 0, 0, 0)),
+                 ((1, 0, 0, 0, 0), (1, 0, 0, 0))]:
+        with pytest.raises(ValueError, match="tuples of 4 parts expected"):
+            lat.distance(s, t)
+        with pytest.raises(ValueError, match="tuples of 4 parts expected"):
+            lat.color_counts(s, t)
+    # a length check only: tuples of the right length that are not members
+    # still get the rank formula
+    assert lat.distance((0, 0, 0, 0), (0, 0, 0, 1)) == 1

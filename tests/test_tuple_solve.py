@@ -16,7 +16,6 @@ from colorlattice import (
     bfs_distance,
     c_lattice,
     cached_isomorphism,
-    catalan_tuples,
     color_counts,
     dec_admissible,
     dec_lattice,
@@ -26,6 +25,7 @@ from colorlattice import (
     kn_admissible,
     kn_lattice,
     l_inv,
+    l_map,
     lattice_distance,
     legal_moves,
     legal_snake_moves,
@@ -191,8 +191,10 @@ def test_switch_membership_agrees_with_is_cushioned():
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
                                   for k in range(1, n + 1)])
 def test_board_least_members_match_a_brute_force_search(kind, k, n):
+    # the members come from the board partitions under the coding, not from
+    # the explicit lattice, which reads the same least rule
     lat = _board_lattice(kind, k, n)
-    members = explicit_lattice(kind, k, n).vertices
+    members = [l_map(tau, k, n) for tau in Board(kind, k, n).partitions()]
     for q in range(1, k + 1):
         for v in range(1, 2 * n - k + 1):
             assert lat.least(q, v) == brute_force_least(members, q, v)
@@ -294,6 +296,9 @@ def test_descent_reports_rules_that_leave_no_lower_cover():
     assert lat.member(lat.top) and lat.member((0, 0, 0))
     with pytest.raises(LatticeError, match="no lower cover"):
         lat.geodesic(lat.top, (0, 0, 0))
+    # the certificate refuses these rules up front
+    with pytest.raises(LatticeError, match="has part 1 equal to 3"):
+        lat.certify()
 
 
 def test_rank_and_color_counts_match_the_explicit_lattice():
@@ -362,8 +367,10 @@ def test_pull_back_pins_the_lattice_ends(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_catalan_least_members_match_a_brute_force_search(n):
+    # the members come from the tilings under the pull-back, not from
+    # catalan_tuples, which filters through the same least rule
     lat = _catalan_lattice(n)
-    members = catalan_tuples(n)
+    members = [_pull_back(rows, n) for rows in enumerate_tilings(n)]
     for q in range(1, n + 1):
         for v in range(1, lat.top[q - 1] + 1):
             assert lat.least(q, v) == brute_force_least(members, q, v)
@@ -515,3 +522,5 @@ def test_least_members_rise_strictly_along_each_coordinate(lat):
             assert all(a <= b for a, b in zip(x, y)), (q, x, y)
         seen.update(chain)
     assert len(seen) == sum(lat.top)
+    # the same three claims, as the lattice checks them
+    lat.certify()

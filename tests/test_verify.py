@@ -7,6 +7,7 @@ import pytest
 
 from colorlattice import (
     ColoredDigraph,
+    DiamondLattice,
     LatticeError,
     PathCertificate,
     shortest_path,
@@ -81,3 +82,27 @@ def test_validate_refuses_a_mixed_walk_of_the_wrong_length():
     with pytest.raises(LatticeError) as err:
         detoured(lat, s, s).validate(lat)
     assert str(err.value) == "mixed certificate has 2 steps, distance is 0"
+
+
+def test_member_sweep_passes_on_the_board_lattices():
+    for k, n in [(1, 1), (2, 3), (3, 4)]:
+        verify._check_domino_members(k, n)
+
+
+def test_member_sweep_refuses_other_members(monkeypatch):
+    # at k=n=2, (1, 1) is kn admissible and (2, 0) dec admissible, and
+    # neither is the other
+    monkeypatch.setattr(verify, "kn_lattice", verify.dec_lattice)
+    with pytest.raises(verify._CheckFailed) as err:
+        verify._check_domino_members(2, 2)
+    assert str(err.value) == "kn lattice and the kn admissible partitions differ on 1,1"
+
+
+def test_member_sweep_runs_the_lattice_certificate(monkeypatch):
+    # the right vertices, but a join rule that names the top
+    lat = verify.dec_lattice(2, 3)
+    doctored = DiamondLattice(lat.diagram, "distributive",
+                              coord_join=lambda s, t: lat.maximum, coord_meet=lat.meet)
+    monkeypatch.setattr(verify, "dec_lattice", lambda k, n: doctored)
+    with pytest.raises(LatticeError, match="not their least upper bound"):
+        verify._check_domino_members(2, 3)
