@@ -1,19 +1,28 @@
 """Diamond-colored distributive lattices, move-minimizing puzzles, and
 reflection-group certificates.
 
-The package is organized in layers.  :mod:`colorlattice.core` holds the
-graph/poset/lattice machinery (colored digraphs, rank functions, the order
-ideal correspondence).  :mod:`colorlattice.paths` turns lattice structure
-into optimal play: exact distances, mountain/valley geodesics, per-color
-move counts, God's number.  Three puzzle families are built on top --
-:mod:`colorlattice.switchgame` (rows of switches), :mod:`colorlattice.dominoes`
-(checkered boards tiled by dominoes), :mod:`colorlattice.snakes` (square
-boards tiled by snake-shaped paths) -- each pairing a physical move rule
-with a lattice model and a replay validator.  :mod:`colorlattice.polynomials`
-and :mod:`colorlattice.characters` supply the exact polynomial arithmetic
-and reflection-group apparatus used to certify the lattices as splitting
-posets.  ``colorlattice.cli`` wires everything to a command line, and
-:mod:`colorlattice.verify` holds its sweeps of cross-checks.
+The package is organized by reader.  :mod:`colorlattice.core` is the solve
+kernel: :class:`~colorlattice.core.TupleLattice`, a lattice of integer
+tuples given by its least members, which walks optimal geodesics without
+enumerating anything, and the replayable
+:class:`~colorlattice.core.PathCertificate`.  Three puzzle families are
+built on it -- :mod:`colorlattice.switchgame` (rows of switches),
+:mod:`colorlattice.dominoes` (checkered boards tiled by dominoes),
+:mod:`colorlattice.snakes` (square boards tiled by snake-shaped paths) --
+each holding a game's input checks, coding, least-member rule, move rule,
+solver and replay validator.  :mod:`colorlattice.explicit` is the oracle
+that no solve loads: colored digraphs, vertex-colored posets, materialized
+lattices with reachability masks and Birkhoff coordinates, and every
+family's move graph and lattice, built from the families' own rules.
+:mod:`colorlattice.tableaux` holds the tableau and tally codings of the
+boards and the admissibility filters.  :mod:`colorlattice.paths` reads
+optimal play off an explicit lattice: exact distances, mountain/valley
+geodesics, per-color move counts, God's number.
+:mod:`colorlattice.polynomials` and :mod:`colorlattice.characters` supply
+the exact polynomial arithmetic and reflection-group apparatus used to
+certify the lattices as splitting posets.  ``colorlattice.cli`` wires
+everything to a command line, and :mod:`colorlattice.verify` holds its
+sweeps of cross-checks.
 
 Names load on first use (PEP 562): ``import colorlattice`` imports no
 submodule, and ``colorlattice.X`` or ``from colorlattice import X`` imports
@@ -34,33 +43,36 @@ _EXPORTS = {
         "poset_weights", "product_rgf", "rgf", "root_data", "w_invariant",
         "weyl_group", "wgf"),
     "core": (
-        "CapExceededError", "ColoredDigraph", "DiamondLattice", "LatticeError",
-        "NotIsomorphicError", "NotRankedError", "PathCertificate",
-        "TupleLattice", "UnreachableError", "VertexColoredPoset",
-        "attach_birkhoff_coords", "bfs_distance", "ideals_lattice",
-        "is_diamond_colored", "is_topographically_balanced",
-        "join_irreducibles", "rank_function", "to_dot", "tuple_lattice"),
+        "CapExceededError", "LatticeError", "NotIsomorphicError",
+        "NotRankedError", "PathCertificate", "TupleLattice",
+        "UnreachableError"),
     "dominoes": (
-        "Board", "DominoSolution", "Move", "a_lattice", "dec_admissible",
-        "dec_lattice", "domino_digraph", "enumerate_box_partitions",
-        "enumerate_tableaux", "is_ballot", "is_box_partition", "is_staircase",
-        "kn_admissible", "kn_lattice", "l_inv", "l_map", "legal_moves",
-        "part_to_tab", "replay_domino", "sigma", "solve_domino",
-        "tab_to_part", "wt_c"),
+        "Board", "DominoSolution", "enumerate_box_partitions", "is_ballot",
+        "is_box_partition", "is_staircase", "l_inv", "l_map", "replay_domino",
+        "sigma", "solve_domino"),
+    "explicit": (
+        "ColoredDigraph", "DiamondLattice", "Move", "VertexColoredPoset",
+        "a_lattice", "all_snakes", "attach_birkhoff_coords", "bfs_distance",
+        "c_lattice", "cached_isomorphism", "dec_lattice", "domino_digraph",
+        "ideals_lattice", "is_diamond_colored", "is_topographically_balanced",
+        "join_irreducibles", "kn_lattice", "legal_moves",
+        "legal_snake_moves", "ming_digraph", "mixedmiddleswitch_digraph",
+        "rank_function", "switch_moves", "to_dot", "tuple_lattice",
+        "verify_isomorphism", "z_lattice"),
     "paths": (
         "all_shortest_paths", "color_count_min", "color_counts",
         "gods_number", "lattice_distance", "shortest_path"),
     "polynomials": (
         "InexactDivisionError", "LaurentPoly", "QPolynomial", "qbinomial"),
     "snakes": (
-        "SnakeSolution", "all_snakes", "c_lattice", "cached_isomorphism",
-        "catalan_tuples", "enumerate_tilings", "is_tiling",
-        "legal_snake_moves", "ming_digraph", "render_tiling", "replay_snakes",
-        "solve_snakes", "verify_isomorphism"),
+        "SnakeSolution", "catalan_tuples", "enumerate_tilings", "is_tiling",
+        "render_tiling", "replay_snakes", "solve_snakes"),
     "switchgame": (
-        "SwitchSolution", "b_inv", "b_map", "mixedmiddleswitch_digraph",
-        "replay_switches", "solve_mixedmiddleswitch", "switch_moves",
-        "z_lattice"),
+        "SwitchSolution", "b_inv", "b_map", "replay_switches",
+        "solve_mixedmiddleswitch"),
+    "tableaux": (
+        "dec_admissible", "enumerate_tableaux", "kn_admissible",
+        "part_to_tab", "tab_to_part", "wt_c"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

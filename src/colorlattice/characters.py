@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import (CapExceededError, DiamondLattice, NotRankedError,
-                   rank_function)
+from .core import CapExceededError, NotRankedError
+from .explicit import DiamondLattice, rank_function
 from .polynomials import LaurentPoly, QPolynomial, qbinomial
 
 __all__ = [

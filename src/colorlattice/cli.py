@@ -33,7 +33,7 @@ from collections import namedtuple
 
 import colorlattice
 
-from .core import CapExceededError, LatticeError, NotIsomorphicError, to_dot
+from .core import CapExceededError, LatticeError, NotIsomorphicError
 from .switchgame import format_bits, format_tuple, int_to_bits, parse_bits, parse_tuple
 
 # Sizes are kept honest up front.  ``solve`` walks every family on tuple
@@ -53,7 +53,9 @@ _LIST_CAP_SWITCH, _LIST_CAP_DOMINO, _LIST_CAP_SNAKES = 12, 6, 7
 # ``member`` and ``want`` (what a member is), ``solve``, one action's JSON
 # ``move``, the ``listing``, the move ``graph``, the text-``board`` and what
 # --from ``draws`` on it (None: none).  Callables look names up in the package
-# namespace when called, so a command loads only its own family's modules.
+# namespace when called, so a command loads only its own family's modules;
+# ``export`` reaches ``to_dot`` the same way, so only it loads the explicit
+# oracle.
 _Family = namedtuple("_Family", "kind least caps sizes parse format member want "
                                 "solve move listing graph board draws")
 
@@ -199,8 +201,8 @@ def cmd_export(args):
         names = " and ".join(name for name, f in _FAMILIES.items() if f.draws)
         raise _UsageError(f"--from applies to the {names} text-board only")
     if not board:
-        sys.stdout.write(to_dot(fam.graph(n, k), args.family.replace("-", "_"),
-                                fam.format))
+        sys.stdout.write(colorlattice.to_dot(
+            fam.graph(n, k), args.family.replace("-", "_"), fam.format))
         return 0
     drawn = None
     if fam.draws:

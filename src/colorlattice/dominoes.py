@@ -18,51 +18,37 @@ corner orients each move into a directed, colored edge; the resulting
 digraphs turn out to be diagrams of distributive lattices, which is what
 makes optimal play computable by rank arithmetic.
 
-Alongside the boards live several codings of the same objects - columnar
-tableaux and their 0/1 tally sequences - and the board coding ``l_map``,
-which reorders a tableau's values into places 1..2n: odd v goes to place
-(v+1)/2 and even v to place 2n+1-v/2, so the odd values fill the first n
-places in order and the even values the last n in reverse.  Last come the
-two admissibility conditions that carve the symplectic sublattices out of
-the full box lattice, which ``verify symplectic`` holds `_board_lattice` to.
+Alongside the boards lives the board coding ``l_map``, which reorders a
+tableau's values into places 1..2n: odd v goes to place (v+1)/2 and even v
+to place 2n+1-v/2, so the odd values fill the first n places in order and
+the even values the last n in reverse.
+
+This module holds what a solve runs: the board checks, the coding, the
+least-member rules (`_box_lattice`, `_board_lattice`), the move rule
+(`_move`, `_wears`), the solver and its replay.  The move graph
+(`legal_moves`, `domino_digraph`) and the explicit lattices (`a_lattice`,
+`kn_lattice`, `dec_lattice`) are built in :mod:`colorlattice.explicit`
+from the same rules.  The columnar tableaux, their 0/1 tally sequences and
+the two admissibility conditions that carve the symplectic sublattices out
+of the full box lattice, which ``verify symplectic`` holds `_board_lattice`
+to, live in :mod:`colorlattice.tableaux`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from .core import ColoredDigraph, DiamondLattice, TupleLattice, tuple_lattice
+from .core import TupleLattice
 
 __all__ = [
     "is_box_partition",
     "is_ballot",
     "is_staircase",
     "enumerate_box_partitions",
-    "enumerate_tableaux",
-    "tab_to_part",
-    "part_to_tab",
-    "wt_c",
-    "to_tally",
-    "box_to_tab",
     "l_map",
     "l_inv",
-    "conjugate",
-    "durfee",
-    "kn_admissible",
-    "dec_admissible",
-    "kn_admissible_tally",
-    "dec_admissible_tally",
-    "is_staircase_tally",
-    "is_ballot_tally",
     "Board",
-    "Move",
-    "legal_moves",
-    "domino_digraph",
-    "a_lattice",
     "sigma",
-    "kn_lattice",
-    "dec_lattice",
     "DominoSolution",
     "solve_domino",
     "replay_domino",
@@ -121,101 +107,7 @@ def _move(rows, squares, add: bool):
 
 
 # --------------------------------------------------------------------------
-# tableaux codings
-
-def enumerate_tableaux(variant: str, k: int, n: int):
-    """All columnar tableaux of the variant, as sorted increasing tuples.
-
-    ``king`` requires T_i <= 2(n-k+i); ``seminarii`` requires T_i >= 2i-1;
-    both draw strictly increasing values from 1..2n.
-    """
-    if variant not in ("king", "seminarii"):
-        raise ValueError(f"unknown tableau variant {variant!r}")
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    out = []
-    for T in combinations(range(1, 2 * n + 1), k):
-        if variant == "king":
-            if all(T[i] <= 2 * (n - k + i + 1) for i in range(k)):
-                out.append(T)
-        else:
-            if all(T[i] >= 2 * i + 1 for i in range(k)):
-                out.append(T)
-    return out
-
-
-def _check_tab(T):
-    T = tuple(T)
-    if not T or any(not isinstance(v, int) or isinstance(v, bool) for v in T) \
-            or any(a >= b for a, b in zip(T, T[1:])) or T[0] < 1:
-        raise ValueError(f"not a strictly increasing positive tuple: {T}")
-    return T
-
-
-def tab_to_part(T):
-    """Partition from a tableau: tau_i = T_{k+1-i} - (k+1-i).
-
-    Reverses the column and subtracts the staircase; King tableaux land on
-    ballot partitions and seminarii tableaux on staircase partitions.
-    """
-    T = _check_tab(T)
-    k = len(T)
-    return tuple(T[k - i] - (k + 1 - i) for i in range(1, k + 1))
-
-
-def part_to_tab(tau):
-    """Tableau from a partition: T_j = j + tau_{k+1-j}; inverse of tab_to_part."""
-    tau = tuple(tau)
-    if not _is_parts(tau) or not tau:
-        raise ValueError(f"not a partition: {tau}")
-    k = len(tau)
-    return tuple(j + tau[k - j] for j in range(1, k + 1))
-
-
-def wt_c(T, n: int):
-    """The weight of a tableau, as n coefficients over fundamental weights.
-
-    Coefficient i < n reads #(2i-1) - #(2i) - #(2i+1) + #(2i+2) off the
-    multiplicities of the entry values; coefficient n is #(2n-1) - #(2n).
-    """
-    T = _check_tab(T)
-    if T[-1] > 2 * n:
-        raise ValueError(f"entries of {T} exceed 2n = {2 * n}")
-    count = [0] * (2 * n + 3)
-    for v in T:
-        count[v] += 1
-    out = []
-    for i in range(1, n):
-        out.append(count[2 * i - 1] - count[2 * i] - count[2 * i + 1]
-                   + count[2 * i + 2])
-    out.append(count[2 * n - 1] - count[2 * n])
-    return tuple(out)
-
-
-# --------------------------------------------------------------------------
-# tally sequences
-
-def to_tally(T, n: int):
-    """Length-2n indicator sequence of a tableau's value set."""
-    T = _check_tab(T)
-    if T[-1] > 2 * n:
-        raise ValueError(f"entries of {T} exceed 2n = {2 * n}")
-    bits = [0] * (2 * n)
-    for v in T:
-        bits[v - 1] = 1
-    return tuple(bits)
-
-
-# --------------------------------------------------------------------------
-# the complementary tableau coding and the board coding
-
-def box_to_tab(tau, m: int):
-    """Tableau of a box partition under the complementary coding T_j = m+j-tau_j."""
-    tau = tuple(tau)
-    if not is_box_partition(tau, len(tau), m):
-        raise ValueError(f"not a partition in a {len(tau)} x {m} box: {tau}")
-    return tuple(m + j + 1 - tau[j] for j in range(len(tau)))
-
+# the board coding
 
 def l_map(tau, k: int, n: int):
     """The five-stage rewriting of one box partition into another.
@@ -255,85 +147,6 @@ def l_inv(tau, k: int, n: int):
     values = sorted(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
                     for p in (m + j - x for j, x in enumerate(tau, 1)))
     return tuple(v - i for i, v in enumerate(values, 1))[::-1]
-
-
-# --------------------------------------------------------------------------
-# admissibility
-
-def conjugate(tau, width: int):
-    """The conjugate partition, padded/truncated to ``width`` parts."""
-    tau = tuple(tau)
-    return tuple(sum(1 for p in tau if p >= c) for c in range(1, width + 1))
-
-
-def durfee(tau) -> int:
-    """Size of the largest i with tau_i >= i."""
-    return max([i for i in range(1, len(tau) + 1) if tau[i - 1] >= i],
-               default=0)
-
-
-def kn_admissible(tau, k: int, n: int) -> bool:
-    """First admissibility family: tau_i - tau'_i <= 2n-2k on the Durfee range."""
-    tau = tuple(tau)
-    if not is_box_partition(tau, k, 2 * n - k):
-        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
-    conj = conjugate(tau, 2 * n - k)
-    return all(tau[i - 1] - conj[i - 1] <= 2 * n - 2 * k
-               for i in range(1, durfee(tau) + 1))
-
-
-def dec_admissible(tau, k: int, n: int) -> bool:
-    """Second admissibility family, via the clipped conjugate.
-
-    Strip the first n-k and last n-k columns of the conjugate diagram; the
-    k remaining column heights must satisfy the self-conjugacy bound
-    (clipped_i <= clipped'_i) on their own Durfee range.
-    """
-    tau = tuple(tau)
-    if not is_box_partition(tau, k, 2 * n - k):
-        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
-    conj = conjugate(tau, 2 * n - k)
-    clipped = conj[n - k:n]
-    cc = conjugate(clipped, k)
-    return all(clipped[i - 1] <= cc[i - 1]
-               for i in range(1, durfee(clipped) + 1))
-
-
-def _prefix_pair_bound(bits, pairs) -> bool:
-    # running sum over the given index pairs (1-based) stays <= prefix length
-    total = 0
-    for p, (a, b) in enumerate(pairs, start=1):
-        total += bits[a - 1] + bits[b - 1]
-        if total > p:
-            return False
-    return True
-
-
-def kn_admissible_tally(tau, k: int, n: int) -> bool:
-    """Tally form of the first family: partial sums t'_i + t'_{2n+1-i} <= p."""
-    tp = to_tally(box_to_tab(tuple(tau), 2 * n - k), n)
-    return _prefix_pair_bound(tp, [(i, 2 * n + 1 - i) for i in range(1, n + 1)])
-
-
-def dec_admissible_tally(tau, k: int, n: int) -> bool:
-    """Tally form of the second family: partial sums t'_{n+1-i} + t'_{n+i} <= p."""
-    tp = to_tally(box_to_tab(tuple(tau), 2 * n - k), n)
-    return _prefix_pair_bound(tp, [(n + 1 - i, n + i) for i in range(1, n + 1)])
-
-
-def is_staircase_tally(t) -> bool:
-    """Staircase test on the plain tally: partial sums t_{2i-1} + t_{2i} <= p."""
-    t = tuple(t)
-    n = len(t) // 2
-    return _prefix_pair_bound(t, [(2 * i - 1, 2 * i) for i in range(1, n + 1)])
-
-
-def is_ballot_tally(t) -> bool:
-    """Ballot test on the plain tally: partial sums t_{2n+1-2i} + t_{2n+2-2i} <= p."""
-    t = tuple(t)
-    n = len(t) // 2
-    return _prefix_pair_bound(
-        t, [(2 * n + 1 - 2 * i, 2 * n + 2 - 2 * i) for i in range(1, n + 1)])
 
 
 # --------------------------------------------------------------------------
@@ -422,24 +235,6 @@ class Board:
         return "\n".join(lines)
 
 
-class Move:
-    """One legal directed move: tiles touched, edge color, and the outcome."""
-
-    __slots__ = ("kind", "squares", "color", "source", "result")
-
-    def __init__(self, kind, squares, color, source, result):
-        self.kind = kind          # "R" (tile removed) or "A" (tile added)
-        self.squares = tuple(sorted(squares))
-        self.color = color
-        self.source = tuple(source)
-        self.result = tuple(result)
-
-    def __repr__(self):
-        verb = "remove" if self.kind == "R" else "add"
-        return (f"Move({verb} {list(self.squares)} color {self.color}: "
-                f"{self.source} -> {self.result})")
-
-
 def _wears(board: Board, squares):
     """The board's one move rule: the (verb, color) a tile's move wears.
 
@@ -457,86 +252,14 @@ def _wears(board: Board, squares):
     return "add", board.adding_label(*white)
 
 
-def legal_moves(board: Board, tau):
-    """All directed moves out of a partition, in a fixed deterministic order.
-
-    Only tiles at the row ends can move: per row, the horizontal domino at
-    its end (lifted) and just past it (laid); per pair of adjacent rows of
-    equal length, the vertical domino at their common end and just past it;
-    and the corner singleton (lifted).  A tile is kept when ``_move`` plays it, its squares are on
-    the board, ``_wears`` names the verb played, and the result is again a
-    partition of the board's kind.  The reversals of these moves appear as
-    forward moves of the partner partition instead.
-    """
-    tau = tuple(tau)
-    if not board.valid(tau):
-        raise ValueError(f"{tau} is not a {board.kind} partition here")
-    tiles = []
-    for r, cur in enumerate(tau, 1):
-        tiles += [(False, ((r, cur - 1), (r, cur))),
-                  (True, ((r, cur + 1), (r, cur + 2)))]
-        if r < board.k and tau[r] == cur:
-            tiles += [(False, ((r, cur), (r + 1, cur))),
-                      (True, ((r, cur + 1), (r + 1, cur + 1)))]
-    tiles.append((False, (board.singleton,)))
-    moves = []
-    for add, tile in tiles:
-        result = _move(tau, tile, add)
-        if result is None or not all(board.has_square(*sq) for sq in tile):
-            continue
-        verb, color = _wears(board, tile)
-        if (verb == "add") == add and board.valid(result):
-            moves.append(Move("A" if add else "R", tile, color, tau, result))
-    return moves
-
-
-@lru_cache(maxsize=None)
-def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
-    """The directed move graph on all partitions of the board's kind."""
-    board = Board(kind, k, n)
-    verts = board.partitions()
-    edges = [(mv.source, mv.result, mv.color)
-             for tau in verts for mv in legal_moves(board, tau)]
-    return ColoredDigraph(verts, edges)
-
-
 # --------------------------------------------------------------------------
-# lattices
-
-@lru_cache(maxsize=None)
-def a_lattice(k: int, m: int) -> DiamondLattice:
-    """The distributive lattice of partitions in a k x m box.
-
-    Covers add one box; the cover adding a box in row q, column t, wears
-    color q - t + m.  Note the second parameter is the box width m (which
-    equals 2n-k when the lattice is paired with a (k, n) board family).
-    """
-    if k < 1 or m < 1:
-        raise ValueError("box dimensions must be positive")
-    return tuple_lattice(_box_lattice(k, m))
-
+# lattice rules
 
 def sigma(i: int, n: int) -> int:
     """Fold the color range 1..2n-1 onto 1..n: identity below n, 2n-i above."""
     if not 1 <= i <= 2 * n - 1:
         raise ValueError(f"color {i} outside 1..{2 * n - 1}")
     return i if i <= n else 2 * n - i
-
-
-@lru_cache(maxsize=None)
-def kn_lattice(k: int, n: int) -> DiamondLattice:
-    """The sublattice of the folded box lattice on the first admissible family."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return tuple_lattice(_board_lattice("staircase", k, n))
-
-
-@lru_cache(maxsize=None)
-def dec_lattice(k: int, n: int) -> DiamondLattice:
-    """The sublattice of the folded box lattice on the second admissible family."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    return tuple_lattice(_board_lattice("ballot", k, n))
 
 
 def _box_lattice(k: int, m: int) -> TupleLattice:

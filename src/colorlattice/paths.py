@@ -16,15 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import (
-    CapExceededError,
-    ColoredDigraph,
-    DiamondLattice,
-    LatticeError,
-    PathCertificate,
-    canonical_key,
-    render_vertex,
-)
+from .core import CapExceededError, LatticeError, PathCertificate, render_vertex
+from .explicit import ColoredDigraph, DiamondLattice, canonical_key
 
 __all__ = [
     "PathCertificate",

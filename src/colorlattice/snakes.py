@@ -41,30 +41,26 @@ when m >= n+q-x_q (which is >= 2q-1), and
 
 ``solve_snakes`` builds neither graph: it pulls both ends back, walks a
 geodesic on tuple coordinates and pushes each step forward on the
-diagonal lengths.  ``cached_isomorphism`` checks the pull-back edge by
-edge on the boards small enough to build.
+diagonal lengths.  This module holds what a solve runs: the tiling check,
+the least-member rule (`_catalan_lattice`), the rim geometry, the
+pull-back, the solver and its replay.  The snakes, the move graph
+(`legal_snake_moves`, `ming_digraph`), ``c_lattice`` and
+``cached_isomorphism``, which checks the pull-back edge by edge on the
+boards small enough to build, live in :mod:`colorlattice.explicit`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
-from .core import (CapExceededError, ColoredDigraph, DiamondLattice,
-                   NotIsomorphicError, TupleLattice, tuple_lattice)
+from .core import NotIsomorphicError, TupleLattice
 from .dominoes import _move, enumerate_box_partitions, is_box_partition
 
 __all__ = [
     "NotIsomorphicError",
     "catalan_tuples",
-    "c_lattice",
     "is_tiling",
     "enumerate_tilings",
-    "all_snakes",
-    "legal_snake_moves",
-    "ming_digraph",
-    "verify_isomorphism",
-    "cached_isomorphism",
     "render_tiling",
     "SnakeSolution",
     "solve_snakes",
@@ -78,18 +74,6 @@ __all__ = [
 def catalan_tuples(n: int):
     """Weakly decreasing n-tuples with 0 <= s_i <= n+1-i, sorted."""
     return list(filter(_catalan_lattice(n).member, enumerate_box_partitions(n, n)))
-
-
-@lru_cache(maxsize=None)
-def c_lattice(n: int) -> DiamondLattice:
-    """The distributive lattice of staircase-bounded tuples.
-
-    Component-wise order; a cover raises coordinate q by one, onto the new
-    value t_q, and wears color n + q - t_q.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return tuple_lattice(_catalan_lattice(n))
 
 
 def _catalan_lattice(n: int) -> TupleLattice:
@@ -136,43 +120,6 @@ def render_tiling(rows, n: int) -> str:
 
 # --------------------------------------------------------------------------
 # snakes
-
-@lru_cache(maxsize=None)
-def all_snakes(n: int):
-    """Every centered southwesterly snake on the n x n board.
-
-    A snake of length m steps South or West and its floor((m+1)/2)-th
-    square lies on the main diagonal; snakes are generated outward from
-    that diagonal square (North/East for the head, South/West for the
-    tail), so each is produced exactly once.
-    """
-    snakes = []
-    for m in range(1, 2 * n):
-        p = (m + 1) // 2
-        for d in range(1, n + 1):
-            heads = [[(d, d)]]
-            for _ in range(p - 1):
-                grown = []
-                for walk in heads:
-                    i, j = walk[-1]
-                    for (ni, nj) in ((i - 1, j), (i, j + 1)):
-                        if 1 <= ni <= n and 1 <= nj <= n:
-                            grown.append(walk + [(ni, nj)])
-                heads = grown
-            tails = [[]]
-            for _ in range(m - p):
-                grown = []
-                for walk in tails:
-                    i, j = walk[-1] if walk else (d, d)
-                    for (ni, nj) in ((i + 1, j), (i, j - 1)):
-                        if 1 <= ni <= n and 1 <= nj <= n:
-                            grown.append(walk + [(ni, nj)])
-                tails = grown
-            for head in heads:
-                for tail in tails:
-                    snakes.append(tuple(reversed(head)) + tuple(tail))
-    return tuple(snakes)
-
 
 def _is_snake(snake, n: int) -> bool:
     """Whether ``snake`` is a centered southwesterly snake on the n x n board.
@@ -232,68 +179,8 @@ def _on_diagonal(c: int, k: int):
     return (i, i + c)
 
 
-def legal_snake_moves(n: int, rows):
-    """All legal moves at a tiling: (snake, "add"|"remove", resulting tiling).
-
-    Additions lay tiles on a fully untiled snake, removals clear a fully
-    tiled one; either is legal only when the result is again a tiling.
-    Whatever a legal move adds or removes is a border strip (rim hook) of
-    the larger of the two shapes, so only segments of the inner rim
-    (removals) and of the outer rim inside the board (additions) are tried:
-    one of each per snake length, on the contents the centering fixes.
-    Deterministically ordered.
-    """
-    rows = tuple(rows)
-    if not is_tiling(rows, n):
-        raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
-    d = _diagonal_lengths(rows, n)
-    moves = []
-    for m in range(1, 2 * n):
-        for verb, shift in (("remove", -1), ("add", 0)):
-            snake = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
-            if not _snake_shape(snake, n):
-                continue
-            result = _move(rows, snake, verb == "add")
-            if result is not None and is_tiling(result, n):
-                moves.append((snake, verb, result))
-    moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
-    return moves
-
-
-@lru_cache(maxsize=None)
-def ming_digraph(n: int) -> ColoredDigraph:
-    """The directed snake-move graph on all tilings of the n x n board."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    verts = enumerate_tilings(n)
-    edges = []
-    for rows in verts:
-        for snake, verb, result in legal_snake_moves(n, rows):
-            m = len(snake)
-            # orientation rule: even-length additions and odd-length
-            # removals point forward; their mirrors are the same moves
-            # seen from the other endpoint
-            if (verb == "add") == (m % 2 == 0):
-                edges.append((rows, result, m))
-    return ColoredDigraph(verts, edges)
-
-
 # --------------------------------------------------------------------------
 # the correspondence
-
-def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
-    """Check a claimed isomorphism completely; raise NotIsomorphicError if bad."""
-    values = list(mapping.values())
-    if set(mapping) != set(A.vertices) or set(values) != set(B.vertices) \
-            or len(set(values)) != len(values):
-        raise NotIsomorphicError("mapping is not a vertex bijection")
-    if len(A.edges) != len(B.edges):
-        raise NotIsomorphicError("edge counts differ")
-    for (u, v, c) in A.edges:
-        if B.edge_color(mapping[u], mapping[v]) != c:
-            raise NotIsomorphicError(
-                f"edge {u} -> {v} (color {c}) is not preserved")
-
 
 def _pull_back(rows, n: int):
     """The tuple of a tiling, by the closed form in the module docstring."""
@@ -313,25 +200,6 @@ _TILINGS_CAP = 2000
 def _tilings(n: int) -> int:
     """How many tilings the n x n board has: the Catalan number C(n+1)."""
     return comb(2 * n + 2, n + 1) // (n + 2)
-
-
-@lru_cache(maxsize=None)
-def cached_isomorphism(n: int) -> dict:
-    """The lattice-to-tilings correspondence, from the closed-form pull-back.
-
-    The map is checked edge by edge against ``c_lattice(n)`` and
-    ``ming_digraph(n)`` (NotIsomorphicError if it fails).  Boards whose
-    Catalan number of tilings exceeds the cap raise CapExceededError before
-    either graph is built.
-    """
-    size = _tilings(n)
-    if size > _TILINGS_CAP:
-        raise CapExceededError(
-            f"snake boards capped at {_TILINGS_CAP} tilings; "
-            f"the {n} x {n} board has {size} tilings")
-    iso = {_pull_back(rows, n): rows for rows in enumerate_tilings(n)}
-    verify_isomorphism(c_lattice(n).diagram, ming_digraph(n), iso)
-    return iso
 
 
 # --------------------------------------------------------------------------

@@ -11,22 +11,25 @@ this digraph is revealed to be the order diagram of a distributive lattice,
 so the optimal-play machinery of `colorlattice.paths` applies verbatim:
 distances come from ranks, and explicit optimal move sequences come from
 mountain or valley certificates translated back into bit flips.
+
+This module holds what a solve runs: the input checks, the coding
+(`b_map`, `b_inv`), the least-member rule (`_cushioned_lattice`), the move
+rule, the solver and its replay, and the parse/format helpers every family
+shares.  The move graph (`switch_moves`, `mixedmiddleswitch_digraph`) and
+the explicit lattice `z_lattice` are built in :mod:`colorlattice.explicit`
+from the same two rules.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations
 
-from .core import ColoredDigraph, DiamondLattice, TupleLattice, tuple_lattice
+from .core import TupleLattice
 
 __all__ = [
     "is_cushioned",
     "all_cushioned",
-    "z_lattice",
-    "switch_moves",
-    "mixedmiddleswitch_digraph",
     "b_map",
     "b_inv",
     "parse_bits",
@@ -71,20 +74,6 @@ def all_cushioned(n: int):
                   for k in range(n + 1) for sub in combinations(range(1, n + 1), k))
 
 
-@lru_cache(maxsize=None)
-def z_lattice(n: int) -> DiamondLattice:
-    """The distributive lattice of cushioned tuples under component-wise order.
-
-    Covers raise exactly one coordinate by 1; the edge raising coordinate k
-    to the new value t_k wears color n + 1 - t_k.  Joins and meets are
-    component-wise max and min, and Birkhoff coordinates are attached so
-    explicit optimal paths can be built.
-    """
-    if n < 2:
-        raise ValueError("the game is played at n >= 2")
-    return tuple_lattice(_cushioned_lattice(n))
-
-
 def _cushioned_lattice(n: int) -> TupleLattice:
     """The lattice of `z_lattice(n)` by rules, with nothing enumerated.
 
@@ -107,34 +96,6 @@ def _may_toggle(s, i) -> bool:
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(s):
         return False
     return i == len(s) or (s[i - 2] if i > 1 else 0) != s[i]
-
-
-def switch_moves(s):
-    """The legal flips from position s, as (index, result) pairs, 1-indexed.
-
-    Each toggle `_may_toggle` allows appears once, pointing up the lattice:
-    from the side where bit i equals its left neighbour (a virtual 0 before
-    bit 1).  The reversals are the same toggles played backwards.
-    """
-    s = tuple(s)
-    n = len(s)
-    if n < 2 or any(b not in (0, 1) for b in s):
-        raise ValueError("positions are 0/1 tuples of length >= 2")
-    z = (0,) + s   # z[i] is bit i, z[0] the virtual 0
-    return [(i, s[:i - 1] + (1 - s[i - 1],) + s[i:]) for i in range(1, n + 1)
-            if _may_toggle(s, i) and z[i] == z[i - 1]]
-
-
-def mixedmiddleswitch_digraph(n: int) -> ColoredDigraph:
-    """The full game graph on all 2^n positions, edges colored by flip index."""
-    if n < 2:
-        raise ValueError("the game is played at n >= 2")
-    verts = [int_to_bits(v, n) for v in range(2 ** n)]
-    edges = []
-    for s in verts:
-        for i, t in switch_moves(s):
-            edges.append((s, t, i))
-    return ColoredDigraph(verts, edges)
 
 
 def int_to_bits(value: int, n: int):

@@ -28,33 +28,24 @@ from .characters import (
     weyl_group,
     wgf,
 )
-from .core import (
-    NotIsomorphicError,
+from .core import NotIsomorphicError
+from .dominoes import enumerate_box_partitions, is_ballot, is_staircase, l_map
+from .explicit import (
+    a_lattice,
     bfs_distance,
+    c_lattice,
+    cached_isomorphism,
+    dec_lattice,
+    domino_digraph,
     ideals_lattice,
     is_diamond_colored,
     is_topographically_balanced,
     join_irreducibles,
-)
-from .dominoes import (
-    a_lattice,
-    dec_admissible,
-    dec_admissible_tally,
-    dec_lattice,
-    domino_digraph,
-    enumerate_box_partitions,
-    enumerate_tableaux,
-    is_ballot,
-    is_ballot_tally,
-    is_staircase,
-    is_staircase_tally,
-    kn_admissible,
-    kn_admissible_tally,
     kn_lattice,
-    l_map,
-    tab_to_part,
-    to_tally,
-    wt_c,
+    ming_digraph,
+    mixedmiddleswitch_digraph,
+    verify_isomorphism,
+    z_lattice,
 )
 from .paths import (
     distances_from,
@@ -67,13 +58,9 @@ from .polynomials import LaurentPoly, qbinomial
 from .snakes import (
     _TILINGS_CAP,
     _tilings,
-    c_lattice,
-    cached_isomorphism,
     catalan_tuples,
     enumerate_tilings,
-    ming_digraph,
     solve_snakes,
-    verify_isomorphism,
 )
 from .switchgame import (
     b_inv,
@@ -81,10 +68,20 @@ from .switchgame import (
     format_bits,
     format_tuple,
     int_to_bits,
-    mixedmiddleswitch_digraph,
     parse_bits,
     solve_mixedmiddleswitch,
-    z_lattice,
+)
+from .tableaux import (
+    dec_admissible,
+    dec_admissible_tally,
+    enumerate_tableaux,
+    is_ballot_tally,
+    is_staircase_tally,
+    kn_admissible,
+    kn_admissible_tally,
+    tab_to_part,
+    to_tally,
+    wt_c,
 )
 
 

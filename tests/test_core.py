@@ -27,7 +27,7 @@ from colorlattice import (
     to_dot,
     z_lattice,
 )
-from colorlattice.core import canonical_key
+from colorlattice.explicit import canonical_key
 from helpers import random_lattice, random_poset
 
 

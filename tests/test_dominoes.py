@@ -40,7 +40,7 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
-from colorlattice.dominoes import _check_tab, box_to_tab, to_tally
+from colorlattice.tableaux import _check_tab, box_to_tab, to_tally
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -112,30 +112,70 @@ def test_a_bare_import_still_reaches_each_submodule():
         == "colorlattice.core"
 
 
+# What ``import colorlattice.cli`` loads; a solve adds only its family's
+# modules, and never the explicit oracle or the tableau codings.
+KERNEL = {"cli", "core", "switchgame"}
+ORACLE = {"explicit", "tableaux"}
+
+
 def test_importing_the_cli_loads_no_family_module():
     code, modules = loaded()
     assert code == 0
-    assert not modules & {*FAMILY_MODULES, "verify", "fractions"}
+    assert modules == KERNEL
 
 
 def test_a_switch_solve_loads_no_board_or_snake_module():
     code, modules = loaded("solve", "mixedmiddleswitch", "--n", "5",
                            "--from", "00000", "--to", "01010")
     assert code == 0
-    assert not modules & {"dominoes", "snakes", "verify"}
+    assert modules == KERNEL
 
 
 def test_a_board_solve_loads_no_snake_or_character_module():
     code, modules = loaded("solve", "domino-ballot", "--k", "3", "--n", "3",
                            "--from", "3,2,1", "--to", "0,0,0", "--json")
     assert code == 0
-    assert "dominoes" in modules
-    assert not modules & {"snakes", "characters", "polynomials", "verify",
-                          "fractions"}
+    assert modules == KERNEL | {"dominoes"}
+
+
+@pytest.mark.parametrize("argv, family_modules", [
+    (("mixedmiddleswitch", "--n", "6", "--from", "101010", "--to", "000000",
+      "--via", "meet"), set()),
+    (("domino-staircase", "--k", "2", "--n", "3", "--from", "4,1",
+      "--to", "1,0", "--via", "meet"), {"dominoes"}),
+    (("domino-full", "--k", "2", "--n", "3", "--from", "4,4",
+      "--to", "0,0", "--json"), {"dominoes"}),
+    (("snakes", "--n", "3", "--from", "3,3,0", "--to", "0,0,0"),
+     {"dominoes", "snakes"}),
+    (("snakes", "--n", "4", "--from", "4,4,1,0", "--to", "2,1,0,0",
+      "--via", "meet", "--json"), {"dominoes", "snakes"}),
+])
+def test_a_solve_compiles_only_the_solve_path(argv, family_modules):
+    code, modules = loaded("solve", *argv)
+    assert code == 0
+    assert modules == KERNEL | family_modules
+    assert not modules & ORACLE
+
+
+def test_listings_and_boards_load_no_oracle():
+    for argv in (("enumerate", "snakes", "--n", "3"),
+                 ("export", "--family", "domino-ballot", "--k", "2", "--n", "3",
+                  "--format", "text-board")):
+        code, modules = loaded(*argv)
+        assert code == 0
+        assert not modules & ORACLE
+
+
+def test_a_dot_export_loads_the_explicit_oracle_only():
+    code, modules = loaded("export", "--family", "snakes", "--n", "3",
+                           "--format", "dot")
+    assert code == 0
+    assert "explicit" in modules
+    assert not modules & {"tableaux", "verify", "paths", "characters"}
 
 
 def test_verify_all_loads_every_module_and_passes():
     code, modules = loaded("verify", "all")
     assert code == 0
     assert modules >= {"cli", "core", "switchgame", "verify", "fractions",
-                       *FAMILY_MODULES}
+                       *FAMILY_MODULES, *ORACLE}

@@ -20,7 +20,7 @@ from colorlattice import (
     switch_moves,
     z_lattice,
 )
-from colorlattice import core
+from colorlattice import explicit
 from colorlattice.switchgame import (
     all_cushioned,
     format_bits,
@@ -162,8 +162,8 @@ def test_hardest_pair_needs_fifteen_moves():
 
 def test_a_fresh_lattice_build_ranks_its_diagram_once(monkeypatch):
     calls = []
-    real = core.rank_function
-    monkeypatch.setattr(core, "rank_function",
+    real = explicit.rank_function
+    monkeypatch.setattr(explicit, "rank_function",
                         lambda g: calls.append(g) or real(g))
     z_lattice.__wrapped__(5)
     assert len(calls) == 1
