@@ -152,11 +152,18 @@ def format_bits(y) -> str:
 
 
 def parse_tuple(text: str):
-    """Parse comma-separated integers like ``4,3,2,1,0`` into a tuple."""
-    try:
-        return tuple(int(part) for part in text.strip().split(","))
-    except ValueError:
-        raise ValueError(f"not a comma-separated integer tuple: {text!r}") from None
+    """Parse comma-separated integers like ``4,3,2,1,0`` into a tuple.
+
+    Each part is an optional ``-`` and ASCII digits, with spaces around it.
+    ``int`` alone would also read ``3_0`` as 30, and ``+3`` or ``\u0663``
+    (Arabic-Indic three) as 3.
+    """
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        digits = part.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a comma-separated integer tuple: {text!r}")
+    return tuple(map(int, parts))
 
 
 def format_tuple(x) -> str:

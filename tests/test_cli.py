@@ -100,6 +100,15 @@ def test_unparsable_position_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["3_0,0,0", "+3,0,0", "\u0663,0,0"])
+def test_integer_spellings_beyond_ascii_digits_exit_two(capsys, text):
+    # int() would read these as 30 and 3: a non-tiling (exit 3) and a tiling
+    code, _, err = run(capsys, "solve", "snakes", "--n", "3",
+                       "--from", text, "--to", "0,0,0")
+    assert code == 2
+    assert "not a comma-separated integer tuple" in err
+
+
 def test_wrong_length_position_is_a_non_member(capsys):
     # parses fine as bits, but is no position of the five-switch game
     code, _, err = run(capsys, "solve", "mixedmiddleswitch", "--n", "5",

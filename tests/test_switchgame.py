@@ -46,8 +46,14 @@ def test_bit_string_parsing_round_trips_and_rejects_junk():
 def test_tuple_parsing_round_trips_and_rejects_junk():
     assert parse_tuple("4,3,2,1,0") == (4, 3, 2, 1, 0)
     assert format_tuple((4, 3, 2, 1, 0)) == "4,3,2,1,0"
-    with pytest.raises(ValueError):
-        parse_tuple("4,,1")
+    assert parse_tuple(" 4, 3 ,-1 ") == (4, 3, -1)
+    assert parse_tuple(format_tuple((0, -2, 10))) == (0, -2, 10)
+    # int() alone reads all of these: 3_0 as 30, +3 and the Arabic-Indic
+    # digit three as 3
+    for bad in ("4,,1", "", "3_0,0,0", "+3,0", "\u0663,0", "--3", "-", "1.0",
+                "1e3", "0x3"):
+        with pytest.raises(ValueError, match="not a comma-separated integer tuple"):
+            parse_tuple(bad)
 
 
 @pytest.mark.parametrize("x, ok", [
