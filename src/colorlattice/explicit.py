@@ -857,10 +857,11 @@ def legal_moves(board: Board, tau):
     Only tiles at the row ends can move: per row, the horizontal domino at
     its end (lifted) and just past it (laid); per pair of adjacent rows of
     equal length, the vertical domino at their common end and just past it;
-    and the corner singleton (lifted).  A tile is kept when ``_move`` plays it, its squares are on
-    the board, ``_wears`` names the verb played, and the result is again a
-    partition of the board's kind.  The reversals of these moves appear as
-    forward moves of the partner partition instead.
+    and the corner singleton (lifted).  A tile is kept when ``_move`` plays
+    it, its squares are on the board, ``_wears`` names the verb played, and
+    the result is again a partition of the board's kind, which only the
+    rows it touched can break (`_rows_fit`).  The reversals of these moves
+    appear as forward moves of the partner partition instead.
     """
     tau = tuple(tau)
     if not board.valid(tau):
@@ -879,9 +880,23 @@ def legal_moves(board: Board, tau):
         if result is None or not all(board.has_square(*sq) for sq in tile):
             continue
         verb, color = _wears(board, tile)
-        if (verb == "add") == add and board.valid(result):
+        if (verb == "add") == add and _rows_fit(board, result, {r for r, _ in tile}):
             moves.append(Move("A" if add else "R", tile, color, tau, result))
     return moves
+
+
+def _rows_fit(board: Board, tau, rows) -> bool:
+    """``board.valid(tau)`` for a tuple that is a partition of the board's
+    kind but for the given rows (1-based): each of them must lie within the
+    kind's row bound and between its neighbours."""
+    k, m = board.k, board.width
+    for r in rows:
+        p = tau[r - 1]
+        lo = k - r if board.kind == "staircase" else 0
+        hi = m + 1 - r if board.kind == "ballot" else m
+        if not lo <= p <= hi or (r > 1 and tau[r - 2] < p) or (r < k and p < tau[r]):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -984,12 +999,14 @@ def legal_snake_moves(n: int, rows):
     the larger of the two shapes, so only segments of the inner rim
     (removals) and of the outer rim inside the board (additions) are tried:
     one of each per snake length, on the contents the centering fixes.
-    Deterministically ordered.
+    Only the rows and columns a move touched can break the tiling rules
+    (`_still_tiling`).  Deterministically ordered.
     """
     rows = tuple(rows)
     if not is_tiling(rows, n):
         raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
     d = _diagonal_lengths(rows, n)
+    heights = _column_heights(rows, n)
     moves = []
     for m in range(1, 2 * n):
         for verb, shift in (("remove", -1), ("add", 0)):
@@ -997,10 +1014,40 @@ def legal_snake_moves(n: int, rows):
             if not _snake_shape(snake, n):
                 continue
             result = _move(rows, snake, verb == "add")
-            if result is not None and is_tiling(result, n):
+            if result is not None and _still_tiling(result, n, snake, heights,
+                                                    1 if verb == "add" else -1):
                 moves.append((snake, verb, result))
     moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
     return moves
+
+
+def _column_heights(rows, n: int):
+    """Per column c from 1 to n, at place c, the number of rows at least c long."""
+    return [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+
+
+def _still_tiling(rows, n: int, squares, heights, step) -> bool:
+    """``is_tiling(rows, n)`` for the result of laying (step 1) or lifting
+    (step -1) the on-board ``squares`` with ``_move``, from a tiling whose
+    column heights are ``heights``.
+
+    Each square moves its own column's height by the step.  So only the
+    rows and columns the squares touch can break a rule: each touched row
+    must lie between its neighbours, and the diagonal rule must hold at
+    each index that is a touched row or column.
+    """
+    height = {}
+    for _, c in squares:
+        height[c] = height.get(c, heights[c]) + step
+    touched = {r for r, _ in squares}
+    for r in touched:
+        p = rows[r - 1]
+        if (r > 1 and rows[r - 2] < p) or (r < n and p < rows[r]):
+            return False
+    for i in touched | height.keys():
+        if rows[i - 1] >= i and height.get(i, heights[i]) > rows[i - 1]:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,8 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
+from colorlattice.dominoes import _move
+from colorlattice.explicit import _rows_fit
 from colorlattice.tableaux import _check_tab, box_to_tab, to_tally
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -414,6 +416,40 @@ def test_legal_moves_equal_the_four_case_generator(k, n):
             got = [(mv.kind, mv.squares, mv.color, mv.source, mv.result)
                    for mv in legal_moves(board, tau)]
             assert got == four_case_moves(board, tau)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
+                                  for k in range(1, n + 1)])
+def test_touched_rows_decide_a_candidate_as_the_full_check_does(k, n):
+    # every on-board tile that ``_move`` plays at a row end, either way,
+    # whatever verb ``_wears`` gives it: a superset of the candidates
+    # ``legal_moves`` tests
+    for kind in ("ballot", "staircase", "full"):
+        board = Board(kind, k, n)
+        for tau in board.partitions():
+            tiles = [(board.singleton,)]
+            for r, cur in enumerate(tau, 1):
+                tiles += [((r, cur - 1), (r, cur)), ((r, cur + 1), (r, cur + 2))]
+                if r < k:
+                    tiles += [((r, c), (r + 1, c)) for c in (cur, cur + 1)]
+            for tile in tiles:
+                if not all(board.has_square(*sq) for sq in tile):
+                    continue
+                for add in (True, False):
+                    result = _move(tau, tile, add)
+                    if result is not None:
+                        assert _rows_fit(board, result, {r for r, _ in tile}) \
+                            == board.valid(result), (kind, tau, tile, add)
+
+
+def test_touched_rows_keep_the_row_bound_of_their_kind():
+    # squares on the board already keep these bounds, so no candidate of
+    # ``legal_moves`` needs them; any other tuple does
+    assert not _rows_fit(Board("ballot", 2, 2), (2, 2), {2})
+    assert _rows_fit(Board("full", 2, 2), (2, 2), {2})
+    assert not _rows_fit(Board("staircase", 2, 2), (0, 0), {1})
+    assert not _rows_fit(Board("full", 2, 2), (3, 0), {1})
+    assert not _rows_fit(Board("full", 2, 2), (1, 2), {2})
 
 
 @pytest.mark.parametrize("states", [

@@ -25,6 +25,7 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.dominoes import _move
+from colorlattice.explicit import _column_heights, _still_tiling
 from colorlattice.snakes import _is_snake
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
@@ -159,6 +160,33 @@ def test_row_wise_move_refuses_a_repeated_square():
 def test_rim_hook_moves_equal_the_whole_catalog_scan(n):
     for rows in enumerate_tilings(n):
         assert legal_snake_moves(n, rows) == scan_catalog_moves(n, rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_touched_rows_and_columns_decide_a_move_as_the_full_check_does(n):
+    # every catalogued snake that ``_move`` plays either way: a superset of
+    # the rim segments ``legal_snake_moves`` tests
+    for rows in enumerate_tilings(n):
+        heights = _column_heights(rows, n)
+        assert heights == [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+        for snake in all_snakes(n):
+            for step in (1, -1):
+                result = _move(rows, snake, step == 1)
+                if result is not None:
+                    assert _still_tiling(result, n, snake, heights, step) \
+                        == is_tiling(result, n), (rows, snake, step)
+
+
+def test_the_diagonal_rule_is_checked_at_touched_rows_and_columns():
+    # no snake move needs both at n <= 7, but either alone misses one of
+    # these: laying (2, 1) on (1, 0) breaks the rule at index 1 through its
+    # column, and lifting (1, 2) from (2, 1) at index 1 through its row
+    assert is_tiling((1, 0), 2) and is_tiling((2, 1), 2)
+    assert not is_tiling((1, 1), 2)
+    assert _move((1, 0), ((2, 1),), True) == (1, 1)
+    assert not _still_tiling((1, 1), 2, ((2, 1),), _column_heights((1, 0), 2), 1)
+    assert _move((2, 1), ((1, 2),), False) == (1, 1)
+    assert not _still_tiling((1, 1), 2, ((1, 2),), _column_heights((2, 1), 2), -1)
 
 
 def south_west_walks(n):
