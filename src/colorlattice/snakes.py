@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .core import NotIsomorphicError, TupleLattice
+from .core import NotIsomorphicError, TupleLattice   # the error's former home keeps it
 from .dominoes import _move, enumerate_box_partitions, is_box_partition
 
 __all__ = [
