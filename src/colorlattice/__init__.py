@@ -60,8 +60,8 @@ _EXPORTS = {
         "rank_function", "switch_moves", "to_dot", "tuple_lattice",
         "verify_isomorphism", "z_lattice"),
     "paths": (
-        "all_shortest_paths", "color_count_min", "color_counts",
-        "gods_number", "lattice_distance", "shortest_path"),
+        "all_shortest_paths", "color_counts", "gods_number",
+        "lattice_distance", "shortest_path"),
     "polynomials": (
         "InexactDivisionError", "LaurentPoly", "QPolynomial", "qbinomial"),
     "snakes": (

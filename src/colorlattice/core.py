@@ -233,14 +233,20 @@ class TupleLattice:
     def __repr__(self):
         return f"TupleLattice(top {render_vertex(self.top)})"
 
-    def certify(self) -> None:
-        """Check claims (a)-(c) on the least members; LatticeError if one fails."""
+    def certify(self) -> list:
+        """Check claims (a)-(c) on the least members; LatticeError if one fails.
+
+        Returns the least members as one table, least(q, v) at
+        ``[q - 1][v - 1]``, which the checks read too.
+        """
+        table = [[self.least(q, v) for v in range(1, hi + 1)]
+                 for q, hi in enumerate(self.top, 1)]
+        read = lambda p, a: table[p - 1][a - 1]
         seen = {}
-        for q, hi in enumerate(self.top, 1):
+        for q, row in enumerate(table, 1):
             below = ()
-            for v in range(1, hi + 1):
-                x = self.least(q, v)
-                if not self.member(x):
+            for v, x in enumerate(row, 1):
+                if not self._member(x, read):
                     why = "is not a member"
                 elif x[q - 1] != v:
                     why = f"has part {q} equal to {x[q - 1]}, not {v}"
@@ -252,12 +258,16 @@ class TupleLattice:
                     seen[x], below = (q, v), x
                     continue
                 raise LatticeError(f"least({q}, {v}) = {render_vertex(x)} {why}")
+        return table
 
     def member(self, x) -> bool:
         """Whether ``x`` lies in the box and above least(q, x_q) wherever x_q > 0."""
+        return self._member(x, self.least)
+
+    def _member(self, x, least):
         return (len(x) == len(self.top)
                 and all(0 <= a <= b for a, b in zip(x, self.top))
-                and all(all(map(le, self.least(q, v), x))
+                and all(all(map(le, least(q, v), x))
                         for q, v in enumerate(x, 1) if v))
 
     def rank(self, x) -> int:

@@ -11,8 +11,9 @@ the solve path to an independent picture of each position space:
 * :class:`VertexColoredPoset` — a finite poset given by its covering pairs,
   with a color attached to every element.
 * :class:`DiamondLattice` — a ranked lattice wrapped around a colored order
-  diagram, optionally equipped with order-ideal coordinates so that joins,
-  meets and explicit geodesics can be computed set-theoretically.
+  diagram, whose joins and meets are read off its reachability masks;
+  order-ideal coordinates, when attached, give explicit geodesics, and
+  `check_lattice` certifies them against the order.
 * the family builders: the move graphs (`mixedmiddleswitch_digraph`,
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
@@ -487,17 +488,17 @@ class DiamondLattice:
 
     The constructor checks that the diagram has a unique minimum and maximum
     and admits a rank function, and stores every up-set and down-set as a
-    bitmask.  `check_lattice` additionally certifies, by equality of those
-    masks, that `join` and `meet` give every pair of vertices its least upper
-    and greatest lower bound.
+    bitmask.  `join` and `meet` read those masks and nothing else.
 
     ``ideal_coords`` (optional) maps each vertex to a frozenset — its order
     ideal of join irreducibles — and ``poset`` is the vertex-colored poset
-    those ideals live in.  When present, joins and meets are set union and
-    intersection, and explicit geodesics can be constructed element by
-    element.  ``coord_join`` / ``coord_meet`` allow families with tuple
-    coordinates (component-wise max/min) to shortcut the order-theoretic
-    search as well.
+    those ideals live in.  When present, explicit geodesics can be
+    constructed element by element.  ``coord_join`` / ``coord_meet``
+    (optional) are a family's rule for the same bounds on its tuple
+    coordinates (component-wise max/min).  Both are claims:
+    `check_lattice` certifies, by equality of masks, that the ideal union
+    and intersection, or else the coordinate rule, name every pair's least
+    upper and greatest lower bound.
     """
 
     __slots__ = ("diagram", "rank", "length", "kind", "ideal_coords", "poset",
@@ -575,9 +576,11 @@ class DiamondLattice:
         return self._by_ideal[ideal]
 
     def _bound(self, s, t, masks, least):
-        common = masks[self._index[s]] & masks[self._index[t]]
-        if not common:
-            raise LatticeError(f"no common bound for {s!r}, {t!r}")
+        try:
+            common = masks[self._index[s]] & masks[self._index[t]]
+        except KeyError:
+            raise LatticeError(f"{s!r}, {t!r}: not both vertices of the lattice") from None
+        # never empty: every vertex lies between the unique min and max
         best = ((common & -common) if least else common).bit_length() - 1
         # least/greatest bound must dominate every other common bound
         if masks[best] & common != common:
@@ -585,68 +588,48 @@ class DiamondLattice:
         return self._order[best]
 
     def join(self, s, t):
-        """Least upper bound (ideal union / coordinate rule / order search)."""
-        if s == t:
-            return s
-        if self.ideal_coords is not None:
-            try:
-                return self._by_ideal[self.ideal_coords[s] | self.ideal_coords[t]]
-            except KeyError:
-                raise LatticeError(
-                    f"ideal join of {s!r}, {t!r} left the lattice") from None
-        if self.coord_join is not None:
-            v = self.coord_join(s, t)
-            if v not in self._index:
-                raise LatticeError(f"coordinate join of {s!r}, {t!r} left the lattice")
-            return v
+        """Least upper bound, read off the up-set masks."""
         return self._bound(s, t, self._upmask, True)
 
     def meet(self, s, t):
-        """Greatest lower bound."""
-        if s == t:
-            return s
-        if self.ideal_coords is not None:
-            try:
-                return self._by_ideal[self.ideal_coords[s] & self.ideal_coords[t]]
-            except KeyError:
-                raise LatticeError(
-                    f"ideal meet of {s!r}, {t!r} left the lattice") from None
-        if self.coord_meet is not None:
-            v = self.coord_meet(s, t)
-            if v not in self._index:
-                raise LatticeError(f"coordinate meet of {s!r}, {t!r} left the lattice")
-            return v
-        return self._bound(s, t, self._downmask, False)
-
-    def order_join(self, s, t):
-        """Join computed purely from the order, ignoring any coordinate rule."""
-        return self._bound(s, t, self._upmask, True)
-
-    def order_meet(self, s, t):
+        """Greatest lower bound, read off the down-set masks."""
         return self._bound(s, t, self._downmask, False)
 
     def check_lattice(self) -> None:
-        """Certify that `join` and `meet` are the order's, on every vertex pair.
+        """Certify, on every vertex pair, that the order has a least upper and
+        a greatest lower bound and that the coordinates name them.
 
-        j is the least upper bound of s and t exactly when its up-set is
-        their common up-set: ``up[j] == up[s] & up[t]`` (j is then a common
-        upper bound, and every common upper bound lies above it).  The meet
-        is checked dually with the down-sets.  So a coordinate rule is
-        checked against the order, and a lattice without one raises the
-        order search's own LatticeError when a pair has no least bound.
+        The claims come from the ideal coordinates when attached (union and
+        intersection), else from ``coord_join`` / ``coord_meet`` where given,
+        else from the order search itself, which raises its own LatticeError
+        when a pair has no least bound.  j is the least upper bound of s and
+        t exactly when its up-set is their common up-set:
+        ``up[j] == up[s] & up[t]`` (j is then a common upper bound, and every
+        common upper bound lies above it).  The meet is checked dually with
+        the down-sets.
         """
+        if self.ideal_coords is not None:
+            ideal, by_ideal, name = self.ideal_coords, self._by_ideal, "ideal"
+            join = lambda s, t: by_ideal.get(ideal[s] | ideal[t])
+            meet = lambda s, t: by_ideal.get(ideal[s] & ideal[t])
+        else:
+            name = "coordinate"
+            join, meet = self.coord_join or self.join, self.coord_meet or self.meet
         verts = self.diagram.vertices
         index, up, down = self._index, self._upmask, self._downmask
-        join, meet = self.join, self.meet
         for a, s in enumerate(verts):
             us, ds = up[index[s]], down[index[s]]
             for t in verts[a + 1:]:
                 i = index[t]
                 j = join(s, t)
+                if j not in index:
+                    raise LatticeError(f"{name} join of {s!r}, {t!r} left the lattice")
                 if up[index[j]] != us & up[i]:
                     raise LatticeError(
                         f"join {j!r} of {s!r}, {t!r} is not their least upper bound")
                 m = meet(s, t)
+                if m not in index:
+                    raise LatticeError(f"{name} meet of {s!r}, {t!r} left the lattice")
                 if down[index[m]] != ds & down[i]:
                     raise LatticeError(
                         f"meet {m!r} of {s!r}, {t!r} is not their greatest lower bound")
@@ -671,23 +654,23 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     """Certify ``rules``, then climb from the zero tuple to its explicit lattice
-    (see :class:`TupleLattice`), reading each coordinate's least members and
-    colors from a table; Birkhoff coordinates are attached."""
-    rules.certify()
-    tables = [[(rules.least(q, v), rules.color(q, v)) for v in range(1, hi + 1)]
+    (see :class:`TupleLattice`), reading each coordinate's least members from
+    the table `certify` returns and its colors from a second one; Birkhoff
+    coordinates are attached."""
+    least = rules.certify()
+    colors = [[rules.color(q, v) for v in range(1, hi + 1)]
               for q, hi in enumerate(rules.top, 1)]
     top, zero = rules.top, (0,) * len(rules.top)
     members, edges, seen = [zero], [], {zero: zero}
     for x in members:
         for q, (a, hi) in enumerate(zip(x, top)):
             if a < hi:
-                lo, c = tables[q][a]
                 y = x[:q] + (a + 1,) + x[q + 1:]
-                if all(map(le, lo, y)):
+                if all(map(le, least[q][a], y)):
                     if y not in seen:
                         seen[y] = y
                         members.append(y)
-                    edges.append((x, seen[y], c))   # one tuple per member
+                    edges.append((x, seen[y], colors[q][a]))   # one tuple per member
     return attach_birkhoff_coords(DiamondLattice(
         ColoredDigraph(members, edges), "distributive",
         coord_join=rules.join, coord_meet=rules.meet))
@@ -723,8 +706,9 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
 
     Each vertex is mapped to the set of join irreducibles below it; the
     resulting ideals are exactly the order ideals of `join_irreducibles(lat)`,
-    so the returned lattice supports set-theoretic joins, meets and explicit
-    path construction while keeping the original vertex payloads.  The
+    so the returned lattice supports explicit path construction while keeping
+    the original vertex payloads; its `check_lattice` certifies that the
+    ideal union and intersection are the order's join and meet.  The
     result is a copy that shares the argument's diagram, ranks and
     reachability masks; the argument itself is left without coordinates.
 

@@ -14,7 +14,8 @@ from the ideals.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 
 from .core import CapExceededError, LatticeError, PathCertificate, render_vertex
 from .explicit import ColoredDigraph, DiamondLattice, canonical_key
@@ -22,7 +23,6 @@ from .explicit import ColoredDigraph, DiamondLattice, canonical_key
 __all__ = [
     "PathCertificate",
     "lattice_distance",
-    "color_count_min",
     "color_counts",
     "shortest_path",
     "gods_number",
@@ -46,11 +46,11 @@ def lattice_distance(lat: DiamondLattice, s, t) -> int:
     return via_join
 
 
-def color_count_min(lat: DiamondLattice, s, t, color: int) -> int:
-    """Number of color-`color` steps that *every* geodesic from s to t uses.
+def color_counts(lat: DiamondLattice, s, t) -> dict:
+    """Per-color step counts of every geodesic from s to t, for every color.
 
-    Requires ideal coordinates: counts the elements of the given color in
-    (s u t) \\ s and in (s u t) \\ t; the meet-based evaluation (counting in
+    Requires ideal coordinates: tallies the colors of the elements in
+    (s u t) \\ s and in (s u t) \\ t; the meet-based tally (over
     s \\ (s n t) and t \\ (s n t)) is computed too and checked to agree.
     """
     if lat.ideal_coords is None:
@@ -58,18 +58,10 @@ def color_count_min(lat: DiamondLattice, s, t, color: int) -> int:
     cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]
     union, inter = cs | ct, cs & ct
     col = lat.poset.color
-    up = sum(1 for e in union - cs if col(e) == color) + \
-        sum(1 for e in union - ct if col(e) == color)
-    down = sum(1 for e in cs - inter if col(e) == color) + \
-        sum(1 for e in ct - inter if col(e) == color)
-    if up != down:
+    up = Counter(map(col, chain(union - cs, union - ct)))
+    if up != Counter(map(col, chain(cs - inter, ct - inter))):
         raise LatticeError("join-based and meet-based color counts disagree")
-    return up
-
-
-def color_counts(lat: DiamondLattice, s, t) -> dict:
-    """Per-color geodesic step counts for every color of the lattice."""
-    return {c: color_count_min(lat, s, t, c) for c in lat.diagram.colors()}
+    return {c: up[c] for c in lat.diagram.colors()}
 
 
 def _ascend(lat, x_ideal, target_ideal, vertices, steps):

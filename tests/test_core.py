@@ -240,7 +240,7 @@ def test_incomparable_minimal_bounds_are_refused(make, flip):
     lat = DiamondLattice(g, "modular")
     with pytest.raises(LatticeError, match="no unique extremum"):
         lat.check_lattice()
-    bound = lat.order_meet if flip else lat.order_join
+    bound = lat.meet if flip else lat.join
     with pytest.raises(LatticeError, match=r"bounds of 'x', 'y' have no unique"):
         bound("x", "y")
 
@@ -277,10 +277,12 @@ def _brute_extremum(bounds, within):
       for seed in range(20)),
 ])
 def test_order_bounds_match_a_brute_force_search(make):
-    """Order join and meet are the least common upper and greatest common
-    lower bound found by walking the order, on every ordered pair."""
+    """Join and meet are the least common upper and greatest common lower
+    bound found by walking the order, on every ordered pair; so are the
+    ideal union and intersection and the coordinate rule, where given."""
     lat = make()
-    bare = DiamondLattice(lat.diagram, lat.kind)    # no coordinate shortcut
+    bare = DiamondLattice(lat.diagram, lat.kind)
+    ideal, vertex = lat.ideal_coords, lat.vertex_of_ideal
     above = _above(lat.diagram)
     below = {v: {u for u in lat.vertices if v in above[u]} for v in lat.vertices}
     for s in lat.vertices:
@@ -288,8 +290,13 @@ def test_order_bounds_match_a_brute_force_search(make):
         for t in lat.vertices:
             j = _brute_extremum(above[s] & above[t], above)
             m = _brute_extremum(below[s] & below[t], below)
-            assert lat.order_join(s, t) == bare.join(s, t) == j
-            assert lat.order_meet(s, t) == bare.meet(s, t) == m
+            assert lat.join(s, t) == bare.join(s, t) == j
+            assert lat.meet(s, t) == bare.meet(s, t) == m
+            if ideal is not None:
+                assert vertex(ideal[s] | ideal[t]) == j
+                assert vertex(ideal[s] & ideal[t]) == m
+            if lat.coord_join is not None:
+                assert lat.coord_join(s, t) == j and lat.coord_meet(s, t) == m
     lat.check_lattice()
     bare.check_lattice()
 
@@ -330,17 +337,28 @@ def test_attach_birkhoff_coords_enables_set_joins():
 
 def test_ideal_joins_and_meets_off_the_lattice_are_refused():
     # the chain 1 < 2 < 3, each vertex given itself as its ideal: unions and
-    # intersections of two such sets are no vertex's ideal
+    # intersections of two such sets are no vertex's ideal.  Join and meet
+    # read the order, so only the certificate reads the coordinates.
     g = ColoredDigraph(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
     p = VertexColoredPoset(g.vertices, [], {v: 1 for v in g.vertices})
     lat = DiamondLattice(g, "distributive", poset=p,
                          ideal_coords={v: frozenset({v}) for v in g.vertices})
-    with pytest.raises(LatticeError, match="^ideal join of '1', '3' left the lattice$"):
-        lat.join("1", "3")
-    with pytest.raises(LatticeError, match="^ideal meet of '2', '3' left the lattice$"):
-        lat.meet("2", "3")
+    assert lat.join("1", "3") == "3"
+    assert lat.meet("2", "3") == "2"
     with pytest.raises(LatticeError, match="^ideal join of '1', '2' left the lattice$"):
         lat.check_lattice()
+
+
+@pytest.mark.parametrize("coords", [True, False], ids=["ideal", "bare"])
+def test_bounds_of_a_non_vertex_are_refused(coords):
+    lat = z_lattice(3)
+    if not coords:
+        lat = DiamondLattice(lat.diagram, lat.kind)
+    s, x = lat.minimum, (9, 9, 9)
+    for bound in (lat.join, lat.meet):
+        for pair in [(x, s), (s, x), (x, x)]:
+            with pytest.raises(LatticeError, match="not both vertices of the lattice"):
+                bound(*pair)
 
 
 def pairwise_join_irreducibles(lat):

@@ -15,8 +15,8 @@ import pytest
 import colorlattice
 from helpers import module_env
 
-# The public names, as the package exported them when it imported every
-# submodule eagerly; the order is that of those imports.
+# The public names, in the order of the submodules that the package once
+# imported eagerly.
 EXPORTS = [
     "GroupElement", "RootData", "UnrankedComponentError", "alternant",
     "bialternant_check", "closed_card_c", "closed_rgf_b", "closed_rgf_c",
@@ -33,8 +33,8 @@ EXPORTS = [
     "is_ballot", "is_box_partition", "is_staircase", "kn_admissible",
     "kn_lattice", "l_inv", "l_map", "legal_moves", "part_to_tab",
     "replay_domino", "sigma", "solve_domino", "tab_to_part", "wt_c",
-    "PathCertificate", "all_shortest_paths", "color_count_min",
-    "color_counts", "gods_number", "lattice_distance", "shortest_path",
+    "PathCertificate", "all_shortest_paths", "color_counts", "gods_number",
+    "lattice_distance", "shortest_path",
     "InexactDivisionError", "LaurentPoly", "QPolynomial", "qbinomial",
     "NotIsomorphicError", "SnakeSolution", "all_snakes", "c_lattice",
     "cached_isomorphism", "catalan_tuples", "enumerate_tilings", "is_tiling",
