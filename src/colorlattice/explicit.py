@@ -621,7 +621,10 @@ class DiamondLattice:
             us, ds = up[index[s]], down[index[s]]
             for t in verts[a + 1:]:
                 i = index[t]
-                j = join(s, t)
+                try:
+                    j = join(s, t)
+                except KeyError:    # s or t has no ideal coordinates
+                    j = None
                 if j not in index:
                     raise LatticeError(f"{name} join of {s!r}, {t!r} left the lattice")
                 if up[index[j]] != us & up[i]:

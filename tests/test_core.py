@@ -347,6 +347,12 @@ def test_ideal_joins_and_meets_off_the_lattice_are_refused():
     assert lat.meet("2", "3") == "2"
     with pytest.raises(LatticeError, match="^ideal join of '1', '2' left the lattice$"):
         lat.check_lattice()
+    # a vertex without coordinates: its first pair's join leaves the lattice
+    q = VertexColoredPoset(["a", "b"], [("a", "b")], {"a": 1, "b": 1})
+    partial = DiamondLattice(g, "distributive", poset=q,
+                             ideal_coords={"1": frozenset(), "2": frozenset({"a"})})
+    with pytest.raises(LatticeError, match="^ideal join of '1', '3' left the lattice$"):
+        partial.check_lattice()
 
 
 @pytest.mark.parametrize("coords", [True, False], ids=["ideal", "bare"])

@@ -239,8 +239,8 @@ def test_symplectic_lattices_are_folded_box_sublattices(k, n):
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 5)
                                   for k in range(1, n + 1)])
 def test_closure_certificate_agrees_with_the_bound_search(k, n):
-    # check_lattice fails unless each max and min is a vertex and equals
-    # the order join and meet
+    # check_lattice fails unless each pair's ideal union and intersection
+    # are vertices' ideals, of the order join and meet
     for lat in (kn_lattice(k, n), dec_lattice(k, n)):
         lat.check_lattice()
 
