@@ -29,13 +29,13 @@ from __future__ import annotations
 import copy
 from collections import deque
 from functools import lru_cache
-from operator import le
+from itertools import chain
 
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
 from .dominoes import Board, _board_lattice, _box_lattice, _move, _wears
-from .snakes import (_TILINGS_CAP, _catalan_lattice, _contents, _diagonal_lengths,
-                     _on_diagonal, _pull_back, _snake_shape, _tilings,
+from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths,
+                     _on_diagonal, _pull_back, _tilings,
                      enumerate_tilings, is_tiling)
 from .switchgame import _cushioned_lattice, _may_toggle, int_to_bits
 
@@ -79,7 +79,10 @@ def canonical_key(v):
 
     Handles the payload shapes that actually occur — integers, strings,
     tuples, and frozensets (order ideals) — recursively, tagging each value
-    with a type marker so mixed payloads sort without raising.
+    with a type marker so mixed payloads sort without raising.  On tuples
+    of ints the order is the plain one: ``("tup", (("int", a), ...))``
+    compares exactly as ``(a, ...)`` does, so `_canonical_sorted` sorts them
+    without the key.
     """
     # tuples and ints first: they are almost every call
     if isinstance(v, tuple):
@@ -93,46 +96,75 @@ def canonical_key(v):
     return (type(v).__name__, str(v))
 
 
+def _canonical_sorted(items) -> list:
+    """``sorted(items, key=canonical_key)``, with the key only where it is needed.
+
+    Tuples of ints sort plainly, and frozensets of them by their sorted
+    members, since `canonical_key` orders both as the plain tuples;
+    anything else sorts by `canonical_key`.
+    """
+    items = list(items)
+    if all(type(v) is tuple for v in items):
+        if _ints(chain.from_iterable(items)):
+            return sorted(items)
+    elif all(type(v) is frozenset for v in items):
+        members = set(chain.from_iterable(items))
+        if all(type(v) is tuple for v in members) and _ints(chain.from_iterable(members)):
+            return sorted(items, key=lambda v: tuple(sorted(v)))
+    return sorted(items, key=canonical_key)
+
+
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int, bool}
+
+
 class ColoredDigraph:
     """A finite simple digraph with positive-integer edge colors.
 
     Vertices are arbitrary hashable payloads (tuples of coordinates,
     frozensets of poset elements, ...).  Vertex and edge sequences are kept
-    sorted under :func:`canonical_key`, so two structurally equal graphs
-    compare equal and print identically.
+    sorted under :func:`canonical_key` (by `_canonical_sorted`, which skips
+    the key on int tuples and on frozensets of them), so two structurally
+    equal graphs compare equal and print identically.
     """
 
     __slots__ = ("_vertices", "_edges", "_out", "_in")
 
     def __init__(self, vertices, edges):
-        vs = sorted(vertices, key=canonical_key)
+        vs = _canonical_sorted(vertices)
         index = {v: i for i, v in enumerate(vs)}
         if len(index) != len(vs):
             raise ValueError("duplicate vertices")
-        out = {v: [] for v in vs}
-        inc = {v: [] for v in vs}
-        seen_pairs = set()
-        es = []
+        # each edge is keyed by the positions i, j of its ends, as the one
+        # int i * len(vs) + j, which the checks and the sort read in place
+        # of the (possibly long) payloads
+        keyed = {}
         for (u, v, c) in edges:
-            if u not in index or v not in index:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise ValueError(f"edge endpoint not a vertex: {(u, v)}")
-            if u == v:
+            if i == j:
                 raise ValueError(f"loop at {u!r}")
-            if (u, v) in seen_pairs:
+            key = i * len(vs) + j
+            if key in keyed:
                 raise ValueError(f"parallel edge {u!r} -> {v!r}")
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
-            seen_pairs.add((u, v))
-            es.append((u, v, c))
+            keyed[key] = (u, v, c)
         # the vertex order is canonical, so positions in it order the edges
-        es.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        for (u, v, c) in es:
-            out[u].append((v, c))
-            inc[v].append((u, c))
+        out = [[] for _ in vs]
+        inc = [[] for _ in vs]
+        es = []
+        for key in sorted(keyed):
+            u, v, c = e = keyed[key]
+            i, j = divmod(key, len(vs))
+            out[i].append((v, c))
+            inc[j].append((u, c))
+            es.append(e)
         self._vertices = tuple(vs)
         self._edges = tuple(es)
-        self._out = {v: tuple(nbrs) for v, nbrs in out.items()}
-        self._in = {v: tuple(nbrs) for v, nbrs in inc.items()}
+        self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
+        self._in = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
 
     @property
     def vertices(self):
@@ -335,7 +367,7 @@ class VertexColoredPoset:
     __slots__ = ("_elements", "_covers", "_color", "_index", "_up", "_down")
 
     def __init__(self, elements, covers, color):
-        els = sorted(elements, key=canonical_key)
+        els = _canonical_sorted(elements)
         index = {e: i for i, e in enumerate(els)}
         if len(index) != len(els):
             raise ValueError("duplicate elements")
@@ -657,23 +689,36 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     """Certify ``rules``, then climb from the zero tuple to its explicit lattice
-    (see :class:`TupleLattice`), reading each coordinate's least members from
-    the table `certify` returns and its colors from a second one; Birkhoff
-    coordinates are attached."""
+    (see :class:`TupleLattice`); Birkhoff coordinates are attached.
+
+    A raise x + e_q of a member is one exactly when it lies in the box and
+    above least(q, x_q + 1).  That least member has part q equal to x_q + 1
+    by claim (a), and every part is at least 0, so the test reads only its
+    nonzero parts p != q: x_p >= least(q, x_q + 1)_p.  Those (p, part)
+    pairs are tabled once, from the least members `certify` returns, next
+    to a table of colors, and the raised tuple is built only for a raise
+    that passes.
+    """
     least = rules.certify()
+    needs = [[[(p, b) for p, b in enumerate(lo) if b and p != q] for lo in row]
+             for q, row in enumerate(least)]
     colors = [[rules.color(q, v) for v in range(1, hi + 1)]
               for q, hi in enumerate(rules.top, 1)]
     top, zero = rules.top, (0,) * len(rules.top)
     members, edges, seen = [zero], [], {zero: zero}
     for x in members:
         for q, (a, hi) in enumerate(zip(x, top)):
-            if a < hi:
+            if a == hi:
+                continue
+            for p, b in needs[q][a]:
+                if x[p] < b:
+                    break
+            else:
                 y = x[:q] + (a + 1,) + x[q + 1:]
-                if all(map(le, least[q][a], y)):
-                    if y not in seen:
-                        seen[y] = y
-                        members.append(y)
-                    edges.append((x, seen[y], colors[q][a]))   # one tuple per member
+                if y not in seen:
+                    seen[y] = y
+                    members.append(y)
+                edges.append((x, seen[y], colors[q][a]))   # one tuple per member
     return attach_birkhoff_coords(DiamondLattice(
         ColoredDigraph(members, edges), "distributive",
         coord_join=rules.join, coord_meet=rules.meet))
@@ -853,6 +898,12 @@ def legal_moves(board: Board, tau):
     tau = tuple(tau)
     if not board.valid(tau):
         raise ValueError(f"{tau} is not a {board.kind} partition here")
+    return _legal_moves(board, tau)
+
+
+def _legal_moves(board: Board, tau):
+    """`legal_moves` at a tuple ``tau`` already known to be a partition of
+    the board's kind."""
     tiles = []
     for r, cur in enumerate(tau, 1):
         tiles += [(False, ((r, cur - 1), (r, cur))),
@@ -888,11 +939,15 @@ def _rows_fit(board: Board, tau, rows) -> bool:
 
 @lru_cache(maxsize=None)
 def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
-    """The directed move graph on all partitions of the board's kind."""
+    """The directed move graph on all partitions of the board's kind.
+
+    The partitions come from ``board.partitions()``, which keeps only valid
+    ones, so their moves are found without checking them again.
+    """
     board = Board(kind, k, n)
     verts = board.partitions()
     edges = [(mv.source, mv.result, mv.color)
-             for tau in verts for mv in legal_moves(board, tau)]
+             for tau in verts for mv in _legal_moves(board, tau)]
     return ColoredDigraph(verts, edges)
 
 
@@ -982,30 +1037,82 @@ def legal_snake_moves(n: int, rows):
 
     Additions lay tiles on a fully untiled snake, removals clear a fully
     tiled one; either is legal only when the result is again a tiling.
-    Whatever a legal move adds or removes is a border strip (rim hook) of
-    the larger of the two shapes, so only segments of the inner rim
-    (removals) and of the outer rim inside the board (additions) are tried:
-    one of each per snake length, on the contents the centering fixes.
-    Only the rows and columns a move touched can break the tiling rules
-    (`_still_tiling`).  Deterministically ordered.
+    The candidates are the rim segments of `_rim_moves`, one of each verb
+    per snake length.  Deterministically ordered.
     """
     rows = tuple(rows)
     if not is_tiling(rows, n):
         raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
+    moves = _rim_moves(n, rows, forward=False)
+    moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
+    return moves
+
+
+def _rim_moves(n: int, rows, forward: bool):
+    """The legal snake moves at ``rows``, a tiling not checked again, in no
+    set order: (snake, verb, result) triples, only those that point forward
+    in the move graph (``(verb == "add") == (len(snake) is even)``) when
+    ``forward``.
+
+    Whatever a legal move adds or removes is a border strip (rim hook) of
+    the larger of the two shapes, so only segments of the inner rim
+    (removals) and of the outer rim inside the board (additions) are tried:
+    one of each per snake length m, on the contents the centering fixes,
+    with the last tiled (or first bare) square of each content's diagonal
+    (`_rim`, `_rim_segment`).
+
+    Such a segment is a snake on the board exactly when its two end squares
+    are on the board.  Its centre square has content 0, so lies on the main
+    diagonal.  Its steps are all South or West.  Count row 0 and column 0
+    as tiled, where `_on_diagonal` puts the last tiled square of an empty
+    diagonal; the tiled squares stay closed to the upper left.  If (i, j)
+    is the last tiled square of content c, then (i, j - 1), West of it, is
+    tiled, and the last tiled square of content c - 1 is that one or
+    (i + 1, j), South of it: a tiled (i + 2, j + 1) would put a tiled
+    (i + 1, j + 1) further along the diagonal of (i, j).  The first bare
+    squares, one step further along each diagonal, step alike.  So the row
+    index grows and the column index shrinks from head to tail, and every
+    square lies between the two ends.  `_move` and `_still_tiling` decide
+    each segment that passes.
+    """
     d = _diagonal_lengths(rows, n)
     heights = _column_heights(rows, n)
     moves = []
-    for m in range(1, 2 * n):
-        for verb, shift in (("remove", -1), ("add", 0)):
-            snake = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
-            if not _snake_shape(snake, n):
+    for verb, shift in (("remove", -1), ("add", 0)):
+        rim = _rim(n, d, shift)
+        for m in range(1, 2 * n):
+            if forward and (verb == "add") != (m % 2 == 0):
+                continue
+            snake = _rim_segment(n, rim, m)
+            if snake is None:
                 continue
             result = _move(rows, snake, verb == "add")
             if result is not None and _still_tiling(result, n, snake, heights,
                                                     1 if verb == "add" else -1):
                 moves.append((snake, verb, result))
-    moves.sort(key=lambda mv: (len(mv[0]), mv[0], mv[1]))
     return moves
+
+
+def _rim(n: int, d, shift: int):
+    """The squares of the inner (shift -1) or outer (shift 0) rim of the
+    tiling with diagonal lengths ``d``: the last tiled or first bare square
+    of each content's diagonal, contents n-1 down to 1-n, possibly off the
+    board."""
+    return [_on_diagonal(c, d[c] + shift) for c in range(n - 1, -n, -1)]
+
+
+def _rim_segment(n: int, rim, m: int):
+    """The length-m snake candidate on a rim (`_rim`), or None when it leaves
+    the board, which its two ends decide (see `_rim_moves`).
+
+    It covers the contents p-1 down to p-m, p = floor((m+1)/2): a slice of
+    the rim, whose place n-1-c holds content c.
+    """
+    head = n - (m + 1) // 2
+    for i, j in (rim[head], rim[head + m - 1]):
+        if not (1 <= i <= n and 1 <= j <= n):
+            return None
+    return tuple(rim[head:head + m])
 
 
 def _column_heights(rows, n: int):
@@ -1039,19 +1146,18 @@ def _still_tiling(rows, n: int, squares, heights, step) -> bool:
 
 @lru_cache(maxsize=None)
 def ming_digraph(n: int) -> ColoredDigraph:
-    """The directed snake-move graph on all tilings of the n x n board."""
+    """The directed snake-move graph on all tilings of the n x n board.
+
+    Even-length additions and odd-length removals point forward; their
+    mirrors are the same moves seen from the other endpoint, so only the
+    forward ones are tried (`_rim_moves`), on tilings the enumeration
+    already checked.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     verts = enumerate_tilings(n)
-    edges = []
-    for rows in verts:
-        for snake, verb, result in legal_snake_moves(n, rows):
-            m = len(snake)
-            # orientation rule: even-length additions and odd-length
-            # removals point forward; their mirrors are the same moves
-            # seen from the other endpoint
-            if (verb == "add") == (m % 2 == 0):
-                edges.append((rows, result, m))
+    edges = [(rows, result, len(snake)) for rows in verts
+             for snake, _, result in _rim_moves(n, rows, forward=True)]
     return ColoredDigraph(verts, edges)
 
 

@@ -1,6 +1,7 @@
 """Colored digraphs, rank functions, and the order-ideal correspondence."""
 
 import random
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,13 @@ from colorlattice import (
     kn_lattice,
     rank_function,
     to_dot,
+    tuple_lattice,
     z_lattice,
 )
-from colorlattice.explicit import canonical_key
+from colorlattice.dominoes import _board_lattice, _box_lattice
+from colorlattice.explicit import _canonical_sorted, canonical_key
+from colorlattice.snakes import _catalan_lattice
+from colorlattice.switchgame import _cushioned_lattice
 from helpers import random_lattice, random_poset
 
 
@@ -495,3 +500,84 @@ def test_edges_covers_and_extremes_come_in_canonical_order(make):
         maximal = [e for e in sub if not any(f != e and lat.le(e, f) for f in sub)]
         assert p.minimal_of(sub) == sorted(minimal, key=canonical_key)
         assert p.maximal_of(sub) == sorted(maximal, key=canonical_key)
+
+
+# --------------------------------------------------------------------------
+# the canonical sort and the climb
+
+def _int_tuples(rng, count):
+    """Int tuples of mixed lengths, with negatives and bools, repeats likely."""
+    pool = [-3, -1, 0, 1, 2, 7, True, False]
+    return [tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_canonical_sort_equals_the_keyed_sort(seed):
+    rng = random.Random(seed)
+    tuples = _int_tuples(rng, 40)
+    sets = [frozenset(rng.sample(tuples, rng.randint(0, 5))) for _ in range(30)]
+    mixed = [  # each falls back to the key
+        tuples + [(1, "a")],
+        tuples + [((1, 2), 3)],
+        tuples + [7],
+        sets + [frozenset({1, 2})],
+        sets + [frozenset({(1, "a")})],
+        sets + tuples,
+        ["s", "t", 3, (1, 2), frozenset({(0,)}), True, -1],
+    ]
+    for items in [tuples, sets, [], [()], [frozenset()]] + mixed:
+        rng.shuffle(items)
+        # the same objects in the same order: ties keep their input order
+        assert list(map(id, _canonical_sorted(items))) == \
+            list(map(id, sorted(items, key=canonical_key)))
+
+
+@pytest.mark.parametrize("vertices, edges, match", [
+    ([(0,), (1,), (0,)], [], "duplicate vertices"),
+    ([(0,), (1,)], [((0,), (2,), 1)], r"edge endpoint not a vertex: \(\(0,\), \(2,\)\)"),
+    ([(0,), (1,)], [((1,), (1,), 1)], r"loop at \(1,\)"),
+    ([(0,), (1,)], [((0,), (1,), 1), ((0,), (1,), 2)], r"parallel edge \(0,\) -> \(1,\)"),
+    ([(0,), (1,)], [((0,), (1,), 0)], "positive integer, got 0"),
+    (["s", "t"], [("s", "t", 1.0)], "positive integer, got 1.0"),
+    # the first bad edge in the given order is the one named
+    (["s", "t"], [("s", "s", 1), ("s", "u", 1)], "loop at 's'"),
+])
+def test_digraphs_refuse_bad_edges_by_name(vertices, edges, match):
+    with pytest.raises(ValueError, match=match):
+        ColoredDigraph(vertices, edges)
+
+
+def full_climb(rules):
+    """The climb that builds every raise and compares it part by part with
+    its least member: the oracle for the sparse tests of `tuple_lattice`."""
+    least = rules.certify()
+    top, zero = rules.top, (0,) * len(rules.top)
+    members, edges, seen = [zero], [], {zero}
+    for x in members:
+        for q, (a, hi) in enumerate(zip(x, top)):
+            if a < hi:
+                y = x[:q] + (a + 1,) + x[q + 1:]
+                if all(map(le, least[q][a], y)):
+                    if y not in seen:
+                        seen.add(y)
+                        members.append(y)
+                    edges.append((x, y, rules.color(q + 1, a + 1)))
+    return ColoredDigraph(members, edges)
+
+
+# every family rule at the sizes its explicit lattice is tested at
+FAMILY_RULES = {
+    **{f"switch{n}": _cushioned_lattice(n) for n in range(2, 11)},
+    **{f"box{k},{m}": _box_lattice(k, m) for m in range(1, 5) for k in range(1, m + 1)},
+    "box3,9": _box_lattice(3, 9),
+    **{f"{kind}{k},{n}": _board_lattice(kind, k, n) for kind in ("staircase", "ballot")
+       for n in range(1, 6) for k in range(1, n + 1)},
+    **{f"catalan{n}": _catalan_lattice(n) for n in range(1, 8)},
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_RULES)
+def test_the_sparse_climb_equals_the_full_climb(name):
+    rules = FAMILY_RULES[name]
+    assert tuple_lattice(rules).diagram == full_climb(rules)

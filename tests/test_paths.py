@@ -74,6 +74,33 @@ def test_color_counts_total_the_distance_and_match_the_certificate(zee4):
         assert {c: m for c, m in tallies.items() if m} == dict(observed)
 
 
+def two_sided_counts(lat, s, t):
+    """The color tallies of the steps from s and t up to their join and
+    down to their meet, which `color_counts` once computed both of and
+    compared."""
+    cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]
+    union, inter = cs | ct, cs & ct
+    col = lat.poset.color
+    return (Counter(map(col, [*(union - cs), *(union - ct)])),
+            Counter(map(col, [*(cs - inter), *(ct - inter)])))
+
+
+@pytest.mark.parametrize("build, args", [
+    *((z_lattice, (n,)) for n in range(2, 6)),
+    *((c_lattice, (n,)) for n in range(1, 5)),
+    *((f, (k, n)) for f in (kn_lattice, dec_lattice)
+      for n in range(1, 4) for k in range(1, n + 1)),
+], ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
+def test_one_tally_equals_the_join_and_meet_tallies_on_every_pair(build, args):
+    lat = build(*args)
+    colors = lat.diagram.colors()
+    for s in lat.vertices:
+        for t in lat.vertices:
+            up, down = two_sided_counts(lat, s, t)
+            assert up == down
+            assert color_counts(lat, s, t) == {c: up[c] for c in colors}
+
+
 def test_every_geodesic_shares_one_color_multiset(zee4):
     s, t = (2, 0, 0, 0), (3, 1, 0, 0)
     paths = all_shortest_paths(zee4, s, t, cap=4)

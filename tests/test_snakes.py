@@ -7,6 +7,7 @@ import pytest
 from colorlattice import (
     Board,
     CapExceededError,
+    ColoredDigraph,
     NotIsomorphicError,
     SnakeSolution,
     all_snakes,
@@ -25,8 +26,9 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice.dominoes import _move
-from colorlattice.explicit import _column_heights, _still_tiling
-from colorlattice.snakes import _is_snake
+from colorlattice.explicit import _column_heights, _rim, _rim_segment, _still_tiling
+from colorlattice.snakes import (_contents, _diagonal_lengths, _is_snake, _on_diagonal,
+                                 _snake_shape)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -87,7 +89,8 @@ def test_moves_from_the_empty_board():
         (((1, 1),), "add", (1, 0)),
         (((1, 2), (1, 1), (2, 1)), "add", (2, 1)),
     ]
-    with pytest.raises(ValueError):
+    # outside callers keep the check the move graph skips on its own vertices
+    with pytest.raises(ValueError, match=r"not a tiling of the 2 x 2 board: \(1, 1\)"):
         legal_snake_moves(2, (1, 1))
 
 
@@ -160,6 +163,35 @@ def test_row_wise_move_refuses_a_repeated_square():
 def test_rim_hook_moves_equal_the_whole_catalog_scan(n):
     for rows in enumerate_tilings(n):
         assert legal_snake_moves(n, rows) == scan_catalog_moves(n, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_rim_segment_is_a_snake_exactly_when_its_ends_are_on_the_board(n):
+    # every candidate of every tiling: the whole segment, walked square by
+    # square, against the two-end test
+    for rows in enumerate_tilings(n):
+        d = _diagonal_lengths(rows, n)
+        for shift in (-1, 0):
+            rim = _rim(n, d, shift)
+            for m in range(1, 2 * n):
+                whole = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
+                want = whole if _snake_shape(whole, n) else None
+                assert _rim_segment(n, rim, m) == want, (rows, m, shift)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_move_graph_equals_the_oriented_catalog_scan(n):
+    # each catalogued snake tried with the verb that points forward only:
+    # even-length additions and odd-length removals
+    verts = enumerate_tilings(n)
+    edges = []
+    for rows in verts:
+        for snake in all_snakes(n):
+            add = len(snake) % 2 == 0
+            result = cell_set_move(rows, snake, add)
+            if result is not None and is_tiling(result, n):
+                edges.append((rows, result, len(snake)))
+    assert ming_digraph(n) == ColoredDigraph(verts, edges)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

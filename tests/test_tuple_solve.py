@@ -1,6 +1,7 @@
 """Solving on tuple coordinates, checked against the explicit lattices."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -312,6 +313,34 @@ def test_rank_and_color_counts_match_the_explicit_lattice():
             assert rules.distance(s, t) == lattice_distance(lat, s, t)
             assert rules.join(s, t) == lat.join(s, t)
             assert rules.meet(s, t) == lat.meet(s, t)
+
+
+def two_sided_gaps(rules, s, t):
+    """The color tallies of the gaps from s and t up to their join and down
+    to their meet, which `TupleLattice.color_counts` once computed both of
+    and compared."""
+    def gaps(*pairs):
+        return Counter(rules.color(q, v) for lower, upper in pairs
+                       for q, (a, b) in enumerate(zip(lower, upper), 1)
+                       for v in range(a + 1, b + 1))
+    hi, lo = rules.join(s, t), rules.meet(s, t)
+    return gaps((s, hi), (t, hi)), gaps((lo, s), (lo, t))
+
+
+@pytest.mark.parametrize("rules", [
+    _cushioned_lattice(5), _board_lattice("full", 3, 3),
+    _board_lattice("staircase", 3, 4), _board_lattice("ballot", 3, 4),
+    _catalan_lattice(5),
+], ids=["switch", "box", "staircase", "ballot", "catalan"])
+def test_rule_tally_equals_the_join_and_meet_tallies_on_every_member_pair(rules):
+    members = [x for x in product(*(range(hi + 1) for hi in rules.top))
+               if rules.member(x)]
+    colors = rules.colors()
+    for s in members:
+        for t in members:
+            up, down = two_sided_gaps(rules, s, t)
+            assert up == down
+            assert rules.color_counts(s, t) == {c: up[c] for c in colors}
 
 
 # --------------------------------------------------------------------------
