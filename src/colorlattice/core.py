@@ -223,12 +223,13 @@ class TupleLattice:
     least(q, x_q) and sorts after it: the test looks from the end.
     """
 
-    __slots__ = ("top", "color", "least")
+    __slots__ = ("top", "color", "least", "_colors")
 
     def __init__(self, top, color, least):
         self.top = tuple(top)
         self.color = color
         self.least = least
+        self._colors = None
 
     def __repr__(self):
         return f"TupleLattice(top {render_vertex(self.top)})"
@@ -296,9 +297,17 @@ class TupleLattice:
         return via_join
 
     def colors(self):
-        """Every edge color, sorted."""
-        return sorted({self.color(q, v) for q, hi in enumerate(self.top, 1)
-                       for v in range(1, hi + 1)})
+        """Every edge color, sorted: a new list each call."""
+        return list(self._sorted_colors())
+
+    def _sorted_colors(self):
+        """The sorted edge colors as a tuple, found on the first call and
+        kept: the rules never change."""
+        if self._colors is None:
+            self._colors = tuple(sorted({
+                self.color(q, v) for q, hi in enumerate(self.top, 1)
+                for v in range(1, hi + 1)}))
+        return self._colors
 
     def color_counts(self, s, t) -> dict:
         """Per-color step counts of every geodesic from s to t, for every color.
@@ -311,7 +320,7 @@ class TupleLattice:
         self._lengths(s, t)
         steps = Counter(self.color(q, v) for q, (a, b) in enumerate(zip(s, t), 1)
                         for v in range(min(a, b) + 1, max(a, b) + 1))
-        return {c: steps[c] for c in self.colors()}
+        return {c: steps[c] for c in self._sorted_colors()}
 
     def geodesic(self, s, t, via: str = "join") -> PathCertificate:
         """An optimal mountain (via="join") or valley (via="meet") certificate."""

@@ -23,9 +23,13 @@ tableau's values into places 1..2n: odd v goes to place (v+1)/2 and even v
 to place 2n+1-v/2, so the odd values fill the first n places in order and
 the even values the last n in reverse.
 
-This module holds what a solve runs: the board checks, the coding, the
-least-member rules (`_box_lattice`, `_board_lattice`), the move rule
-(`_move`, `_wears`), the solver and its replay.  The move graph
+This module holds what a solve runs: the board checks, the coding
+(`l_map` and `l_inv` check their input; the solver runs the unchecked
+`_encode` and `_decode`), the least-member rules (`_box_lattice`,
+`_board_lattice`), the move rule (`_move`, `_wears`, and `_rows_fit`,
+which tests a move's result at the rows it touched), the solver and its
+replay.  The replay and the move graph share the move rule; the solver
+never runs it.  The move graph
 (`legal_moves`, `domino_digraph`) and the explicit lattices (`a_lattice`,
 `kn_lattice`, `dec_lattice`) are built in :mod:`colorlattice.explicit`
 from the same rules.  The columnar tableaux, their 0/1 tally sequences and
@@ -36,6 +40,7 @@ to, live in :mod:`colorlattice.tableaux`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .core import TupleLattice
@@ -89,6 +94,26 @@ def enumerate_box_partitions(k: int, m: int):
     return sorted(combinations_with_replacement(range(m, -1, -1), k))
 
 
+def _rows_fit(board: Board, tau, rows) -> bool:
+    """``board.valid(tau)`` for a tuple that is a partition of the board's
+    kind but for the given rows (1-based): each of them must lie within the
+    kind's row bound and between its neighbours.
+
+    A move changes only the rows its squares lie in, and a row bound or an
+    order between two rows that it leaves alone still holds.  So the move
+    graph and `replay_domino` test a move's result at its touched rows
+    alone, from a partition of the kind.
+    """
+    k, m = board.k, board.width
+    for r in rows:
+        p = tau[r - 1]
+        lo = k - r if board.kind == "staircase" else 0
+        hi = m + 1 - r if board.kind == "ballot" else m
+        if not lo <= p <= hi or (r > 1 and tau[r - 2] < p) or (r < k and p < tau[r]):
+            return False
+    return True
+
+
 def _move(rows, squares, add: bool):
     """The row lengths after laying (add) or lifting the squares, or None.
 
@@ -124,14 +149,11 @@ def l_map(tau, k: int, n: int):
     perm(z(v)) = v, which is (v+1)/2 for odd v and 2n+1-v/2 for even v.
     So the ones of t' sit at the places of the values j + tau_{k+1-j};
     sorted, p_1 < ... < p_k, they give x_j = m + j - p_j.
+
+    Refuses anything but a nonempty k x m box partition (ValueError), then
+    runs `_encode`, which checks nothing.
     """
-    tau = tuple(tau)
-    m = 2 * n - k
-    if not tau or not is_box_partition(tau, k, m):
-        raise ValueError(f"not a partition in a {k} x {m} box: {tau}")
-    places = sorted((v + 1) // 2 if v % 2 else 2 * n + 1 - v // 2
-                    for v in (j + p for j, p in enumerate(reversed(tau), 1)))
-    return tuple(m + j - p for j, p in enumerate(places, 1))
+    return _encode(_box_checked(tau, k, n), k, n)
 
 
 def l_inv(tau, k: int, n: int):
@@ -139,13 +161,33 @@ def l_inv(tau, k: int, n: int):
 
     The places m + j - x_j hold the values 2p-1 (place p <= n) and 4n+2-2p
     (above); sorted, T_1 < ... < T_k, they give tau_{k+1-i} = T_i - i.
+    Refuses as `l_map` does, then runs `_decode`.
     """
+    return _decode(_box_checked(tau, k, n), k, n)
+
+
+def _box_checked(tau, k: int, n: int):
+    """``tau`` as a tuple, or ValueError unless it is a nonempty k x (2n-k)
+    box partition."""
     tau = tuple(tau)
+    if not tau or not is_box_partition(tau, k, 2 * n - k):
+        raise ValueError(f"not a partition in a {k} x {2 * n - k} box: {tau}")
+    return tau
+
+
+def _encode(tau, k: int, n: int):
+    """`l_map` of a tuple already known to be a k x (2n-k) box partition."""
     m = 2 * n - k
-    if not tau or not is_box_partition(tau, k, m):
-        raise ValueError(f"not a partition in a {k} x {m} box: {tau}")
+    places = sorted((v + 1) // 2 if v % 2 else 2 * n + 1 - v // 2
+                    for v in (j + p for j, p in enumerate(reversed(tau), 1)))
+    return tuple(m + j - p for j, p in enumerate(places, 1))
+
+
+def _decode(x, k: int, n: int):
+    """`l_inv` of a tuple already known to be a k x (2n-k) box partition."""
+    m = 2 * n - k
     values = sorted(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
-                    for p in (m + j - x for j, x in enumerate(tau, 1)))
+                    for p in (m + j - e for j, e in enumerate(x, 1)))
     return tuple(v - i for i, v in enumerate(values, 1))[::-1]
 
 
@@ -268,6 +310,7 @@ def _box_lattice(k: int, m: int) -> TupleLattice:
                         lambda q, v: (v,) * q + (0,) * (k - q))
 
 
+@lru_cache(maxsize=None)
 def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
     """The lattice ``solve_domino`` walks for a board kind, by rules.
 
@@ -299,6 +342,7 @@ def _board_lattice(kind: str, k: int, n: int) -> TupleLattice:
     So least(q, v) is B(q, v) with its first r parts raised to h, where
     (r, h) is (v-2e, q) or (v-e, q+e) in the two cases the box form fails
     and (0, 0) elsewhere.  ``check_lattice`` runs in ``verify symplectic``.
+    Built once per kind and size: its color list is kept with it.
     """
     box = _box_lattice(k, 2 * n - k)
     if kind == "full":
@@ -364,6 +408,10 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     ``a_lattice``.  Each action is read off the squares the two states
     differ in and wears its lattice step's color; the replay checks the
     play under the tile rules, colors included.
+
+    The endpoints are checked once, on entry: a partition of the board's
+    kind is a box partition, so the coding runs unchecked (`_encode`,
+    `_decode`), and the replay is the check on every decoded state.
     """
     board = Board(kind, k, n)
     start, target = tuple(start), tuple(target)
@@ -372,9 +420,9 @@ def solve_domino(kind: str, k: int, n: int, start, target,
             raise ValueError(f"{tau} is not a {kind} partition for "
                              f"k={k}, n={n}")
     lat = _board_lattice(kind, k, n)
-    enc_s, enc_t = l_map(start, k, n), l_map(target, k, n)
+    enc_s, enc_t = _encode(start, k, n), _encode(target, k, n)
     cert = lat.geodesic(enc_s, enc_t, via=via)
-    states = [l_inv(v, k, n) for v in cert.vertices]
+    states = [_decode(v, k, n) for v in cert.vertices]
     actions = [_action(a, b, color)
                for a, b, (color, _) in zip(states, states[1:], cert.steps)]
     sol = DominoSolution(kind, k, n, states, actions,
@@ -401,6 +449,12 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     partition of the board's kind.  Each square must be a pair of ints, and
     each action must wear its tile's color: the one ``_wears`` gives the
     move ``legal_moves`` lists through that tile, played either way.
+
+    Each result is tested at the rows its tile touched (`_rows_fit`), as
+    the move graph tests it.  By induction on the steps, the state a step
+    starts from is a partition of the kind, so that test is the whole
+    ``board.valid``: the start is checked whole, and each later state
+    equals a result that passed.
     """
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
@@ -410,7 +464,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
         if not all(type(sq) is tuple and len(sq) == 2
-                   and all(type(x) is int for x in sq) for sq in squares):
+                   and type(sq[0]) is int and type(sq[1]) is int for sq in squares):
             raise AssertionError(f"step {step}: squares {squares!r} are not "
                                  f"pairs of ints")
         if len(squares) == 1:
@@ -430,7 +484,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
         if after is None:
             raise AssertionError(f"step {step}: squares are not at their "
                                  f"rows' ends; result is not left-justified")
-        if not board.valid(after) or after != nxt:
+        if not _rows_fit(board, after, {r for r, _ in squares}) or after != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")
         if _wears(board, squares)[1] != color:
             raise AssertionError(f"step {step}: edge color disagrees between "

@@ -18,8 +18,9 @@ the solve path to an independent picture of each position space:
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
   `c_lattice`) from each family's least-member rule, through
-  `tuple_lattice`.  Each game keeps its one move rule and its one least
-  rule in its own module; this one imports them.
+  `tuple_lattice`.  Each game keeps its one move rule, the local test of
+  a move's result (`_rows_fit`, `_still_tiling`) and its one least rule
+  in its own module, where its replay shares them; this one imports them.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -33,10 +34,10 @@ from itertools import chain
 
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
-from .dominoes import Board, _board_lattice, _box_lattice, _move, _wears
-from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths,
-                     _on_diagonal, _pull_back, _tilings,
-                     enumerate_tilings, is_tiling)
+from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _wears
+from .snakes import (_TILINGS_CAP, _catalan_lattice, _column_heights,
+                     _diagonal_lengths, _on_diagonal, _pull_back, _still_tiling,
+                     _tilings, enumerate_tilings, is_tiling)
 from .switchgame import _cushioned_lattice, _may_toggle, int_to_bits
 
 __all__ = [
@@ -923,20 +924,6 @@ def _legal_moves(board: Board, tau):
     return moves
 
 
-def _rows_fit(board: Board, tau, rows) -> bool:
-    """``board.valid(tau)`` for a tuple that is a partition of the board's
-    kind but for the given rows (1-based): each of them must lie within the
-    kind's row bound and between its neighbours."""
-    k, m = board.k, board.width
-    for r in rows:
-        p = tau[r - 1]
-        lo = k - r if board.kind == "staircase" else 0
-        hi = m + 1 - r if board.kind == "ballot" else m
-        if not lo <= p <= hi or (r > 1 and tau[r - 2] < p) or (r < k and p < tau[r]):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
     """The directed move graph on all partitions of the board's kind.
@@ -1113,35 +1100,6 @@ def _rim_segment(n: int, rim, m: int):
         if not (1 <= i <= n and 1 <= j <= n):
             return None
     return tuple(rim[head:head + m])
-
-
-def _column_heights(rows, n: int):
-    """Per column c from 1 to n, at place c, the number of rows at least c long."""
-    return [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
-
-
-def _still_tiling(rows, n: int, squares, heights, step) -> bool:
-    """``is_tiling(rows, n)`` for the result of laying (step 1) or lifting
-    (step -1) the on-board ``squares`` with ``_move``, from a tiling whose
-    column heights are ``heights``.
-
-    Each square moves its own column's height by the step.  So only the
-    rows and columns the squares touch can break a rule: each touched row
-    must lie between its neighbours, and the diagonal rule must hold at
-    each index that is a touched row or column.
-    """
-    height = {}
-    for _, c in squares:
-        height[c] = height.get(c, heights[c]) + step
-    touched = {r for r, _ in squares}
-    for r in touched:
-        p = rows[r - 1]
-        if (r > 1 and rows[r - 2] < p) or (r < n and p < rows[r]):
-            return False
-    for i in touched | height.keys():
-        if rows[i - 1] >= i and height.get(i, heights[i]) > rows[i - 1]:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -41,8 +41,10 @@ when m >= n+q-x_q (which is >= 2q-1), and
 
 ``solve_snakes`` builds neither graph: it pulls both ends back, walks a
 geodesic on tuple coordinates and pushes each step forward on the
-diagonal lengths.  This module holds what a solve runs: the tiling check,
-the least-member rule (`_catalan_lattice`), the rim geometry, the
+diagonal lengths.  This module holds what a solve runs: the tiling check
+and its local form (`_still_tiling`, which tests a move's result at the
+rows and columns it touched, and which the replay and the move graph
+share), the least-member rule (`_catalan_lattice`), the rim geometry, the
 pull-back, the solver and its replay.  The snakes, the move graph
 (`legal_snake_moves`, `ming_digraph`), ``c_lattice`` and
 ``cached_isomorphism``, which checks the pull-back edge by edge on the
@@ -51,6 +53,7 @@ boards small enough to build, live in :mod:`colorlattice.explicit`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .core import NotIsomorphicError, TupleLattice   # the error's former home keeps it
@@ -76,10 +79,12 @@ def catalan_tuples(n: int):
     return list(filter(_catalan_lattice(n).member, enumerate_box_partitions(n, n)))
 
 
+@lru_cache(maxsize=None)
 def _catalan_lattice(n: int) -> TupleLattice:
     """The lattice of ``c_lattice(n)`` by rules, with nothing enumerated.
 
     The least member with coordinate q >= v is (v, ..., v, 0, ..., 0), q parts v.
+    Built once per size: its color list is kept with it.
     """
     return TupleLattice(range(n, 0, -1), lambda q, t: n + q - t,
                         lambda q, v: (v,) * q + (0,) * (n - q))
@@ -103,6 +108,36 @@ def is_tiling(rows, n: int) -> bool:
             col = sum(1 for p in rows if p >= i)
             if col > rows[i - 1]:
                 return False
+    return True
+
+
+def _column_heights(rows, n: int):
+    """Per column c from 1 to n, at place c, the number of rows at least c long."""
+    return [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+
+
+def _still_tiling(rows, n: int, squares, heights, step) -> bool:
+    """``is_tiling(rows, n)`` for the result of laying (step 1) or lifting
+    (step -1) the on-board ``squares`` with ``_move``, from a tiling whose
+    column heights are ``heights``.
+
+    Each square moves its own column's height by the step.  So only the
+    rows and columns the squares touch can break a rule: each touched row
+    must lie between its neighbours, and the diagonal rule must hold at
+    each index that is a touched row or column.  The move graph and
+    `replay_snakes` test each move this way, in O(squares moved).
+    """
+    height = {}
+    for _, c in squares:
+        height[c] = height.get(c, heights[c]) + step
+    touched = {r for r, _ in squares}
+    for r in touched:
+        p = rows[r - 1]
+        if (r > 1 and rows[r - 2] < p) or (r < n and p < rows[r]):
+            return False
+    for i in touched | height.keys():
+        if rows[i - 1] >= i and height.get(i, heights[i]) > rows[i - 1]:
+            return False
     return True
 
 
@@ -184,7 +219,11 @@ def _on_diagonal(c: int, k: int):
 
 def _pull_back(rows, n: int):
     """The tuple of a tiling, by the closed form in the module docstring."""
-    d = _diagonal_lengths(rows, n)
+    return _pull_back_lengths(_diagonal_lengths(rows, n), n)
+
+
+def _pull_back_lengths(d, n: int):
+    """`_pull_back` of the tiling whose diagonal lengths are ``d``."""
     # d_{c(m)} for m = 1 ... 2n, where c(m) is the content C(m) adds
     dc = [d[m // 2 if m % 2 else -(m // 2)] for m in range(1, 2 * n + 1)]
     r = [(m + 1) // 2 + (-1) ** m * (dc[m - 1] - dc[m]) for m in range(1, 2 * n)]
@@ -260,9 +299,10 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
         if not is_tiling(rows, n):
             raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
     lat = _catalan_lattice(n)
-    xs, xt = _pull_back(s, n), _pull_back(t, n)
+    d = _diagonal_lengths(s, n)
+    xs, xt = _pull_back_lengths(d, n), _pull_back(t, n)
     cert = lat.geodesic(xs, xt, via=via)
-    rows, d = list(s), _diagonal_lengths(s, n)
+    rows = list(s)
     states, actions = [s], []
     for color, direction in cert.steps:
         adds = (color % 2 == 0) == (direction == +1)
@@ -288,6 +328,13 @@ def replay_snakes(sol: SnakeSolution) -> None:
     """Re-run a solution under the raw snake rules; raise if any move cheats.
 
     The play must hold one more state than actions and start on a tiling.
+
+    The column heights are kept as state, and each result is tested at the
+    rows and columns its snake touched (`_still_tiling`), as the move graph
+    tests it.  By induction on the moves, the state a move starts from is a
+    tiling with those heights, so that test is the whole ``is_tiling``: the
+    start is checked whole, and each later state equals a result that
+    passed.
     """
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
@@ -295,15 +342,20 @@ def replay_snakes(sol: SnakeSolution) -> None:
     cur = sol.start
     if not is_tiling(cur, n):
         raise AssertionError(f"play starts at {cur}, not a tiling")
+    heights = _column_heights(cur, n)
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,
                                                     sol.states[1:])):
         if not _is_snake(snake, n):
             raise AssertionError(f"move {step}: not a centered snake: {snake}")
         if verb not in ("add", "remove"):
             raise AssertionError(f"move {step}: unknown verb {verb!r}")
+        shift = 1 if verb == "add" else -1
         after = _move(cur, snake, verb == "add")
-        if after is None or not is_tiling(after, n) or after != nxt:
+        if (after is None or not _still_tiling(after, n, snake, heights, shift)
+                or after != nxt):
             raise AssertionError(f"move {step}: illegal or mismatched result")
+        for _, c in snake:
+            heights[c] += shift
         cur = nxt
     if cur != sol.target:
         raise AssertionError("replay did not reach the target tiling")

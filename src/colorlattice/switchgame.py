@@ -23,6 +23,7 @@ from the same two rules.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 from .core import TupleLattice
@@ -74,12 +75,13 @@ def all_cushioned(n: int):
                   for k in range(n + 1) for sub in combinations(range(1, n + 1), k))
 
 
+@lru_cache(maxsize=None)
 def _cushioned_lattice(n: int) -> TupleLattice:
     """The lattice of `z_lattice(n)` by rules, with nothing enumerated.
 
     The least cushioned tuple whose coordinate q is >= v has its first q
     entries strictly decreasing down to v, and zeros after:
-    (v+q-1, ..., v+1, v, 0, ..., 0).
+    (v+q-1, ..., v+1, v, 0, ..., 0).  Built once per size.
     """
     return TupleLattice(
         range(n, 0, -1), lambda q, t: n + 1 - t,

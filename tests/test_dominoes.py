@@ -40,8 +40,8 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
-from colorlattice.dominoes import _move
-from colorlattice.explicit import _rows_fit
+from colorlattice import explicit
+from colorlattice.dominoes import _decode, _encode, _move, _rows_fit, _wears
 from colorlattice.tableaux import _check_tab, box_to_tab, to_tally
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -422,9 +422,11 @@ def test_legal_moves_equal_the_four_case_generator(k, n):
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)
                                   for k in range(1, n + 1)])
 def test_touched_rows_decide_a_candidate_as_the_full_check_does(k, n):
-    # every on-board tile that ``_move`` plays at a row end, either way,
-    # whatever verb ``_wears`` gives it: a superset of the candidates
-    # ``legal_moves`` tests
+    # every tile that ``_move`` plays at a row end, either way, whatever
+    # verb ``_wears`` gives it, on the board or off it: a superset of the
+    # candidates ``legal_moves`` and ``replay_domino`` test, with results
+    # outside the kind
+    outside = 0
     for kind in ("ballot", "staircase", "full"):
         board = Board(kind, k, n)
         for tau in board.partitions():
@@ -434,13 +436,18 @@ def test_touched_rows_decide_a_candidate_as_the_full_check_does(k, n):
                 if r < k:
                     tiles += [((r, c), (r + 1, c)) for c in (cur, cur + 1)]
             for tile in tiles:
-                if not all(board.has_square(*sq) for sq in tile):
-                    continue
                 for add in (True, False):
                     result = _move(tau, tile, add)
                     if result is not None:
+                        valid = board.valid(result)
                         assert _rows_fit(board, result, {r for r, _ in tile}) \
-                            == board.valid(result), (kind, tau, tile, add)
+                            == valid, (kind, tau, tile, add)
+                        outside += not valid
+    assert outside
+
+
+def test_the_move_graph_and_the_replay_share_one_row_test():
+    assert explicit._rows_fit is _rows_fit
 
 
 def test_touched_rows_keep_the_row_bound_of_their_kind():
@@ -476,6 +483,44 @@ def test_replay_refuses_a_state_count_off_the_action_count(states):
 def test_replay_refuses_a_play_that_starts_off_the_board(sol):
     with pytest.raises(AssertionError, match="not a ballot partition"):
         replay_domino(Board("ballot", 2, 3), sol)
+
+
+@pytest.mark.parametrize("kind, start, end, verb, squares", [
+    # row 2, laid on squares of the board, passes the length of row 1
+    ("ballot", (0, 0), (1, 1), "add", ((2, 2), (2, 3))),
+    # row 1, lifted from squares of the board, sinks under row 2
+    ("staircase", (4, 1), (3, 3), "remove", ((1, 2), (1, 3))),
+])
+def test_replay_refuses_a_step_that_only_its_touched_rows_break(kind, start, end,
+                                                                 verb, squares):
+    # one step appended to a solved play, on squares of the board and
+    # wearing their color, so only the row test can refuse it
+    board = Board(kind, 2, 3)
+    sol = solve_domino(kind, 2, 3, start, end)
+    after = _move(end, squares, verb == "add")
+    assert all(board.has_square(*sq) for sq in squares)
+    assert after is not None and not board.valid(after)
+    forged = DominoSolution(
+        kind, 2, 3, sol.states + (after,),
+        sol.actions + ((verb, squares, _wears(board, squares)[1]),),
+        sol.color_counts, sol.certificate)
+    with pytest.raises(AssertionError,
+                       match=f"step {sol.distance}: illegal or mismatched result"):
+        replay_domino(board, forged)
+
+
+@pytest.mark.parametrize("kind, states, action", [
+    # the ballot bound on row 2 is 3: (2, 4) is off the board
+    ("ballot", [(4, 3), (4, 5)], ("add", ((2, 4), (2, 5)), 1)),
+    # the staircase keeps row 1 at least 1 long: (1, 1) is off the board
+    ("staircase", [(1, 1), (0, 0)], ("remove", ((1, 1), (2, 1)), 1)),
+])
+def test_a_step_past_a_row_bound_of_the_kind_leaves_the_board(kind, states, action):
+    # so the row test never sees it: tiles on the board keep the bounds
+    board = Board(kind, 2, 3)
+    assert board.valid(states[0]) and not board.valid(states[1])
+    with pytest.raises(AssertionError, match="step 0: tile leaves the board"):
+        replay_domino(board, DominoSolution(kind, 2, 3, states, [action], {}, None))
 
 
 @pytest.mark.parametrize("squares", [
@@ -559,8 +604,10 @@ def test_board_coding_equals_the_five_stage_pipeline():
     for n in range(1, 8):
         for k in range(1, 2 * n + 1):
             for tau in enumerate_box_partitions(k, 2 * n - k):
-                assert l_map(tau, k, n) == pipeline_l_map(tau, k, n)
-                assert l_inv(tau, k, n) == pipeline_l_inv(tau, k, n)
+                assert l_map(tau, k, n) == pipeline_l_map(tau, k, n) \
+                    == _encode(tau, k, n)
+                assert l_inv(tau, k, n) == pipeline_l_inv(tau, k, n) \
+                    == _decode(tau, k, n)
                 count += 1
     assert count == 21837
 
@@ -576,5 +623,7 @@ def test_board_coding_equals_the_five_stage_pipeline():
 ])
 @pytest.mark.parametrize("coding", [l_map, l_inv, pipeline_l_map, pipeline_l_inv])
 def test_board_coding_refuses_what_the_pipeline_refuses(coding, tau, k):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refusal:
         coding(tau, k, 3)
+    if coding in (l_map, l_inv):
+        assert str(refusal.value) == f"not a partition in a {k} x {6 - k} box: {tau}"

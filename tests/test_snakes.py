@@ -1,6 +1,6 @@
 """Square-board tilings, snake moves, and the closed-form correspondence."""
 
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -25,10 +25,11 @@ from colorlattice import (
     solve_snakes,
     verify_isomorphism,
 )
+from colorlattice import explicit
 from colorlattice.dominoes import _move
-from colorlattice.explicit import _column_heights, _rim, _rim_segment, _still_tiling
-from colorlattice.snakes import (_contents, _diagonal_lengths, _is_snake, _on_diagonal,
-                                 _snake_shape)
+from colorlattice.explicit import _rim, _rim_segment
+from colorlattice.snakes import (_column_heights, _contents, _diagonal_lengths, _is_snake,
+                                 _on_diagonal, _snake_shape, _still_tiling)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -209,6 +210,45 @@ def test_touched_rows_and_columns_decide_a_move_as_the_full_check_does(n):
                         == is_tiling(result, n), (rows, snake, step)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_carried_heights_decide_every_rim_candidate_as_the_full_check_does(n):
+    # every tiling, reached from the empty board by a move that passed,
+    # with the column heights carried from move to move as the replay
+    # carries them; every rim candidate laid and lifted
+    empty = (0,) * n
+    heights = {empty: _column_heights(empty, n)}
+    queue = deque([empty])
+    while queue:
+        rows = queue.popleft()
+        carried = heights[rows]
+        assert carried == _column_heights(rows, n)
+        d = _diagonal_lengths(rows, n)
+        for shift in (-1, 0):
+            rim = _rim(n, d, shift)
+            for m in range(1, 2 * n):
+                snake = _rim_segment(n, rim, m)
+                if snake is None:
+                    continue
+                for step in (1, -1):
+                    result = _move(rows, snake, step == 1)
+                    if result is None:
+                        continue
+                    fits = _still_tiling(result, n, snake, carried, step)
+                    assert fits == is_tiling(result, n), (rows, snake, step)
+                    if fits and result not in heights:
+                        after = list(carried)
+                        for _, c in snake:
+                            after[c] += step
+                        heights[result] = after
+                        queue.append(result)
+    assert sorted(heights) == enumerate_tilings(n)
+
+
+def test_the_move_graph_and_the_replay_share_one_local_test():
+    assert explicit._still_tiling is _still_tiling
+    assert explicit._column_heights is _column_heights
+
+
 def test_the_diagonal_rule_is_checked_at_touched_rows_and_columns():
     # no snake move needs both at n <= 7, but either alone misses one of
     # these: laying (2, 1) on (1, 0) breaks the rule at index 1 through its
@@ -328,6 +368,21 @@ class TestSolving:
             replay_snakes(SnakeSolution(3, (start, nxt), (action,), {}, None))
         replay_snakes(SnakeSolution(3, ((0, 0, 0), (1, 0, 0)),
                                     (("add", ((1, 1),)),), {}, None))
+
+    def test_replay_refuses_a_move_that_breaks_the_rule_only_through_a_column(self):
+        # the second snake lands on a partition, so every touched row lies
+        # between its neighbours; the diagonal rule breaks at index 1,
+        # where column 1 holds 3 squares and row 1 only 2.  Only the
+        # heights carried from the first move show it.
+        first, second = ((1, 1),), ((1, 2), (2, 2), (2, 1), (3, 1))
+        states = ((0, 0, 0), (1, 0, 0), (2, 2, 1))
+        assert _move(states[1], second, True) == states[2]
+        assert not is_tiling(states[2], 3)
+        assert _still_tiling(states[2], 3, second, _column_heights(states[0], 3), 1)
+        replay_snakes(SnakeSolution(3, states[:2], (("add", first),), {}, None))
+        with pytest.raises(AssertionError, match="move 1: illegal or mismatched result"):
+            replay_snakes(SnakeSolution(3, states, (("add", first), ("add", second)),
+                                        {}, None))
 
     def test_seven_by_seven_board_matches_breadth_first_search(self):
         # 1430 tilings: deeper than the interpreter's default recursion limit

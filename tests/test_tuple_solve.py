@@ -38,7 +38,7 @@ from colorlattice import (
     solve_snakes,
     z_lattice,
 )
-from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH
+from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH, main
 from colorlattice.dominoes import _action, _board_lattice
 from colorlattice.snakes import _catalan_lattice, _pull_back
 from colorlattice.switchgame import (_cushioned_lattice, all_cushioned, int_to_bits,
@@ -553,3 +553,47 @@ def test_least_members_rise_strictly_along_each_coordinate(lat):
     assert len(seen) == sum(lat.top)
     # the same three claims, as the lattice checks them
     lat.certify()
+
+
+# Each rule lattice is built once per size and shared by every later solve.
+RULE_BUILDS = (_cushioned_lattice, _board_lattice, _catalan_lattice)
+SOLVE_ARGV = [
+    ("solve", "mixedmiddleswitch", "--n", "6", "--from", "101010", "--to", "000111"),
+    ("solve", "domino-ballot", "--k", "3", "--n", "5", "--from", "6,5,1", "--to", "2,2,0"),
+    ("solve", "domino-staircase", "--k", "3", "--n", "5", "--from", "7,3,0",
+     "--to", "2,1,1"),
+    ("solve", "domino-full", "--k", "3", "--n", "5", "--from", "7,0,0", "--to", "3,3,3"),
+    ("solve", "snakes", "--n", "4", "--from", "4,4,1,0", "--to", "2,1,0,0"),
+]
+
+
+def test_cached_rule_lattices_answer_alike_in_either_order(capsys):
+    plays = [(*argv, "--via", via, *fmt) for argv in SOLVE_ARGV
+             for via in ("join", "meet") for fmt in ((), ("--json",))]
+    runs = []
+    for order in (plays, plays[::-1]):
+        for build in RULE_BUILDS:
+            build.cache_clear()
+        for _ in range(2):      # the second time on the cached lattices
+            out = {}
+            for argv in order:
+                assert main(list(argv)) == 0, argv
+                out[argv] = capsys.readouterr().out
+            runs.append(out)
+    assert all(run == runs[0] for run in runs)
+    assert _board_lattice("ballot", 3, 5) is _board_lattice("ballot", 3, 5)
+
+
+@pytest.mark.parametrize("lat", [
+    _cushioned_lattice(5), _catalan_lattice(5),
+    *[_board_lattice(kind, 3, 5) for kind in KINDS]], ids=["switch", "catalan", *KINDS])
+def test_a_changed_color_list_leaves_the_lattice_unchanged(lat):
+    zero = (0,) * len(lat.top)
+    counts = lat.color_counts(lat.top, zero)
+    colors = lat.colors()
+    assert colors == sorted(counts) and colors is not lat.colors()
+    colors.clear()
+    colors.append(0)
+    lat.colors().reverse()
+    assert lat.color_counts(lat.top, zero) == counts
+    assert lat.colors() == sorted(counts)
