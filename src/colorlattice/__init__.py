@@ -37,11 +37,10 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "characters": (
-        "GroupElement", "RootData", "UnrankedComponentError", "alternant",
-        "bialternant_check", "closed_card_c", "closed_rgf_b", "closed_rgf_c",
-        "generators", "is_structured", "is_symmetric_unimodal", "orbit",
-        "poset_weights", "product_rgf", "rgf", "root_data", "w_invariant",
-        "weyl_group", "wgf"),
+        "RootData", "UnrankedComponentError", "alternant", "bialternant_check",
+        "closed_card_c", "closed_rgf_b", "closed_rgf_c", "is_structured",
+        "is_symmetric_unimodal", "orbit", "poset_weights", "product_rgf",
+        "rgf", "root_data", "w_invariant", "weyl_group", "wgf"),
     "core": (
         "CapExceededError", "LatticeError", "NotIsomorphicError",
         "NotRankedError", "PathCertificate", "TupleLattice",
@@ -51,17 +50,16 @@ _EXPORTS = {
         "is_box_partition", "is_staircase", "l_inv", "l_map", "replay_domino",
         "sigma", "solve_domino"),
     "explicit": (
-        "ColoredDigraph", "DiamondLattice", "Move", "VertexColoredPoset",
-        "a_lattice", "all_snakes", "attach_birkhoff_coords", "bfs_distance",
-        "c_lattice", "cached_isomorphism", "dec_lattice", "domino_digraph",
+        "ColoredDigraph", "DiamondLattice", "VertexColoredPoset", "a_lattice",
+        "all_snakes", "attach_birkhoff_coords", "bfs_distance", "c_lattice",
+        "cached_isomorphism", "dec_lattice", "domino_digraph",
         "ideals_lattice", "is_diamond_colored", "is_topographically_balanced",
-        "join_irreducibles", "kn_lattice", "legal_moves",
-        "legal_snake_moves", "ming_digraph", "mixedmiddleswitch_digraph",
-        "rank_function", "switch_moves", "to_dot", "tuple_lattice",
-        "verify_isomorphism", "z_lattice"),
+        "join_irreducibles", "kn_lattice", "legal_moves", "legal_snake_moves",
+        "ming_digraph", "mixedmiddleswitch_digraph", "rank_function",
+        "switch_moves", "to_dot", "tuple_lattice", "verify_isomorphism",
+        "z_lattice"),
     "paths": (
-        "all_shortest_paths", "color_counts", "gods_number",
-        "lattice_distance", "shortest_path"),
+        "color_counts", "gods_number", "lattice_distance", "shortest_path"),
     "polynomials": (
         "InexactDivisionError", "LaurentPoly", "QPolynomial", "qbinomial"),
     "snakes": (

@@ -5,10 +5,14 @@ A colored lattice earns the name "splitting poset" for a dominant weight
 when its weight generating function, computed purely combinatorially from
 per-color ranks, satisfies the bialternant identity that pins down an
 irreducible character.  This module holds both sides of that equation: the
-root-system side (simple roots, reflections, the finite reflection group,
-alternants) and the lattice side (per-color rank-minus-depth weights, weight
-and rank generating functions), plus the closed product forms the small
-cases are checked against.
+root-system side (simple roots, the simple reflections on weight tuples,
+the finite reflection group, alternants) and the lattice side (per-color
+rank-minus-depth weights, weight and rank generating functions), plus the
+closed product forms the small cases are checked against.
+
+Weights are integer tuples in the fundamental-weight basis.  A group
+element w is held as its columns w(omega_1), ..., w(omega_n) with its sign
+det(w), so that w mu = sum_j mu_j w(omega_j); no matrix products are taken.
 
 Both infinite families with a doubled bond in their diagram are covered —
 "B" (odd orthogonal) and "C" (symplectic) — each realized concretely in
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .core import CapExceededError, NotRankedError
 from .explicit import DiamondLattice, rank_function
@@ -29,8 +33,6 @@ __all__ = [
     "UnrankedComponentError",
     "RootData",
     "root_data",
-    "GroupElement",
-    "generators",
     "weyl_group",
     "orbit",
     "alternant",
@@ -164,54 +166,14 @@ def root_data(family: str, n: int) -> RootData:
     return RootData(family, n)
 
 
-class GroupElement:
-    """A reflection-group element: integer matrix on weight coordinates + sign."""
+def _reflect(rd: RootData, i: int, mu):
+    """The simple reflection s_i on weight coordinates: mu - mu_i alpha_i.
 
-    __slots__ = ("matrix", "sign")
-
-    def __init__(self, matrix, sign: int):
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self.sign = sign
-
-    def apply(self, mu):
-        return tuple(_dot(row, mu) for row in self.matrix)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        rows = []
-        cols = list(zip(*other.matrix))
-        for row in self.matrix:
-            rows.append(tuple(_dot(row, col) for col in cols))
-        return GroupElement(rows, self.sign * other.sign)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"GroupElement({self.matrix}, sign={self.sign})"
-
-
-def generators(rd: RootData):
-    """The simple reflections s_1, ..., s_n acting on weight coordinates.
-
-    s_i sends mu to mu - mu_i * alpha_i (the i-th coordinate is the pairing
-    with the i-th simple coroot), so the matrix is the identity with column
-    i replaced through the i-th Cartan row.  Each has determinant -1.
+    The i-th coordinate is the pairing with the i-th simple coroot, and
+    alpha_i in the fundamental-weight basis is the i-th Cartan row.
     """
-    n = rd.n
-    gens = []
-    for i in range(n):
-        rows = []
-        for j in range(n):
-            row = [int(j == k) for k in range(n)]
-            row[i] -= rd.cartan[i][j]
-            rows.append(tuple(row))
-        gens.append(GroupElement(rows, -1))
-    return gens
+    m = mu[i]
+    return tuple(a - m * c for a, c in zip(mu, rd.cartan[i]))
 
 
 # The largest reflection group or orbit that is enumerated (rank <= 5).
@@ -219,49 +181,48 @@ _GROUP_CAP = 10_000
 
 
 def weyl_group(rd: RootData):
-    """The full reflection group by closure under the simple reflections.
+    """The full reflection group, by closure under the simple reflections.
 
-    Enumeration stops with :class:`CapExceededError` past ``_GROUP_CAP``
-    elements; the expected order is 2^n n!.
+    Each element w is the pair (columns, sign): the columns are the images
+    w(omega_1), ..., w(omega_n) of the fundamental weights, which fix the
+    linear action, and the sign is det(w).  The product s_i w reflects
+    each column.  Enumeration stops with :class:`CapExceededError` past
+    ``_GROUP_CAP`` elements; the expected order is 2^n n!.
     """
-    gens_list = generators(rd)
-    identity = GroupElement(
-        [[int(i == j) for j in range(rd.n)] for i in range(rd.n)], 1)
-    seen = {identity: identity}
+    n = rd.n
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {identity: 1}
     frontier = [identity]
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in gens_list:
-                h = s * g
+        for cols in frontier:
+            sign = -seen[cols]
+            for i in range(n):
+                h = tuple(_reflect(rd, i, col) for col in cols)
                 if h not in seen:
                     if len(seen) >= _GROUP_CAP:
                         raise CapExceededError(
                             f"reflection group exceeds cap {_GROUP_CAP}")
-                    seen[h] = h
+                    seen[h] = sign
                     nxt.append(h)
         frontier = nxt
-    group = list(seen)
-    expected = 2 ** rd.n
-    for i in range(1, rd.n + 1):
-        expected *= i
-    if len(group) != expected:
+    expected = 2 ** n * factorial(n)
+    if len(seen) != expected:
         raise AssertionError(
-            f"closure found {len(group)} elements, expected {expected}")
-    return group
+            f"closure found {len(seen)} elements, expected {expected}")
+    return list(seen.items())
 
 
 def orbit(rd: RootData, lam):
     """The reflection-group orbit of a weight, by saturation."""
     lam = tuple(lam)
-    gens_list = generators(rd)
     seen = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for s in gens_list:
-                nu = s.apply(mu)
+            for i in range(rd.n):
+                nu = _reflect(rd, i, mu)
                 if nu not in seen:
                     if len(seen) >= _GROUP_CAP:
                         raise CapExceededError(f"orbit exceeds cap {_GROUP_CAP}")
@@ -272,9 +233,15 @@ def orbit(rd: RootData, lam):
 
 
 def alternant(rd: RootData, mu) -> LaurentPoly:
-    """The signed group sum of z^mu: sum over sigma of det(sigma) z^(sigma mu)."""
+    """The signed group sum of z^mu: sum over w of det(w) z^(w mu).
+
+    w mu is read off the columns of w as sum_j mu_j w(omega_j).
+    """
     mu = tuple(mu)
-    return LaurentPoly([(g.apply(mu), g.sign) for g in weyl_group(rd)])
+    return LaurentPoly([
+        (tuple(sum(m * col[i] for m, col in zip(mu, cols)) for i in range(rd.n)),
+         sign)
+        for cols, sign in weyl_group(rd)])
 
 
 def bialternant_check(rd: RootData, lam, X: LaurentPoly) -> bool:
@@ -290,7 +257,8 @@ def bialternant_check(rd: RootData, lam, X: LaurentPoly) -> bool:
 
 def w_invariant(rd: RootData, X: LaurentPoly) -> bool:
     """Whether a formal sum is fixed by every simple reflection."""
-    return all(X.map_exponents(s.apply) == X for s in generators(rd))
+    return all(X.map_exponents(lambda mu, i=i: _reflect(rd, i, mu)) == X
+               for i in range(rd.n))
 
 
 def poset_weights(lat: DiamondLattice, rd: RootData) -> dict:

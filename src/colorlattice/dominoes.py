@@ -96,19 +96,18 @@ def enumerate_box_partitions(k: int, m: int):
 
 def _rows_fit(board: Board, tau, rows) -> bool:
     """``board.valid(tau)`` for a tuple that is a partition of the board's
-    kind but for the given rows (1-based): each of them must lie within the
-    kind's row bound and between its neighbours.
+    kind but for the given rows (1-based): each of them must lie within its
+    row's bounds (`Board._row_bounds`) and between its neighbours.
 
     A move changes only the rows its squares lie in, and a row bound or an
     order between two rows that it leaves alone still holds.  So the move
     graph and `replay_domino` test a move's result at its touched rows
     alone, from a partition of the kind.
     """
-    k, m = board.k, board.width
+    k = board.k
     for r in rows:
         p = tau[r - 1]
-        lo = k - r if board.kind == "staircase" else 0
-        hi = m + 1 - r if board.kind == "ballot" else m
+        lo, hi = board._row_bounds(r)
         if not lo <= p <= hi or (r > 1 and tau[r - 2] < p) or (r < k and p < tau[r]):
             return False
     return True
@@ -216,14 +215,22 @@ class Board:
         self.n = n
         self.width = 2 * n - k
 
+    def _row_bounds(self, r: int):
+        """(lo, hi): row r of the board holds columns lo+1 .. hi, and a
+        partition of the board's kind has row r between lo and hi long.
+
+        lo is k - r on staircase boards and hi is width + 1 - r on ballot
+        boards; otherwise they are 0 and the width.
+        """
+        lo = self.k - r if self.kind == "staircase" else 0
+        hi = self.width + 1 - r if self.kind == "ballot" else self.width
+        return lo, hi
+
     def has_square(self, r: int, c: int) -> bool:
-        if not (1 <= r <= self.k and 1 <= c <= self.width):
+        if not 1 <= r <= self.k:
             return False
-        if self.kind == "ballot":
-            return c <= self.width - r + 1
-        if self.kind == "staircase":
-            return c >= self.k + 1 - r
-        return True
+        lo, hi = self._row_bounds(r)
+        return lo < c <= hi
 
     @property
     def singleton(self):

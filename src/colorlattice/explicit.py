@@ -57,7 +57,6 @@ __all__ = [
     "z_lattice",
     "switch_moves",
     "mixedmiddleswitch_digraph",
-    "Move",
     "legal_moves",
     "domino_digraph",
     "a_lattice",
@@ -335,6 +334,20 @@ def is_topographically_balanced(g: ColoredDigraph) -> bool:
     return True
 
 
+def distances_from(g: ColoredDigraph, s) -> dict:
+    """Breadth-first distances from s to every vertex it reaches, ignoring
+    edge direction; the keys come in order of distance."""
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for (w, _, _) in g.undirected_neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def bfs_distance(g: ColoredDigraph, s, t) -> int:
     """Shortest path length between s and t ignoring edge direction.
 
@@ -343,19 +356,10 @@ def bfs_distance(g: ColoredDigraph, s, t) -> int:
     """
     if s not in g or t not in g:
         raise ValueError("endpoint is not a vertex")
-    if s == t:
-        return 0
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for (w, _, _) in g.undirected_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == t:
-                    return dist[w]
-                queue.append(w)
-    raise UnreachableError(f"{t!r} is not reachable from {s!r}")
+    dist = distances_from(g, s)
+    if t not in dist:
+        raise UnreachableError(f"{t!r} is not reachable from {s!r}")
+    return dist[t]
 
 
 class VertexColoredPoset:
@@ -866,26 +870,12 @@ def mixedmiddleswitch_digraph(n: int) -> ColoredDigraph:
 # --------------------------------------------------------------------------
 # domino boards
 
-class Move:
-    """One legal directed move: tiles touched, edge color, and the outcome."""
-
-    __slots__ = ("kind", "squares", "color", "source", "result")
-
-    def __init__(self, kind, squares, color, source, result):
-        self.kind = kind          # "R" (tile removed) or "A" (tile added)
-        self.squares = tuple(sorted(squares))
-        self.color = color
-        self.source = tuple(source)
-        self.result = tuple(result)
-
-    def __repr__(self):
-        verb = "remove" if self.kind == "R" else "add"
-        return (f"Move({verb} {list(self.squares)} color {self.color}: "
-                f"{self.source} -> {self.result})")
-
-
 def legal_moves(board: Board, tau):
     """All directed moves out of a partition, in a fixed deterministic order.
+
+    Each move is ``(verb, squares, color, result)``: a `DominoSolution`
+    action, verb ``"add"`` or ``"remove"`` and the tile's squares in sorted
+    order, followed by the partition it leads to.
 
     Only tiles at the row ends can move: per row, the horizontal domino at
     its end (lifted) and just past it (laid); per pair of adjacent rows of
@@ -920,7 +910,7 @@ def _legal_moves(board: Board, tau):
             continue
         verb, color = _wears(board, tile)
         if (verb == "add") == add and _rows_fit(board, result, {r for r, _ in tile}):
-            moves.append(Move("A" if add else "R", tile, color, tau, result))
+            moves.append((verb, tile, color, result))
     return moves
 
 
@@ -933,8 +923,8 @@ def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
     """
     board = Board(kind, k, n)
     verts = board.partitions()
-    edges = [(mv.source, mv.result, mv.color)
-             for tau in verts for mv in _legal_moves(board, tau)]
+    edges = [(tau, result, color)
+             for tau in verts for (_, _, color, result) in _legal_moves(board, tau)]
     return ColoredDigraph(verts, edges)
 
 

@@ -14,10 +14,10 @@ from the ideals.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
-from .core import CapExceededError, LatticeError, PathCertificate, render_vertex
-from .explicit import ColoredDigraph, DiamondLattice, canonical_key
+from .core import LatticeError, PathCertificate, render_vertex
+from .explicit import ColoredDigraph, DiamondLattice, distances_from
 
 __all__ = [
     "PathCertificate",
@@ -25,7 +25,6 @@ __all__ = [
     "color_counts",
     "shortest_path",
     "gods_number",
-    "all_shortest_paths",
 ]
 
 
@@ -136,35 +135,6 @@ def gods_number(lat: DiamondLattice) -> int:
     return value
 
 
-def _classify(lat, vertices, steps):
-    ranks = [lat.rank[v] for v in vertices]
-    k_hi = ranks.index(max(ranks))
-    if ranks[:k_hi + 1] == sorted(ranks[:k_hi + 1]) and \
-       ranks[k_hi:] == sorted(ranks[k_hi:], reverse=True) and \
-       vertices[k_hi] == lat.join(vertices[0], vertices[-1]):
-        return PathCertificate(vertices, "mountain", vertices[k_hi], steps)
-    k_lo = ranks.index(min(ranks))
-    if ranks[:k_lo + 1] == sorted(ranks[:k_lo + 1], reverse=True) and \
-       ranks[k_lo:] == sorted(ranks[k_lo:]) and \
-       vertices[k_lo] == lat.meet(vertices[0], vertices[-1]):
-        return PathCertificate(vertices, "valley", vertices[k_lo], steps)
-    return PathCertificate(vertices, "mixed", None, steps)
-
-
-def distances_from(g: ColoredDigraph, s) -> dict:
-    """Breadth-first distances from s to every vertex it reaches, ignoring
-    edge direction; the keys come in order of distance."""
-    dist = {s: 0}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for (w, _, _) in g.undirected_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def geodesic_multisets(g: ColoredDigraph, s) -> dict:
     """For every vertex t that s reaches, the per-color step multisets of
     all geodesics from s to t in the undirected diagram.
@@ -172,7 +142,7 @@ def geodesic_multisets(g: ColoredDigraph, s) -> dict:
     One layered pass, reading no ranks: a geodesic to w ends with an edge
     from a neighbor v one layer nearer s, so the multisets of w are those of
     each such v plus that edge's color.  A multiset is a sorted tuple of
-    (color, count) pairs, as ``all_shortest_paths`` would tally them.
+    (color, count) pairs.
     """
     colors = g.colors()
     slot = {c: i for i, c in enumerate(colors)}
@@ -189,36 +159,3 @@ def geodesic_multisets(g: ColoredDigraph, s) -> dict:
         counts[w] = got
     return {t: {tuple((c, k) for c, k in zip(colors, m) if k) for m in got}
             for t, got in counts.items()}
-
-
-def all_shortest_paths(lat: DiamondLattice, s, t, cap: int = 12):
-    """Every geodesic between s and t in the undirected diagram.
-
-    Purely graph-theoretic (no rank formulas).  It enumerates the paths
-    one by one, so ``verify`` reads their color multisets off
-    :func:`geodesic_multisets` instead; the tests keep this enumeration as
-    that function's oracle.  Refuses distances above ``cap`` to keep the
-    enumeration finite in practice.
-    """
-    g = lat.diagram
-    ds, dt = distances_from(g, s), distances_from(g, t)
-    dist = dt[s]
-    if dist > cap:
-        raise CapExceededError(f"distance {dist} exceeds enumeration cap {cap}")
-    paths = []
-
-    def walk(v, vertices, steps):
-        if v == t:
-            paths.append(_classify(lat, list(vertices), list(steps)))
-            return
-        for (w, c, direction) in g.undirected_neighbors(v):
-            if ds.get(w) == ds[v] + 1 and dt.get(w) == dt[v] - 1:
-                vertices.append(w)
-                steps.append((c, direction))
-                walk(w, vertices, steps)
-                vertices.pop()
-                steps.pop()
-
-    walk(s, [s], [])
-    paths.sort(key=lambda p: tuple(canonical_key(v) for v in p.vertices))
-    return paths

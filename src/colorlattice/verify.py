@@ -36,6 +36,7 @@ from .explicit import (
     c_lattice,
     cached_isomorphism,
     dec_lattice,
+    distances_from,
     domino_digraph,
     ideals_lattice,
     is_diamond_colored,
@@ -48,7 +49,6 @@ from .explicit import (
     z_lattice,
 )
 from .paths import (
-    distances_from,
     geodesic_multisets,
     gods_number,
     lattice_distance,

@@ -1,11 +1,21 @@
-"""Seeded random posets shared by the structural and property suites, and
-the environment of a fresh interpreter for the subprocess tests."""
+"""Seeded random posets shared by the structural and property suites, the
+enumeration of every geodesic that the path suites hold the one-pass
+searches to, and the environment of a fresh interpreter for the subprocess
+tests."""
 
 import os
 import random
 
 import colorlattice
-from colorlattice import ColoredDigraph, DiamondLattice, VertexColoredPoset, ideals_lattice
+from colorlattice import (
+    CapExceededError,
+    ColoredDigraph,
+    DiamondLattice,
+    PathCertificate,
+    VertexColoredPoset,
+    ideals_lattice,
+)
+from colorlattice.explicit import canonical_key, distances_from
 
 
 def module_env(**extra):
@@ -49,3 +59,50 @@ def two_colored_square():
     g = ColoredDigraph(["0", "a", "b", "1"],
                        [("0", "a", 1), ("a", "1", 1), ("0", "b", 2), ("b", "1", 2)])
     return DiamondLattice(g, "modular")
+
+
+def _classify(lat, vertices, steps):
+    ranks = [lat.rank[v] for v in vertices]
+    k_hi = ranks.index(max(ranks))
+    if ranks[:k_hi + 1] == sorted(ranks[:k_hi + 1]) and \
+       ranks[k_hi:] == sorted(ranks[k_hi:], reverse=True) and \
+       vertices[k_hi] == lat.join(vertices[0], vertices[-1]):
+        return PathCertificate(vertices, "mountain", vertices[k_hi], steps)
+    k_lo = ranks.index(min(ranks))
+    if ranks[:k_lo + 1] == sorted(ranks[:k_lo + 1], reverse=True) and \
+       ranks[k_lo:] == sorted(ranks[k_lo:]) and \
+       vertices[k_lo] == lat.meet(vertices[0], vertices[-1]):
+        return PathCertificate(vertices, "valley", vertices[k_lo], steps)
+    return PathCertificate(vertices, "mixed", None, steps)
+
+
+def all_shortest_paths(lat, s, t, cap=12):
+    """Reference: every geodesic between s and t in the undirected diagram.
+
+    Purely graph-theoretic (no rank formulas), and one path at a time, so
+    it is the oracle for `paths.geodesic_multisets`, which reads the color
+    multisets in one layered pass.  Refuses distances above ``cap`` to keep
+    the enumeration finite in practice.
+    """
+    g = lat.diagram
+    ds, dt = distances_from(g, s), distances_from(g, t)
+    dist = dt[s]
+    if dist > cap:
+        raise CapExceededError(f"distance {dist} exceeds enumeration cap {cap}")
+    paths = []
+
+    def walk(v, vertices, steps):
+        if v == t:
+            paths.append(_classify(lat, list(vertices), list(steps)))
+            return
+        for (w, c, direction) in g.undirected_neighbors(v):
+            if ds.get(w) == ds[v] + 1 and dt.get(w) == dt[v] - 1:
+                vertices.append(w)
+                steps.append((c, direction))
+                walk(w, vertices, steps)
+                vertices.pop()
+                steps.pop()
+
+    walk(s, [s], [])
+    paths.sort(key=lambda p: tuple(canonical_key(v) for v in p.vertices))
+    return paths

@@ -15,7 +15,6 @@ from itertools import combinations
 from math import comb
 
 from colorlattice import (
-    all_shortest_paths,
     b_map,
     bfs_distance,
     bialternant_check,
@@ -56,7 +55,7 @@ from colorlattice import (
     z_lattice,
 )
 from colorlattice.dominoes import is_ballot, is_staircase, enumerate_box_partitions
-from helpers import random_lattice
+from helpers import all_shortest_paths, random_lattice
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -3,11 +3,13 @@
 import pytest
 
 from colorlattice import (
+    CapExceededError,
     ColoredDigraph,
     DiamondLattice,
     LaurentPoly,
     QPolynomial,
     UnrankedComponentError,
+    alternant,
     bialternant_check,
     c_lattice,
     closed_card_c,
@@ -63,6 +65,129 @@ def test_cartan_matrices_distinguish_the_two_families():
 ])
 def test_hyperoctahedral_group_orders(family, n, order):
     assert len(weyl_group(root_data(family, n))) == order
+
+
+class GroupElement:
+    """Reference: a reflection-group element as an integer matrix on weight
+    coordinates, with its sign."""
+
+    __slots__ = ("matrix", "sign")
+
+    def __init__(self, matrix, sign):
+        self.matrix = tuple(tuple(row) for row in matrix)
+        self.sign = sign
+
+    def apply(self, mu):
+        return tuple(sum(a * b for a, b in zip(row, mu)) for row in self.matrix)
+
+    def __mul__(self, other):
+        cols = list(zip(*other.matrix))
+        return GroupElement(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols]
+             for row in self.matrix], self.sign * other.sign)
+
+    def __eq__(self, other):
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+
+def generators(rd):
+    """Reference: the simple reflections as matrices, the identity with
+    column i replaced through the i-th Cartan row."""
+    gens = []
+    for i in range(rd.n):
+        rows = []
+        for j in range(rd.n):
+            row = [int(j == k) for k in range(rd.n)]
+            row[i] -= rd.cartan[i][j]
+            rows.append(row)
+        gens.append(GroupElement(rows, -1))
+    return gens
+
+
+def matrix_group(rd):
+    """Reference: the reflection group by matrix products, closed under
+    left multiplication by the simple reflections."""
+    identity = GroupElement(
+        [[int(i == j) for j in range(rd.n)] for i in range(rd.n)], 1)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in generators(rd):
+                h = s * g
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def matrix_orbit(rd, lam):
+    return {g.apply(tuple(lam)) for g in matrix_group(rd)}
+
+
+def matrix_alternant(rd, mu):
+    return LaurentPoly([(g.apply(tuple(mu)), g.sign) for g in matrix_group(rd)])
+
+
+def matrix_w_invariant(rd, X):
+    return all(X.map_exponents(s.apply) == X for s in generators(rd))
+
+
+def sample_weights(rd):
+    """rho, rho + omega_n, and the weights omega_1 and 2 omega_2, which lie
+    on walls of the dominant chamber and so are not regular."""
+    n = rd.n
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return [rd.rho,
+            tuple(r + u for r, u in zip(rd.rho, unit[n - 1])),
+            unit[0],
+            tuple(2 * u for u in unit[1])]
+
+
+GROUPS = [(family, n) for family in "BC" for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("family, n", GROUPS)
+def test_group_columns_are_the_matrix_closure(family, n):
+    rd = root_data(family, n)
+    group = weyl_group(rd)
+    as_matrices = {(tuple(zip(*cols)), sign) for cols, sign in group}
+    assert len(as_matrices) == len(group)
+    assert as_matrices == {(g.matrix, g.sign) for g in matrix_group(rd)}
+
+
+@pytest.mark.parametrize("family, n", GROUPS)
+def test_orbits_alternants_and_invariance_match_the_matrix_action(family, n):
+    rd = root_data(family, n)
+    for mu in sample_weights(rd):
+        assert orbit(rd, mu) == matrix_orbit(rd, mu)
+        alt = alternant(rd, mu)
+        assert alt == matrix_alternant(rd, mu)
+        orbit_sum = LaurentPoly([(nu, 1) for nu in orbit(rd, mu)])
+        for X in (orbit_sum, alt, LaurentPoly.monomial(mu)):
+            assert w_invariant(rd, X) == matrix_w_invariant(rd, X)
+        assert w_invariant(rd, orbit_sum)
+        assert not w_invariant(rd, LaurentPoly.monomial(mu))
+    # a regular weight's alternant has one term per group element; on a
+    # wall a reflection fixes the weight, and the signed terms cancel
+    rho, rho_n, wall_1, wall_2 = sample_weights(rd)
+    assert len(alternant(rd, rho).terms) == len(alternant(rd, rho_n).terms) \
+        == len(weyl_group(rd))
+    assert not alternant(rd, wall_1) and not alternant(rd, wall_2)
+
+
+@pytest.mark.parametrize("family", "BC")
+def test_rank_six_exceeds_the_group_cap(family):
+    rd = root_data(family, 6)
+    with pytest.raises(CapExceededError, match="reflection group exceeds cap"):
+        weyl_group(rd)
+    with pytest.raises(CapExceededError, match="orbit exceeds cap"):
+        orbit(rd, rd.rho)
 
 
 def test_spin_weight_orbit_is_free():

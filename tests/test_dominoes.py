@@ -181,11 +181,32 @@ class TestBoard:
             "R1   W1   R2")
 
 
+def per_kind_has_square(board, r, c):
+    """Reference for ``Board.has_square``: one clause per board kind."""
+    if not (1 <= r <= board.k and 1 <= c <= board.width):
+        return False
+    if board.kind == "ballot":
+        return c <= board.width - r + 1
+    if board.kind == "staircase":
+        return c >= board.k + 1 - r
+    return True
+
+
+def test_has_square_keeps_the_per_kind_clauses():
+    # every square of the grid and of a one-square frame around it
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for kind in ("ballot", "staircase", "full"):
+                board = Board(kind, k, n)
+                for r in range(k + 2):
+                    for c in range(board.width + 2):
+                        assert board.has_square(r, c) \
+                            == per_kind_has_square(board, r, c), (kind, k, n, r, c)
+
+
 def test_legal_moves_from_the_full_staircase_is_one_singleton():
     board = Board("ballot", 3, 3)
-    (mv,) = legal_moves(board, (3, 2, 1))
-    assert (mv.kind, mv.squares, mv.color) == ("R", ((1, 3),), 3)
-    assert mv.result == (2, 2, 1)
+    assert legal_moves(board, (3, 2, 1)) == [("remove", ((1, 3),), 3, (2, 2, 1))]
     # outside callers keep the check the move graph skips on its own vertices
     with pytest.raises(ValueError, match=r"\(3, 3, 3\) is not a ballot partition here"):
         legal_moves(board, (3, 3, 3))
@@ -365,7 +386,7 @@ def four_case_moves(board, tau):
     Removals go forward when their tiles sit red-west (horizontal),
     red-south (vertical), or are the red corner singleton; additions go
     forward when their tiles sit red-east (horizontal) or red-north
-    (vertical).  Records are (kind, squares, color, source, result).
+    (vertical).  Records are (verb, squares, color, result).
     """
     k, width = board.k, board.width
     moves = []
@@ -376,34 +397,35 @@ def four_case_moves(board, tau):
             out[r - 1] += delta
         return tuple(out)
 
-    def record(kind, squares, color, result):
-        moves.append((kind, tuple(sorted(squares)), color, tau, result))
+    def record(verb, squares, color, result):
+        moves.append((verb, tuple(sorted(squares)), color, result))
 
     for r in range(1, k + 1):
         cur = tau[r - 1]
         if cur >= 2:
             result = parts_with([(r, -2)])
             if board.valid(result) and board.is_red(r, cur - 1):
-                record("R", [(r, cur - 1), (r, cur)],
+                record("remove", [(r, cur - 1), (r, cur)],
                        board.removing_index(r, cur - 1), result)
         result = parts_with([(r, +2)])
         if board.valid(result) and not board.is_red(r, cur + 1):
-            record("A", [(r, cur + 1), (r, cur + 2)],
+            record("add", [(r, cur + 1), (r, cur + 2)],
                    board.adding_label(r, cur + 1), result)
         if r < k and tau[r - 1] == tau[r]:
             if cur >= 1:
                 result = parts_with([(r, -1), (r + 1, -1)])
                 if board.valid(result) and board.is_red(r + 1, cur):
-                    record("R", [(r, cur), (r + 1, cur)],
+                    record("remove", [(r, cur), (r + 1, cur)],
                            board.removing_index(r + 1, cur), result)
             result = parts_with([(r, +1), (r + 1, +1)])
             if board.valid(result) and board.is_red(r, cur + 1):
-                record("A", [(r, cur + 1), (r + 1, cur + 1)],
+                record("add", [(r, cur + 1), (r + 1, cur + 1)],
                        board.adding_label(r + 1, cur + 1), result)
     if tau[0] == width:
         result = parts_with([(1, -1)])
         if board.valid(result):
-            record("R", [board.singleton], board.removing_index(1, width), result)
+            record("remove", [board.singleton], board.removing_index(1, width),
+                   result)
     assert all(board.has_square(*sq) for mv in moves for sq in mv[1])
     return moves
 
@@ -414,9 +436,7 @@ def test_legal_moves_equal_the_four_case_generator(k, n):
     for kind in ("ballot", "staircase", "full"):
         board = Board(kind, k, n)
         for tau in board.partitions():
-            got = [(mv.kind, mv.squares, mv.color, mv.source, mv.result)
-                   for mv in legal_moves(board, tau)]
-            assert got == four_case_moves(board, tau)
+            assert legal_moves(board, tau) == four_case_moves(board, tau)
 
 
 @pytest.mark.parametrize("k, n", [(k, n) for n in range(1, 7)

@@ -12,7 +12,6 @@ from colorlattice import (
     LatticeError,
     PathCertificate,
     a_lattice,
-    all_shortest_paths,
     bfs_distance,
     c_lattice,
     color_counts,
@@ -23,8 +22,9 @@ from colorlattice import (
     shortest_path,
     z_lattice,
 )
-from colorlattice.paths import distances_from, geodesic_multisets
-from helpers import random_lattice, two_colored_square
+from colorlattice.explicit import distances_from
+from colorlattice.paths import geodesic_multisets
+from helpers import all_shortest_paths, random_lattice, two_colored_square
 
 
 @pytest.fixture(scope="module")

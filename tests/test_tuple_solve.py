@@ -64,11 +64,12 @@ def same_certificate(cert, want):
 
 
 def legal_move_table(board):
-    """Every ``legal_moves`` entry, keyed by its pair of partitions both ways."""
+    """The squares and color of every ``legal_moves`` entry, keyed by its
+    pair of partitions both ways."""
     table = {}
     for tau in board.partitions():
-        for mv in legal_moves(board, tau):
-            table[mv.source, mv.result] = table[mv.result, mv.source] = mv
+        for (_, squares, color, result) in legal_moves(board, tau):
+            table[tau, result] = table[result, tau] = (squares, color)
     return table
 
 
@@ -121,8 +122,7 @@ def test_board_solves_match_the_explicit_lattice_on_every_pair(kind, k, n):
                 assert sol.states == tuple(decode[v] for v in want.vertices)
                 for a, b, (verb, squares, color) in zip(
                         sol.states, sol.states[1:], sol.actions):
-                    mv = moves[a, b]
-                    assert (squares, color) == (mv.squares, mv.color)
+                    assert (squares, color) == moves[a, b]
                     assert verb == ("remove" if sum(b) < sum(a) else "add")
 
 
@@ -137,8 +137,7 @@ def test_board_actions_are_the_legal_moves_at_the_largest_sizes(kind):
             sol = solve_domino(kind, 3, 6, s, t, via=via)
             for a, b, (_verb, squares, color) in zip(
                     sol.states, sol.states[1:], sol.actions):
-                mv = moves[a, b]
-                assert (squares, color) == (mv.squares, mv.color)
+                assert (squares, color) == moves[a, b]
 
 
 def test_an_action_whose_squares_disagree_with_the_lattice_color_is_refused():
@@ -147,13 +146,16 @@ def test_an_action_whose_squares_disagree_with_the_lattice_color_is_refused():
                                         for k in range(1, n + 1)]):
         board = Board(kind, k, n)
         for tau in board.partitions():
-            for mv in legal_moves(board, tau):
-                for a, b in ((mv.source, mv.result), (mv.result, mv.source)):
-                    action = _action(a, b, mv.color)
-                    assert action[1:] == (mv.squares, mv.color)
+            for move in legal_moves(board, tau):
+                _, squares, color, result = move
+                # played forward, the move is the solver's action for it
+                assert _action(tau, result, color) == move[:3]
+                for a, b in ((tau, result), (result, tau)):
+                    action = _action(a, b, color)
+                    assert action[1:] == (squares, color)
                     replay_domino(board, DominoSolution(
                         kind, k, n, [a, b], [action], {}, None))
-                    forged = _action(a, b, mv.color + 1)
+                    forged = _action(a, b, color + 1)
                     with pytest.raises(AssertionError,
                                        match="edge color disagrees"):
                         replay_domino(board, DominoSolution(
