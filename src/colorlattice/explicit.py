@@ -11,9 +11,10 @@ the solve path to an independent picture of each position space:
 * :class:`VertexColoredPoset` — a finite poset given by its covering pairs,
   with a color attached to every element.
 * :class:`DiamondLattice` — a ranked lattice wrapped around a colored order
-  diagram, whose joins and meets are read off its reachability masks;
-  order-ideal coordinates, when attached, give explicit geodesics, and
-  `check_lattice` certifies them against the order.
+  diagram, whose joins and meets are read off reachability masks built on
+  the first order query; order-ideal coordinates, attached or (on tuple
+  lattices) derived from the least members on first read, give explicit
+  geodesics, and `check_lattice` certifies them against the order.
 * the family builders: the move graphs (`mixedmiddleswitch_digraph`,
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
@@ -22,7 +23,8 @@ the solve path to an independent picture of each position space:
   a move's result (`_rows_fit`, `_still_tiling`) and its one least rule
   in its own module, where its replay shares them; this one imports them.
 
-All values are immutable after construction; every function here is pure.
+All values are immutable after construction (what a lattice builds on
+first read is kept, never changed); every function here is pure.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import copy
 from collections import deque
 from functools import lru_cache
 from itertools import chain
+from operator import sub
 
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
@@ -128,7 +131,7 @@ class ColoredDigraph:
     equal graphs compare equal and print identically.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in")
+    __slots__ = ("_vertices", "_edges", "_out", "_in", "_succ")
 
     def __init__(self, vertices, edges):
         vs = _canonical_sorted(vertices)
@@ -151,20 +154,25 @@ class ColoredDigraph:
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
             keyed[key] = (u, v, c)
-        # the vertex order is canonical, so positions in it order the edges
+        # the vertex order is canonical, so positions in it order the edges;
+        # _succ keeps each vertex's out-neighbours as positions, beside _out,
+        # for the passes that rank and reach without hashing payloads
         out = [[] for _ in vs]
         inc = [[] for _ in vs]
+        succ = [[] for _ in vs]
         es = []
         for key in sorted(keyed):
             u, v, c = e = keyed[key]
             i, j = divmod(key, len(vs))
             out[i].append((v, c))
             inc[j].append((u, c))
+            succ[i].append(j)
             es.append(e)
         self._vertices = tuple(vs)
         self._edges = tuple(es)
         self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
         self._in = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
+        self._succ = tuple(map(tuple, succ))
 
     @property
     def vertices(self):
@@ -210,10 +218,10 @@ class ColoredDigraph:
         return sorted({c for (_, _, c) in self._edges})
 
     def sources(self):
-        return [v for v in self._vertices if not self._in[v]]
+        return [v for v, nbrs in self._in.items() if not nbrs]
 
     def sinks(self):
-        return [v for v in self._vertices if not self._out[v]]
+        return [v for v, nbrs in self._out.items() if not nbrs]
 
     def undirected_neighbors(self, v):
         """Neighbors along edges in either direction, with (neighbor, color, direction)."""
@@ -247,38 +255,41 @@ class ColoredDigraph:
                     for v, nbrs in self._out.items()}
         sub._in = {v: tuple(p for p in nbrs if p[1] == color)
                    for v, nbrs in self._in.items()}
+        sub._succ = tuple(tuple(j for j, (_, c) in zip(js, nbrs) if c == color)
+                          for js, nbrs in zip(self._succ, self._out.values()))
         return sub
 
 
 def rank_function(g: ColoredDigraph) -> dict:
-    """Longest-path layering of an acyclic digraph.
+    """Longest-path layering of an acyclic digraph, keyed in vertex order.
 
     Sources sit at rank 0, so every weak component is ranked from its own
     sources; afterwards every edge is checked to raise rank by exactly one.
     Raises :class:`NotRankedError` when the check fails (e.g. on an N-shaped
     diagram with chains of different lengths meeting), and ValueError on
-    cyclic input.
+    cyclic input.  The pass runs over vertex positions; only the returned
+    dict is keyed by the payloads.
     """
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    queue = deque(v for v in g.vertices if indeg[v] == 0)
-    rank = {v: 0 for v in queue}
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for (w, _) in g.out_edges(v):
-            rank[w] = max(rank.get(w, 0), rank[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(g):
+    vs, succ = g._vertices, g._succ
+    indeg = [len(nbrs) for nbrs in g._in.values()]
+    queue = [i for i, d in enumerate(indeg) if not d]
+    rank = [0] * len(vs)
+    for i in queue:     # grows as it is read: a breadth-first topological order
+        r = rank[i] + 1
+        for j in succ[i]:
+            if rank[j] < r:
+                rank[j] = r
+            indeg[j] -= 1
+            if not indeg[j]:
+                queue.append(j)
+    if len(queue) != len(vs):
         raise ValueError("digraph contains a directed cycle")
-    for (u, v, _) in g.edges:
-        if rank[v] != rank[u] + 1:
-            raise NotRankedError(
-                f"edge {u!r} -> {v!r} spans ranks {rank[u]} -> {rank[v]}"
-            )
-    return rank
+    for i, js in enumerate(succ):
+        for j in js:
+            if rank[j] != rank[i] + 1:
+                raise NotRankedError(
+                    f"edge {vs[i]!r} -> {vs[j]!r} spans ranks {rank[i]} -> {rank[j]}")
+    return dict(zip(vs, rank))
 
 
 def is_diamond_colored(g: ColoredDigraph) -> bool:
@@ -524,23 +535,25 @@ class DiamondLattice:
     """A ranked lattice carried by a colored order diagram.
 
     The constructor checks that the diagram has a unique minimum and maximum
-    and admits a rank function, and stores every up-set and down-set as a
-    bitmask.  `join` and `meet` read those masks and nothing else.
+    and admits a rank function.  Every up-set and down-set is a bitmask,
+    built on the first order query (`le`, `join`, `meet`, `check_lattice`,
+    `join_irreducibles`, `attach_birkhoff_coords`) and kept; `join` and
+    `meet` read those masks and nothing else.
 
     ``ideal_coords`` (optional) maps each vertex to a frozenset — its order
     ideal of join irreducibles — and ``poset`` is the vertex-colored poset
     those ideals live in.  When present, explicit geodesics can be
-    constructed element by element.  ``coord_join`` / ``coord_meet``
-    (optional) are a family's rule for the same bounds on its tuple
-    coordinates (component-wise max/min).  Both are claims:
+    constructed element by element; `tuple_lattice` derives both from its
+    family's least members on their first read.  ``coord_join`` /
+    ``coord_meet`` (optional) are a family's rule for the same bounds on
+    its tuple coordinates (component-wise max/min).  Both are claims:
     `check_lattice` certifies, by equality of masks, that the ideal union
     and intersection, or else the coordinate rule, name every pair's least
     upper and greatest lower bound.
     """
 
-    __slots__ = ("diagram", "rank", "length", "kind", "ideal_coords", "poset",
-                 "coord_join", "coord_meet", "_order", "_index", "_upmask",
-                 "_downmask", "_by_ideal")
+    __slots__ = ("diagram", "rank", "length", "kind", "coord_join", "coord_meet",
+                 "_coords", "_poset", "_by_ideal", "_rules", "_masks")
 
     def __init__(self, diagram: ColoredDigraph, kind: str,
                  ideal_coords=None, poset=None,
@@ -557,35 +570,19 @@ class DiamondLattice:
         if len(srcs) != 1 or len(snks) != 1:
             raise LatticeError(
                 f"expected unique min and max, found {len(srcs)} sources, {len(snks)} sinks")
-        self.ideal_coords = dict(ideal_coords) if ideal_coords is not None else None
-        self.poset = poset
+        if (ideal_coords is None) != (poset is None):
+            raise ValueError("ideal_coords and poset must be supplied together")
+        if ideal_coords is not None and kind != "distributive":
+            raise ValueError("ideal coordinates require a distributive lattice")
+        self._coords = dict(ideal_coords) if ideal_coords is not None else None
+        self._poset = poset
+        self._by_ideal = (
+            {ideal: v for v, ideal in self._coords.items()}
+            if self._coords is not None else None)
         self.coord_join = coord_join
         self.coord_meet = coord_meet
-        if (self.ideal_coords is None) != (poset is None):
-            raise ValueError("ideal_coords and poset must be supplied together")
-        if self.ideal_coords is not None and kind != "distributive":
-            raise ValueError("ideal coordinates require a distributive lattice")
-        # Reachability bitmasks, with bits indexed by a linear extension:
-        # vertices by rank, equal ranks in canonical order.  The lowest bit
-        # of a set of common upper bounds is then one of least rank, and the
-        # highest bit of a set of common lower bounds one of greatest rank.
-        order = sorted(diagram.vertices, key=self.rank.__getitem__)
-        self._order = tuple(order)
-        self._index = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        up = [1 << i for i in range(n)]
-        for i in range(n - 1, -1, -1):
-            for (w, _) in diagram.out_edges(order[i]):
-                up[i] |= up[self._index[w]]
-        down = [1 << i for i in range(n)]
-        for i in range(n):
-            for (w, _) in diagram.in_edges(order[i]):
-                down[i] |= down[self._index[w]]
-        self._upmask = up
-        self._downmask = down
-        self._by_ideal = (
-            {ideal: v for v, ideal in self.ideal_coords.items()}
-            if self.ideal_coords is not None else None)
+        self._rules = None     # (least table, color rule), read by _derive
+        self._masks = None     # built by _reach
 
     @property
     def vertices(self):
@@ -606,15 +603,66 @@ class DiamondLattice:
     def maximum(self):
         return self.diagram.sinks()[0]
 
-    def le(self, s, t) -> bool:
-        return bool(self._upmask[self._index[s]] & (1 << self._index[t]))
+    @property
+    def ideal_coords(self):
+        self._derive()
+        return self._coords
+
+    @property
+    def poset(self):
+        self._derive()
+        return self._poset
 
     def vertex_of_ideal(self, ideal):
+        self._derive()
         return self._by_ideal[ideal]
 
-    def _bound(self, s, t, masks, least):
+    def _derive(self):
+        # a tuple lattice's coordinates, from its rules on the first read
+        if self._rules is not None:
+            self._coords, self._poset = _rule_coords(self.diagram, *self._rules)
+            self._by_ideal = {ideal: v for v, ideal in self._coords.items()}
+            self._rules = None
+
+    def _reach(self):
+        """``(order, index, up, down)``, built on the first call and kept.
+
+        ``order`` is a linear extension — vertices by rank, equal ranks in
+        canonical order — and ``index`` each vertex's place in it; bit k of
+        ``up[i]`` (``down[i]``) is set when ``order[k]`` lies above (below)
+        ``order[i]``.  The lowest bit of a set of common upper bounds is
+        then one of least rank, and the highest bit of a set of common
+        lower bounds one of greatest rank.  Both passes run over the
+        diagram's vertex positions, with the ranks in vertex order.
+        """
+        if self._masks is None:
+            vs, succ = self.diagram._vertices, self.diagram._succ
+            ranks = list(self.rank.values())
+            place = sorted(range(len(vs)), key=ranks.__getitem__)
+            at = [0] * len(vs)
+            for k, i in enumerate(place):
+                at[i] = k
+            up = [1 << k for k in range(len(vs))]
+            for k in reversed(range(len(vs))):
+                for j in succ[place[k]]:
+                    up[k] |= up[at[j]]
+            down = [1 << k for k in range(len(vs))]
+            for k, i in enumerate(place):
+                for j in succ[i]:
+                    down[at[j]] |= down[k]
+            order = tuple(vs[i] for i in place)
+            self._masks = (order, {v: k for k, v in enumerate(order)}, up, down)
+        return self._masks
+
+    def le(self, s, t) -> bool:
+        _, index, up, _ = self._reach()
+        return bool(up[index[s]] & (1 << index[t]))
+
+    def _bound(self, s, t, least):
+        order, index, up, down = self._reach()
+        masks = up if least else down
         try:
-            common = masks[self._index[s]] & masks[self._index[t]]
+            common = masks[index[s]] & masks[index[t]]
         except KeyError:
             raise LatticeError(f"{s!r}, {t!r}: not both vertices of the lattice") from None
         # never empty: every vertex lies between the unique min and max
@@ -622,15 +670,15 @@ class DiamondLattice:
         # least/greatest bound must dominate every other common bound
         if masks[best] & common != common:
             raise LatticeError(f"bounds of {s!r}, {t!r} have no unique extremum")
-        return self._order[best]
+        return order[best]
 
     def join(self, s, t):
         """Least upper bound, read off the up-set masks."""
-        return self._bound(s, t, self._upmask, True)
+        return self._bound(s, t, True)
 
     def meet(self, s, t):
         """Greatest lower bound, read off the down-set masks."""
-        return self._bound(s, t, self._downmask, False)
+        return self._bound(s, t, False)
 
     def check_lattice(self) -> None:
         """Certify, on every vertex pair, that the order has a least upper and
@@ -646,14 +694,14 @@ class DiamondLattice:
         the down-sets.
         """
         if self.ideal_coords is not None:
-            ideal, by_ideal, name = self.ideal_coords, self._by_ideal, "ideal"
+            ideal, by_ideal, name = self._coords, self._by_ideal, "ideal"
             join = lambda s, t: by_ideal.get(ideal[s] | ideal[t])
             meet = lambda s, t: by_ideal.get(ideal[s] & ideal[t])
         else:
             name = "coordinate"
             join, meet = self.coord_join or self.join, self.coord_meet or self.meet
         verts = self.diagram.vertices
-        index, up, down = self._index, self._upmask, self._downmask
+        _, index, up, down = self._reach()
         for a, s in enumerate(verts):
             us, ds = up[index[s]], down[index[s]]
             for t in verts[a + 1:]:
@@ -694,7 +742,9 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     """Certify ``rules``, then climb from the zero tuple to its explicit lattice
-    (see :class:`TupleLattice`); Birkhoff coordinates are attached.
+    (see :class:`TupleLattice`).  Its Birkhoff coordinates and irreducible
+    poset are derived from the least members on their first read
+    (`_rule_coords`), and its reachability masks on the first order query.
 
     A raise x + e_q of a member is one exactly when it lies in the box and
     above least(q, x_q + 1).  That least member has part q equal to x_q + 1
@@ -702,7 +752,8 @@ def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     nonzero parts p != q: x_p >= least(q, x_q + 1)_p.  Those (p, part)
     pairs are tabled once, from the least members `certify` returns, next
     to a table of colors, and the raised tuple is built only for a raise
-    that passes.
+    that passes.  The irreducible counts of `_count_irreducibles` are
+    checked here, at build time.
     """
     least = rules.certify()
     needs = [[[(p, b) for p, b in enumerate(lo) if b and p != q] for lo in row]
@@ -724,9 +775,61 @@ def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
                     seen[y] = y
                     members.append(y)
                 edges.append((x, seen[y], colors[q][a]))   # one tuple per member
-    return attach_birkhoff_coords(DiamondLattice(
-        ColoredDigraph(members, edges), "distributive",
-        coord_join=rules.join, coord_meet=rules.meet))
+    lat = DiamondLattice(ColoredDigraph(members, edges), "distributive",
+                         coord_join=rules.join, coord_meet=rules.meet)
+    _count_irreducibles(lat)
+    lat._rules = (least, rules.color)
+    return lat
+
+
+def _rule_coords(g: ColoredDigraph, least, color):
+    """The Birkhoff coordinates and the irreducible poset of a tuple lattice's
+    diagram ``g``, from its least members, least(q, v) at
+    ``least[q - 1][v - 1]``, and its color rule.
+
+    By :class:`TupleLattice`, the irreducibles below x are the least(q, v)
+    with 0 < v <= x_q, and the edges that add least(q, v) wear color(q, v).
+    least(p, v), a least member, lies below a member x exactly when
+    x_p >= v.  So those below a = least(r, w), other than a, form the chains
+    least(p, 1), ..., least(p, h_p), with h_p = a_p for p != r and
+    h_r = w - 1, and a covers each chain's top least(p, h_p) that lies
+    below no other top.
+
+    Every diagram edge must add exactly one irreducible of its own color:
+    it raises one part q by one, onto v, and wears color(q, v); any other
+    edge raises LatticeError.  Each vertex then takes its first lower
+    cover's coordinates plus that one irreducible; the vertices are in
+    canonical order, where a unit raise comes after its source.
+    """
+    colors = [[color(q, v) for v in range(1, len(row) + 1)]
+              for q, row in enumerate(least, 1)]
+    irr, covers = {}, []
+    for r, row in enumerate(least):
+        for w, a in enumerate(row, 1):
+            irr[a] = colors[r][w - 1]
+            h = [b - (p == r) for p, b in enumerate(a)]
+            tops = [(p, least[p][b - 1]) for p, b in enumerate(h) if b]
+            covers += [(t, a) for p, t in tops
+                       if not any(o[p] >= h[p] for q, o in tops if q != p)]
+    units = [[int(p == q) for p in range(len(least))] for q in range(len(least))]
+    coords = {}
+    for v, ins in g._in.items():
+        for u, c in ins:
+            d = list(map(sub, v, u))
+            q = d.index(1) if 1 in d else 0    # no 1: unlike every unit
+            if d != units[q]:
+                raise LatticeError(
+                    f"the cover {u!r} -> {v!r} does not add exactly one join "
+                    "irreducible; lattice not distributive")
+            if colors[q][v[q] - 1] != c:
+                raise LatticeError(
+                    f"the cover {u!r} -> {v!r} wears color {c}, but adds "
+                    f"{least[q][v[q] - 1]!r} of color {colors[q][v[q] - 1]}")
+        if ins:     # u and q of the last lower cover
+            coords[v] = coords[u] | {least[q][v[q] - 1]}
+        else:
+            coords[v] = frozenset(least[q][b] for q, x in enumerate(v) for b in range(x))
+    return coords, VertexColoredPoset(irr, covers, irr)
 
 
 def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
@@ -741,7 +844,8 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     """
     if lat.kind != "distributive":
         raise ValueError("join irreducibles of the colored kind require a distributive lattice")
-    g, index, up, down = lat.diagram, lat._index, lat._upmask, lat._downmask
+    g = lat.diagram
+    _, index, up, down = lat._reach()
     irr = [v for v in g.vertices if len(g.in_edges(v)) == 1]
     color = {v: g.in_edges(v)[0][1] for v in irr}
     places = [(v, index[v], 1 << index[v]) for v in irr]
@@ -754,6 +858,27 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     return VertexColoredPoset(irr, covers, color)
 
 
+def _count_irreducibles(lat: DiamondLattice) -> None:
+    """Refuse a lattice whose join irreducibles (vertices with one lower
+    cover) or meet irreducibles (one upper cover) do not number exactly its
+    length: it is not distributive.
+
+    In a ranked lattice every cover adds at least one join irreducible to
+    the set below and removes at least one meet irreducible from the set
+    above, so both sets have at least as many members as the lattice is
+    long.  The lattice is distributive exactly when both counts equal the
+    length: the rank is then modular and the irreducibles below a join are
+    the union of those below its two ends.  O(V), on the diagram alone.
+    """
+    g = lat.diagram
+    for name, side in (("join", g._in), ("meet", g._out)):
+        count = sum(len(nbrs) == 1 for nbrs in side.values())
+        if count != lat.length:
+            raise LatticeError(
+                f"{count} {name} irreducibles in a lattice of length "
+                f"{lat.length}; lattice not distributive")
+
+
 def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     """Equip a distributive lattice with order-ideal coordinates.
 
@@ -762,26 +887,25 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     so the returned lattice supports explicit path construction while keeping
     the original vertex payloads; its `check_lattice` certifies that the
     ideal union and intersection are the order's join and meet.  The
-    result is a copy that shares the argument's diagram, ranks and
-    reachability masks; the argument itself is left without coordinates.
+    result is a copy that shares the argument's diagram, ranks and the
+    reachability masks this builds; the argument itself is left without
+    coordinates.  A lattice that has coordinates, or derives them from its
+    rules (`tuple_lattice`), is returned as it is.
 
     The coordinates are read off the down-set masks, by rank: a vertex v
     with a lower cover u gets those of u plus the one irreducible it adds,
-    the single set bit of ``(down[v] ^ down[u]) & irr``.  In a ranked
-    lattice every cover adds at least one join irreducible to the set below
-    and removes at least one meet irreducible (a vertex with one upper
-    cover) from the set above, so both sets have at least as many members
-    as the lattice is long.  The lattice is distributive exactly when both
-    counts equal the length: the rank is then modular and the coordinates
-    of a join are the union of theirs.  So a cover that adds no irreducible
-    or more than one, or a count of meet irreducibles other than the
-    length, raises LatticeError: the argument, a lattice (`check_lattice`
-    certifies that), is not distributive.
+    the single set bit of ``(down[v] ^ down[u]) & irr``.  A cover that adds
+    no irreducible or more than one, or irreducible counts other than the
+    length (`_count_irreducibles`), raise LatticeError: the argument, a
+    lattice (`check_lattice` certifies that), is not distributive.  Once
+    every cover adds one, the join irreducibles number the length: the
+    maximum's coordinates hold all of them, one per cover on a chain.
     """
     if lat.ideal_coords is not None:
         return lat
     p = join_irreducibles(lat)
-    g, order, index, down = lat.diagram, lat._order, lat._index, lat._downmask
+    g = lat.diagram
+    order, index, _, down = lat._reach()
     irr_mask = sum(1 << index[e] for e in p.elements)
     coords = {order[0]: frozenset()}
     for i in range(1, len(order)):
@@ -793,16 +917,12 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
                 f"the cover {u!r} -> {v!r} adds {bin(added).count('1')} join "
                 "irreducibles, not one; lattice not distributive")
         coords[v] = coords[u] | {order[added.bit_length() - 1]}
-    meet_irreducibles = sum(len(g.out_edges(v)) == 1 for v in order)
-    if meet_irreducibles != lat.length:
-        raise LatticeError(
-            f"{meet_irreducibles} meet irreducibles in a lattice of length "
-            f"{lat.length}; lattice not distributive")
+    _count_irreducibles(lat)
     by_ideal = {ideal: v for v, ideal in coords.items()}
     if len(by_ideal) != len(lat.vertices):
         raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
     out = copy.copy(lat)
-    out.ideal_coords, out.poset, out._by_ideal = coords, p, by_ideal
+    out._coords, out._poset, out._by_ideal = coords, p, by_ideal
     return out
 
 

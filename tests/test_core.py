@@ -30,7 +30,8 @@ from colorlattice import (
     z_lattice,
 )
 from colorlattice.dominoes import _board_lattice, _box_lattice
-from colorlattice.explicit import _canonical_sorted, canonical_key
+from colorlattice import explicit
+from colorlattice.explicit import _canonical_sorted, _count_irreducibles, canonical_key
 from colorlattice.snakes import _catalan_lattice
 from colorlattice.switchgame import _cushioned_lattice
 from helpers import random_lattice, random_poset
@@ -458,6 +459,32 @@ def test_birkhoff_coords_refuse_a_lattice_that_is_not_distributive(make, match):
     assert len(set(coords.values())) == len(coords)
     with pytest.raises(LatticeError, match=match):
         attach_birkhoff_coords(lat)
+
+
+@pytest.mark.parametrize("make, match", [
+    (_m3, "^3 join irreducibles in a lattice of length 2; lattice not distributive$"),
+    (_hexagon, "^4 join irreducibles in a lattice of length 3; lattice not distributive$"),
+    (_intervals, "^4 meet irreducibles in a lattice of length 3; lattice not distributive$"),
+    (lambda: _dual(_intervals()),
+     "^4 join irreducibles in a lattice of length 3; lattice not distributive$"),
+], ids=["m3", "hexagon", "intervals", "dual-intervals"])
+def test_irreducible_counts_refuse_a_lattice_that_is_not_distributive(make, match):
+    """The O(V) counts alone refuse each of these lattices."""
+    with pytest.raises(LatticeError, match=match):
+        _count_irreducibles(DiamondLattice(make(), "distributive"))
+
+
+def test_both_birkhoff_builds_count_the_irreducibles(monkeypatch):
+    """`tuple_lattice` (at build time) and `attach_birkhoff_coords` (after
+    its per-cover test) share one count helper."""
+    counted = []
+    real = explicit._count_irreducibles
+    monkeypatch.setattr(explicit, "_count_irreducibles",
+                        lambda lat: counted.append(len(lat)) or real(lat))
+    lat = tuple_lattice(_cushioned_lattice(3))
+    assert counted == [8]
+    attach_birkhoff_coords(DiamondLattice(lat.diagram, lat.kind))
+    assert counted == [8, 8]
 
 
 def test_dot_export_is_deterministic_and_labeled():

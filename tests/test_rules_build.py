@@ -21,6 +21,7 @@ from colorlattice import (
     dec_admissible,
     dec_lattice,
     enumerate_box_partitions,
+    join_irreducibles,
     kn_admissible,
     kn_lattice,
     sigma,
@@ -28,6 +29,7 @@ from colorlattice import (
     z_lattice,
 )
 from colorlattice.dominoes import _box_lattice
+from colorlattice.explicit import _rule_coords
 from colorlattice.switchgame import _cushioned_lattice, all_cushioned
 
 
@@ -94,6 +96,76 @@ def test_catalan_lattices_match_the_staircase_tuples(n):
     tuples = staircase_tuples(n)
     assert catalan_tuples(n) == tuples
     same_lattice(c_lattice(n), set_tuple_lattice(tuples, lambda q, t: n + q - t))
+
+
+ORACLES = {
+    z_lattice: lambda n: set_tuple_lattice(all_cushioned(n), lambda q, t: n + 1 - t),
+    a_lattice: lambda k, m: set_tuple_lattice(enumerate_box_partitions(k, m),
+                                              lambda q, t: q - t + m),
+    kn_lattice: lambda k, n: admissible_lattice(k, n, kn_admissible),
+    dec_lattice: lambda k, n: admissible_lattice(k, n, dec_admissible),
+    c_lattice: lambda n: set_tuple_lattice(staircase_tuples(n), lambda q, t: n + q - t),
+}
+
+
+@pytest.mark.parametrize("build, args", [
+    *((z_lattice, (n,)) for n in range(2, 9)),
+    *((a_lattice, (k, m)) for m in range(1, 4) for k in range(1, m + 1)),
+    *((f, (k, n)) for f in (kn_lattice, dec_lattice)
+      for n in range(1, 5) for k in range(1, n + 1)),
+    *((c_lattice, (n,)) for n in range(1, 7)),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_coordinates_read_after_the_masks_match_the_oracle(build, args):
+    """On a fresh build the masks may come first: the mask-side irreducibles
+    and the rule-side coordinates read after them agree with the oracle."""
+    lat = build.__wrapped__(*args)
+    p = join_irreducibles(lat)
+    assert lat._masks is not None and lat._coords is None
+    oracle = ORACLES[build](*args)
+    same_lattice(lat, oracle)
+    assert p == lat.poset
+
+
+def test_a_fresh_build_reads_neither_masks_nor_coordinates():
+    lat = z_lattice.__wrapped__(8)
+    assert lat.minimum == (0,) * 8 and lat.maximum == (8, 7, 6, 5, 4, 3, 2, 1)
+    assert lat.rank[lat.minimum] == 0 and lat.rank[lat.maximum] == lat.length == 36
+    assert lat._masks is None and lat._coords is None and lat._poset is None
+
+
+# Switch rows at n=2: members (0, 0), (1, 0), (2, 0), (2, 1); least(1, 1) =
+# (1, 0) and least(2, 1) = (2, 1) wear color 2, least(1, 2) = (2, 0) color 1.
+SWITCH2 = _cushioned_lattice(2)
+
+
+@pytest.mark.parametrize("edges, match", [
+    ([((0, 0), (1, 0), 2), ((1, 0), (2, 1), 1)],
+     r"^the cover \(1, 0\) -> \(2, 1\) does not add exactly one join irreducible; "
+     r"lattice not distributive$"),
+    ([((0, 0), (1, 0), 2), ((1, 0), (0, 1), 2)],
+     r"^the cover \(1, 0\) -> \(0, 1\) does not add exactly one join irreducible"),
+    ([((0, 0), (1, 0), 2), ((1, 0), (2, 0), 1), ((2, 0), (2, 1), 1)],
+     r"^the cover \(2, 0\) -> \(2, 1\) wears color 1, but adds \(2, 1\) of color 2$"),
+], ids=["adds-two", "swaps", "off-color"])
+def test_rule_coordinates_refuse_an_edge_off_the_rules(edges, match):
+    """Every diagram edge must add exactly one irreducible, of its own color."""
+    g = ColoredDigraph({v for e in edges for v in e[:2]}, edges)
+    with pytest.raises(LatticeError, match=match):
+        _rule_coords(g, SWITCH2.certify(), SWITCH2.color)
+
+
+def test_a_color_rule_changed_after_the_build_is_refused_on_first_read():
+    shade = {}
+    rules = TupleLattice(SWITCH2.top,
+                         lambda q, v: shade.get((q, v)) or SWITCH2.color(q, v),
+                         SWITCH2.least)
+    lat = tuple_lattice(rules)
+    shade[(2, 1)] = 5
+    for read in (lambda: lat.ideal_coords, lambda: lat.poset,
+                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice):
+        with pytest.raises(LatticeError,
+                           match=r"wears color 2, but adds \(2, 1\) of color 5$"):
+            read()
 
 
 # --------------------------------------------------------------------------
