@@ -271,7 +271,7 @@ def rank_function(g: ColoredDigraph) -> dict:
     dict is keyed by the payloads.
     """
     vs, succ = g._vertices, g._succ
-    indeg = [len(nbrs) for nbrs in g._in.values()]
+    indeg = list(map(len, g._in.values()))
     queue = [i for i, d in enumerate(indeg) if not d]
     rank = [0] * len(vs)
     for i in queue:     # grows as it is read: a breadth-first topological order
@@ -574,15 +574,12 @@ class DiamondLattice:
             raise ValueError("ideal_coords and poset must be supplied together")
         if ideal_coords is not None and kind != "distributive":
             raise ValueError("ideal coordinates require a distributive lattice")
-        self._coords = dict(ideal_coords) if ideal_coords is not None else None
-        self._poset = poset
-        self._by_ideal = (
-            {ideal: v for v, ideal in self._coords.items()}
-            if self._coords is not None else None)
         self.coord_join = coord_join
         self.coord_meet = coord_meet
-        self._rules = None     # (least table, color rule), read by _derive
-        self._masks = None     # built by _reach
+        # a tuple lattice's (least table, color rule), which _derive reads,
+        # and the masks, which _reach builds
+        self._rules = self._masks = None
+        self._set_coords(ideal_coords and dict(ideal_coords), poset)
 
     @property
     def vertices(self):
@@ -617,11 +614,14 @@ class DiamondLattice:
         self._derive()
         return self._by_ideal[ideal]
 
+    def _set_coords(self, coords, poset):
+        self._coords, self._poset = coords, poset
+        self._by_ideal = coords and {ideal: v for v, ideal in coords.items()}
+
     def _derive(self):
         # a tuple lattice's coordinates, from its rules on the first read
         if self._rules is not None:
-            self._coords, self._poset = _rule_coords(self.diagram, *self._rules)
-            self._by_ideal = {ideal: v for v, ideal in self._coords.items()}
+            self._set_coords(*_rule_coords(self.diagram, *self._rules))
             self._rules = None
 
     def _reach(self):
@@ -637,16 +637,13 @@ class DiamondLattice:
         """
         if self._masks is None:
             vs, succ = self.diagram._vertices, self.diagram._succ
-            ranks = list(self.rank.values())
-            place = sorted(range(len(vs)), key=ranks.__getitem__)
-            at = [0] * len(vs)
-            for k, i in enumerate(place):
-                at[i] = k
+            place = sorted(range(len(vs)), key=list(self.rank.values()).__getitem__)
+            at = sorted(range(len(vs)), key=place.__getitem__)    # its inverse
             up = [1 << k for k in range(len(vs))]
+            down = up[:]
             for k in reversed(range(len(vs))):
                 for j in succ[place[k]]:
                     up[k] |= up[at[j]]
-            down = [1 << k for k in range(len(vs))]
             for k, i in enumerate(place):
                 for j in succ[i]:
                     down[at[j]] |= down[k]
@@ -797,38 +794,28 @@ def _rule_coords(g: ColoredDigraph, least, color):
 
     Every diagram edge must add exactly one irreducible of its own color:
     it raises one part q by one, onto v, and wears color(q, v); any other
-    edge raises LatticeError.  Each vertex then takes its first lower
-    cover's coordinates plus that one irreducible; the vertices are in
-    canonical order, where a unit raise comes after its source.
+    edge raises LatticeError.  Each vertex then takes a lower cover's
+    coordinates plus the one irreducible that cover adds; the vertices are
+    in canonical order, where a unit raise comes after its source.
     """
-    colors = [[color(q, v) for v in range(1, len(row) + 1)]
-              for q, row in enumerate(least, 1)]
     irr, covers = {}, []
     for r, row in enumerate(least):
         for w, a in enumerate(row, 1):
-            irr[a] = colors[r][w - 1]
+            irr[a] = color(r + 1, w)
             h = [b - (p == r) for p, b in enumerate(a)]
             tops = [(p, least[p][b - 1]) for p, b in enumerate(h) if b]
             covers += [(t, a) for p, t in tops
                        if not any(o[p] >= h[p] for q, o in tops if q != p)]
-    units = [[int(p == q) for p in range(len(least))] for q in range(len(least))]
     coords = {}
     for v, ins in g._in.items():
         for u, c in ins:
             d = list(map(sub, v, u))
-            q = d.index(1) if 1 in d else 0    # no 1: unlike every unit
-            if d != units[q]:
-                raise LatticeError(
-                    f"the cover {u!r} -> {v!r} does not add exactly one join "
-                    "irreducible; lattice not distributive")
-            if colors[q][v[q] - 1] != c:
-                raise LatticeError(
-                    f"the cover {u!r} -> {v!r} wears color {c}, but adds "
-                    f"{least[q][v[q] - 1]!r} of color {colors[q][v[q] - 1]}")
-        if ins:     # u and q of the last lower cover
-            coords[v] = coords[u] | {least[q][v[q] - 1]}
-        else:
-            coords[v] = frozenset(least[q][b] for q, x in enumerate(v) for b in range(x))
+            q = d.index(1) if 1 in d else 0
+            if d[q] != 1 or sum(map(abs, d)) != 1 or irr[least[q][v[q] - 1]] != c:
+                raise LatticeError(f"the cover {u!r} -> {v!r} does not add exactly "
+                                   f"one join irreducible of its color {c}")
+        # u and q of the last lower cover; the minimum is the zero tuple
+        coords[v] = coords[u] | {least[q][v[q] - 1]} if ins else frozenset()
     return coords, VertexColoredPoset(irr, covers, irr)
 
 
@@ -918,11 +905,10 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
                 "irreducibles, not one; lattice not distributive")
         coords[v] = coords[u] | {order[added.bit_length() - 1]}
     _count_irreducibles(lat)
-    by_ideal = {ideal: v for v, ideal in coords.items()}
-    if len(by_ideal) != len(lat.vertices):
-        raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
     out = copy.copy(lat)
-    out._coords, out._poset, out._by_ideal = coords, p, by_ideal
+    out._set_coords(coords, p)
+    if len(out._by_ideal) != len(lat.vertices):
+        raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
     return out
 
 
@@ -951,8 +937,8 @@ def z_lattice(n: int) -> DiamondLattice:
 
     Covers raise exactly one coordinate by 1; the edge raising coordinate k
     to the new value t_k wears color n + 1 - t_k.  Joins and meets are
-    component-wise max and min, and Birkhoff coordinates are attached so
-    explicit optimal paths can be built.
+    component-wise max and min, and the Birkhoff coordinates, derived on
+    first read, build explicit optimal paths.
     """
     if n < 2:
         raise ValueError("the game is played at n >= 2")

@@ -138,19 +138,18 @@ def test_a_fresh_build_reads_neither_masks_nor_coordinates():
 SWITCH2 = _cushioned_lattice(2)
 
 
-@pytest.mark.parametrize("edges, match", [
-    ([((0, 0), (1, 0), 2), ((1, 0), (2, 1), 1)],
-     r"^the cover \(1, 0\) -> \(2, 1\) does not add exactly one join irreducible; "
-     r"lattice not distributive$"),
-    ([((0, 0), (1, 0), 2), ((1, 0), (0, 1), 2)],
-     r"^the cover \(1, 0\) -> \(0, 1\) does not add exactly one join irreducible"),
+@pytest.mark.parametrize("edges, cover", [
+    ([((0, 0), (1, 0), 2), ((1, 0), (2, 1), 1)], r"\(1, 0\) -> \(2, 1\)"),
+    ([((0, 0), (1, 0), 2), ((1, 0), (0, 1), 1)], r"\(1, 0\) -> \(0, 1\)"),
     ([((0, 0), (1, 0), 2), ((1, 0), (2, 0), 1), ((2, 0), (2, 1), 1)],
-     r"^the cover \(2, 0\) -> \(2, 1\) wears color 1, but adds \(2, 1\) of color 2$"),
+     r"\(2, 0\) -> \(2, 1\)"),
 ], ids=["adds-two", "swaps", "off-color"])
-def test_rule_coordinates_refuse_an_edge_off_the_rules(edges, match):
-    """Every diagram edge must add exactly one irreducible, of its own color."""
+def test_rule_coordinates_refuse_an_edge_off_the_rules(edges, cover):
+    """Every diagram edge must add exactly one irreducible, of its own color:
+    the refused edge is the last one listed, which wears color 1."""
     g = ColoredDigraph({v for e in edges for v in e[:2]}, edges)
-    with pytest.raises(LatticeError, match=match):
+    with pytest.raises(LatticeError, match=f"^the cover {cover} does not add exactly "
+                                           "one join irreducible of its color 1$"):
         _rule_coords(g, SWITCH2.certify(), SWITCH2.color)
 
 
@@ -164,7 +163,8 @@ def test_a_color_rule_changed_after_the_build_is_refused_on_first_read():
     for read in (lambda: lat.ideal_coords, lambda: lat.poset,
                  lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice):
         with pytest.raises(LatticeError,
-                           match=r"wears color 2, but adds \(2, 1\) of color 5$"):
+                           match=r"^the cover \(2, 0\) -> \(2, 1\) does not add "
+                                 r"exactly one join irreducible of its color 2$"):
             read()
 
 
