@@ -187,16 +187,8 @@ def weyl_group(rd: RootData):
     w(omega_1), ..., w(omega_n) of the fundamental weights, which fix the
     linear action, and the sign is det(w).  The product s_i w reflects
     each column.  Enumeration stops with :class:`CapExceededError` past
-    ``_GROUP_CAP`` elements; the expected order is 2^n n!.  Each
-    ``RootData`` instance is enumerated once (`root_data` shares them);
-    every call returns a new list.
+    ``_GROUP_CAP`` elements; the expected order is 2^n n!.
     """
-    return list(_weyl_group(rd))
-
-
-@lru_cache(maxsize=None)
-def _weyl_group(rd: RootData) -> tuple:
-    # a refused enumeration raises and is not kept, so it fails every call
     n = rd.n
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     seen = {identity: 1}
@@ -218,7 +210,7 @@ def _weyl_group(rd: RootData) -> tuple:
     if len(seen) != expected:
         raise AssertionError(
             f"closure found {len(seen)} elements, expected {expected}")
-    return tuple(seen.items())
+    return list(seen.items())
 
 
 def orbit(rd: RootData, lam):

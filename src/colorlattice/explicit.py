@@ -13,7 +13,7 @@ the solve path to an independent picture of each position space:
 * :class:`DiamondLattice` — a ranked lattice wrapped around a colored order
   diagram, whose joins and meets are read off reachability masks built on
   the first order query; order-ideal coordinates, attached or (on tuple
-  lattices) derived from the least members on first read, give explicit
+  lattices) read off those masks on their first read, give explicit
   geodesics, and `check_lattice` certifies them against the order.
 * the family builders: the move graphs (`mixedmiddleswitch_digraph`,
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
@@ -33,7 +33,6 @@ import copy
 from collections import deque
 from functools import lru_cache
 from itertools import chain
-from operator import sub
 
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
@@ -543,8 +542,8 @@ class DiamondLattice:
     ``ideal_coords`` (optional) maps each vertex to a frozenset — its order
     ideal of join irreducibles — and ``poset`` is the vertex-colored poset
     those ideals live in.  When present, explicit geodesics can be
-    constructed element by element; `tuple_lattice` derives both from its
-    family's least members on their first read.  ``coord_join`` /
+    constructed element by element; `tuple_lattice` leaves both to be read
+    off the masks on their first read.  ``coord_join`` /
     ``coord_meet`` (optional) are a family's rule for the same bounds on
     its tuple coordinates (component-wise max/min).  Both are claims:
     `check_lattice` certifies, by equality of masks, that the ideal union
@@ -553,7 +552,7 @@ class DiamondLattice:
     """
 
     __slots__ = ("diagram", "rank", "length", "kind", "coord_join", "coord_meet",
-                 "_coords", "_poset", "_by_ideal", "_rules", "_masks")
+                 "_coords", "_poset", "_by_ideal", "_pending", "_masks")
 
     def __init__(self, diagram: ColoredDigraph, kind: str,
                  ideal_coords=None, poset=None,
@@ -576,9 +575,9 @@ class DiamondLattice:
             raise ValueError("ideal coordinates require a distributive lattice")
         self.coord_join = coord_join
         self.coord_meet = coord_meet
-        # a tuple lattice's (least table, color rule), which _derive reads,
-        # and the masks, which _reach builds
-        self._rules = self._masks = None
+        # whether coordinates are still to be derived (tuple lattices), and
+        # the masks, which _reach builds
+        self._pending, self._masks = False, None
         self._set_coords(ideal_coords and dict(ideal_coords), poset)
 
     @property
@@ -619,10 +618,10 @@ class DiamondLattice:
         self._by_ideal = coords and {ideal: v for v, ideal in coords.items()}
 
     def _derive(self):
-        # a tuple lattice's coordinates, from its rules on the first read
-        if self._rules is not None:
-            self._set_coords(*_rule_coords(self.diagram, *self._rules))
-            self._rules = None
+        # a tuple lattice's coordinates, read off its masks on the first read
+        if self._pending:
+            self._set_coords(*_mask_coords(self))
+            self._pending = False
 
     def _reach(self):
         """``(order, index, up, down)``, built on the first call and kept.
@@ -633,11 +632,11 @@ class DiamondLattice:
         ``order[i]``.  The lowest bit of a set of common upper bounds is
         then one of least rank, and the highest bit of a set of common
         lower bounds one of greatest rank.  Both passes run over the
-        diagram's vertex positions, with the ranks in vertex order.
+        diagram's vertex positions.
         """
         if self._masks is None:
             vs, succ = self.diagram._vertices, self.diagram._succ
-            place = sorted(range(len(vs)), key=list(self.rank.values()).__getitem__)
+            place = sorted(range(len(vs)), key=[self.rank[v] for v in vs].__getitem__)
             at = sorted(range(len(vs)), key=place.__getitem__)    # its inverse
             up = [1 << k for k in range(len(vs))]
             down = up[:]
@@ -739,9 +738,9 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     """Certify ``rules``, then climb from the zero tuple to its explicit lattice
-    (see :class:`TupleLattice`).  Its Birkhoff coordinates and irreducible
-    poset are derived from the least members on their first read
-    (`_rule_coords`), and its reachability masks on the first order query.
+    (see :class:`TupleLattice`).  Its reachability masks are built on the
+    first order query, and its Birkhoff coordinates and irreducible poset
+    read off them, as `attach_birkhoff_coords` does, on their first read.
 
     A raise x + e_q of a member is one exactly when it lies in the box and
     above least(q, x_q + 1).  That least member has part q equal to x_q + 1
@@ -775,48 +774,8 @@ def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     lat = DiamondLattice(ColoredDigraph(members, edges), "distributive",
                          coord_join=rules.join, coord_meet=rules.meet)
     _count_irreducibles(lat)
-    lat._rules = (least, rules.color)
+    lat._pending = True
     return lat
-
-
-def _rule_coords(g: ColoredDigraph, least, color):
-    """The Birkhoff coordinates and the irreducible poset of a tuple lattice's
-    diagram ``g``, from its least members, least(q, v) at
-    ``least[q - 1][v - 1]``, and its color rule.
-
-    By :class:`TupleLattice`, the irreducibles below x are the least(q, v)
-    with 0 < v <= x_q, and the edges that add least(q, v) wear color(q, v).
-    least(p, v), a least member, lies below a member x exactly when
-    x_p >= v.  So those below a = least(r, w), other than a, form the chains
-    least(p, 1), ..., least(p, h_p), with h_p = a_p for p != r and
-    h_r = w - 1, and a covers each chain's top least(p, h_p) that lies
-    below no other top.
-
-    Every diagram edge must add exactly one irreducible of its own color:
-    it raises one part q by one, onto v, and wears color(q, v); any other
-    edge raises LatticeError.  Each vertex then takes a lower cover's
-    coordinates plus the one irreducible that cover adds; the vertices are
-    in canonical order, where a unit raise comes after its source.
-    """
-    irr, covers = {}, []
-    for r, row in enumerate(least):
-        for w, a in enumerate(row, 1):
-            irr[a] = color(r + 1, w)
-            h = [b - (p == r) for p, b in enumerate(a)]
-            tops = [(p, least[p][b - 1]) for p, b in enumerate(h) if b]
-            covers += [(t, a) for p, t in tops
-                       if not any(o[p] >= h[p] for q, o in tops if q != p)]
-    coords = {}
-    for v, ins in g._in.items():
-        for u, c in ins:
-            d = list(map(sub, v, u))
-            q = d.index(1) if 1 in d else 0
-            if d[q] != 1 or sum(map(abs, d)) != 1 or irr[least[q][v[q] - 1]] != c:
-                raise LatticeError(f"the cover {u!r} -> {v!r} does not add exactly "
-                                   f"one join irreducible of its color {c}")
-        # u and q of the last lower cover; the minimum is the zero tuple
-        coords[v] = coords[u] | {least[q][v[q] - 1]} if ins else frozenset()
-    return coords, VertexColoredPoset(irr, covers, irr)
 
 
 def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
@@ -876,8 +835,8 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     ideal union and intersection are the order's join and meet.  The
     result is a copy that shares the argument's diagram, ranks and the
     reachability masks this builds; the argument itself is left without
-    coordinates.  A lattice that has coordinates, or derives them from its
-    rules (`tuple_lattice`), is returned as it is.
+    coordinates.  A lattice that has coordinates, or derives them on first
+    read (`tuple_lattice`, by the same steps), is returned as it is.
 
     The coordinates are read off the down-set masks, by rank: a vertex v
     with a lower cover u gets those of u plus the one irreducible it adds,
@@ -890,6 +849,14 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
     """
     if lat.ideal_coords is not None:
         return lat
+    coords = _mask_coords(lat)
+    out = copy.copy(lat)
+    out._set_coords(*coords)
+    return out
+
+
+def _mask_coords(lat: DiamondLattice):
+    # (coordinates, irreducible poset) of `attach_birkhoff_coords`
     p = join_irreducibles(lat)
     g = lat.diagram
     order, index, _, down = lat._reach()
@@ -905,11 +872,9 @@ def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
                 "irreducibles, not one; lattice not distributive")
         coords[v] = coords[u] | {order[added.bit_length() - 1]}
     _count_irreducibles(lat)
-    out = copy.copy(lat)
-    out._set_coords(coords, p)
-    if len(out._by_ideal) != len(lat.vertices):
+    if len(set(coords.values())) != len(coords):
         raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
-    return out
+    return coords, p
 
 
 def to_dot(g: ColoredDigraph, name: str = "G", label=render_vertex) -> str:

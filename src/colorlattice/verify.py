@@ -147,13 +147,10 @@ def _check_distance_formula(lat, fmt):
 
 
 def _check_certificates(lat, fmt):
-    # shortest_path checks each certificate against the rank formula; this
-    # compares it with the breadth-first distance, one search per source
     verts = lat.vertices
     for s in verts:
-        dist = distances_from(lat.diagram, s)
         for t in verts:
-            d = dist[t]
+            d = lattice_distance(lat, s, t)
             for via in ("join", "meet"):
                 cert = shortest_path(lat, s, t, via=via)
                 if cert.distance != d:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from colorlattice import characters
 from colorlattice import (
     CapExceededError,
     ColoredDigraph,
@@ -189,29 +188,6 @@ def test_rank_six_exceeds_the_group_cap(family):
         weyl_group(rd)
     with pytest.raises(CapExceededError, match="orbit exceeds cap"):
         orbit(rd, rd.rho)
-
-
-def test_each_group_is_enumerated_once_and_handed_out_fresh(monkeypatch):
-    rd = characters.RootData("C", 3)    # a new instance: nothing kept for it
-    reflections = []
-    real = characters._reflect
-    monkeypatch.setattr(characters, "_reflect",
-                        lambda *args: reflections.append(args) or real(*args))
-    first = weyl_group(rd)
-    made = len(reflections)
-    assert made and len(first) == 48
-    first.pop()
-    again = weyl_group(rd)
-    assert len(reflections) == made
-    assert len(again) == 48 and again[:-1] == first
-
-
-@pytest.mark.parametrize("family", "BC")
-def test_rank_six_exceeds_the_group_cap_on_every_call(family):
-    rd = root_data(family, 6)
-    for _ in range(2):
-        with pytest.raises(CapExceededError, match="reflection group exceeds cap"):
-            weyl_group(rd)
 
 
 def test_spin_weight_orbit_is_free():

@@ -487,6 +487,19 @@ def test_both_birkhoff_builds_count_the_irreducibles(monkeypatch):
     assert counted == [8, 8]
 
 
+def test_coordinates_left_to_the_first_read_are_refused_on_every_read():
+    """A lattice whose coordinates wait for their first read, as
+    `tuple_lattice` leaves them, takes `attach_birkhoff_coords`' steps
+    then: one that is not distributive is refused by each reader, and a
+    refusal is not kept as done."""
+    lat = DiamondLattice(_hexagon(), "distributive")
+    lat._pending = True
+    for read in (lambda: lat.ideal_coords, lambda: lat.poset,
+                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice) * 2:
+        with pytest.raises(LatticeError, match="adds 2 join irreducibles"):
+            read()
+
+
 def test_dot_export_is_deterministic_and_labeled():
     g = diamond()
     out = to_dot(g, "demo")

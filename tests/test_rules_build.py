@@ -29,7 +29,6 @@ from colorlattice import (
     z_lattice,
 )
 from colorlattice.dominoes import _box_lattice
-from colorlattice.explicit import _rule_coords
 from colorlattice.switchgame import _cushioned_lattice, all_cushioned
 
 
@@ -116,8 +115,8 @@ ORACLES = {
     *((c_lattice, (n,)) for n in range(1, 7)),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_coordinates_read_after_the_masks_match_the_oracle(build, args):
-    """On a fresh build the masks may come first: the mask-side irreducibles
-    and the rule-side coordinates read after them agree with the oracle."""
+    """On a fresh build the masks may come first: the irreducibles read off
+    them and the coordinates derived after them agree with the oracle."""
     lat = build.__wrapped__(*args)
     p = join_irreducibles(lat)
     assert lat._masks is not None and lat._coords is None
@@ -131,41 +130,6 @@ def test_a_fresh_build_reads_neither_masks_nor_coordinates():
     assert lat.minimum == (0,) * 8 and lat.maximum == (8, 7, 6, 5, 4, 3, 2, 1)
     assert lat.rank[lat.minimum] == 0 and lat.rank[lat.maximum] == lat.length == 36
     assert lat._masks is None and lat._coords is None and lat._poset is None
-
-
-# Switch rows at n=2: members (0, 0), (1, 0), (2, 0), (2, 1); least(1, 1) =
-# (1, 0) and least(2, 1) = (2, 1) wear color 2, least(1, 2) = (2, 0) color 1.
-SWITCH2 = _cushioned_lattice(2)
-
-
-@pytest.mark.parametrize("edges, cover", [
-    ([((0, 0), (1, 0), 2), ((1, 0), (2, 1), 1)], r"\(1, 0\) -> \(2, 1\)"),
-    ([((0, 0), (1, 0), 2), ((1, 0), (0, 1), 1)], r"\(1, 0\) -> \(0, 1\)"),
-    ([((0, 0), (1, 0), 2), ((1, 0), (2, 0), 1), ((2, 0), (2, 1), 1)],
-     r"\(2, 0\) -> \(2, 1\)"),
-], ids=["adds-two", "swaps", "off-color"])
-def test_rule_coordinates_refuse_an_edge_off_the_rules(edges, cover):
-    """Every diagram edge must add exactly one irreducible, of its own color:
-    the refused edge is the last one listed, which wears color 1."""
-    g = ColoredDigraph({v for e in edges for v in e[:2]}, edges)
-    with pytest.raises(LatticeError, match=f"^the cover {cover} does not add exactly "
-                                           "one join irreducible of its color 1$"):
-        _rule_coords(g, SWITCH2.certify(), SWITCH2.color)
-
-
-def test_a_color_rule_changed_after_the_build_is_refused_on_first_read():
-    shade = {}
-    rules = TupleLattice(SWITCH2.top,
-                         lambda q, v: shade.get((q, v)) or SWITCH2.color(q, v),
-                         SWITCH2.least)
-    lat = tuple_lattice(rules)
-    shade[(2, 1)] = 5
-    for read in (lambda: lat.ideal_coords, lambda: lat.poset,
-                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice):
-        with pytest.raises(LatticeError,
-                           match=r"^the cover \(2, 0\) -> \(2, 1\) does not add "
-                                 r"exactly one join irreducible of its color 2$"):
-            read()
 
 
 # --------------------------------------------------------------------------
