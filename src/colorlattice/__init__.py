@@ -12,7 +12,7 @@ built on it -- :mod:`colorlattice.switchgame` (rows of switches),
 each holding a game's input checks, coding, least-member rule, move rule,
 solver and replay validator.  :mod:`colorlattice.explicit` is the oracle
 that no solve loads: colored digraphs, vertex-colored posets, materialized
-lattices with reachability masks and Birkhoff coordinates, and every
+lattices whose order is read off certified Birkhoff coordinates, and every
 family's move graph and lattice, built from the families' own rules.
 :mod:`colorlattice.tableaux` holds the tableau and tally codings of the
 boards and the admissibility filters.  :mod:`colorlattice.paths` reads

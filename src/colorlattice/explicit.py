@@ -10,11 +10,12 @@ the solve path to an independent picture of each position space:
   in this form.
 * :class:`VertexColoredPoset` — a finite poset given by its covering pairs,
   with a color attached to every element.
-* :class:`DiamondLattice` — a ranked lattice wrapped around a colored order
-  diagram, whose joins and meets are read off reachability masks built on
-  the first order query; order-ideal coordinates, attached or (on tuple
-  lattices) read off those masks on their first read, give explicit
-  geodesics, and `check_lattice` certifies them against the order.
+* :class:`DiamondLattice` — a ranked distributive lattice wrapped around a
+  colored order diagram.  On the first order query each vertex gets its
+  Birkhoff coordinates as an int, one bit per join irreducible, certified
+  in linear time; the order, joins and meets, the ideal coordinates that
+  build explicit geodesics, and the poset of irreducibles are read off
+  those ints, and `check_lattice` compares any coordinates handed in.
 * the family builders: the move graphs (`mixedmiddleswitch_digraph`,
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
@@ -29,7 +30,6 @@ first read is kept, never changed); every function here is pure.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from functools import lru_cache
 from itertools import chain
@@ -154,21 +154,22 @@ class ColoredDigraph:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
             keyed[key] = (u, v, c)
         # the vertex order is canonical, so positions in it order the edges;
+        # keyed goes before the adjacency is filled, which keeps the peak down.
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
-        # for the passes that rank and reach without hashing payloads
+        # for the passes that rank and certify without hashing payloads
+        keys = sorted(keyed)
+        es = tuple(map(keyed.__getitem__, keys))
+        del keyed
         out = [[] for _ in vs]
         inc = [[] for _ in vs]
         succ = [[] for _ in vs]
-        es = []
-        for key in sorted(keyed):
-            u, v, c = e = keyed[key]
+        for key, (u, v, c) in zip(keys, es):
             i, j = divmod(key, len(vs))
             out[i].append((v, c))
             inc[j].append((u, c))
             succ[i].append(j)
-            es.append(e)
         self._vertices = tuple(vs)
-        self._edges = tuple(es)
+        self._edges = es
         self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
         self._in = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
         self._succ = tuple(map(tuple, succ))
@@ -531,34 +532,33 @@ class VertexColoredPoset:
 
 
 class DiamondLattice:
-    """A ranked lattice carried by a colored order diagram.
+    """A ranked distributive lattice carried by a colored order diagram.
 
     The constructor checks that the diagram has a unique minimum and maximum
-    and admits a rank function.  Every up-set and down-set is a bitmask,
-    built on the first order query (`le`, `join`, `meet`, `check_lattice`,
-    `join_irreducibles`, `attach_birkhoff_coords`) and kept; `join` and
-    `meet` read those masks and nothing else.
+    and admits a rank function.  The first order query (`le`, `join`,
+    `meet`, `check_lattice`, `join_irreducibles`, ``ideal_coords``,
+    ``poset``, `vertex_of_ideal`) gives each vertex its Birkhoff coordinates
+    as an int, one bit per join irreducible, certified in linear time
+    (`_birkhoff_ints`, which refuses a diagram that is not a distributive
+    lattice) and kept.  `le` is then a subset test, and `join` and `meet`
+    the vertices of the OR and AND.
 
-    ``ideal_coords`` (optional) maps each vertex to a frozenset — its order
-    ideal of join irreducibles — and ``poset`` is the vertex-colored poset
-    those ideals live in.  When present, explicit geodesics can be
-    constructed element by element; `tuple_lattice` leaves both to be read
-    off the masks on their first read.  ``coord_join`` /
-    ``coord_meet`` (optional) are a family's rule for the same bounds on
-    its tuple coordinates (component-wise max/min).  Both are claims:
-    `check_lattice` certifies, by equality of masks, that the ideal union
-    and intersection, or else the coordinate rule, name every pair's least
-    upper and greatest lower bound.
+    ``ideal_coords`` (optional) maps each vertex to its order ideal in
+    ``poset``; without them, the ideals are decoded from the ints on their
+    first read, and the poset is `join_irreducibles`.  Coordinates handed
+    in and ``coord_join`` / ``coord_meet`` (a family's rule for the same
+    bounds) are claims, which `check_lattice` compares with the ints.
+    ``kind`` must be ``"distributive"``.
     """
 
     __slots__ = ("diagram", "rank", "length", "kind", "coord_join", "coord_meet",
-                 "_coords", "_poset", "_by_ideal", "_pending", "_masks")
+                 "_given", "_coords", "_poset", "_by_ideal", "_birk")
 
     def __init__(self, diagram: ColoredDigraph, kind: str,
                  ideal_coords=None, poset=None,
                  coord_join=None, coord_meet=None):
-        if kind not in ("modular", "distributive"):
-            raise ValueError("kind must be 'modular' or 'distributive'")
+        if kind != "distributive":
+            raise ValueError("kind must be 'distributive'")
         if len(diagram) == 0:
             raise LatticeError("empty diagram")
         self.diagram = diagram
@@ -571,14 +571,12 @@ class DiamondLattice:
                 f"expected unique min and max, found {len(srcs)} sources, {len(snks)} sinks")
         if (ideal_coords is None) != (poset is None):
             raise ValueError("ideal_coords and poset must be supplied together")
-        if ideal_coords is not None and kind != "distributive":
-            raise ValueError("ideal coordinates require a distributive lattice")
         self.coord_join = coord_join
         self.coord_meet = coord_meet
-        # whether coordinates are still to be derived (tuple lattices), and
-        # the masks, which _reach builds
-        self._pending, self._masks = False, None
-        self._set_coords(ideal_coords and dict(ideal_coords), poset)
+        self._given = ideal_coords is not None     # claims for check_lattice
+        self._coords = ideal_coords and dict(ideal_coords)
+        self._by_ideal = self._coords and {x: v for v, x in self._coords.items()}
+        self._poset, self._birk = poset, None
 
     @property
     def vertices(self):
@@ -601,122 +599,84 @@ class DiamondLattice:
 
     @property
     def ideal_coords(self):
-        self._derive()
+        if self._coords is None:
+            code, _, irr, _ = self._birkhoff()
+            self._coords = {v: frozenset(e for e, bit in irr.items() if x & bit)
+                            for v, x in code.items()}
         return self._coords
 
     @property
     def poset(self):
-        self._derive()
+        if self._poset is None:
+            self._poset = join_irreducibles(self)
         return self._poset
 
     def vertex_of_ideal(self, ideal):
-        self._derive()
+        if self._by_ideal is None:
+            self._by_ideal = {x: v for v, x in self.ideal_coords.items()}
         return self._by_ideal[ideal]
 
-    def _set_coords(self, coords, poset):
-        self._coords, self._poset = coords, poset
-        self._by_ideal = coords and {ideal: v for v, ideal in coords.items()}
+    def _birkhoff(self):
+        """``(code, vertex, irr, covers)`` of `_birkhoff_ints`, built and
+        certified on the first call and kept; a refusal is not kept."""
+        if self._birk is None:
+            self._birk = _birkhoff_ints(self)
+        return self._birk
 
-    def _derive(self):
-        # a tuple lattice's coordinates, read off its masks on the first read
-        if self._pending:
-            self._set_coords(*_mask_coords(self))
-            self._pending = False
-
-    def _reach(self):
-        """``(order, index, up, down)``, built on the first call and kept.
-
-        ``order`` is a linear extension — vertices by rank, equal ranks in
-        canonical order — and ``index`` each vertex's place in it; bit k of
-        ``up[i]`` (``down[i]``) is set when ``order[k]`` lies above (below)
-        ``order[i]``.  The lowest bit of a set of common upper bounds is
-        then one of least rank, and the highest bit of a set of common
-        lower bounds one of greatest rank.  Both passes run over the
-        diagram's vertex positions.
-        """
-        if self._masks is None:
-            vs, succ = self.diagram._vertices, self.diagram._succ
-            place = sorted(range(len(vs)), key=[self.rank[v] for v in vs].__getitem__)
-            at = sorted(range(len(vs)), key=place.__getitem__)    # its inverse
-            up = [1 << k for k in range(len(vs))]
-            down = up[:]
-            for k in reversed(range(len(vs))):
-                for j in succ[place[k]]:
-                    up[k] |= up[at[j]]
-            for k, i in enumerate(place):
-                for j in succ[i]:
-                    down[at[j]] |= down[k]
-            order = tuple(vs[i] for i in place)
-            self._masks = (order, {v: k for k, v in enumerate(order)}, up, down)
-        return self._masks
-
-    def le(self, s, t) -> bool:
-        _, index, up, _ = self._reach()
-        return bool(up[index[s]] & (1 << index[t]))
-
-    def _bound(self, s, t, least):
-        order, index, up, down = self._reach()
-        masks = up if least else down
+    def _codes(self, s, t):
+        code = self._birkhoff()[0]
         try:
-            common = masks[index[s]] & masks[index[t]]
+            return code[s], code[t]
         except KeyError:
             raise LatticeError(f"{s!r}, {t!r}: not both vertices of the lattice") from None
-        # never empty: every vertex lies between the unique min and max
-        best = ((common & -common) if least else common).bit_length() - 1
-        # least/greatest bound must dominate every other common bound
-        if masks[best] & common != common:
-            raise LatticeError(f"bounds of {s!r}, {t!r} have no unique extremum")
-        return order[best]
+
+    def le(self, s, t) -> bool:
+        code = self._birkhoff()[0]
+        return not code[s] & ~code[t]
 
     def join(self, s, t):
-        """Least upper bound, read off the up-set masks."""
-        return self._bound(s, t, True)
+        """Least upper bound: the vertex whose ideal is the union of theirs."""
+        a, b = self._codes(s, t)
+        return self._birk[1][a | b]
 
     def meet(self, s, t):
-        """Greatest lower bound, read off the down-set masks."""
-        return self._bound(s, t, False)
+        """Greatest lower bound: the vertex whose ideal is the intersection."""
+        a, b = self._codes(s, t)
+        return self._birk[1][a & b]
 
     def check_lattice(self) -> None:
-        """Certify, on every vertex pair, that the order has a least upper and
-        a greatest lower bound and that the coordinates name them.
-
-        The claims come from the ideal coordinates when attached (union and
-        intersection), else from ``coord_join`` / ``coord_meet`` where given,
-        else from the order search itself, which raises its own LatticeError
-        when a pair has no least bound.  j is the least upper bound of s and
-        t exactly when its up-set is their common up-set:
-        ``up[j] == up[s] & up[t]`` (j is then a common upper bound, and every
-        common upper bound lies above it).  The meet is checked dually with
-        the down-sets.
+        """Certify that the diagram is a distributive lattice (`_birkhoff_ints`,
+        in linear time), and that the claims handed in name its joins and
+        meets: the ideal union and intersection where ideal coordinates were
+        handed in, else ``coord_join`` / ``coord_meet`` where given.  Those
+        are compared pair by pair with the vertices of the OR and AND of the
+        ints; a lattice with neither, as every tuple lattice, has no claims.
         """
-        if self.ideal_coords is not None:
+        code, vertex, _, _ = self._birkhoff()
+        if self._given:
             ideal, by_ideal, name = self._coords, self._by_ideal, "ideal"
             join = lambda s, t: by_ideal.get(ideal[s] | ideal[t])
             meet = lambda s, t: by_ideal.get(ideal[s] & ideal[t])
-        else:
+        elif self.coord_join or self.coord_meet:
             name = "coordinate"
             join, meet = self.coord_join or self.join, self.coord_meet or self.meet
+        else:
+            return
         verts = self.diagram.vertices
-        _, index, up, down = self._reach()
         for a, s in enumerate(verts):
-            us, ds = up[index[s]], down[index[s]]
             for t in verts[a + 1:]:
-                i = index[t]
-                try:
-                    j = join(s, t)
-                except KeyError:    # s or t has no ideal coordinates
-                    j = None
-                if j not in index:
-                    raise LatticeError(f"{name} join of {s!r}, {t!r} left the lattice")
-                if up[index[j]] != us & up[i]:
-                    raise LatticeError(
-                        f"join {j!r} of {s!r}, {t!r} is not their least upper bound")
-                m = meet(s, t)
-                if m not in index:
-                    raise LatticeError(f"{name} meet of {s!r}, {t!r} left the lattice")
-                if down[index[m]] != ds & down[i]:
-                    raise LatticeError(
-                        f"meet {m!r} of {s!r}, {t!r} is not their greatest lower bound")
+                for rule, want, what, bound in (
+                        (join, vertex[code[s] | code[t]], "join", "least upper"),
+                        (meet, vertex[code[s] & code[t]], "meet", "greatest lower")):
+                    try:
+                        got = rule(s, t)
+                    except KeyError:    # s or t has no ideal coordinates
+                        got = None
+                    if got not in code:
+                        raise LatticeError(f"{name} {what} of {s!r}, {t!r} left the lattice")
+                    if got != want:
+                        raise LatticeError(
+                            f"{what} {got!r} of {s!r}, {t!r} is not their {bound} bound")
 
 
 def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
@@ -738,9 +698,7 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     """Certify ``rules``, then climb from the zero tuple to its explicit lattice
-    (see :class:`TupleLattice`).  Its reachability masks are built on the
-    first order query, and its Birkhoff coordinates and irreducible poset
-    read off them, as `attach_birkhoff_coords` does, on their first read.
+    (see :class:`TupleLattice`), which builds its Birkhoff ints on first use.
 
     A raise x + e_q of a member is one exactly when it lies in the box and
     above least(q, x_q + 1).  That least member has part q equal to x_q + 1
@@ -771,10 +729,8 @@ def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
                     seen[y] = y
                     members.append(y)
                 edges.append((x, seen[y], colors[q][a]))   # one tuple per member
-    lat = DiamondLattice(ColoredDigraph(members, edges), "distributive",
-                         coord_join=rules.join, coord_meet=rules.meet)
+    lat = DiamondLattice(ColoredDigraph(members, edges), "distributive")
     _count_irreducibles(lat)
-    lat._pending = True
     return lat
 
 
@@ -782,39 +738,20 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     """The vertex-colored poset of join irreducibles of a distributive lattice.
 
     A join irreducible covers exactly one vertex; its color is the color of
-    that unique incoming diagram edge.  The order is inherited from the
-    lattice and transitively reduced, read off the reachability masks: with
-    ``below`` the irreducibles strictly below a, a covers b exactly when b
-    is in ``below`` and is the only one of them above b,
-    ``up[b] & below == bit(b)``.
+    that unique incoming diagram edge.  Its covers are read off the
+    Birkhoff ints (`_birkhoff_ints`): an irreducible a covers the
+    irreducibles that the edges into a's lower cover add.
     """
-    if lat.kind != "distributive":
-        raise ValueError("join irreducibles of the colored kind require a distributive lattice")
+    _, _, irr, covers = lat._birkhoff()
     g = lat.diagram
-    _, index, up, down = lat._reach()
-    irr = [v for v in g.vertices if len(g.in_edges(v)) == 1]
-    color = {v: g.in_edges(v)[0][1] for v in irr}
-    places = [(v, index[v], 1 << index[v]) for v in irr]
-    irr_mask = sum(bit for _, _, bit in places)
-    covers = []
-    for a, i, abit in places:
-        below = down[i] & irr_mask & ~abit
-        covers += [(b, a) for b, k, bbit in places
-                   if below & bbit and up[k] & below == bbit]
-    return VertexColoredPoset(irr, covers, color)
+    return VertexColoredPoset(irr, covers, {v: g.in_edges(v)[0][1] for v in irr})
 
 
 def _count_irreducibles(lat: DiamondLattice) -> None:
     """Refuse a lattice whose join irreducibles (vertices with one lower
     cover) or meet irreducibles (one upper cover) do not number exactly its
-    length: it is not distributive.
-
-    In a ranked lattice every cover adds at least one join irreducible to
-    the set below and removes at least one meet irreducible from the set
-    above, so both sets have at least as many members as the lattice is
-    long.  The lattice is distributive exactly when both counts equal the
-    length: the rank is then modular and the irreducibles below a join are
-    the union of those below its two ends.  O(V), on the diagram alone.
+    length: it is not distributive (in a distributive lattice both equal the
+    length; Stanley, *EC1* §3.4).  O(V), on the diagram alone.
     """
     g = lat.diagram
     for name, side in (("join", g._in), ("meet", g._out)):
@@ -825,56 +762,92 @@ def _count_irreducibles(lat: DiamondLattice) -> None:
                 f"{lat.length}; lattice not distributive")
 
 
-def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
-    """Equip a distributive lattice with order-ideal coordinates.
+def _birkhoff_ints(lat: DiamondLattice):
+    """The Birkhoff coordinates of a lattice as ints, certified.
 
-    Each vertex is mapped to the set of join irreducibles below it; the
-    resulting ideals are exactly the order ideals of `join_irreducibles(lat)`,
-    so the returned lattice supports explicit path construction while keeping
-    the original vertex payloads; its `check_lattice` certifies that the
-    ideal union and intersection are the order's join and meet.  The
-    result is a copy that shares the argument's diagram, ranks and the
-    reachability masks this builds; the argument itself is left without
-    coordinates.  A lattice that has coordinates, or derives them on first
-    read (`tuple_lattice`, by the same steps), is returned as it is.
+    Returns ``(code, vertex, irr, covers)``: ``irr`` maps each join
+    irreducible (one lower cover), in vertex order, to its bit, ``code``
+    each vertex to the OR of the bits of the irreducibles below it, given
+    in rank order (an irreducible gets its lower cover's int plus its bit,
+    any other vertex the OR of two lower covers' ints), ``vertex`` is its
+    inverse, and ``covers`` lists the covering pairs (b, a) of irreducibles.
 
-    The coordinates are read off the down-set masks, by rank: a vertex v
-    with a lower cover u gets those of u plus the one irreducible it adds,
-    the single set bit of ``(down[v] ^ down[u]) & irr``.  A cover that adds
-    no irreducible or more than one, or irreducible counts other than the
-    length (`_count_irreducibles`), raise LatticeError: the argument, a
-    lattice (`check_lattice` certifies that), is not distributive.  Once
-    every cover adds one, the join irreducibles number the length: the
-    maximum's coordinates hold all of them, one per cover on a chain.
+    With j <= k in P, the irreducibles, when bit j is in k's int, each int
+    is closed downward in P, and four tests make the diagram that of J(P),
+    the order ideals of P (Birkhoff; Stanley, *EC1* §3.4), so that the
+    order is inclusion, join OR and meet AND: (1) the counts of
+    `_count_irreducibles`; (2) no two vertices share an int, so P is
+    antisymmetric; (3) every edge adds one bit, so it is a cover of J(P);
+    (4) a vertex's out-edges add exactly the irreducibles addable there
+    (outside its int, their lower cover's int inside), so every cover of
+    J(P) is an edge, and every ideal, climbed to from the empty one, an int.
+
+    Tests 3 and 4 run vertex by vertex in rank order, carrying the addable
+    set from one lower cover u: drop the bit j that u -> v adds, and add
+    the upper covers k of j in P whose lower cover's int lies in v's.  The
+    edges into k's lower cover name those covers (each removes a maximal
+    element of an ideal, and by the tests below that rank, every maximal
+    element is removed by one).  That is O(E + V·c) int operations, c the
+    most upper covers in P.  A failed test raises LatticeError.
     """
-    if lat.ideal_coords is not None:
-        return lat
-    coords = _mask_coords(lat)
-    out = copy.copy(lat)
-    out._set_coords(*coords)
-    return out
-
-
-def _mask_coords(lat: DiamondLattice):
-    # (coordinates, irreducible poset) of `attach_birkhoff_coords`
-    p = join_irreducibles(lat)
-    g = lat.diagram
-    order, index, _, down = lat._reach()
-    irr_mask = sum(1 << index[e] for e in p.elements)
-    coords = {order[0]: frozenset()}
-    for i in range(1, len(order)):
-        v = order[i]
-        u = g.in_edges(v)[0][0]
-        added = (down[i] ^ down[index[u]]) & irr_mask
-        if not added or added & (added - 1):
-            raise LatticeError(
-                f"the cover {u!r} -> {v!r} adds {bin(added).count('1')} join "
-                "irreducibles, not one; lattice not distributive")
-        coords[v] = coords[u] | {order[added.bit_length() - 1]}
     _count_irreducibles(lat)
-    if len(set(coords.values())) != len(coords):
-        raise LatticeError("irreducible coordinates are not injective; lattice not distributive?")
-    return coords, p
+    vs, succ = lat.diagram._vertices, lat.diagram._succ
+    pred = [[] for _ in vs]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    places = [i for i, ps in enumerate(pred) if len(ps) == 1]
+    bit = {i: 1 << k for k, i in enumerate(places)}
+    rank = list(lat.rank.values())      # in vertex order
+    order = sorted(range(len(vs)), key=rank.__getitem__)
+    code = [0] * len(vs)
+    for i in order[1:]:     # order[0] is the minimum, whose int is 0
+        ps = pred[i]
+        code[i] = code[ps[0]] | (bit[i] if len(ps) == 1 else code[ps[1]])
+    vertex = dict(zip(code, vs))
+    if len(vertex) != len(vs):
+        v, w = next((v, vertex[x]) for v, x in zip(vs, code) if vertex[x] != v)
+        raise LatticeError(f"{v!r} and {w!r} have the same join irreducibles "
+                           "below them; lattice not distributive")
+    lower = [code[pred[i][0]] for i in places]
+    ups = [[] for _ in places]
+    for k, i in enumerate(places):
+        u = pred[i][0]
+        for w in pred[u]:
+            ups[(code[u] ^ code[w]).bit_length() - 1].append(k)
+    addable = [0] * len(vs)
+    for i in order:
+        if pred[i]:
+            u = pred[i][0]
+            added = code[i] ^ code[u]
+            have = addable[u] & ~added
+            for k in ups[added.bit_length() - 1]:
+                if not lower[k] & ~code[i]:
+                    have |= 1 << k
+        else:
+            have = sum(1 << k for k, low in enumerate(lower) if not low)
+        out = 0
+        for j in succ[i]:
+            added = code[j] ^ code[i]
+            if code[i] & added or added & (added - 1):
+                raise LatticeError(
+                    f"the cover {vs[i]!r} -> {vs[j]!r} does not add exactly one "
+                    "join irreducible; lattice not distributive")
+            out |= added
+        if out != have:
+            raise LatticeError(
+                f"the covers above {vs[i]!r} do not add exactly the join "
+                "irreducibles addable there; lattice not distributive")
+        addable[i] = have
+    covers = [(vs[places[j]], vs[places[k]]) for j, ks in enumerate(ups) for k in ks]
+    return dict(zip(vs, code)), vertex, {vs[i]: b for i, b in bit.items()}, covers
+
+
+def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
+    """Build and certify a lattice's Birkhoff ints (`_birkhoff_ints`) now,
+    not on its first order query, and return the lattice."""
+    lat._birkhoff()
+    return lat
 
 
 def to_dot(g: ColoredDigraph, name: str = "G", label=render_vertex) -> str:

@@ -6,10 +6,10 @@ determined by ranks alone:
     dist(s, t) = 2*rank(s v t) - rank(s) - rank(t)
                = rank(s) + rank(t) - 2*rank(s ^ t)
 
-Both evaluations are always computed and compared.  On distributive lattices
-with order-ideal coordinates the per-color step counts of *every* geodesic
-coincide, and mountain/valley certificates are constructed element by element
-from the ideals.
+Both evaluations are always computed and compared.  On a distributive
+lattice the per-color step counts of *every* geodesic coincide, and
+mountain/valley certificates are constructed element by element from the
+order-ideal coordinates.
 """
 
 from __future__ import annotations
@@ -47,14 +47,12 @@ def lattice_distance(lat: DiamondLattice, s, t) -> int:
 def color_counts(lat: DiamondLattice, s, t) -> dict:
     """Per-color step counts of every geodesic from s to t, for every color.
 
-    Requires ideal coordinates: tallies the colors of the elements in
+    Tallies the colors of the ideal-coordinate elements in
     (s u t) \\ s and in (s u t) \\ t, the steps up to the join and down
     from it.  As sets, (s u t) \\ s = t \\ (s n t) = t \\ s, so the steps
     down to the meet and up from it are the same elements: one tally over
     the symmetric difference serves both.
     """
-    if lat.ideal_coords is None:
-        raise ValueError("per-color counts require a distributive lattice with ideal coordinates")
     steps = Counter(map(lat.poset.color, lat.ideal_coords[s] ^ lat.ideal_coords[t]))
     return {c: steps[c] for c in lat.diagram.colors()}
 
@@ -88,8 +86,6 @@ def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertifica
     (on the way down, maximal) element still missing, so the certificate is
     reproducible.
     """
-    if lat.ideal_coords is None:
-        raise ValueError("explicit path construction requires ideal coordinates")
     if via not in ("join", "meet"):
         raise ValueError("via must be 'join' or 'meet'")
     cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]

@@ -99,11 +99,10 @@ def _ck(cond, detail):
 
 
 def _check_coords_rebuild(make):
-    """The attached ideal coordinates identify the lattice with the lattice
-    of order ideals of its irreducibles, edge colors included."""
+    """The Birkhoff coordinates identify the lattice with the lattice of
+    order ideals of its irreducibles, edge colors included."""
     lat = make()
     p = lat.poset
-    _ck(p is not None, "no ideal coordinates attached")
     ideals = ideals_lattice(p)
     verify_isomorphism(lat.diagram, ideals.diagram, lat.ideal_coords)
     again = join_irreducibles(ideals)

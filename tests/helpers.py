@@ -58,7 +58,7 @@ def two_colored_square():
     diamond-colored."""
     g = ColoredDigraph(["0", "a", "b", "1"],
                        [("0", "a", 1), ("a", "1", 1), ("0", "b", 2), ("b", "1", 2)])
-    return DiamondLattice(g, "modular")
+    return DiamondLattice(g, "distributive")
 
 
 def _classify(lat, vertices, steps):

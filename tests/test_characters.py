@@ -275,7 +275,7 @@ def test_weights_refuse_unranked_color_components():
     g = ColoredDigraph(
         ["bot", "m1", "m2", "top"],
         [("bot", "m1", 1), ("bot", "m2", 2), ("m1", "top", 2), ("m2", "top", 2)])
-    lat = DiamondLattice(g, "modular")
+    lat = DiamondLattice(g, "distributive")
     with pytest.raises(UnrankedComponentError, match="color-2"):
         poset_weights(lat, root_data("B", 2))
 

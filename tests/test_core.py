@@ -229,8 +229,9 @@ def _level_bounds():
 
 def test_non_lattice_diagram_is_refused_by_check():
     # two middle layers joined completely: x v y has no least upper bound
-    lat = DiamondLattice(_level_bounds(), "modular")
-    with pytest.raises(LatticeError):
+    lat = DiamondLattice(_level_bounds(), "distributive")
+    with pytest.raises(LatticeError, match="^2 join irreducibles in a lattice of "
+                                           "length 3; lattice not distributive$"):
         lat.check_lattice()
 
 
@@ -238,16 +239,20 @@ def _dual(g):
     return ColoredDigraph(g.vertices, [(v, u, c) for (u, v, c) in g.edges])
 
 
-@pytest.mark.parametrize("make", [_skewed_bounds, _level_bounds])
+@pytest.mark.parametrize("make, count", [(_skewed_bounds, 5), (_level_bounds, 2)])
 @pytest.mark.parametrize("flip", [False, True], ids=["joins", "meets"])
-def test_incomparable_minimal_bounds_are_refused(make, flip):
-    """The least-rank candidate is a bound but not the least one."""
+def test_incomparable_minimal_bounds_are_refused(make, count, flip):
+    """x and y have two minimal common upper (on the dual, lower) bounds:
+    the certificate refuses the diagram, at `check_lattice` and at the
+    first join or meet alike."""
     g = _dual(make()) if flip else make()
-    lat = DiamondLattice(g, "modular")
-    with pytest.raises(LatticeError, match="no unique extremum"):
+    lat = DiamondLattice(g, "distributive")
+    match = (f"^{count} join irreducibles in a lattice of length {lat.length}; "
+             "lattice not distributive$")
+    with pytest.raises(LatticeError, match=match):
         lat.check_lattice()
     bound = lat.meet if flip else lat.join
-    with pytest.raises(LatticeError, match=r"bounds of 'x', 'y' have no unique"):
+    with pytest.raises(LatticeError, match=match):
         bound("x", "y")
 
 
@@ -285,7 +290,7 @@ def _brute_extremum(bounds, within):
 def test_order_bounds_match_a_brute_force_search(make):
     """Join and meet are the least common upper and greatest common lower
     bound found by walking the order, on every ordered pair; so are the
-    ideal union and intersection and the coordinate rule, where given."""
+    ideal union and intersection."""
     lat = make()
     bare = DiamondLattice(lat.diagram, lat.kind)
     ideal, vertex = lat.ideal_coords, lat.vertex_of_ideal
@@ -298,11 +303,8 @@ def test_order_bounds_match_a_brute_force_search(make):
             m = _brute_extremum(below[s] & below[t], below)
             assert lat.join(s, t) == bare.join(s, t) == j
             assert lat.meet(s, t) == bare.meet(s, t) == m
-            if ideal is not None:
-                assert vertex(ideal[s] | ideal[t]) == j
-                assert vertex(ideal[s] & ideal[t]) == m
-            if lat.coord_join is not None:
-                assert lat.coord_join(s, t) == j and lat.coord_meet(s, t) == m
+            assert vertex(ideal[s] | ideal[t]) == j
+            assert vertex(ideal[s] & ideal[t]) == m
     lat.check_lattice()
     bare.check_lattice()
 
@@ -331,14 +333,12 @@ def test_attach_birkhoff_coords_enables_set_joins():
         [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)])
     bare = DiamondLattice(g, "distributive")
     lat = attach_birkhoff_coords(bare)
+    assert lat is bare      # certified in place: no copy
     assert lat.join(1, 2) == 3
     assert lat.meet(1, 2) == 0
     assert lat.ideal_coords[3] == lat.ideal_coords[1] | lat.ideal_coords[2]
-    # a copy: the argument keeps no coordinates, and the order is shared
-    assert bare.ideal_coords is None and bare.poset is None
-    assert lat.diagram == bare.diagram and lat.rank == bare.rank
-    assert all(lat.le(s, t) == bare.le(s, t) for s in g.vertices
-               for t in g.vertices)
+    assert lat.ideal_coords == {0: frozenset(), 1: {1}, 2: {2}, 3: {1, 2}}
+    assert [lat.vertex_of_ideal(lat.ideal_coords[v]) for v in g.vertices] == [0, 1, 2, 3]
 
 
 def test_ideal_joins_and_meets_off_the_lattice_are_refused():
@@ -374,24 +374,27 @@ def test_bounds_of_a_non_vertex_are_refused(coords):
 
 
 def pairwise_join_irreducibles(lat):
-    """The irreducible poset by pairwise order queries: b is covered by a
-    when no third irreducible lies between them."""
+    """The irreducible poset by pairwise queries of the order walked on the
+    diagram (`_above`): b is covered by a when no third irreducible lies
+    between them."""
     g = lat.diagram
+    above = _above(g)
     irr = [v for v in g.vertices if len(g.in_edges(v)) == 1]
     color = {v: g.in_edges(v)[0][1] for v in irr}
     covers = []
     for a in irr:
-        below = [b for b in irr if b != a and lat.le(b, a)]
+        below = [b for b in irr if b != a and a in above[b]]
         for b in below:
-            if not any(lat.le(b, m) and lat.le(m, a) for m in below if m != b):
+            if not any(m in above[b] and a in above[m] for m in below if m != b):
                 covers.append((b, a))
     return VertexColoredPoset(irr, covers, color)
 
 
 def pairwise_birkhoff_coords(lat):
-    """Each vertex's set of irreducibles below it, queried one by one."""
+    """Each vertex's set of irreducibles below it, walked one by one."""
+    above = _above(lat.diagram)
     p = pairwise_join_irreducibles(lat)
-    return {v: frozenset(e for e in p.elements if lat.le(e, v))
+    return {v: frozenset(e for e in p.elements if v in above[e])
             for v in lat.vertices}
 
 
@@ -407,8 +410,8 @@ def pairwise_birkhoff_coords(lat):
       for seed in range(20)),
 ])
 def test_mask_birkhoff_coords_match_the_pairwise_walk(make):
-    """Irreducibles, their covers and colors, and every vertex's ideal are
-    those the pairwise order queries find."""
+    """Irreducibles, their covers and colors, and every vertex's ideal, read
+    off the Birkhoff ints, are those the pairwise walk of the order finds."""
     lat = make()
     bare = DiamondLattice(lat.diagram, lat.kind)
     p = pairwise_join_irreducibles(bare)
@@ -444,39 +447,141 @@ def _intervals():
                                  if len(v) == len(u) + 1 and set(u) < set(v)])
 
 
-@pytest.mark.parametrize("make, match", [
-    (_m3, "adds 2 join irreducibles"),
-    (_hexagon, "adds 2 join irreducibles"),
-    (_intervals, "4 meet irreducibles in a lattice of length 3"),
-    (lambda: _dual(_intervals()), "adds 2 join irreducibles"),
-], ids=["m3", "hexagon", "intervals", "dual-intervals"])
-def test_birkhoff_coords_refuse_a_lattice_that_is_not_distributive(make, match):
-    """A lattice declared distributive that is not gets no coordinates,
-    though the pairwise walk gave each vertex a distinct set."""
-    lat = DiamondLattice(make(), "distributive")
-    lat.check_lattice()
-    coords = pairwise_birkhoff_coords(lat)
-    assert len(set(coords.values())) == len(coords)
-    with pytest.raises(LatticeError, match=match):
-        attach_birkhoff_coords(lat)
-
-
-@pytest.mark.parametrize("make, match", [
+_NOT_DISTRIBUTIVE = [
     (_m3, "^3 join irreducibles in a lattice of length 2; lattice not distributive$"),
     (_hexagon, "^4 join irreducibles in a lattice of length 3; lattice not distributive$"),
     (_intervals, "^4 meet irreducibles in a lattice of length 3; lattice not distributive$"),
     (lambda: _dual(_intervals()),
      "^4 join irreducibles in a lattice of length 3; lattice not distributive$"),
-], ids=["m3", "hexagon", "intervals", "dual-intervals"])
+]
+
+
+@pytest.mark.parametrize("make, match", _NOT_DISTRIBUTIVE,
+                         ids=["m3", "hexagon", "intervals", "dual-intervals"])
+def test_birkhoff_coords_refuse_a_lattice_that_is_not_distributive(make, match):
+    """A lattice declared distributive that is not (each of these is a
+    lattice) gets no coordinates, and `check_lattice` refuses it, though the
+    pairwise walk gives each vertex a distinct set."""
+    lat = DiamondLattice(make(), "distributive")
+    coords = pairwise_birkhoff_coords(lat)
+    assert len(set(coords.values())) == len(coords)
+    for read in (lambda: attach_birkhoff_coords(lat), lat.check_lattice):
+        with pytest.raises(LatticeError, match=match):
+            read()
+
+
+@pytest.mark.parametrize("make, match", _NOT_DISTRIBUTIVE,
+                         ids=["m3", "hexagon", "intervals", "dual-intervals"])
 def test_irreducible_counts_refuse_a_lattice_that_is_not_distributive(make, match):
     """The O(V) counts alone refuse each of these lattices."""
     with pytest.raises(LatticeError, match=match):
         _count_irreducibles(DiamondLattice(make(), "distributive"))
 
 
+def _layered(spec):
+    """A diagram written as chains of layers, every edge of color 1:
+    ``"0a→1a,1b; 1a→2a"`` joins each vertex of a layer to each of the next."""
+    edges = set()
+    for chain in spec.split(";"):
+        layers = [layer.strip().split(",") for layer in chain.split("→")]
+        edges |= {(u, v, 1) for a, b in zip(layers, layers[1:]) for u in a for v in b}
+    return ColoredDigraph({x for (u, v, _) in edges for x in (u, v)}, edges)
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("0a→1a,1b,1c; 1a,1b,1c→2a; 2a→3a,3b; 3a,3b→4a,4b; 4a,4b→5a",
+     "^'4a' and '5a' have the same join irreducibles below them; "
+     "lattice not distributive$"),
+    ("0a→1a,1b,1c; 1a→2b,2c; 1b→2a,2c; 1c→2a,2b,2c; 2a,2b,2c→3a",
+     "^the cover '1c' -> '2c' does not add exactly one join irreducible; "
+     "lattice not distributive$"),
+    ("0a→1a,1b,1c; 1a→2a; 1b,1c→2a,2b; 2a,2b→3a→4a→5a",
+     "^the covers above '1a' do not add exactly the join irreducibles "
+     "addable there; lattice not distributive$"),
+], ids=["injective", "edge", "addable"])
+def test_certificate_refusals_past_the_counts(spec, match):
+    """Each diagram has as many join and meet irreducibles as it is long,
+    and fails one later test of the Birkhoff certificate."""
+    lat = DiamondLattice(_layered(spec), "distributive")
+    _count_irreducibles(lat)
+    for read in (lat.check_lattice, lambda: lat.join("0a", "1a")):
+        with pytest.raises(LatticeError, match=match):
+            read()
+
+
+def _random_ranked(rng):
+    """A ranked diagram with unique ends, in layers of width 1-3: each
+    vertex gets a random nonempty set of lower covers in the layer below,
+    and the layer below keeps each of its vertices covered."""
+    widths = [1] + [rng.randint(1, 3) for _ in range(rng.randint(1, 5))] + [1]
+    edges = []
+    for r in range(1, len(widths)):
+        low = [(r - 1, i) for i in range(widths[r - 1])]
+        while True:
+            new = [((r - 1, i), (r, j), 1) for j in range(widths[r])
+                   for i in rng.sample(range(widths[r - 1]), rng.randint(1, widths[r - 1]))]
+            if {u for (u, _, _) in new} == set(low):
+                break
+        edges += new
+    return ColoredDigraph([(r, i) for r, w in enumerate(widths) for i in range(w)], edges)
+
+
+def _walked_lattice(g):
+    """Join, meet and the order by definition, walked on the diagram, or
+    None unless every pair has a unique least upper and greatest lower
+    bound and the distributive law holds on every triple."""
+    above = _above(g)
+    below = {v: {u for u in g.vertices if v in above[u]} for v in g.vertices}
+    bounds = {}
+    for name, cone in (("join", above), ("meet", below)):
+        for s in g.vertices:
+            for t in g.vertices:
+                found = [u for u in cone[s] & cone[t] if cone[s] & cone[t] <= cone[u]]
+                if len(found) != 1:
+                    return None
+                bounds[name, s, t] = found[0]
+    join = lambda s, t: bounds["join", s, t]
+    meet = lambda s, t: bounds["meet", s, t]
+    if any(meet(x, join(y, z)) != join(meet(x, y), meet(x, z))
+           for x in g.vertices for y in g.vertices for z in g.vertices):
+        return None
+    return join, meet, above
+
+
+def test_certificate_accepts_exactly_the_distributive_random_diagrams():
+    """On seeded random ranked diagrams, the certificate accepts exactly the
+    distributive lattices of the definition-level walk, and there `join`,
+    `meet` and `le` are the walked ones."""
+    rng = random.Random(2026)
+    tally = {True: 0, False: 0}
+    for _ in range(4000):
+        g = _random_ranked(rng)
+        lat = DiamondLattice(g, "distributive")
+        try:
+            _count_irreducibles(lat)
+        except LatticeError:
+            continue
+        walked = _walked_lattice(g)
+        try:
+            lat.check_lattice()
+        except LatticeError:
+            assert walked is None, g.edges
+            tally[False] += 1
+            continue
+        assert walked is not None, g.edges
+        tally[True] += 1
+        join, meet, above = walked
+        for s in g.vertices:
+            for t in g.vertices:
+                assert lat.join(s, t) == join(s, t) and lat.meet(s, t) == meet(s, t)
+                assert lat.le(s, t) == (t in above[s])
+    assert min(tally.values()) >= 300, tally
+
+
 def test_both_birkhoff_builds_count_the_irreducibles(monkeypatch):
-    """`tuple_lattice` (at build time) and `attach_birkhoff_coords` (after
-    its per-cover test) share one count helper."""
+    """`tuple_lattice` (at build time) and the Birkhoff ints (on the first
+    order query, here through `attach_birkhoff_coords`) share one count
+    helper."""
     counted = []
     real = explicit._count_irreducibles
     monkeypatch.setattr(explicit, "_count_irreducibles",
@@ -488,15 +593,16 @@ def test_both_birkhoff_builds_count_the_irreducibles(monkeypatch):
 
 
 def test_coordinates_left_to_the_first_read_are_refused_on_every_read():
-    """A lattice whose coordinates wait for their first read, as
-    `tuple_lattice` leaves them, takes `attach_birkhoff_coords`' steps
-    then: one that is not distributive is refused by each reader, and a
-    refusal is not kept as done."""
+    """Every lattice builds its Birkhoff ints on the first order query: one
+    that is not distributive is refused by each reader, and a refusal is
+    not kept as done."""
     lat = DiamondLattice(_hexagon(), "distributive")
-    lat._pending = True
     for read in (lambda: lat.ideal_coords, lambda: lat.poset,
-                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice) * 2:
-        with pytest.raises(LatticeError, match="adds 2 join irreducibles"):
+                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice,
+                 lambda: lat.le("a", "b"), lambda: lat.join("a", "c"),
+                 lambda: lat.meet("b", "d"), lambda: join_irreducibles(lat)) * 2:
+        with pytest.raises(LatticeError, match="^4 join irreducibles in a lattice "
+                                               "of length 3; lattice not distributive$"):
             read()
 
 

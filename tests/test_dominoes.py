@@ -288,12 +288,15 @@ _CUBE = ["000", "100", "010", "001", "110", "101", "011", "111"]
 
 
 @pytest.mark.parametrize("tuples, join, meet, match", [
-    # 1000 and 0100 have two minimal upper bounds, 1110 and 1101
+    # 1000 and 0100 have two minimal upper bounds, 1110 and 1101: not a
+    # lattice, which the certificate refuses before any rule is read
     (["0000", "1000", "0100", "1010", "0110", "1001", "0101",
-      "1110", "1101", "1111"], _max, _min, "left the lattice"),
-    # 100 and 010 have the join 111 in the order, but not their max 110
+      "1110", "1101", "1111"], _max, _min,
+     "^6 join irreducibles in a lattice of length 4; lattice not distributive$"),
+    # 100 and 010 have the join 111 in the order, but not their max 110:
+    # a lattice, but not a distributive one
     (["000", "100", "010", "001", "101", "011", "111"], _max, _min,
-     "left the lattice"),
+     "^4 meet irreducibles in a lattice of length 3; lattice not distributive$"),
     # on the whole cube, a join rule naming the top gives a common upper
     # bound of every pair, but not the least one; dually for the meet
     (_CUBE, lambda a, b: (1, 1, 1), _min, "not their least upper bound"),

@@ -33,8 +33,8 @@ from colorlattice.switchgame import _cushioned_lattice, all_cushioned
 
 
 def set_tuple_lattice(tuples, color):
-    """Unit raises found among the listed members; Birkhoff coordinates
-    from the reachability masks."""
+    """Unit raises found among the listed members, with component-wise max
+    and min as the coordinate rules that `check_lattice` compares."""
     have = set(tuples)
     edges = []
     for x in tuples:
@@ -115,21 +115,24 @@ ORACLES = {
     *((c_lattice, (n,)) for n in range(1, 7)),
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_coordinates_read_after_the_masks_match_the_oracle(build, args):
-    """On a fresh build the masks may come first: the irreducibles read off
-    them and the coordinates derived after them agree with the oracle."""
+    """On a fresh build any order query may come first: the irreducibles
+    read first, and the coordinates decoded after them from the same
+    Birkhoff ints, agree with the oracle."""
     lat = build.__wrapped__(*args)
     p = join_irreducibles(lat)
-    assert lat._masks is not None and lat._coords is None
+    assert lat._birk is not None and lat._poset is None
     oracle = ORACLES[build](*args)
     same_lattice(lat, oracle)
     assert p == lat.poset
 
 
 def test_a_fresh_build_reads_neither_masks_nor_coordinates():
+    """A build holds no order structure: no Birkhoff ints, coordinates or
+    poset until an order query reads them."""
     lat = z_lattice.__wrapped__(8)
     assert lat.minimum == (0,) * 8 and lat.maximum == (8, 7, 6, 5, 4, 3, 2, 1)
     assert lat.rank[lat.minimum] == 0 and lat.rank[lat.maximum] == lat.length == 36
-    assert lat._masks is None and lat._coords is None and lat._poset is None
+    assert lat._birk is None and lat._coords is None and lat._poset is None
 
 
 # --------------------------------------------------------------------------
