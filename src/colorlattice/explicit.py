@@ -154,12 +154,12 @@ class ColoredDigraph:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
             keyed[key] = (u, v, c)
         # the vertex order is canonical, so positions in it order the edges;
-        # keyed goes before the adjacency is filled, which keeps the peak down.
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
-        # for the passes that rank and certify without hashing payloads
+        # for the passes that rank and certify without hashing payloads.
+        # Each scratch structure goes once it is read, which keeps the peak down
         keys = sorted(keyed)
         es = tuple(map(keyed.__getitem__, keys))
-        del keyed
+        del keyed, index
         out = [[] for _ in vs]
         inc = [[] for _ in vs]
         succ = [[] for _ in vs]
@@ -168,10 +168,13 @@ class ColoredDigraph:
             out[i].append((v, c))
             inc[j].append((u, c))
             succ[i].append(j)
+        del keys
         self._vertices = tuple(vs)
         self._edges = es
         self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
+        del out
         self._in = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
+        del inc
         self._succ = tuple(map(tuple, succ))
 
     @property

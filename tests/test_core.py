@@ -239,7 +239,8 @@ def _dual(g):
     return ColoredDigraph(g.vertices, [(v, u, c) for (u, v, c) in g.edges])
 
 
-@pytest.mark.parametrize("make, count", [(_skewed_bounds, 5), (_level_bounds, 2)])
+@pytest.mark.parametrize("make, count", [(_skewed_bounds, 5), (_level_bounds, 2)],
+                         ids=["_skewed_bounds", "_level_bounds"])
 @pytest.mark.parametrize("flip", [False, True], ids=["joins", "meets"])
 def test_incomparable_minimal_bounds_are_refused(make, count, flip):
     """x and y have two minimal common upper (on the dual, lower) bounds:
