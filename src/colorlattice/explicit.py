@@ -156,7 +156,7 @@ class ColoredDigraph:
         # the vertex order is canonical, so positions in it order the edges;
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
         # for the passes that rank and certify without hashing payloads.
-        # Each scratch structure goes once it is read, which keeps the peak down
+        # Each temporary structure goes once it is read, which keeps the peak down
         keys = sorted(keyed)
         es = tuple(map(keyed.__getitem__, keys))
         del keyed, index
