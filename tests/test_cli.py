@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line front end."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -89,6 +90,50 @@ def test_solve_via_meet_reports_a_valley(capsys):
                        "--from", "0000", "--to", "1111", "--via", "meet")
     assert code == 0
     assert "geodesic shape: valley" in out
+
+
+# The solves the CI runs at the caps, between the lattice or board ends
+# (min to max through the join, max to min through the meet), with the
+# sha256 of their ``--json`` stdout.  The golden record stops at small sizes.
+_Z80, _A80 = "0" * 80, "10" * 40
+_HI32 = ",".join(map(str, range(32, 0, -1)))
+_LO32 = ",".join(map(str, range(31, -1, -1)))
+_FULL40 = ",".join(["40"] * 20 + ["0"] * 20)
+_EMPTY40 = ",".join(["0"] * 40)
+CAP_SOLVES = [
+    (("mixedmiddleswitch", "--n", "80", "--from", _Z80, "--to", _A80),
+     "e07124d06c2c69e43d243fe35c02a221d61ab37db199dfa08f1249201ae6e314"),
+    (("mixedmiddleswitch", "--n", "80", "--from", _A80, "--to", _Z80, "--via", "meet"),
+     "fecddc9d68f24fc92b7f75c3c81f675eabfc34ca565e6a2497ae88ed753f0267"),
+    (("domino-ballot", "--k", "32", "--n", "32", "--from", _HI32, "--to", _LO32),
+     "217a4e0f4442cfc7c1bed8b3806803f4d5741047bb880620f7726439675e346a"),
+    (("domino-staircase", "--k", "32", "--n", "32", "--from", _HI32, "--to", _LO32),
+     "6e033e435e136962ff08731dd75509dc05214c0bb73d40bfffb049dc314313a9"),
+    (("domino-full", "--k", "32", "--n", "32", "--from", _HI32, "--to", _LO32),
+     "0a3ce4e42238bc106919341afec28c9b6638e16ceacd421e621e8c988714e11b"),
+    (("domino-ballot", "--k", "32", "--n", "32", "--from", _LO32, "--to", _HI32,
+      "--via", "meet"),
+     "741747f8e5fa16290c1a0aefcd5a3180792d771a9679818f95648865f496b31d"),
+    (("domino-staircase", "--k", "32", "--n", "32", "--from", _LO32, "--to", _HI32,
+      "--via", "meet"),
+     "fabcc50a37c01b66db2b480c7cdd82f3f67a1c1a92500b5a5ee21ff5b1218aa4"),
+    (("domino-full", "--k", "32", "--n", "32", "--from", _LO32, "--to", _HI32,
+      "--via", "meet"),
+     "f868d8d7cdb890f7609f306358d34aded85b904207ee0d8dc8d15094e1651d81"),
+    (("snakes", "--n", "40", "--from", _FULL40, "--to", _EMPTY40),
+     "8de6b22a96e6e2c59ffe86ee4c6f2d152643b887114fa0dd6442c0a6debdde4d"),
+    (("snakes", "--n", "40", "--from", _EMPTY40, "--to", _FULL40, "--via", "meet"),
+     "febd559cae0afcec8cf1bb6369f52613a3a59fffa9a1982720c20f542b6b5f50"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CAP_SOLVES,
+                         ids=[f"{a[0]}-{'meet' if 'meet' in a else 'join'}"
+                              for a, _ in CAP_SOLVES])
+def test_cap_solves_print_the_pinned_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, "solve", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------- error channels

@@ -562,6 +562,31 @@ def test_replay_refuses_a_square_that_is_not_a_pair_of_ints(squares):
         replay_domino(board, forged)
 
 
+@pytest.mark.parametrize("states, action, message", [
+    # three squares, one of them (True, 3): the type test comes before the count
+    ([(0, 0), (2, 0)], ("add", ((1, 2), (True, 3), (2, 2)), 1), "not pairs of ints"),
+    # a float square equal to the corner (1, 4): refused by type, not let through
+    ([(4, 0), (3, 0)], ("remove", ((1, 4.0),), 2), "not pairs of ints"),
+    # an off-board domino with the wrong color: the board test comes first
+    ([(0, 0), (2, 0)], ("add", ((2, 4), (2, 5)), 99), "tile leaves the board"),
+    # a singleton off the board and off the corner: the corner test comes first
+    ([(4, 0), (3, 0)], ("remove", ((9, 9),), 99), "singleton is not the corner"),
+    # not a domino, and an unknown verb
+    ([(0, 0), (2, 0)], ("lay", ((1, 1), (2, 2)), 1), "tiles are not a domino"),
+    # an unknown verb on squares that are not at their rows' ends
+    ([(2, 2), (1, 1)], ("lift", ((1, 1), (2, 1)), 2), "unknown verb"),
+    # the wrong verb and the wrong color: the row ends come first
+    ([(2, 2), (1, 1)], ("add", ((1, 2), (2, 2)), 99), "not at their rows' ends"),
+    # a result other than the next state, and the wrong color
+    ([(2, 2), (2, 0)], ("remove", ((1, 2), (2, 2)), 99), "illegal or mismatched result"),
+])
+def test_the_first_refusal_that_applies_is_the_one_named(states, action, message):
+    # each play breaks two rules or more; the replay checks in a fixed order
+    with pytest.raises(AssertionError, match=f"step 0: .*{message}"):
+        replay_domino(Board("ballot", 2, 3),
+                      DominoSolution("ballot", 2, 3, states, [action], {}, None))
+
+
 # The board coding as the five stages that define it: partition -> tableau
 # -> tally -> reordered tally -> tableau (the ones) -> partition (the
 # complementary coding).  ``l_map`` and ``l_inv`` compute it in one step.
