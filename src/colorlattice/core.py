@@ -221,33 +221,63 @@ class TupleLattice:
     blocks, and re-inserts only the one that changed.  A blocker of
     least(q, x_q) is a member with part q >= x_q, so it lies above
     least(q, x_q) and sorts after it: the test looks from the end.
+
+    Every read of a rule goes through one table per lattice, so no rule is
+    evaluated twice.  Its least members, least(q, v) at
+    ``[q - 1][v - 1]``, are filled cell by cell on their first read, so a
+    short walk pays only for the cells it reads; its colors are filled
+    whole on the first read of any, which costs one rule call per
+    irreducible.  `member`, the geodesic legs and `color_counts` read it,
+    `certify` fills and returns it, and ``explicit.tuple_lattice`` climbs
+    over it.
     """
 
-    __slots__ = ("top", "color", "least", "_colors")
+    __slots__ = ("top", "color", "least", "_least_rows", "_color_rows", "_colors")
 
     def __init__(self, top, color, least):
         self.top = tuple(top)
         self.color = color
         self.least = least
+        self._least_rows = [[None] * hi for hi in self.top]
+        self._color_rows = None
         self._colors = None
 
     def __repr__(self):
         return f"TupleLattice(top {render_vertex(self.top)})"
 
+    def _least_of(self, q, v):
+        """least(q, v) from the table, read off the rule on its first read."""
+        row = self._least_rows[q - 1]
+        x = row[v - 1]
+        if x is None:
+            x = row[v - 1] = self.least(q, v)
+        return x
+
+    def _color_table(self):
+        """The colors, color(q, v) at ``[q - 1][v - 1]``, found on the first
+        call and kept: the rules never change."""
+        if self._color_rows is None:
+            self._color_rows = [[self.color(q, v) for v in range(1, hi + 1)]
+                                for q, hi in enumerate(self.top, 1)]
+        return self._color_rows
+
     def certify(self) -> list:
         """Check claims (a)-(c) on the least members; LatticeError if one fails.
 
-        Returns the least members as one table, least(q, v) at
-        ``[q - 1][v - 1]``, which the checks read too.
+        Returns the lattice's own table of least members, least(q, v) at
+        ``[q - 1][v - 1]``, with every cell filled, which the checks read
+        too.  Callers read it and do not change it.
         """
-        table = [[self.least(q, v) for v in range(1, hi + 1)]
-                 for q, hi in enumerate(self.top, 1)]
-        read = lambda p, a: table[p - 1][a - 1]
+        table = self._least_rows
+        for q, row in enumerate(table, 1):
+            for v, x in enumerate(row, 1):
+                if x is None:
+                    row[v - 1] = self.least(q, v)
         seen = {}
         for q, row in enumerate(table, 1):
             below = ()
             for v, x in enumerate(row, 1):
-                if not self._member(x, read):
+                if not self.member(x):
                     why = "is not a member"
                 elif x[q - 1] != v:
                     why = f"has part {q} equal to {x[q - 1]}, not {v}"
@@ -263,12 +293,9 @@ class TupleLattice:
 
     def member(self, x) -> bool:
         """Whether ``x`` lies in the box and above least(q, x_q) wherever x_q > 0."""
-        return self._member(x, self.least)
-
-    def _member(self, x, least):
         return (len(x) == len(self.top)
                 and all(0 <= a <= b for a, b in zip(x, self.top))
-                and all(all(map(le, least(q, v), x))
+                and all(all(map(le, self._least_of(q, v), x))
                         for q, v in enumerate(x, 1) if v))
 
     def rank(self, x) -> int:
@@ -301,12 +328,9 @@ class TupleLattice:
         return list(self._sorted_colors())
 
     def _sorted_colors(self):
-        """The sorted edge colors as a tuple, found on the first call and
-        kept: the rules never change."""
+        """The sorted edge colors as a tuple, found on the first call and kept."""
         if self._colors is None:
-            self._colors = tuple(sorted({
-                self.color(q, v) for q, hi in enumerate(self.top, 1)
-                for v in range(1, hi + 1)}))
+            self._colors = tuple(sorted({c for row in self._color_table() for c in row}))
         return self._colors
 
     def color_counts(self, s, t) -> dict:
@@ -316,10 +340,16 @@ class TupleLattice:
         the irreducibles (q, v) with min(s_q, t_q) < v <= max(s_q, t_q).
         Per coordinate max(a, b) - a = b - min(a, b), so the gaps down to
         the meet hold the same irreducibles, and one tally serves both.
+        A gap outside the box, where no member lies, reads the rule.
         """
         self._lengths(s, t)
-        steps = Counter(self.color(q, v) for q, (a, b) in enumerate(zip(s, t), 1)
-                        for v in range(min(a, b) + 1, max(a, b) + 1))
+        steps = Counter()
+        for q, (row, a, b) in enumerate(zip(self._color_table(), s, t), 1):
+            lo, hi = min(a, b), max(a, b)
+            if 0 <= lo and hi <= len(row):
+                steps.update(row[lo:hi])
+            else:
+                steps.update(self.color(q, v) for v in range(lo + 1, hi + 1))
         return {c: steps[c] for c in self._sorted_colors()}
 
     def geodesic(self, s, t, via: str = "join") -> PathCertificate:
@@ -349,31 +379,37 @@ class TupleLattice:
     def _ascend(self, goal, vertices, steps):
         """Climb from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
-        for _, q in sorted((self.least(q, v), q)
-                           for q, (a, b) in enumerate(zip(x, goal), 1)
-                           for v in range(a + 1, b + 1)):
-            x[q - 1] += 1
+        missing = []
+        for q, (row, a, b) in enumerate(zip(self._least_rows, x, goal)):
+            for v in range(a, b):       # the cell of least(q + 1, v + 1)
+                lo = row[v]
+                if lo is None:
+                    lo = row[v] = self.least(q + 1, v + 1)
+                missing.append((lo, q))
+        missing.sort()
+        colors = self._color_table()
+        for _, q in missing:
+            x[q] += 1
             vertices.append(tuple(x))
-            steps.append((self.color(q, x[q - 1]), +1))
+            steps.append((colors[q][x[q] - 1], +1))
 
     def _descend(self, goal, vertices, steps):
         """Fall from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
-        tops = sorted((self.least(q, a), q)
+        least, colors = self._least_of, self._color_table()
+        tops = sorted((least(q, a), q - 1)
                       for q, (a, b) in enumerate(zip(x, goal), 1) if a > b)
         while tops:
             for i, (_, q) in enumerate(tops):
-                v = x[q - 1]
-                if not any(lo[q - 1] >= v for lo, r in reversed(tops) if r != q):
+                v = x[q]
+                if not any(lo[q] >= v for lo, r in reversed(tops) if r != q):
                     break
             else:
                 raise LatticeError(f"no lower cover of {render_vertex(tuple(x))} "
                                    f"leads to {render_vertex(tuple(goal))}")
             del tops[i]
-            x[q - 1] -= 1
-            if x[q - 1] > goal[q - 1]:
-                insort(tops, (self.least(q, x[q - 1]), q))
+            x[q] -= 1
+            if x[q] > goal[q]:
+                insort(tops, (least(q + 1, x[q]), q))
             vertices.append(tuple(x))
-            steps.append((self.color(q, x[q - 1] + 1), -1))
-
-
+            steps.append((colors[q][x[q]], -1))

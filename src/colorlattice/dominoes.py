@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import getitem, sub
 
 from .core import TupleLattice
 
@@ -97,17 +98,17 @@ def enumerate_box_partitions(k: int, m: int):
 def _rows_fit(board: Board, tau, rows) -> bool:
     """``board.valid(tau)`` for a tuple that is a partition of the board's
     kind but for the given rows (1-based): each of them must lie within its
-    row's bounds (`Board._row_bounds`) and between its neighbours.
+    row's bounds (`Board._bounds`) and between its neighbours.
 
     A move changes only the rows its squares lie in, and a row bound or an
     order between two rows that it leaves alone still holds.  So the move
     graph and `replay_domino` test a move's result at its touched rows
     alone, from a partition of the kind.
     """
-    k = board.k
+    k, bounds = board.k, board._bounds
     for r in rows:
         p = tau[r - 1]
-        lo, hi = board._row_bounds(r)
+        lo, hi = bounds[r - 1]
         if not lo <= p <= hi or (r > 1 and tau[r - 2] < p) or (r < k and p < tau[r]):
             return False
     return True
@@ -184,10 +185,20 @@ def _encode(tau, k: int, n: int):
 
 def _decode(x, k: int, n: int):
     """`l_inv` of a tuple already known to be a k x (2n-k) box partition."""
+    return _decoder(k, n)(x)
+
+
+@lru_cache(maxsize=None)
+def _decoder(k: int, n: int):
+    """`_decode` at one size, as a function that reads one table of place
+    values: per coordinate j, at e = 0 .. m, the value that place m + j - e
+    holds (2p-1 at place p <= n, 4n+2-2p above).  Sorted downward, the
+    values T_k > ... > T_1 give the parts T_i - i in order."""
     m = 2 * n - k
-    values = sorted(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
-                    for p in (m + j - e for j, e in enumerate(x, 1)))
-    return tuple(v - i for i, v in enumerate(values, 1))[::-1]
+    places = tuple(tuple(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+                         for p in range(m + j, j - 1, -1)) for j in range(1, k + 1))
+    rows = range(k, 0, -1)
+    return lambda x: tuple(map(sub, sorted(map(getitem, places, x), reverse=True), rows))
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +214,7 @@ class Board:
     are displayed and colored under the relabeling i -> 2n - i.
     """
 
-    __slots__ = ("kind", "k", "n", "width")
+    __slots__ = ("kind", "k", "n", "width", "_bounds")
 
     def __init__(self, kind: str, k: int, n: int):
         if kind not in ("ballot", "staircase", "full"):
@@ -214,22 +225,18 @@ class Board:
         self.k = k
         self.n = n
         self.width = 2 * n - k
-
-    def _row_bounds(self, r: int):
-        """(lo, hi): row r of the board holds columns lo+1 .. hi, and a
-        partition of the board's kind has row r between lo and hi long.
-
-        lo is k - r on staircase boards and hi is width + 1 - r on ballot
-        boards; otherwise they are 0 and the width.
-        """
-        lo = self.k - r if self.kind == "staircase" else 0
-        hi = self.width + 1 - r if self.kind == "ballot" else self.width
-        return lo, hi
+        # per row r, at r - 1, its bounds (lo, hi): row r of the board holds
+        # columns lo+1 .. hi, and a partition of the board's kind has row r
+        # between lo and hi long.  lo is k - r on staircase boards and hi is
+        # width + 1 - r on ballot boards; otherwise they are 0 and the width.
+        self._bounds = tuple((k - r if kind == "staircase" else 0,
+                              self.width + 1 - r if kind == "ballot" else self.width)
+                             for r in range(1, k + 1))
 
     def has_square(self, r: int, c: int) -> bool:
         if not 1 <= r <= self.k:
             return False
-        lo, hi = self._row_bounds(r)
+        lo, hi = self._bounds[r - 1]
         return lo < c <= hi
 
     @property
@@ -412,15 +419,15 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     coordinates, and each lattice step is translated back into a physical
     tile action.  Nothing is enumerated: the steps and the certificate are
     those ``shortest_path`` builds on ``dec_lattice``, ``kn_lattice`` or
-    ``a_lattice``.  Each action is read off the squares the two states
-    differ in and wears its lattice step's color; the replay checks the
-    play under the tile rules, colors included.
+    ``a_lattice``.  Each action is read off the rows the two states differ
+    in and wears its lattice step's color; the replay checks the play
+    under the tile rules, colors included.
 
     The endpoints are checked once, on entry: a partition of the board's
     kind is a box partition, so the coding runs unchecked (`_encode`,
     `_decode`), and the replay is the check on every decoded state.
     """
-    board = Board(kind, k, n)
+    board = _board(kind, k, n)
     start, target = tuple(start), tuple(target)
     for tau in (start, target):
         if not board.valid(tau):
@@ -429,7 +436,7 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     lat = _board_lattice(kind, k, n)
     enc_s, enc_t = _encode(start, k, n), _encode(target, k, n)
     cert = lat.geodesic(enc_s, enc_t, via=via)
-    states = [_decode(v, k, n) for v in cert.vertices]
+    states = list(map(_decoder(k, n), cert.vertices))
     actions = [_action(a, b, color)
                for a, b, (color, _) in zip(states, states[1:], cert.steps)]
     sol = DominoSolution(kind, k, n, states, actions,
@@ -438,15 +445,27 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     return sol
 
 
+@lru_cache(maxsize=None)
+def _board(kind: str, k: int, n: int) -> Board:
+    """The board ``solve_domino`` plays on, built once per kind and size."""
+    return Board(kind, k, n)
+
+
 def _action(a, b, color):
     """The tile action taking partition a to partition b, as (verb, squares, color).
 
-    The squares are those the two partitions differ in, row by row, in
-    sorted order.
+    The squares are those of the rows the two partitions differ in, row by
+    row, in sorted order; the verb is "add" unless b has fewer squares.
     """
-    squares = tuple((r, c) for r, (p, q) in enumerate(zip(a, b), 1)
-                    for c in range(min(p, q) + 1, max(p, q) + 1))
-    return ("remove" if sum(b) < sum(a) else "add", squares, color)
+    squares, r = [], 0
+    for p, q in zip(a, b):
+        r += 1
+        if p != q:
+            lo, hi = (p, q) if p < q else (q, p)
+            squares.append((r, lo + 1))
+            if hi > lo + 1:
+                squares += [(r, c) for c in range(lo + 2, hi + 1)]
+    return ("remove" if sum(b) < sum(a) else "add", tuple(squares), color)
 
 
 def replay_domino(board: Board, sol: DominoSolution) -> None:
@@ -456,6 +475,13 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     partition of the board's kind.  Each square must be a pair of ints, and
     each action must wear its tile's color: the one ``_wears`` gives the
     move ``legal_moves`` lists through that tile, played either way.
+
+    Each tile is tested once: one type test per square, then its squares
+    sorted once, which shows its shape (the corner singleton, or a domino
+    lying in one row or down one column) and so the rows it touches.  The
+    refusals come in a fixed order: squares that are not pairs of ints,
+    a tile of the wrong shape, a square off the board, an unknown verb,
+    squares not at their rows' ends, a wrong result, a wrong color.
 
     Each result is tested at the rows its tile touched (`_rows_fit`), as
     the move graph tests it.  By induction on the steps, the state a step
@@ -468,32 +494,41 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     cur = sol.start
     if not board.valid(cur):
         raise AssertionError(f"play starts at {cur}, not a {board.kind} partition")
+    corner = (board.singleton,)
     for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
-        if not all(type(sq) is tuple and len(sq) == 2
-                   and type(sq[0]) is int and type(sq[1]) is int for sq in squares):
-            raise AssertionError(f"step {step}: squares {squares!r} are not "
-                                 f"pairs of ints")
-        if len(squares) == 1:
-            if squares != (board.singleton,):
-                raise AssertionError(f"step {step}: singleton is not the corner")
-        elif len(squares) == 2:
-            (r1, c1), (r2, c2) = sorted(squares)
-            if not ((r1 == r2 and c2 == c1 + 1) or (c1 == c2 and r2 == r1 + 1)):
+        for sq in squares:
+            if not (type(sq) is tuple and len(sq) == 2
+                    and type(sq[0]) is int and type(sq[1]) is int):
+                raise AssertionError(f"step {step}: squares {squares!r} are not "
+                                     f"pairs of ints")
+        if len(squares) == 2:
+            tile = sorted(squares)
+            (r1, c1), (r2, c2) = tile
+            if r1 == r2 and c2 == c1 + 1:
+                rows = (r1,)
+            elif c1 == c2 and r2 == r1 + 1:
+                rows = (r1, r2)
+            else:
                 raise AssertionError(f"step {step}: tiles are not a domino")
+        elif len(squares) == 1:
+            if squares != corner:
+                raise AssertionError(f"step {step}: singleton is not the corner")
+            tile, rows = squares, (1,)
         else:
             raise AssertionError(f"step {step}: bad tile count")
-        if not all(board.has_square(r, c) for (r, c) in squares):
-            raise AssertionError(f"step {step}: tile leaves the board")
+        for r, c in tile:
+            if not board.has_square(r, c):
+                raise AssertionError(f"step {step}: tile leaves the board")
         if verb not in ("add", "remove"):
             raise AssertionError(f"step {step}: unknown verb {verb!r}")
-        after = _move(cur, squares, verb == "add")
+        after = _move(cur, tile, verb == "add")
         if after is None:
             raise AssertionError(f"step {step}: squares are not at their "
                                  f"rows' ends; result is not left-justified")
-        if not _rows_fit(board, after, {r for r, _ in squares}) or after != nxt:
+        if not _rows_fit(board, after, rows) or after != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")
-        if _wears(board, squares)[1] != color:
+        if _wears(board, tile)[1] != color:
             raise AssertionError(f"step {step}: edge color disagrees between "
                                  f"board and lattice at squares {squares}")
         cur = nxt

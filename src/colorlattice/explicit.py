@@ -707,16 +707,16 @@ def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
     above least(q, x_q + 1).  That least member has part q equal to x_q + 1
     by claim (a), and every part is at least 0, so the test reads only its
     nonzero parts p != q: x_p >= least(q, x_q + 1)_p.  Those (p, part)
-    pairs are tabled once, from the least members `certify` returns, next
-    to a table of colors, and the raised tuple is built only for a raise
-    that passes.  The irreducible counts of `_count_irreducibles` are
-    checked here, at build time.
+    pairs are tabled once, from the least members `certify` returns, and
+    the colors are read off the same table of the rules, so no rule is
+    evaluated twice; the raised tuple is built only for a raise that
+    passes.  The irreducible counts of `_count_irreducibles` are checked
+    here, at build time.
     """
     least = rules.certify()
     needs = [[[(p, b) for p, b in enumerate(lo) if b and p != q] for lo in row]
              for q, row in enumerate(least)]
-    colors = [[rules.color(q, v) for v in range(1, hi + 1)]
-              for q, hi in enumerate(rules.top, 1)]
+    colors = rules._color_table()
     top, zero = rules.top, (0,) * len(rules.top)
     members, edges, seen = [zero], [], {zero: zero}
     for x in members:

@@ -45,7 +45,8 @@ diagonal lengths.  This module holds what a solve runs: the tiling check
 and its local form (`_still_tiling`, which tests a move's result at the
 rows and columns it touched, and which the replay and the move graph
 share), the least-member rule (`_catalan_lattice`), the rim geometry, the
-pull-back, the solver and its replay.  The snakes, the move graph
+pull-back, the solver and its replay, whose snake test (`_is_snake`) is
+one pass over the squares.  The snakes, the move graph
 (`legal_snake_moves`, `ming_digraph`), ``c_lattice`` and
 ``cached_isomorphism``, which checks the pull-back edge by edge on the
 boards small enough to build, live in :mod:`colorlattice.explicit`.
@@ -162,26 +163,25 @@ def _is_snake(snake, n: int) -> bool:
     That is: a tuple of 1 to 2n-1 board squares, each a South or West step
     from the one before, whose floor((m+1)/2)-th square is on the main
     diagonal.  Accepts exactly the members of ``all_snakes(n)``.
+
+    One pass over the squares tests each one's type and its step from the
+    one before.  Rows never fall and columns never rise along such a walk,
+    so it stays on the board exactly when its head lies at a row >= 1 and
+    a column <= n, and its tail at a row <= n and a column >= 1.
     """
     if not isinstance(snake, tuple) or not 1 <= len(snake) <= 2 * n - 1:
         return False
-    if not all(isinstance(sq, tuple) and len(sq) == 2
-               and type(sq[0]) is int and type(sq[1]) is int for sq in snake):
-        return False
-    return _snake_shape(snake, n)
-
-
-def _snake_shape(snake, n: int) -> bool:
-    """`_is_snake` for a tuple of 1 to 2n-1 int pairs: its squares lie on the
-    board, each is a South or West step from the one before, and the
-    floor((m+1)/2)-th of its m squares is on the main diagonal."""
-    if not all(1 <= i <= n and 1 <= j <= n for i, j in snake):
-        return False
-    for (a, b), (c, d) in zip(snake, snake[1:]):
-        if (c - a, d - b) not in ((1, 0), (0, -1)):
+    i = j = None
+    for sq in snake:
+        if not (isinstance(sq, tuple) and len(sq) == 2
+                and type(sq[0]) is int and type(sq[1]) is int):
             return False
-    i, j = snake[(len(snake) + 1) // 2 - 1]
-    return i == j
+        a, b = sq
+        if i is not None and not (a == i + 1 and b == j or a == i and b == j - 1):
+            return False
+        i, j = a, b
+    (head_i, head_j), mid = snake[0], snake[(len(snake) + 1) // 2 - 1]
+    return 1 <= head_i and head_j <= n and i <= n and 1 <= j and mid[0] == mid[1]
 
 
 def _contents(m: int):

@@ -29,7 +29,7 @@ from colorlattice import explicit
 from colorlattice.dominoes import _move
 from colorlattice.explicit import _rim, _rim_segment
 from colorlattice.snakes import (_column_heights, _contents, _diagonal_lengths, _is_snake,
-                                 _on_diagonal, _snake_shape, _still_tiling)
+                                 _on_diagonal, _still_tiling)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -279,6 +279,58 @@ def test_snake_predicate_accepts_exactly_the_catalog(n):
     walks = south_west_walks(n)
     assert catalog <= set(walks)
     assert {w for w in walks if _is_snake(w, n)} == catalog
+
+
+def _snake_shape(snake, n):
+    """The shape test as three passes: its squares lie on the board, each is
+    a South or West step from the one before, and the floor((m+1)/2)-th of
+    its m squares is on the main diagonal.  The oracle for the one pass of
+    `_is_snake` and for the two-end test of `_rim_segment`."""
+    if not all(1 <= i <= n and 1 <= j <= n for i, j in snake):
+        return False
+    for (a, b), (c, d) in zip(snake, snake[1:]):
+        if (c - a, d - b) not in ((1, 0), (0, -1)):
+            return False
+    i, j = snake[(len(snake) + 1) // 2 - 1]
+    return i == j
+
+
+def three_pass_is_snake(snake, n):
+    """`_is_snake` as it read before its one pass: the type tests on every
+    square, then `_snake_shape`."""
+    if not isinstance(snake, tuple) or not 1 <= len(snake) <= 2 * n - 1:
+        return False
+    if not all(isinstance(sq, tuple) and len(sq) == 2
+               and type(sq[0]) is int and type(sq[1]) is int for sq in snake):
+        return False
+    return _snake_shape(snake, n)
+
+
+def shifted_walks(n):
+    """Walks of every step kind, some of them partly or wholly off the board."""
+    steps = ((1, 0), (0, -1), (0, 1), (-1, 0), (1, -1), (0, 0))
+    walks = []
+    for i in range(0, n + 2):
+        for j in range(0, n + 2):
+            for length in range(1, 2 * n + 1):
+                for first in steps:
+                    walk = [(i, j)]
+                    for s in range(length - 1):
+                        di, dj = first if s == 0 else steps[s % 2]
+                        walk.append((walk[-1][0] + di, walk[-1][1] + dj))
+                    walks.append(tuple(walk))
+    return walks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_pass_snake_test_equals_the_three_passes(n):
+    walks = south_west_walks(n + 1) + shifted_walks(n)
+    for walk in walks:
+        assert _is_snake(walk, n) == three_pass_is_snake(walk, n), walk
+    malformed = [[(1, 1)], ((1, 1), [1, 2]), ((1, 1.0),), ((True, True),),
+                 ((1, 1, 1),), (), ((1, 2), (1, 1), "x")]
+    for snake in malformed:
+        assert _is_snake(snake, n) is three_pass_is_snake(snake, n) is False, snake
 
 
 @pytest.mark.parametrize("n, edge_count", [(1, 1), (2, 5), (3, 21), (4, 84), (5, 330)])

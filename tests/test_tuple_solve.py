@@ -36,6 +36,7 @@ from colorlattice import (
     solve_domino,
     solve_mixedmiddleswitch,
     solve_snakes,
+    tuple_lattice,
     z_lattice,
 )
 from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH, main
@@ -124,6 +125,54 @@ def test_board_solves_match_the_explicit_lattice_on_every_pair(kind, k, n):
                         sol.states, sol.states[1:], sol.actions):
                     assert (squares, color) == moves[a, b]
                     assert verb == ("remove" if sum(b) < sum(a) else "add")
+
+
+# The board path as it read before its tables: the place values rebuilt
+# for every vertex, and every row's squares between two states.  The oracle
+# for `_decoder` and `_action`.
+
+def per_vertex_decode(x, k, n):
+    m = 2 * n - k
+    values = sorted(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+                    for p in (m + j - e for j, e in enumerate(x, 1)))
+    return tuple(v - i for i, v in enumerate(values, 1))[::-1]
+
+
+def diff_action(a, b, color):
+    squares = tuple((r, c) for r, (p, q) in enumerate(zip(a, b), 1)
+                    for c in range(min(p, q) + 1, max(p, q) + 1))
+    return ("remove" if sum(b) < sum(a) else "add", squares, color)
+
+
+def rule_color_counts(rules, s, t):
+    """`TupleLattice.color_counts` read off the color rule, not the table."""
+    steps = Counter(rules.color(q, v) for q, (a, b) in enumerate(zip(s, t), 1)
+                    for v in range(min(a, b) + 1, max(a, b) + 1))
+    colors = {rules.color(q, v) for q, hi in enumerate(rules.top, 1)
+              for v in range(1, hi + 1)}
+    return {c: steps[c] for c in sorted(colors)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k, n", BOARD_SIZES)
+def test_board_solves_equal_the_per_vertex_oracle_on_every_pair(kind, k, n):
+    rules = _board_lattice(kind, k, n)
+    parts = Board(kind, k, n).partitions()
+    for s in parts:
+        for t in parts:
+            xs, xt = l_map(s, k, n), l_map(t, k, n)
+            counts = rule_color_counts(rules, xs, xt)
+            for via in ("join", "meet"):
+                sol = solve_domino(kind, k, n, s, t, via=via)
+                vertices, steps = stepwise_geodesic(rules, xs, xt, via)
+                states = tuple(per_vertex_decode(v, k, n) for v in vertices)
+                assert sol.certificate.vertices == vertices
+                assert sol.certificate.steps == steps
+                assert sol.states == states
+                assert sol.actions == tuple(
+                    diff_action(a, b, color)
+                    for a, b, (color, _) in zip(states, states[1:], steps))
+                assert sol.color_counts == counts
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -555,6 +604,63 @@ def test_least_members_rise_strictly_along_each_coordinate(lat):
     assert len(seen) == sum(lat.top)
     # the same three claims, as the lattice checks them
     lat.certify()
+
+
+# every family at its bench size and at k = n = 4
+TABLE_CASES = [
+    pytest.param(_cushioned_lattice(n), id=f"switch n={n}") for n in (4, 12)] + [
+    pytest.param(_catalan_lattice(n), id=f"catalan n={n}") for n in (4, 6)] + [
+    pytest.param(_board_lattice(kind, k, n), id=f"{kind} k={k} n={n}")
+    for kind in KINDS for k, n in ((3, 6), (4, 4))]
+
+
+@pytest.mark.parametrize("lat", TABLE_CASES)
+def test_the_lattice_table_equals_the_rules(lat):
+    least = lat.certify()
+    assert least == [[lat.least(q, v) for v in range(1, hi + 1)]
+                     for q, hi in enumerate(lat.top, 1)]
+    assert lat._color_table() == [[lat.color(q, v) for v in range(1, hi + 1)]
+                                  for q, hi in enumerate(lat.top, 1)]
+    assert lat.certify() is least
+
+
+def test_each_rule_is_read_once_per_lattice():
+    # certify, the explicit build and every later walk share one table
+    base = _board_lattice("staircase", 3, 5)
+    calls = Counter()
+
+    def least(q, v):
+        calls["least", q, v] += 1
+        return base.least(q, v)
+
+    def color(q, v):
+        calls["color", q, v] += 1
+        return base.color(q, v)
+
+    rules = TupleLattice(base.top, color, least)
+    members = tuple_lattice(rules).vertices
+    for s in members[::7]:
+        for t in members[::5]:
+            for via in ("join", "meet"):
+                rules.geodesic(s, t, via=via)
+            rules.color_counts(s, t)
+    assert set(calls.values()) == {1}
+    assert len(calls) == 2 * sum(base.top)
+
+
+def test_a_short_walk_reads_only_the_cells_it_needs():
+    # one step below the top of switch rows at n=80: the two membership
+    # tests read one cell per coordinate, of the table's 3 240
+    calls = Counter()
+    base = _cushioned_lattice(80)
+    rules = TupleLattice(base.top, base.color,
+                         lambda q, v: calls.update([(q, v)]) or base.least(q, v))
+    below = base.top[:-1] + (0,)
+    for via in ("join", "meet"):
+        assert rules.geodesic(base.top, below, via=via).distance == 1
+        assert rules.geodesic(below, base.top, via=via).distance == 1
+    assert set(calls) == {(q, v) for q, v in enumerate(base.top, 1)}
+    assert set(calls.values()) == {1}
 
 
 # Each rule lattice is built once per size and shared by every later solve.
