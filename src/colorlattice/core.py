@@ -4,7 +4,8 @@ Every solve reads only what is defined here:
 
 * :class:`TupleLattice` — a distributive lattice of integer tuples given by
   its least members instead of a diagram, which builds optimal walks
-  without enumerating its vertices;
+  without enumerating its vertices and reads its two rules through one
+  table, so that no rule is evaluated twice;
 * :class:`PathCertificate` — a replayable walk in a lattice;
 * :func:`render_vertex` — the text form of a vertex payload;
 * the error classes every module raises.
@@ -14,7 +15,9 @@ materialized :class:`~colorlattice.explicit.DiamondLattice` and the family
 diagram builders) lives in :mod:`colorlattice.explicit`, which no solve
 imports.
 
-All values are immutable after construction; every function here is pure.
+All values are immutable after construction, but for the table a
+`TupleLattice` fills as it first reads each rule; every function here is
+pure.
 """
 
 from __future__ import annotations
@@ -343,13 +346,14 @@ class TupleLattice:
         A gap outside the box, where no member lies, reads the rule.
         """
         self._lengths(s, t)
-        steps = Counter()
+        gaps = []
         for q, (row, a, b) in enumerate(zip(self._color_table(), s, t), 1):
-            lo, hi = min(a, b), max(a, b)
+            lo, hi = (a, b) if a < b else (b, a)
             if 0 <= lo and hi <= len(row):
-                steps.update(row[lo:hi])
+                gaps += row[lo:hi]
             else:
-                steps.update(self.color(q, v) for v in range(lo + 1, hi + 1))
+                gaps += [self.color(q, v) for v in range(lo + 1, hi + 1)]
+        steps = Counter(gaps)
         return {c: steps[c] for c in self._sorted_colors()}
 
     def geodesic(self, s, t, via: str = "join") -> PathCertificate:

@@ -25,11 +25,14 @@ the even values the last n in reverse.
 
 This module holds what a solve runs: the board checks, the coding
 (`l_map` and `l_inv` check their input; the solver runs the unchecked
-`_encode` and `_decode`), the least-member rules (`_box_lattice`,
-`_board_lattice`), the move rule (`_move`, `_wears`, and `_rows_fit`,
-which tests a move's result at the rows it touched), the solver and its
-replay.  The replay and the move graph share the move rule; the solver
-never runs it.  The move graph
+`_encode` and `_decode`, which reads one table of place values per size,
+`_decoder`), the least-member rules (`_box_lattice`, `_board_lattice`),
+the move rule (`_move`, `_wears`, and `_rows_fit`, which tests a move's
+result at the rows it touched and, given every row, is `Board.valid`),
+the solver and its replay.  A solve plays on one `Board` per kind and
+size (`_board`) and reads each action off the rows that changed
+(`_action`); the replay tests each tile once.  The replay and the move
+graph share the move rule; the solver never runs it.  The move graph
 (`legal_moves`, `domino_digraph`) and the explicit lattices (`a_lattice`,
 `kn_lattice`, `dec_lattice`) are built in :mod:`colorlattice.explicit`
 from the same rules.  The columnar tableaux, their 0/1 tally sequences and
@@ -103,7 +106,8 @@ def _rows_fit(board: Board, tau, rows) -> bool:
     A move changes only the rows its squares lie in, and a row bound or an
     order between two rows that it leaves alone still holds.  So the move
     graph and `replay_domino` test a move's result at its touched rows
-    alone, from a partition of the kind.
+    alone, from a partition of the kind.  Given every row, it is the whole
+    test of k ints that `Board.valid` runs.
     """
     k, bounds = board.k, board._bounds
     for r in rows:
@@ -246,15 +250,18 @@ class Board:
     def is_red(self, r: int, c: int) -> bool:
         return (r + c) % 2 == (1 + self.width) % 2
 
+    # The width 2n - k has the parity of k, so a square is red exactly when
+    # c - r + k + 1 is even: the remainders below test the checker color.
+
     def removing_index(self, r: int, c: int) -> int:
         i, rem = divmod(c - r + self.k + 1, 2)
-        if rem or not self.is_red(r, c) or not 1 <= i <= self.n:
+        if rem or not 1 <= i <= self.n:
             raise ValueError(f"square {(r, c)} is on no removing diagonal")
         return i
 
     def adding_index(self, r: int, c: int) -> int:
         i, rem = divmod(c - r + self.k, 2)
-        if rem or self.is_red(r, c) or not 1 <= i <= self.n - 1:
+        if rem or not 1 <= i <= self.n - 1:
             raise ValueError(f"square {(r, c)} is on no adding diagonal")
         return i
 
@@ -264,12 +271,15 @@ class Board:
         return 2 * self.n - i if self.kind == "full" else i
 
     def valid(self, tau) -> bool:
+        """Whether ``tau`` is a partition of the board's kind: k ints (not
+        bools), each row within its bounds and the rows weakly decreasing.
+        That is `is_ballot`, `is_staircase` or `is_box_partition`, by kind:
+        decreasing rows within the bounds lie between 0 and the width, and
+        the kind's bound on each row is the one those tests add."""
         tau = tuple(tau)
-        if self.kind == "ballot":
-            return is_ballot(tau, self.k, self.n)
-        if self.kind == "staircase":
-            return is_staircase(tau, self.k, self.n)
-        return is_box_partition(tau, self.k, self.width)
+        return (len(tau) == self.k
+                and all(isinstance(p, int) and not isinstance(p, bool) for p in tau)
+                and _rows_fit(self, tau, range(1, self.k + 1)))
 
     def partitions(self):
         return [tau for tau in enumerate_box_partitions(self.k, self.width)

@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,52 @@ def test_has_square_keeps_the_per_kind_clauses():
                     for c in range(board.width + 2):
                         assert board.has_square(r, c) \
                             == per_kind_has_square(board, r, c), (kind, k, n, r, c)
+
+
+def test_diagonal_indices_refuse_exactly_the_squares_of_the_other_color():
+    # the indices read the checker color off the parity of c - r + k;
+    # the reference tests it by ``is_red`` as well
+    def reference(board, r, c, red, offset, top):
+        i, rem = divmod(c - r + board.k + offset, 2)
+        return None if rem or board.is_red(r, c) != red or not 1 <= i <= top else i
+
+    def index(method, r, c):
+        try:
+            return method(r, c)
+        except ValueError:
+            return None
+
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for kind in ("ballot", "staircase", "full"):
+                board = Board(kind, k, n)
+                for r in range(-1, k + 3):
+                    for c in range(-1, board.width + 3):
+                        assert index(board.removing_index, r, c) \
+                            == reference(board, r, c, True, 1, n)
+                        assert index(board.adding_index, r, c) \
+                            == reference(board, r, c, False, 0, n - 1)
+
+
+def test_board_validity_is_the_per_kind_predicate():
+    # Board.valid reads the row bounds; the public predicates state each kind
+    oddities = [True, False, 1.0, "1", None]
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for kind in ("ballot", "staircase", "full"):
+                board = Board(kind, k, n)
+                want = {"ballot": lambda tau: is_ballot(tau, k, n),
+                        "staircase": lambda tau: is_staircase(tau, k, n),
+                        "full": lambda tau: is_box_partition(tau, k, board.width)}[kind]
+                values = range(-1, board.width + 2)
+                cases = [tau for length in (k - 1, k, k + 1) if length <= 3
+                         for tau in product(values, repeat=length)]
+                cases += list(product(values, repeat=k))
+                cases += [tau[:i] + (odd,) + tau[i + 1:] for tau in board.partitions()
+                          for i in range(k) for odd in oddities]
+                for tau in cases:
+                    assert board.valid(tau) == want(tau), (kind, k, n, tau)
+                    assert board.valid(list(tau)) == want(tau)
 
 
 def test_legal_moves_from_the_full_staircase_is_one_singleton():
