@@ -271,15 +271,11 @@ class TupleLattice:
         ``[q - 1][v - 1]``, with every cell filled, which the checks read
         too.  Callers read it and do not change it.
         """
-        table = self._least_rows
-        for q, row in enumerate(table, 1):
-            for v, x in enumerate(row, 1):
-                if x is None:
-                    row[v - 1] = self.least(q, v)
         seen = {}
-        for q, row in enumerate(table, 1):
+        for q, hi in enumerate(self.top, 1):
             below = ()
-            for v, x in enumerate(row, 1):
+            for v in range(1, hi + 1):
+                x = self._least_of(q, v)
                 if not self.member(x):
                     why = "is not a member"
                 elif x[q - 1] != v:
@@ -292,7 +288,7 @@ class TupleLattice:
                     seen[x], below = (q, v), x
                     continue
                 raise LatticeError(f"least({q}, {v}) = {render_vertex(x)} {why}")
-        return table
+        return self._least_rows
 
     def member(self, x) -> bool:
         """Whether ``x`` lies in the box and above least(q, x_q) wherever x_q > 0."""
@@ -383,15 +379,9 @@ class TupleLattice:
     def _ascend(self, goal, vertices, steps):
         """Climb from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
-        missing = []
-        for q, (row, a, b) in enumerate(zip(self._least_rows, x, goal)):
-            for v in range(a, b):       # the cell of least(q + 1, v + 1)
-                lo = row[v]
-                if lo is None:
-                    lo = row[v] = self.least(q + 1, v + 1)
-                missing.append((lo, q))
-        missing.sort()
-        colors = self._color_table()
+        least, colors = self._least_of, self._color_table()
+        missing = sorted((least(q, v), q - 1) for q, (a, b) in enumerate(zip(x, goal), 1)
+                         for v in range(a + 1, b + 1))
         for _, q in missing:
             x[q] += 1
             vertices.append(tuple(x))
