@@ -130,7 +130,7 @@ class ColoredDigraph:
     equal graphs compare equal and print identically.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_in", "_succ")
+    __slots__ = ("_vertices", "_edges", "_out", "_inc", "_succ", "_indeg")
 
     def __init__(self, vertices, edges):
         vs = _canonical_sorted(vertices)
@@ -155,27 +155,43 @@ class ColoredDigraph:
             keyed[key] = (u, v, c)
         # the vertex order is canonical, so positions in it order the edges;
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
-        # for the passes that rank and certify without hashing payloads.
+        # for the passes that rank and certify without hashing payloads, and
+        # _indeg the in-degrees, which is all a build reads of the in-edges.
         # Each temporary structure goes once it is read, which keeps the peak down
         keys = sorted(keyed)
         es = tuple(map(keyed.__getitem__, keys))
         del keyed, index
         out = [[] for _ in vs]
-        inc = [[] for _ in vs]
         succ = [[] for _ in vs]
+        indeg = [0] * len(vs)
         for key, (u, v, c) in zip(keys, es):
             i, j = divmod(key, len(vs))
             out[i].append((v, c))
-            inc[j].append((u, c))
             succ[i].append(j)
+            indeg[j] += 1
         del keys
         self._vertices = tuple(vs)
         self._edges = es
         self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
         del out
-        self._in = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
-        del inc
+        self._inc = None
         self._succ = tuple(map(tuple, succ))
+        self._indeg = tuple(indeg)
+
+    @property
+    def _in(self):
+        """Per vertex, the pairs (source, color) of the edges into it, sources
+        in vertex order: built from the out-edges on the first read and kept.
+        Most explicit builds read only the in-degrees (`_indeg`), so this
+        adjacency, as large as the out-edges, waits for its first reader."""
+        if self._inc is None:
+            vs = self._vertices
+            inc = [[] for _ in vs]
+            for u, js, pairs in zip(vs, self._succ, self._out.values()):
+                for j, (_, c) in zip(js, pairs):
+                    inc[j].append((u, c))
+            self._inc = {v: tuple(nbrs) for v, nbrs in zip(vs, inc)}
+        return self._inc
 
     @property
     def vertices(self):
@@ -221,7 +237,7 @@ class ColoredDigraph:
         return sorted({c for (_, _, c) in self._edges})
 
     def sources(self):
-        return [v for v, nbrs in self._in.items() if not nbrs]
+        return [v for v, d in zip(self._vertices, self._indeg) if not d]
 
     def sinks(self):
         return [v for v, nbrs in self._out.items() if not nbrs]
@@ -256,10 +272,11 @@ class ColoredDigraph:
         sub._edges = tuple(e for e in self._edges if e[2] == color)
         sub._out = {v: tuple(p for p in nbrs if p[1] == color)
                     for v, nbrs in self._out.items()}
-        sub._in = {v: tuple(p for p in nbrs if p[1] == color)
-                   for v, nbrs in self._in.items()}
+        sub._inc = {v: tuple(p for p in nbrs if p[1] == color)
+                    for v, nbrs in self._in.items()}
         sub._succ = tuple(tuple(j for j, (_, c) in zip(js, nbrs) if c == color)
                           for js, nbrs in zip(self._succ, self._out.values()))
+        sub._indeg = tuple(map(len, sub._inc.values()))
         return sub
 
 
@@ -274,7 +291,7 @@ def rank_function(g: ColoredDigraph) -> dict:
     dict is keyed by the payloads.
     """
     vs, succ = g._vertices, g._succ
-    indeg = list(map(len, g._in.values()))
+    indeg = list(g._indeg)
     queue = [i for i, d in enumerate(indeg) if not d]
     rank = [0] * len(vs)
     for i in queue:     # grows as it is read: a breadth-first topological order
@@ -757,8 +774,8 @@ def _count_irreducibles(lat: DiamondLattice) -> None:
     length; Stanley, *EC1* §3.4).  O(V), on the diagram alone.
     """
     g = lat.diagram
-    for name, side in (("join", g._in), ("meet", g._out)):
-        count = sum(len(nbrs) == 1 for nbrs in side.values())
+    for name, degrees in (("join", g._indeg), ("meet", map(len, g._out.values()))):
+        count = sum(d == 1 for d in degrees)
         if count != lat.length:
             raise LatticeError(
                 f"{count} {name} irreducibles in a lattice of length "

@@ -21,6 +21,7 @@ from colorlattice import (
     dec_admissible,
     dec_lattice,
     enumerate_box_partitions,
+    ideals_lattice,
     join_irreducibles,
     kn_admissible,
     kn_lattice,
@@ -133,6 +134,20 @@ def test_a_fresh_build_reads_neither_masks_nor_coordinates():
     assert lat.minimum == (0,) * 8 and lat.maximum == (8, 7, 6, 5, 4, 3, 2, 1)
     assert lat.rank[lat.minimum] == 0 and lat.rank[lat.maximum] == lat.length == 36
     assert lat._birk is None and lat._coords is None and lat._poset is None
+    # nor its in-edges: the build and its ends read the in-degrees only
+    assert lat.diagram._inc is None
+
+
+def test_in_edges_built_on_first_read_list_every_edge_by_source():
+    for lat in (z_lattice.__wrapped__(6), ideals_lattice(z_lattice(3).poset)):
+        g = lat.diagram
+        assert g.sources() == [lat.minimum] and g._inc is None
+        want = {v: [] for v in g.vertices}
+        for (u, v, c) in g.edges:
+            want[v].append((u, c))
+        assert {v: g.in_edges(v) for v in g.vertices} == \
+            {v: tuple(pairs) for v, pairs in want.items()}
+        assert g._indeg == tuple(len(g.in_edges(v)) for v in g.vertices)
 
 
 # --------------------------------------------------------------------------
