@@ -237,11 +237,14 @@ def alternant(rd: RootData, mu) -> LaurentPoly:
 
     w mu is read off the columns of w as sum_j mu_j w(omega_j).
     """
-    mu = tuple(mu)
+    return _alternant(rd.n, weyl_group(rd), tuple(mu))
+
+
+def _alternant(n: int, group, mu) -> LaurentPoly:
+    """`alternant` over a rank-n group already listed by `weyl_group`."""
     return LaurentPoly([
-        (tuple(sum(m * col[i] for m, col in zip(mu, cols)) for i in range(rd.n)),
-         sign)
-        for cols, sign in weyl_group(rd)])
+        (tuple(sum(m * col[i] for m, col in zip(mu, cols)) for i in range(n)), sign)
+        for cols, sign in group])
 
 
 def bialternant_check(rd: RootData, lam, X: LaurentPoly) -> bool:
@@ -249,10 +252,12 @@ def bialternant_check(rd: RootData, lam, X: LaurentPoly) -> bool:
 
     True exactly when alternant(rho) * X = alternant(lam + rho) as formal
     sums; this characterizes the irreducible character among W-invariants.
+    Both alternants are read off one listing of the group.
     """
     lam = tuple(lam)
     top = tuple(l + r for l, r in zip(lam, rd.rho))
-    return alternant(rd, rd.rho) * X == alternant(rd, top)
+    group = weyl_group(rd)
+    return _alternant(rd.n, group, rd.rho) * X == _alternant(rd.n, group, top)
 
 
 def w_invariant(rd: RootData, X: LaurentPoly) -> bool:

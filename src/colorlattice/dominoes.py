@@ -107,7 +107,9 @@ def _rows_fit(board: Board, tau, rows) -> bool:
     order between two rows that it leaves alone still holds.  So the move
     graph and `replay_domino` test a move's result at its touched rows
     alone, from a partition of the kind.  Given every row, it is the whole
-    test of k ints that `Board.valid` runs.
+    test of k ints that `Board.valid` runs.  A result that passes keeps on
+    the board each square `_move` laid or lifted in rows 1..k: its column
+    lies between the row's old and new lengths, both within (lo, hi].
     """
     k, bounds = board.k, board._bounds
     for r in rows:

@@ -21,8 +21,9 @@ the solve path to an independent picture of each position space:
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
   `c_lattice`) from each family's least-member rule, through
   `tuple_lattice`.  Each game keeps its one move rule, the local test of
-  a move's result (`_rows_fit`, `_still_tiling`) and its one least rule
-  in its own module, where its replay shares them; this one imports them.
+  a move's result (`_rows_fit`, and `_still_tiling`, which runs it on the
+  n x n board as the full board at k = n) and its one least rule in its
+  own module, where its replay shares them; this one imports them.
 
 All values are immutable after construction (what a lattice builds on
 first read is kept, never changed); every function here is pure.
@@ -37,9 +38,8 @@ from itertools import chain
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
 from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _wears
-from .snakes import (_TILINGS_CAP, _catalan_lattice, _column_heights,
-                     _diagonal_lengths, _on_diagonal, _pull_back, _still_tiling,
-                     _tilings, enumerate_tilings, is_tiling)
+from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _on_diagonal,
+                     _pull_back, _still_tiling, _tilings, enumerate_tilings, is_tiling)
 from .switchgame import _cushioned_lattice, _may_toggle, int_to_bits
 
 __all__ = [
@@ -342,26 +342,15 @@ def is_topographically_balanced(g: ColoredDigraph) -> bool:
     Upward: whenever s and t both cover v, exactly one u covers both s and t.
     Downward: whenever u covers both s and t, exactly one v is covered by both.
     """
-    for v in g.vertices:
-        ups = [w for (w, _) in g.out_edges(v)]
-        for a in range(len(ups)):
-            for b in range(a + 1, len(ups)):
-                s, t = ups[a], ups[b]
-                common = {w for (w, _) in g.out_edges(s)} & {
-                    w for (w, _) in g.out_edges(t)
-                }
-                if len(common) != 1:
-                    return False
-    for u in g.vertices:
-        downs = [w for (w, _) in g.in_edges(u)]
-        for a in range(len(downs)):
-            for b in range(a + 1, len(downs)):
-                s, t = downs[a], downs[b]
-                common = {w for (w, _) in g.in_edges(s)} & {
-                    w for (w, _) in g.in_edges(t)
-                }
-                if len(common) != 1:
-                    return False
+    for edges in (g.out_edges, g.in_edges):
+        for v in g.vertices:
+            near = [w for (w, _) in edges(v)]
+            for a in range(len(near)):
+                for b in range(a + 1, len(near)):
+                    common = ({w for (w, _) in edges(near[a])}
+                              & {w for (w, _) in edges(near[b])})
+                    if len(common) != 1:
+                        return False
     return True
 
 
@@ -945,10 +934,10 @@ def legal_moves(board: Board, tau):
     its end (lifted) and just past it (laid); per pair of adjacent rows of
     equal length, the vertical domino at their common end and just past it;
     and the corner singleton (lifted).  A tile is kept when ``_move`` plays
-    it, its squares are on the board, ``_wears`` names the verb played, and
-    the result is again a partition of the board's kind, which only the
-    rows it touched can break (`_rows_fit`).  The reversals of these moves
-    appear as forward moves of the partner partition instead.
+    it, the result is again a partition of the board's kind, which only the
+    rows it touched can break and which keeps its squares on the board
+    (`_rows_fit`), and ``_wears`` names the verb played.  The reversals of
+    these moves appear as forward moves of the partner partition instead.
     """
     tau = tuple(tau)
     if not board.valid(tau):
@@ -970,10 +959,10 @@ def _legal_moves(board: Board, tau):
     moves = []
     for add, tile in tiles:
         result = _move(tau, tile, add)
-        if result is None or not all(board.has_square(*sq) for sq in tile):
+        if result is None or not _rows_fit(board, result, {r for r, _ in tile}):
             continue
         verb, color = _wears(board, tile)
-        if (verb == "add") == add and _rows_fit(board, result, {r for r, _ in tile}):
+        if (verb == "add") == add:
             moves.append((verb, tile, color, result))
     return moves
 
@@ -1117,7 +1106,6 @@ def _rim_moves(n: int, rows, forward: bool):
     each segment that passes.
     """
     d = _diagonal_lengths(rows, n)
-    heights = _column_heights(rows, n)
     moves = []
     for verb, shift in (("remove", -1), ("add", 0)):
         rim = _rim(n, d, shift)
@@ -1128,8 +1116,7 @@ def _rim_moves(n: int, rows, forward: bool):
             if snake is None:
                 continue
             result = _move(rows, snake, verb == "add")
-            if result is not None and _still_tiling(result, n, snake, heights,
-                                                    1 if verb == "add" else -1):
+            if result is not None and _still_tiling(result, n, snake):
                 moves.append((snake, verb, result))
     return moves
 

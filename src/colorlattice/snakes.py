@@ -41,11 +41,11 @@ when m >= n+q-x_q (which is >= 2q-1), and
 
 ``solve_snakes`` builds neither graph: it pulls both ends back, walks a
 geodesic on tuple coordinates and pushes each step forward on the
-diagonal lengths.  This module holds what a solve runs: the tiling check
-and its local form (`_still_tiling`, which tests a move's result at the
-rows and columns it touched, and which the replay and the move graph
-share), the least-member rule (`_catalan_lattice`), the rim geometry, the
-pull-back, the solver and its replay, whose snake test (`_is_snake`) is
+diagonal lengths.  This module holds what a solve runs: the tiling check,
+one O(1) test on the rows per diagonal index (`_diagonal_ok`), and its
+local form (`_still_tiling`, which tests a move's result at the rows and
+columns it touched, and which the replay and the move graph share), the
+least-member rule (`_catalan_lattice`), the rim geometry, the pull-back, the solver and its replay, whose snake test (`_is_snake`) is
 one pass over the squares.  The snakes, the move graph
 (`legal_snake_moves`, `ming_digraph`), ``c_lattice`` and
 ``cached_isomorphism``, which checks the pull-back edge by edge on the
@@ -55,10 +55,11 @@ boards small enough to build, live in :mod:`colorlattice.explicit`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .core import NotIsomorphicError, TupleLattice   # the error's former home keeps it
-from .dominoes import _move, enumerate_box_partitions, is_box_partition
+from .dominoes import _board, _move, _rows_fit, enumerate_box_partitions, is_box_partition
 
 __all__ = [
     "NotIsomorphicError",
@@ -99,47 +100,43 @@ def is_tiling(rows, n: int) -> bool:
 
     ``rows`` is the n-tuple of row lengths.  The diagonal rule: for each i
     with rows_i >= i (square (i,i) tiled), the i-th column height must not
-    exceed rows_i.
+    exceed rows_i; `_diagonal_ok` tests it at one index in O(1).
     """
     rows = tuple(rows)
-    if not is_box_partition(rows, n, n):
-        return False
-    for i in range(1, n + 1):
-        if rows[i - 1] >= i:
-            col = sum(1 for p in rows if p >= i)
-            if col > rows[i - 1]:
-                return False
-    return True
+    return (is_box_partition(rows, n, n)
+            and all(_diagonal_ok(rows, n, i) for i in range(1, n + 1)))
 
 
-def _column_heights(rows, n: int):
-    """Per column c from 1 to n, at place c, the number of rows at least c long."""
-    return [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+def _diagonal_ok(rows, n: int, i: int) -> bool:
+    """The diagonal rule at index i of a partition ``rows`` of the n x n board.
 
-
-def _still_tiling(rows, n: int, squares, heights, step) -> bool:
-    """``is_tiling(rows, n)`` for the result of laying (step 1) or lifting
-    (step -1) the on-board ``squares`` with ``_move``, from a tiling whose
-    column heights are ``heights``.
-
-    Each square moves its own column's height by the step.  So only the
-    rows and columns the squares touch can break a rule: each touched row
-    must lie between its neighbours, and the diagonal rule must hold at
-    each index that is a touched row or column.  The move graph and
-    `replay_snakes` test each move this way, in O(squares moved).
+    With r = rows_i, it holds when (i, i) is bare (r < i), and otherwise
+    when column i is at most r long.  In a partition, column i is at most
+    r long exactly when r >= n or row r + 1 is shorter than i (the
+    conjugate partition: Macdonald, Symmetric Functions and Hall
+    Polynomials, I.1).
     """
-    height = {}
-    for _, c in squares:
-        height[c] = height.get(c, heights[c]) + step
-    touched = {r for r, _ in squares}
-    for r in touched:
-        p = rows[r - 1]
-        if (r > 1 and rows[r - 2] < p) or (r < n and p < rows[r]):
-            return False
-    for i in touched | height.keys():
-        if rows[i - 1] >= i and height.get(i, heights[i]) > rows[i - 1]:
-            return False
-    return True
+    r = rows[i - 1]
+    return r < i or r >= n or rows[r] < i
+
+
+def _still_tiling(rows, n: int, squares) -> bool:
+    """``is_tiling(rows, n)`` for the result of laying or lifting the
+    ``squares`` of a snake on the board with ``_move``, from a tiling.
+
+    The n x n board is the full board at k = n, so the touched rows are
+    tested as a board move's are (`_rows_fit`): each must lie between its
+    neighbours.  The diagonal rule at index i reads row i and the length
+    of column i, so it can break only at a touched row or column: a snake
+    touches each row from its head's to its tail's, and each column from
+    its tail's to its head's.  The move graph and `replay_snakes` test
+    each move this way, in O(squares moved).
+    """
+    (head_i, head_j), (tail_i, tail_j) = squares[0], squares[-1]
+    touched = range(head_i, tail_i + 1)
+    return (_rows_fit(_board("full", n, n), rows, touched)
+            and all(_diagonal_ok(rows, n, i)
+                    for i in chain(touched, range(tail_j, head_j + 1))))
 
 
 def enumerate_tilings(n: int):
@@ -329,12 +326,11 @@ def replay_snakes(sol: SnakeSolution) -> None:
 
     The play must hold one more state than actions and start on a tiling.
 
-    The column heights are kept as state, and each result is tested at the
-    rows and columns its snake touched (`_still_tiling`), as the move graph
-    tests it.  By induction on the moves, the state a move starts from is a
-    tiling with those heights, so that test is the whole ``is_tiling``: the
-    start is checked whole, and each later state equals a result that
-    passed.
+    Each result is tested at the rows and columns its snake touched
+    (`_still_tiling`), as the move graph tests it.  By induction on the
+    moves, the state a move starts from is a tiling, so that test is the
+    whole ``is_tiling``: the start is checked whole, and each later state
+    equals a result that passed.
     """
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
@@ -342,20 +338,15 @@ def replay_snakes(sol: SnakeSolution) -> None:
     cur = sol.start
     if not is_tiling(cur, n):
         raise AssertionError(f"play starts at {cur}, not a tiling")
-    heights = _column_heights(cur, n)
     for step, ((verb, snake), nxt) in enumerate(zip(sol.actions,
                                                     sol.states[1:])):
         if not _is_snake(snake, n):
             raise AssertionError(f"move {step}: not a centered snake: {snake}")
         if verb not in ("add", "remove"):
             raise AssertionError(f"move {step}: unknown verb {verb!r}")
-        shift = 1 if verb == "add" else -1
         after = _move(cur, snake, verb == "add")
-        if (after is None or not _still_tiling(after, n, snake, heights, shift)
-                or after != nxt):
+        if after is None or not _still_tiling(after, n, snake) or after != nxt:
             raise AssertionError(f"move {step}: illegal or mismatched result")
-        for _, c in snake:
-            heights[c] += shift
         cur = nxt
     if cur != sol.target:
         raise AssertionError("replay did not reach the target tiling")

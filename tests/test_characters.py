@@ -31,6 +31,7 @@ from colorlattice import (
     wgf,
     z_lattice,
 )
+from colorlattice import characters
 
 
 def test_root_data_rejects_unknown_families_and_tiny_ranks():
@@ -209,6 +210,24 @@ def test_cushioned_lattice_carries_the_spin_representation(n):
     spin = tuple([0] * (n - 1) + [1])
     assert X == LaurentPoly([(mu, 1) for mu in orbit(rd, spin)])
     assert bialternant_check(rd, spin, X)
+
+
+@pytest.mark.parametrize("family", "BC")
+def test_bialternant_check_lists_the_group_once(family, monkeypatch):
+    calls = []
+
+    def counted(rd):
+        calls.append(rd)
+        return weyl_group(rd)
+
+    monkeypatch.setattr(characters, "weyl_group", counted)
+    rd = root_data(family, 3)
+    lam = (0, 0, 1) if family == "B" else (1, 0, 0)
+    X = wgf(z_lattice(3) if family == "B" else kn_lattice(1, 3), rd)
+    assert bialternant_check(rd, lam, X)
+    assert calls == [rd]
+    assert not bialternant_check(rd, (1, 1, 0), X)
+    assert calls == [rd, rd]
 
 
 def test_bialternant_rejects_the_wrong_highest_weight():

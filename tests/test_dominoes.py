@@ -516,13 +516,48 @@ def test_touched_rows_decide_a_candidate_as_the_full_check_does(k, n):
     assert outside
 
 
+def has_square_legal_moves(board, tau):
+    """Reference for ``explicit._legal_moves``: each candidate tile tested
+    square by square with ``Board.has_square`` before ``_wears`` reads its
+    colors, then by the verb and the touched rows."""
+    tiles = []
+    for r, cur in enumerate(tau, 1):
+        tiles += [(False, ((r, cur - 1), (r, cur))),
+                  (True, ((r, cur + 1), (r, cur + 2)))]
+        if r < board.k and tau[r] == cur:
+            tiles += [(False, ((r, cur), (r + 1, cur))),
+                      (True, ((r, cur + 1), (r + 1, cur + 1)))]
+    tiles.append((False, (board.singleton,)))
+    moves = []
+    for add, tile in tiles:
+        result = _move(tau, tile, add)
+        if result is None or not all(board.has_square(*sq) for sq in tile):
+            continue
+        verb, color = _wears(board, tile)
+        if (verb == "add") == add and _rows_fit(board, result, {r for r, _ in tile}):
+            moves.append((verb, tile, color, result))
+    return moves
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_row_test_keeps_every_moved_square_on_the_board(n):
+    # every partition of every kind with k <= n: the same moves in the same
+    # order as when each square is tested on the board first
+    for k in range(1, n + 1):
+        for kind in ("ballot", "staircase", "full"):
+            board = Board(kind, k, n)
+            for tau in board.partitions():
+                assert explicit._legal_moves(board, tau) \
+                    == has_square_legal_moves(board, tau), (kind, k, n, tau)
+
+
 def test_the_move_graph_and_the_replay_share_one_row_test():
     assert explicit._rows_fit is _rows_fit
 
 
 def test_touched_rows_keep_the_row_bound_of_their_kind():
-    # squares on the board already keep these bounds, so no candidate of
-    # ``legal_moves`` needs them; any other tuple does
+    # the row bounds of the kind, which also keep a move's squares on the
+    # board: ``legal_moves`` tests that nowhere else
     assert not _rows_fit(Board("ballot", 2, 2), (2, 2), {2})
     assert _rows_fit(Board("full", 2, 2), (2, 2), {2})
     assert not _rows_fit(Board("staircase", 2, 2), (0, 0), {1})

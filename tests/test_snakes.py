@@ -17,6 +17,7 @@ from colorlattice import (
     catalan_tuples,
     enumerate_box_partitions,
     enumerate_tilings,
+    is_box_partition,
     is_tiling,
     legal_snake_moves,
     ming_digraph,
@@ -26,9 +27,9 @@ from colorlattice import (
     verify_isomorphism,
 )
 from colorlattice import explicit
-from colorlattice.dominoes import _move
+from colorlattice.dominoes import _move, _rows_fit
 from colorlattice.explicit import _rim, _rim_segment
-from colorlattice.snakes import (_column_heights, _contents, _diagonal_lengths, _is_snake,
+from colorlattice.snakes import (_contents, _diagonal_lengths, _diagonal_ok, _is_snake,
                                  _on_diagonal, _still_tiling)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
@@ -66,6 +67,77 @@ def test_tuple_lattice_length_and_colors():
 ])
 def test_tiling_predicate(rows, ok):
     assert is_tiling(rows, 4) is ok
+
+
+def column_count_is_tiling(rows, n):
+    """Reference for ``is_tiling``: the diagonal rule by counting each
+    tiled diagonal square's column over all n rows, O(n^2)."""
+    rows = tuple(rows)
+    if not is_box_partition(rows, n, n):
+        return False
+    for i in range(1, n + 1):
+        if rows[i - 1] >= i:
+            col = sum(1 for p in rows if p >= i)
+            if col > rows[i - 1]:
+                return False
+    return True
+
+
+def column_heights(rows, n):
+    """Per column c from 1 to n, at place c, the number of rows at least c long."""
+    return [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+
+
+def carried_heights_still_tiling(rows, n, squares, heights, step):
+    """Reference for ``_still_tiling``: the result of laying (step 1) or
+    lifting (step -1) the on-board ``squares`` from a tiling whose column
+    heights are ``heights``, tested at each touched row against its
+    neighbours and by the diagonal rule at each touched row and column,
+    with the touched columns' heights moved by the step."""
+    height = {}
+    for _, c in squares:
+        height[c] = height.get(c, heights[c]) + step
+    touched = {r for r, _ in squares}
+    for r in touched:
+        p = rows[r - 1]
+        if (r > 1 and rows[r - 2] < p) or (r < n and p < rows[r]):
+            return False
+    for i in touched | height.keys():
+        if rows[i - 1] >= i and height.get(i, heights[i]) > rows[i - 1]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_the_row_rule_equals_the_column_count_on_every_box_partition(n):
+    for rows in enumerate_box_partitions(n, n):
+        assert is_tiling(rows, n) == column_count_is_tiling(rows, n), rows
+        heights = column_heights(rows, n)
+        for i in range(1, n + 1):
+            assert _diagonal_ok(rows, n, i) \
+                == (rows[i - 1] < i or heights[i] <= rows[i - 1]), (rows, i)
+
+
+@pytest.mark.parametrize("rows, n", [
+    ((True, False), 2),        # bools are not row lengths
+    ((1, True), 2),
+    ((1.0, 0), 2),             # nor are floats
+    ((1, 0.0), 2),
+    ((1, 0, 0), 2),            # wrong length
+    ((1,), 2),
+    ((), 2),
+    ((0, -1), 2),              # a negative part
+    ((-1, -1), 2),
+    ((3, 0), 2),               # a part longer than the board
+    ((2, 2, 3), 3),
+    ((), 0),                   # the empty board has one tiling
+    ((0,), 0),
+    ((), -1),                  # no board
+    ((0,), -1),
+    ([2, 1], 2),               # any sequence of row lengths
+])
+def test_the_row_rule_keeps_the_column_count_on_malformed_rows(rows, n):
+    assert is_tiling(rows, n) is column_count_is_tiling(rows, n)
 
 
 def test_rendering_marks_tiled_squares():
@@ -195,33 +267,35 @@ def test_move_graph_equals_the_oriented_catalog_scan(n):
     assert ming_digraph(n) == ColoredDigraph(verts, edges)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_touched_rows_and_columns_decide_a_move_as_the_full_check_does(n):
     # every catalogued snake that ``_move`` plays either way: a superset of
     # the rim segments ``legal_snake_moves`` tests
     for rows in enumerate_tilings(n):
-        heights = _column_heights(rows, n)
-        assert heights == [0] + [sum(p >= c for p in rows) for c in range(1, n + 1)]
+        heights = column_heights(rows, n)
         for snake in all_snakes(n):
             for step in (1, -1):
                 result = _move(rows, snake, step == 1)
                 if result is not None:
-                    assert _still_tiling(result, n, snake, heights, step) \
-                        == is_tiling(result, n), (rows, snake, step)
+                    fits = _still_tiling(result, n, snake)
+                    assert fits == is_tiling(result, n), (rows, snake, step)
+                    assert fits == carried_heights_still_tiling(
+                        result, n, snake, heights, step), (rows, snake, step)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_carried_heights_decide_every_rim_candidate_as_the_full_check_does(n):
     # every tiling, reached from the empty board by a move that passed,
-    # with the column heights carried from move to move as the replay
-    # carries them; every rim candidate laid and lifted
+    # with the column heights carried from move to move as the reference
+    # carries them; every rim candidate laid and lifted, decided alike by
+    # the row rule, the carried heights and the full check
     empty = (0,) * n
-    heights = {empty: _column_heights(empty, n)}
+    heights = {empty: column_heights(empty, n)}
     queue = deque([empty])
     while queue:
         rows = queue.popleft()
         carried = heights[rows]
-        assert carried == _column_heights(rows, n)
+        assert carried == column_heights(rows, n)
         d = _diagonal_lengths(rows, n)
         for shift in (-1, 0):
             rim = _rim(n, d, shift)
@@ -233,8 +307,9 @@ def test_carried_heights_decide_every_rim_candidate_as_the_full_check_does(n):
                     result = _move(rows, snake, step == 1)
                     if result is None:
                         continue
-                    fits = _still_tiling(result, n, snake, carried, step)
+                    fits = carried_heights_still_tiling(result, n, snake, carried, step)
                     assert fits == is_tiling(result, n), (rows, snake, step)
+                    assert _still_tiling(result, n, snake) == fits, (rows, snake, step)
                     if fits and result not in heights:
                         after = list(carried)
                         for _, c in snake:
@@ -245,8 +320,17 @@ def test_carried_heights_decide_every_rim_candidate_as_the_full_check_does(n):
 
 
 def test_the_move_graph_and_the_replay_share_one_local_test():
+    # and its rows are tested as a board move's are, on the full board
     assert explicit._still_tiling is _still_tiling
-    assert explicit._column_heights is _column_heights
+    assert explicit._rows_fit is _rows_fit
+    for n in range(1, 5):
+        # the snake down column n and along row n touches every row and
+        # column: the whole check, on any box partition
+        hook = (tuple((i, n) for i in range(1, n + 1))
+                + tuple((n, j) for j in range(n - 1, 0, -1)))
+        assert _is_snake(hook, n)
+        for rows in enumerate_box_partitions(n, n):
+            assert _still_tiling(rows, n, hook) == is_tiling(rows, n), rows
 
 
 def test_the_diagonal_rule_is_checked_at_touched_rows_and_columns():
@@ -256,9 +340,16 @@ def test_the_diagonal_rule_is_checked_at_touched_rows_and_columns():
     assert is_tiling((1, 0), 2) and is_tiling((2, 1), 2)
     assert not is_tiling((1, 1), 2)
     assert _move((1, 0), ((2, 1),), True) == (1, 1)
-    assert not _still_tiling((1, 1), 2, ((2, 1),), _column_heights((1, 0), 2), 1)
+    assert not _still_tiling((1, 1), 2, ((2, 1),))
+    assert not carried_heights_still_tiling((1, 1), 2, ((2, 1),),
+                                            column_heights((1, 0), 2), 1)
     assert _move((2, 1), ((1, 2),), False) == (1, 1)
-    assert not _still_tiling((1, 1), 2, ((1, 2),), _column_heights((2, 1), 2), -1)
+    assert not _still_tiling((1, 1), 2, ((1, 2),))
+    assert not carried_heights_still_tiling((1, 1), 2, ((1, 2),),
+                                            column_heights((2, 1), 2), -1)
+    # the rule at index 1 through its column alone: row 1 is untouched
+    assert _rows_fit(Board("full", 2, 2), (1, 1), [2])
+    assert not _diagonal_ok((1, 1), 2, 1) and _diagonal_ok((1, 1), 2, 2)
 
 
 def south_west_walks(n):
@@ -424,13 +515,18 @@ class TestSolving:
     def test_replay_refuses_a_move_that_breaks_the_rule_only_through_a_column(self):
         # the second snake lands on a partition, so every touched row lies
         # between its neighbours; the diagonal rule breaks at index 1,
-        # where column 1 holds 3 squares and row 1 only 2.  Only the
-        # heights carried from the first move show it.
+        # where column 1 holds 3 squares and row 1 only 2: row 3, row 1's
+        # length plus one, still reaches column 1.  Column heights taken
+        # before the first move, and not carried past it, miss it.
         first, second = ((1, 1),), ((1, 2), (2, 2), (2, 1), (3, 1))
         states = ((0, 0, 0), (1, 0, 0), (2, 2, 1))
         assert _move(states[1], second, True) == states[2]
         assert not is_tiling(states[2], 3)
-        assert _still_tiling(states[2], 3, second, _column_heights(states[0], 3), 1)
+        assert _rows_fit(Board("full", 3, 3), states[2], (1, 2, 3))
+        assert not _diagonal_ok(states[2], 3, 1)
+        assert not _still_tiling(states[2], 3, second)
+        assert carried_heights_still_tiling(states[2], 3, second,
+                                            column_heights(states[0], 3), 1)
         replay_snakes(SnakeSolution(3, states[:2], (("add", first),), {}, None))
         with pytest.raises(AssertionError, match="move 1: illegal or mismatched result"):
             replay_snakes(SnakeSolution(3, states, (("add", first), ("add", second)),
