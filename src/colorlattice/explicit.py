@@ -13,9 +13,10 @@ the solve path to an independent picture of each position space:
 * :class:`DiamondLattice` — a ranked distributive lattice wrapped around a
   colored order diagram.  On the first order query each vertex gets its
   Birkhoff coordinates as an int, one bit per join irreducible, certified
-  in linear time; the order, joins and meets, the ideal coordinates that
-  build explicit geodesics, and the poset of irreducibles are read off
-  those ints, and `check_lattice` compares any coordinates handed in.
+  in linear time; the order, joins and meets, the explicit geodesics and
+  color tallies of `paths`, the ideal coordinates and the poset of
+  irreducibles are read off those ints, and `check_lattice` compares any
+  join and meet rules handed in.
 * the family builders: the move graphs (`mixedmiddleswitch_digraph`,
   `domino_digraph`, `ming_digraph`) from each game's move rule, and the
   lattices (`z_lattice`, `a_lattice`, `kn_lattice`, `dec_lattice`,
@@ -272,11 +273,14 @@ class ColoredDigraph:
         sub._edges = tuple(e for e in self._edges if e[2] == color)
         sub._out = {v: tuple(p for p in nbrs if p[1] == color)
                     for v, nbrs in self._out.items()}
-        sub._inc = {v: tuple(p for p in nbrs if p[1] == color)
-                    for v, nbrs in self._in.items()}
+        sub._inc = None     # built on the sub's own first read, as for any digraph
         sub._succ = tuple(tuple(j for j, (_, c) in zip(js, nbrs) if c == color)
                           for js, nbrs in zip(self._succ, self._out.values()))
-        sub._indeg = tuple(map(len, sub._inc.values()))
+        indeg = [0] * len(self._vertices)
+        for js in sub._succ:
+            for j in js:
+                indeg[j] += 1
+        sub._indeg = tuple(indeg)
         return sub
 
 
@@ -546,25 +550,22 @@ class DiamondLattice:
     The constructor checks that the diagram has a unique minimum and maximum
     and admits a rank function.  The first order query (`le`, `join`,
     `meet`, `check_lattice`, `join_irreducibles`, ``ideal_coords``,
-    ``poset``, `vertex_of_ideal`) gives each vertex its Birkhoff coordinates
-    as an int, one bit per join irreducible, certified in linear time
-    (`_birkhoff_ints`, which refuses a diagram that is not a distributive
-    lattice) and kept.  `le` is then a subset test, and `join` and `meet`
-    the vertices of the OR and AND.
-
-    ``ideal_coords`` (optional) maps each vertex to its order ideal in
-    ``poset``; without them, the ideals are decoded from the ints on their
-    first read, and the poset is `join_irreducibles`.  Coordinates handed
-    in and ``coord_join`` / ``coord_meet`` (a family's rule for the same
-    bounds) are claims, which `check_lattice` compares with the ints.
-    ``kind`` must be ``"distributive"``.
+    ``poset``) gives each vertex its Birkhoff coordinates as an int, one bit
+    per join irreducible, certified in linear time (`_birkhoff_ints`, which
+    refuses a diagram that is not a distributive lattice) and kept.  These
+    ints are the lattice's one set of coordinates: `le` is a subset test,
+    `join` and `meet` the vertices of the OR and AND, and the geodesics and
+    color tallies of `paths` walk their bits.  ``ideal_coords`` decodes
+    each int into its set of irreducibles on first read, and the poset is
+    `join_irreducibles`.  ``coord_join`` / ``coord_meet`` (a family's rule
+    for the same bounds) are claims, which `check_lattice` compares with
+    the ints.  ``kind`` must be ``"distributive"``.
     """
 
     __slots__ = ("diagram", "rank", "length", "kind", "coord_join", "coord_meet",
-                 "_given", "_coords", "_poset", "_by_ideal", "_birk")
+                 "_coords", "_poset", "_birk")
 
     def __init__(self, diagram: ColoredDigraph, kind: str,
-                 ideal_coords=None, poset=None,
                  coord_join=None, coord_meet=None):
         if kind != "distributive":
             raise ValueError("kind must be 'distributive'")
@@ -578,14 +579,9 @@ class DiamondLattice:
         if len(srcs) != 1 or len(snks) != 1:
             raise LatticeError(
                 f"expected unique min and max, found {len(srcs)} sources, {len(snks)} sinks")
-        if (ideal_coords is None) != (poset is None):
-            raise ValueError("ideal_coords and poset must be supplied together")
         self.coord_join = coord_join
         self.coord_meet = coord_meet
-        self._given = ideal_coords is not None     # claims for check_lattice
-        self._coords = ideal_coords and dict(ideal_coords)
-        self._by_ideal = self._coords and {x: v for v, x in self._coords.items()}
-        self._poset, self._birk = poset, None
+        self._coords = self._poset = self._birk = None
 
     @property
     def vertices(self):
@@ -620,11 +616,6 @@ class DiamondLattice:
             self._poset = join_irreducibles(self)
         return self._poset
 
-    def vertex_of_ideal(self, ideal):
-        if self._by_ideal is None:
-            self._by_ideal = {x: v for v, x in self.ideal_coords.items()}
-        return self._by_ideal[ideal]
-
     def _birkhoff(self):
         """``(code, vertex, irr, covers)`` of `_birkhoff_ints`, built and
         certified on the first call and kept; a refusal is not kept."""
@@ -655,34 +646,24 @@ class DiamondLattice:
 
     def check_lattice(self) -> None:
         """Certify that the diagram is a distributive lattice (`_birkhoff_ints`,
-        in linear time), and that the claims handed in name its joins and
-        meets: the ideal union and intersection where ideal coordinates were
-        handed in, else ``coord_join`` / ``coord_meet`` where given.  Those
-        are compared pair by pair with the vertices of the OR and AND of the
-        ints; a lattice with neither, as every tuple lattice, has no claims.
+        in linear time), and that ``coord_join`` / ``coord_meet``, where
+        given, name its joins and meets: each is compared pair by pair with
+        the vertex of the OR or AND of the ints.  A lattice with neither, as
+        every tuple lattice, has no claims.
         """
         code, vertex, _, _ = self._birkhoff()
-        if self._given:
-            ideal, by_ideal, name = self._coords, self._by_ideal, "ideal"
-            join = lambda s, t: by_ideal.get(ideal[s] | ideal[t])
-            meet = lambda s, t: by_ideal.get(ideal[s] & ideal[t])
-        elif self.coord_join or self.coord_meet:
-            name = "coordinate"
-            join, meet = self.coord_join or self.join, self.coord_meet or self.meet
-        else:
+        if not (self.coord_join or self.coord_meet):
             return
+        join, meet = self.coord_join or self.join, self.coord_meet or self.meet
         verts = self.diagram.vertices
         for a, s in enumerate(verts):
             for t in verts[a + 1:]:
                 for rule, want, what, bound in (
                         (join, vertex[code[s] | code[t]], "join", "least upper"),
                         (meet, vertex[code[s] & code[t]], "meet", "greatest lower")):
-                    try:
-                        got = rule(s, t)
-                    except KeyError:    # s or t has no ideal coordinates
-                        got = None
+                    got = rule(s, t)
                     if got not in code:
-                        raise LatticeError(f"{name} {what} of {s!r}, {t!r} left the lattice")
+                        raise LatticeError(f"coordinate {what} of {s!r}, {t!r} left the lattice")
                     if got != want:
                         raise LatticeError(
                             f"{what} {got!r} of {s!r}, {t!r} is not their {bound} bound")
@@ -693,16 +674,16 @@ def ideals_lattice(p: VertexColoredPoset) -> DiamondLattice:
 
     Vertices are the ideals themselves (frozensets); there is an edge
     x -> y of color c exactly when y \\ x is a single element of color c
-    (necessarily maximal in y).
+    (necessarily maximal in y).  Like every lattice, it reads its order off
+    its Birkhoff ints; its ``poset`` is `join_irreducibles`, the principal
+    ideals, which is isomorphic to p, colors included.
     """
     ideals = p.ideals()
     edges = []
     for x in ideals:
         for m in p.minimal_of(set(p.elements) - x):
             edges.append((x, x | {m}, p.color(m)))
-    diagram = ColoredDigraph(ideals, edges)
-    coords = {x: x for x in ideals}
-    return DiamondLattice(diagram, "distributive", ideal_coords=coords, poset=p)
+    return DiamondLattice(ColoredDigraph(ideals, edges), "distributive")
 
 
 def tuple_lattice(rules: TupleLattice) -> DiamondLattice:
@@ -747,13 +728,15 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     """The vertex-colored poset of join irreducibles of a distributive lattice.
 
     A join irreducible covers exactly one vertex; its color is the color of
-    that unique incoming diagram edge.  Its covers are read off the
-    Birkhoff ints (`_birkhoff_ints`): an irreducible a covers the
-    irreducibles that the edges into a's lower cover add.
+    that unique incoming diagram edge, from the vertex whose int lacks only
+    its bit.  Its covers are read off the Birkhoff ints (`_birkhoff_ints`):
+    an irreducible a covers the irreducibles that the edges into a's lower
+    cover add.
     """
-    _, _, irr, covers = lat._birkhoff()
+    code, vertex, irr, covers = lat._birkhoff()
     g = lat.diagram
-    return VertexColoredPoset(irr, covers, {v: g.in_edges(v)[0][1] for v in irr})
+    return VertexColoredPoset(
+        irr, covers, {v: g.edge_color(vertex[code[v] ^ bit], v) for v, bit in irr.items()})
 
 
 def _count_irreducibles(lat: DiamondLattice) -> None:

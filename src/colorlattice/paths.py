@@ -8,8 +8,9 @@ determined by ranks alone:
 
 Both evaluations are always computed and compared.  On a distributive
 lattice the per-color step counts of *every* geodesic coincide, and
-mountain/valley certificates are constructed element by element from the
-order-ideal coordinates.
+mountain/valley certificates are constructed one join irreducible at a time
+from the Birkhoff ints (`DiamondLattice._birkhoff`): each step sets or
+clears one irreducible's bit.
 """
 
 from __future__ import annotations
@@ -47,60 +48,55 @@ def lattice_distance(lat: DiamondLattice, s, t) -> int:
 def color_counts(lat: DiamondLattice, s, t) -> dict:
     """Per-color step counts of every geodesic from s to t, for every color.
 
-    Tallies the colors of the ideal-coordinate elements in
-    (s u t) \\ s and in (s u t) \\ t, the steps up to the join and down
-    from it.  As sets, (s u t) \\ s = t \\ (s n t) = t \\ s, so the steps
-    down to the meet and up from it are the same elements: one tally over
-    the symmetric difference serves both.
+    Tallies the colors of the join irreducibles whose bits differ between
+    the Birkhoff ints of s and t.  The steps up to the join add the bits of
+    t missing from s and those down from it drop the bits of s missing from
+    t; the steps down to the meet and up from it are the same bits, so one
+    tally over the symmetric difference serves both.
     """
-    steps = Counter(map(lat.poset.color, lat.ideal_coords[s] ^ lat.ideal_coords[t]))
+    code, _, irr, _ = lat._birkhoff()
+    gap = code[s] ^ code[t]
+    steps = Counter(lat.poset.color(e) for e, bit in irr.items() if gap & bit)
     return {c: steps[c] for c in lat.diagram.colors()}
 
 
-def _ascend(lat, x_ideal, target_ideal, vertices, steps):
-    """Extend a path upward from ideal x to a target ideal one element at a time."""
+def _leg(lat, x, gap, maximal, vertices, steps):
+    """Walk from the int x across the irreducibles whose bits are in ``gap``,
+    one bit at a time: set them (``maximal`` false) or clear them (true)."""
+    _, vertex, irr, _ = lat._birkhoff()
     p = lat.poset
-    for u in p.peel(target_ideal - x_ideal):
-        x_ideal = x_ideal | {u}
-        vertices.append(lat.vertex_of_ideal(x_ideal))
-        steps.append((p.color(u), +1))
-    return x_ideal
-
-
-def _descend(lat, x_ideal, target_ideal, vertices, steps):
-    p = lat.poset
-    for u in p.peel(x_ideal - target_ideal, maximal=True):
-        x_ideal = x_ideal - {u}
-        vertices.append(lat.vertex_of_ideal(x_ideal))
-        steps.append((p.color(u), -1))
-    return x_ideal
+    sign = -1 if maximal else +1
+    for e in p.peel([e for e, bit in irr.items() if gap & bit], maximal):
+        x ^= irr[e]
+        vertices.append(vertex[x])
+        steps.append((p.color(e), sign))
 
 
 def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertificate:
     """An optimal mountain (via="join") or valley (via="meet") certificate.
 
-    Mountain paths add, one at a time, a minimal missing element of the
-    ideal of s v t until the apex is reached, then remove maximal elements
-    not lying in t.  Each leg is one :meth:`VertexColoredPoset.peel` of the
-    gap between its two ideals: every step takes the canonical-first minimal
-    (on the way down, maximal) element still missing, so the certificate is
-    reproducible.
+    Mountain paths add, one at a time, a minimal missing irreducible of
+    s v t until the apex is reached, then remove maximal irreducibles not
+    lying below t.  Each leg is one :meth:`VertexColoredPoset.peel` of the
+    irreducibles whose bits lie between its two Birkhoff ints: every step
+    takes the canonical-first minimal (on the way down, maximal) one still
+    missing, so the certificate is reproducible.
     """
     if via not in ("join", "meet"):
         raise ValueError("via must be 'join' or 'meet'")
-    cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]
+    code, vertex, _, _ = lat._birkhoff()
+    cs, ct = code[s], code[t]
+    up, down = ct & ~cs, cs & ~ct
     vertices = [s]
     steps = []
     if via == "join":
-        apex = cs | ct
-        x = _ascend(lat, cs, apex, vertices, steps)
-        _descend(lat, x, ct, vertices, steps)
-        cert = PathCertificate(vertices, "mountain", lat.vertex_of_ideal(apex), steps)
+        _leg(lat, cs, up, False, vertices, steps)
+        _leg(lat, cs | ct, down, True, vertices, steps)
+        cert = PathCertificate(vertices, "mountain", vertex[cs | ct], steps)
     else:
-        nadir = cs & ct
-        x = _descend(lat, cs, nadir, vertices, steps)
-        _ascend(lat, x, ct, vertices, steps)
-        cert = PathCertificate(vertices, "valley", lat.vertex_of_ideal(nadir), steps)
+        _leg(lat, cs, down, True, vertices, steps)
+        _leg(lat, cs & ct, up, False, vertices, steps)
+        cert = PathCertificate(vertices, "valley", vertex[cs & ct], steps)
     expected = lattice_distance(lat, s, t)
     if cert.distance != expected:
         raise LatticeError(

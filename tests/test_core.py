@@ -18,6 +18,7 @@ from colorlattice import (
     attach_birkhoff_coords,
     bfs_distance,
     c_lattice,
+    color_counts,
     dec_lattice,
     ideals_lattice,
     is_diamond_colored,
@@ -25,6 +26,7 @@ from colorlattice import (
     join_irreducibles,
     kn_lattice,
     rank_function,
+    shortest_path,
     to_dot,
     tuple_lattice,
     z_lattice,
@@ -104,6 +106,7 @@ def test_color_subgraph_equals_the_constructor_build(make):
         fast = g.color_subgraph(c)
         built = ColoredDigraph(g.vertices, [e for e in g.edges if e[2] == c])
         assert fast == built
+        assert fast._indeg == built._indeg
         for v in g.vertices:
             assert fast.out_edges(v) == built.out_edges(v)
             assert fast.in_edges(v) == built.in_edges(v)
@@ -291,10 +294,11 @@ def _brute_extremum(bounds, within):
 def test_order_bounds_match_a_brute_force_search(make):
     """Join and meet are the least common upper and greatest common lower
     bound found by walking the order, on every ordered pair; so are the
-    ideal union and intersection."""
+    vertices of the ideal union and intersection."""
     lat = make()
     bare = DiamondLattice(lat.diagram, lat.kind)
-    ideal, vertex = lat.ideal_coords, lat.vertex_of_ideal
+    ideal = lat.ideal_coords
+    vertex = {x: v for v, x in ideal.items()}
     above = _above(lat.diagram)
     below = {v: {u for u in lat.vertices if v in above[u]} for v in lat.vertices}
     for s in lat.vertices:
@@ -304,8 +308,8 @@ def test_order_bounds_match_a_brute_force_search(make):
             m = _brute_extremum(below[s] & below[t], below)
             assert lat.join(s, t) == bare.join(s, t) == j
             assert lat.meet(s, t) == bare.meet(s, t) == m
-            assert vertex(ideal[s] | ideal[t]) == j
-            assert vertex(ideal[s] & ideal[t]) == m
+            assert vertex[ideal[s] | ideal[t]] == j
+            assert vertex[ideal[s] & ideal[t]] == m
     lat.check_lattice()
     bare.check_lattice()
 
@@ -337,29 +341,33 @@ def test_attach_birkhoff_coords_enables_set_joins():
     assert lat is bare      # certified in place: no copy
     assert lat.join(1, 2) == 3
     assert lat.meet(1, 2) == 0
-    assert lat.ideal_coords[3] == lat.ideal_coords[1] | lat.ideal_coords[2]
-    assert lat.ideal_coords == {0: frozenset(), 1: {1}, 2: {2}, 3: {1, 2}}
-    assert [lat.vertex_of_ideal(lat.ideal_coords[v]) for v in g.vertices] == [0, 1, 2, 3]
+    ideal = lat.ideal_coords
+    assert ideal == {0: frozenset(), 1: {1}, 2: {2}, 3: {1, 2}}
+    vertex = {x: v for v, x in ideal.items()}
+    assert vertex[ideal[1] | ideal[2]] == lat.join(1, 2)
+    assert vertex[ideal[1] & ideal[2]] == lat.meet(1, 2)
 
 
-def test_ideal_joins_and_meets_off_the_lattice_are_refused():
-    # the chain 1 < 2 < 3, each vertex given itself as its ideal: unions and
-    # intersections of two such sets are no vertex's ideal.  Join and meet
-    # read the order, so only the certificate reads the coordinates.
-    g = ColoredDigraph(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
-    p = VertexColoredPoset(g.vertices, [], {v: 1 for v in g.vertices})
-    lat = DiamondLattice(g, "distributive", poset=p,
-                         ideal_coords={v: frozenset({v}) for v in g.vertices})
-    assert lat.join("1", "3") == "3"
-    assert lat.meet("2", "3") == "2"
-    with pytest.raises(LatticeError, match="^ideal join of '1', '2' left the lattice$"):
-        lat.check_lattice()
-    # a vertex without coordinates: its first pair's join leaves the lattice
-    q = VertexColoredPoset(["a", "b"], [("a", "b")], {"a": 1, "b": 1})
-    partial = DiamondLattice(g, "distributive", poset=q,
-                             ideal_coords={"1": frozenset(), "2": frozenset({"a"})})
-    with pytest.raises(LatticeError, match="^ideal join of '1', '3' left the lattice$"):
-        partial.check_lattice()
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda seed=seed: random_lattice(seed), id=f"random{seed}")
+      for seed in range(20)),
+    pytest.param(lambda: ideals_lattice(z_lattice(3).poset), id="ideals of z3"),
+])
+def test_ideal_lattices_join_by_union_and_meet_by_intersection(make):
+    """On a lattice whose vertices are the order ideals of a poset, the join
+    is the union and the meet the intersection, and each vertex's
+    coordinates are the principal ideals inside it: the least vertex that
+    holds an element is that element's principal ideal."""
+    lat = make()
+    verts = lat.vertices
+    for s in verts:
+        for t in verts:
+            assert lat.join(s, t) == s | t
+            assert lat.meet(s, t) == s & t
+    principal = {frozenset.intersection(*(v for v in verts if e in v))
+                 for e in lat.maximum}
+    for v in verts:
+        assert lat.ideal_coords[v] == {x for x in principal if x <= v}
 
 
 @pytest.mark.parametrize("coords", [True, False], ids=["ideal", "bare"])
@@ -599,7 +607,8 @@ def test_coordinates_left_to_the_first_read_are_refused_on_every_read():
     not kept as done."""
     lat = DiamondLattice(_hexagon(), "distributive")
     for read in (lambda: lat.ideal_coords, lambda: lat.poset,
-                 lambda: lat.vertex_of_ideal(frozenset()), lat.check_lattice,
+                 lambda: shortest_path(lat, "a", "b"),
+                 lambda: color_counts(lat, "a", "b"), lat.check_lattice,
                  lambda: lat.le("a", "b"), lambda: lat.join("a", "c"),
                  lambda: lat.meet("b", "d"), lambda: join_irreducibles(lat)) * 2:
         with pytest.raises(LatticeError, match="^4 join irreducibles in a lattice "

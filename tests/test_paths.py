@@ -159,37 +159,38 @@ def test_rank_formula_matches_search_on_random_ideal_lattices(seed):
 # --------------------------------------------------------------------------
 # the one-search-per-source walks against the per-pair and per-step ones
 
-def stepwise_ascend(lat, x_ideal, target_ideal, vertices, steps):
+def stepwise_ascend(lat, vertex, x_ideal, target_ideal, vertices, steps):
     """Climb to the target ideal, finding the canonical-first minimal
-    missing element afresh at each step."""
+    missing element afresh at each step; ``vertex`` inverts the ideal
+    coordinates."""
     p = lat.poset
     while x_ideal != target_ideal:
         u = p.minimal_of(target_ideal - x_ideal)[0]
         x_ideal = x_ideal | {u}
-        vertices.append(lat.vertex_of_ideal(x_ideal))
+        vertices.append(vertex[x_ideal])
         steps.append((p.color(u), +1))
     return x_ideal
 
 
-def stepwise_descend(lat, x_ideal, target_ideal, vertices, steps):
+def stepwise_descend(lat, vertex, x_ideal, target_ideal, vertices, steps):
     p = lat.poset
     while x_ideal != target_ideal:
         u = p.maximal_of(x_ideal - target_ideal)[0]
         x_ideal = x_ideal - {u}
-        vertices.append(lat.vertex_of_ideal(x_ideal))
+        vertices.append(vertex[x_ideal])
         steps.append((p.color(u), -1))
     return x_ideal
 
 
-def stepwise_shortest_path(lat, s, t, via):
+def stepwise_shortest_path(lat, vertex, s, t, via):
     cs, ct = lat.ideal_coords[s], lat.ideal_coords[t]
     vertices, steps = [s], []
     if via == "join":
-        x = stepwise_ascend(lat, cs, cs | ct, vertices, steps)
-        stepwise_descend(lat, x, ct, vertices, steps)
+        x = stepwise_ascend(lat, vertex, cs, cs | ct, vertices, steps)
+        stepwise_descend(lat, vertex, x, ct, vertices, steps)
         return PathCertificate(vertices, "mountain", lat.join(s, t), steps)
-    x = stepwise_descend(lat, cs, cs & ct, vertices, steps)
-    stepwise_ascend(lat, x, ct, vertices, steps)
+    x = stepwise_descend(lat, vertex, cs, cs & ct, vertices, steps)
+    stepwise_ascend(lat, vertex, x, ct, vertices, steps)
     return PathCertificate(vertices, "valley", lat.meet(s, t), steps)
 
 
@@ -213,6 +214,7 @@ CERTIFICATE_FAMILIES = (
 def test_peeled_legs_give_the_stepwise_certificates(make):
     lat = make()
     verts = lat.vertices
+    vertex = {x: v for v, x in lat.ideal_coords.items()}
     if len(verts) <= 64:
         pairs = [(s, t) for s in verts for t in verts]
     else:
@@ -221,7 +223,7 @@ def test_peeled_legs_give_the_stepwise_certificates(make):
     for s, t in pairs:
         for via in ("join", "meet"):
             assert fields(shortest_path(lat, s, t, via=via)) == \
-                fields(stepwise_shortest_path(lat, s, t, via))
+                fields(stepwise_shortest_path(lat, vertex, s, t, via))
 
 
 SWEEP_FAMILIES = (

@@ -25,8 +25,10 @@ from colorlattice import (
     join_irreducibles,
     kn_admissible,
     kn_lattice,
+    root_data,
     sigma,
     tuple_lattice,
+    wgf,
     z_lattice,
 )
 from colorlattice.dominoes import _box_lattice
@@ -148,6 +150,16 @@ def test_in_edges_built_on_first_read_list_every_edge_by_source():
         assert {v: g.in_edges(v) for v in g.vertices} == \
             {v: tuple(pairs) for v, pairs in want.items()}
         assert g._indeg == tuple(len(g.in_edges(v)) for v in g.vertices)
+
+
+def test_weights_and_irreducibles_build_no_in_edges():
+    """The color subgraphs of the weights count their own in-degrees, and
+    the irreducibles read each color off the Birkhoff ints: neither builds
+    the diagram's in-edge table."""
+    lat = z_lattice.__wrapped__(6)
+    wgf(lat, root_data("B", 6))
+    join_irreducibles(lat)
+    assert lat.diagram._inc is None
 
 
 # --------------------------------------------------------------------------

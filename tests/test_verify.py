@@ -106,3 +106,18 @@ def test_member_sweep_runs_the_lattice_certificate(monkeypatch):
     monkeypatch.setattr(verify, "dec_lattice", lambda k, n: doctored)
     with pytest.raises(LatticeError, match="not their least upper bound"):
         verify._check_domino_members(2, 3)
+
+
+
+@pytest.mark.parametrize("suite, name, word, calls", [
+    (verify._suite_theorem2(5), "gods_number", "diameter", [4, 4]),
+    (verify._suite_symplectic(4), "rgf", "rank polynomials", [10, 20]),
+], ids=["diameter", "rank polynomials"])
+def test_each_check_evaluates_its_value_once(monkeypatch, suite, name, word, calls):
+    # at the suites' default bounds: one diameter sweep per switch size and
+    # one rank polynomial per kn and dec lattice, which the check and its
+    # failure detail share
+    exact, seen = getattr(verify, name), []
+    monkeypatch.setattr(verify, name, lambda lat: seen.append(lat) or exact(lat))
+    ran = [check() for label, check in suite if word in label]
+    assert [len(ran), len(seen)] == calls
