@@ -313,9 +313,13 @@ class TupleLattice:
     def distance(self, s, t) -> int:
         """The rank formula through the join and through the meet, which must agree."""
         self._lengths(s, t)
+        return self._rank_distance(s, t, self.join(s, t), self.meet(s, t))
+
+    def _rank_distance(self, s, t, join, meet) -> int:
+        """`distance` given the join and the meet of s and t."""
         rs, rt = self.rank(s), self.rank(t)
-        via_join = 2 * self.rank(self.join(s, t)) - rs - rt
-        via_meet = rs + rt - 2 * self.rank(self.meet(s, t))
+        via_join = 2 * self.rank(join) - rs - rt
+        via_meet = rs + rt - 2 * self.rank(meet)
         if via_join != via_meet:
             raise LatticeError(
                 f"rank formulas disagree on ({render_vertex(s)}, {render_vertex(t)}): "
@@ -364,13 +368,14 @@ class TupleLattice:
             turn = self.join(s, t)
             self._ascend(turn, vertices, steps)
             self._descend(t, vertices, steps)
+            expected = self._rank_distance(s, t, turn, self.meet(s, t))
         else:
             turn = self.meet(s, t)
             self._descend(turn, vertices, steps)
             self._ascend(t, vertices, steps)
+            expected = self._rank_distance(s, t, self.join(s, t), turn)
         cert = PathCertificate(vertices, "mountain" if via == "join" else "valley",
                                turn, steps)
-        expected = self.distance(s, t)
         if cert.distance != expected:
             raise LatticeError(
                 f"constructed path has {cert.distance} steps, distance is {expected}")

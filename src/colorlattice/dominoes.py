@@ -25,27 +25,27 @@ the even values the last n in reverse.
 
 This module holds what a solve runs: the board checks, the coding
 (`l_map` and `l_inv` check their input; the solver runs the unchecked
-`_encode` and `_decode`, which reads one table of place values per size,
-`_decoder`), the least-member rules (`_box_lattice`, `_board_lattice`),
-the move rule (`_move`, `_wears`, and `_rows_fit`, which tests a move's
-result at the rows it touched and, given every row, is `Board.valid`),
-the solver and its replay.  A solve plays on one `Board` per kind and
-size (`_board`) and reads each action off the rows that changed
-(`_action`); the replay tests each tile once.  The replay and the move
-graph share the move rule; the solver never runs it.  The move graph
-(`legal_moves`, `domino_digraph`) and the explicit lattices (`a_lattice`,
-`kn_lattice`, `dec_lattice`) are built in :mod:`colorlattice.explicit`
-from the same rules.  The columnar tableaux, their 0/1 tally sequences and
-the two admissibility conditions that carve the symplectic sublattices out
-of the full box lattice, which ``verify symplectic`` holds `_board_lattice`
-to, live in :mod:`colorlattice.tableaux`.
+`_encode` on its two ends), the least-member rules (`_box_lattice`,
+`_board_lattice`), the move rule (`_move`, `_wears`, and `_rows_fit`,
+which tests a move's result at the rows it touched and, given every row,
+is `Board.valid`), the solver and its replay.  A solve plays on one
+`Board` per kind and size (`_board`) and pushes each lattice step onto it
+as one tile action, read off the place the step moves.  The replay reads
+`_wears` through one tile table per kind and size (`_tiles`, filled a
+tile at a time) and tests each new tile once.  The replay and the move
+graph share the move rule and its table; the solver never runs it.  The
+move graph (`legal_moves`, `domino_digraph`) and the explicit lattices
+(`a_lattice`, `kn_lattice`, `dec_lattice`) are built in
+:mod:`colorlattice.explicit` from the same rules.  The columnar tableaux,
+their 0/1 tally sequences and the two admissibility conditions that carve
+the symplectic sublattices out of the full box lattice, which ``verify
+symplectic`` holds `_board_lattice` to, live in :mod:`colorlattice.tableaux`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import getitem, sub
 
 from .core import TupleLattice
 
@@ -190,21 +190,14 @@ def _encode(tau, k: int, n: int):
 
 
 def _decode(x, k: int, n: int):
-    """`l_inv` of a tuple already known to be a k x (2n-k) box partition."""
-    return _decoder(k, n)(x)
-
-
-@lru_cache(maxsize=None)
-def _decoder(k: int, n: int):
-    """`_decode` at one size, as a function that reads one table of place
-    values: per coordinate j, at e = 0 .. m, the value that place m + j - e
-    holds (2p-1 at place p <= n, 4n+2-2p above).  Sorted downward, the
-    values T_k > ... > T_1 give the parts T_i - i in order."""
+    """`l_inv` of a tuple already known to be a k x (2n-k) box partition:
+    coordinate j sits at place m + j - x_j, which holds the value 2p-1
+    (place p <= n) or 4n+2-2p (above).  Sorted downward, the values
+    T_k > ... > T_1 give the parts T_i - i in order."""
     m = 2 * n - k
-    places = tuple(tuple(2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
-                         for p in range(m + j, j - 1, -1)) for j in range(1, k + 1))
-    rows = range(k, 0, -1)
-    return lambda x: tuple(map(sub, sorted(map(getitem, places, x), reverse=True), rows))
+    values = sorted((2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+                     for p in (m + j - e for j, e in enumerate(x, 1))), reverse=True)
+    return tuple(v - i for v, i in zip(values, range(k, 0, -1)))
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +313,31 @@ def _wears(board: Board, squares):
     return "add", board.adding_label(*white)
 
 
+class _TileTable(dict):
+    """The board's move rule as a table: per sorted tile on the board, the
+    rows it touches and the (verb, color) `_wears` gives it.  A tile's entry
+    is found on its first read (``table[tile]``) and kept, so a play pays
+    only for the tiles it moves; ``table.get(tile)`` reads without filling."""
+
+    __slots__ = ("board",)
+
+    def __init__(self, board: Board):
+        super().__init__()
+        self.board = board
+
+    def __missing__(self, tile):
+        (r1, _), (r2, _) = tile[0], tile[-1]
+        entry = self[tile] = ((r1,) if r1 == r2 else (r1, r2), *_wears(self.board, tile))
+        return entry
+
+
+@lru_cache(maxsize=None)
+def _tiles(kind: str, k: int, n: int) -> _TileTable:
+    """The one tile table per kind and size, which `replay_domino` and the
+    move graph read whatever `Board` they are handed."""
+    return _TileTable(_board(kind, k, n))
+
+
 # --------------------------------------------------------------------------
 # lattice rules
 
@@ -427,17 +445,38 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     """Optimal play between two partitions of a board's kind.
 
     Both endpoints are rewritten into the matching sublattice of the box
-    lattice, a mountain or valley geodesic is built there on tuple
-    coordinates, and each lattice step is translated back into a physical
-    tile action.  Nothing is enumerated: the steps and the certificate are
-    those ``shortest_path`` builds on ``dec_lattice``, ``kn_lattice`` or
-    ``a_lattice``.  Each action is read off the rows the two states differ
-    in and wears its lattice step's color; the replay checks the play
-    under the tile rules, colors included.
+    lattice, and a mountain or valley geodesic is built there on tuple
+    coordinates: the one ``shortest_path`` builds on ``dec_lattice``,
+    ``kn_lattice`` or ``a_lattice``, with nothing enumerated.  Nothing but
+    the two ends is coded: each lattice step is pushed forward onto the
+    board as one tile action, which wears its step's color, and the play
+    must reach ``target``.  The replay checks it under the tile rules,
+    colors included.
+
+    The push reads the coding of `l_map` (m = 2n-k).  Coordinate j of x
+    sits at place m + j - x_j, place p holds the value 2p-1 (p <= n) or
+    4n+2-2p (above), and row r of the partition is w_r - (k+1-r), where
+    w_1 > ... > w_k are the values held: each row holds one value, in
+    descending order.  Places and values correspond one to one, so the
+    values stay distinct.  Raising x_j moves its place p down by one, and
+    the value there changes by -2 when p <= n, by -1 at p = n+1 (2n, which
+    only row 1 at its full length m can hold: the corner square) and by +2
+    above.  Lowering x_j is the mirror image: p moves up by one, and the
+    value changes by +2, +1 or -2 as the new place is <= n, n+1 or above.
+    A change by 2s (s = +-1) of the value w held by row r passes over
+    w+s.  If no row holds w+s, row r keeps its rank and its length changes
+    by 2s: a horizontal domino at its end.  Otherwise the row holding w+s
+    is its neighbour (r+1 below for s = -1, r-1 above for s = +1), and the
+    two rows, of equal length w - (k+1-r), swap ranks and both change by s:
+    a vertical domino at their common end.  The coordinate a step moves is
+    the one its two vertices differ in, so each action comes off the rows
+    it touches, with no state decoded and no two states compared.
 
     The endpoints are checked once, on entry: a partition of the board's
-    kind is a box partition, so the coding runs unchecked (`_encode`,
-    `_decode`), and the replay is the check on every decoded state.
+    kind is a box partition, so the coding runs unchecked (`_encode`).  A
+    step whose value is not held, or whose new place is off the range or
+    taken, cannot be played; it and a play that ends off ``target`` raise
+    AssertionError, as a failed replay does.
     """
     board = _board(kind, k, n)
     start, target = tuple(start), tuple(target)
@@ -448,9 +487,46 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     lat = _board_lattice(kind, k, n)
     enc_s, enc_t = _encode(start, k, n), _encode(target, k, n)
     cert = lat.geodesic(enc_s, enc_t, via=via)
-    states = list(map(_decoder(k, n), cert.vertices))
-    actions = [_action(a, b, color)
-               for a, b, (color, _) in zip(states, states[1:], cert.steps)]
+    m = 2 * n - k
+    rows = list(start)
+    held = [0] * (2 * n + 2)    # per value, the row holding it (0: none)
+    for r, p in enumerate(start, 1):
+        held[p + k + 1 - r] = r
+    states, actions = [start], []
+    verts = cert.vertices
+    for step, (a, b, (color, d)) in enumerate(zip(verts, verts[1:], cert.steps)):
+        j = 0
+        while a[j] == b[j]:
+            j += 1
+        p = m + j + 1 - a[j]    # coordinate j + 1's place, which moves to p - d
+        w = 2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+        p -= d
+        w2 = 2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
+        r = held[w]
+        if not r or w2 < 1 or held[w2]:
+            raise AssertionError(f"step {step}: coordinate {j + 1} cannot move "
+                                 f"from {a} on {tuple(rows)}")
+        s = 1 if w2 > w else -1
+        length = rows[r - 1]
+        held[w] = 0
+        if w2 - w == s:                 # the corner square
+            squares = ((r, length + (s > 0)),)
+            held[w2] = r
+        elif held[w + s]:               # a vertical domino
+            r2 = held[w + s]
+            c = length + (s > 0)
+            squares = ((r, c), (r2, c)) if r < r2 else ((r2, c), (r, c))
+            held[w + s], held[w2] = r, r2
+            rows[r2 - 1] += s
+        else:                           # a horizontal domino
+            squares = ((r, length + s), (r, length + s + 1))
+            held[w2] = r
+            s *= 2
+        rows[r - 1] += s
+        states.append(tuple(rows))
+        actions.append(("add" if s > 0 else "remove", squares, color))
+    if states[-1] != target:
+        raise AssertionError("the pushed-forward play does not reach the target")
     sol = DominoSolution(kind, k, n, states, actions,
                          lat.color_counts(enc_s, enc_t), cert)
     replay_domino(board, sol)
@@ -463,23 +539,6 @@ def _board(kind: str, k: int, n: int) -> Board:
     return Board(kind, k, n)
 
 
-def _action(a, b, color):
-    """The tile action taking partition a to partition b, as (verb, squares, color).
-
-    The squares are those of the rows the two partitions differ in, row by
-    row, in sorted order; the verb is "add" unless b has fewer squares.
-    """
-    squares, r = [], 0
-    for p, q in zip(a, b):
-        r += 1
-        if p != q:
-            lo, hi = (p, q) if p < q else (q, p)
-            squares.append((r, lo + 1))
-            if hi > lo + 1:
-                squares += [(r, c) for c in range(lo + 2, hi + 1)]
-    return ("remove" if sum(b) < sum(a) else "add", tuple(squares), color)
-
-
 def replay_domino(board: Board, sol: DominoSolution) -> None:
     """Re-run a solution under the raw tile rules; raise if any step cheats.
 
@@ -488,12 +547,15 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     each action must wear its tile's color: the one ``_wears`` gives the
     move ``legal_moves`` lists through that tile, played either way.
 
-    Each tile is tested once: one type test per square, then its squares
+    Each tile is read from the board's tile table (`_tiles`, one per kind
+    and size), which holds the rows it touches and its color.  A tile the
+    table lacks, or one listed out of order, is tested once: its squares
     sorted once, which shows its shape (the corner singleton, or a domino
-    lying in one row or down one column) and so the rows it touches.  The
-    refusals come in a fixed order: squares that are not pairs of ints,
-    a tile of the wrong shape, a square off the board, an unknown verb,
-    squares not at their rows' ends, a wrong result, a wrong color.
+    lying in one row or down one column), and each square on the board;
+    then it is read from the table, which keeps it.  The refusals come in a
+    fixed order: squares that are not pairs of ints, a tile of the wrong
+    shape, a square off the board, an unknown verb, squares not at their
+    rows' ends, a wrong result, a wrong color.
 
     Each result is tested at the rows its tile touched (`_rows_fit`), as
     the move graph tests it.  By induction on the steps, the state a step
@@ -506,6 +568,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     cur = sol.start
     if not board.valid(cur):
         raise AssertionError(f"play starts at {cur}, not a {board.kind} partition")
+    table = _tiles(board.kind, board.k, board.n)
     corner = (board.singleton,)
     for step, ((verb, squares, color), nxt) in enumerate(
             zip(sol.actions, sol.states[1:])):
@@ -514,24 +577,26 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
                     and type(sq[0]) is int and type(sq[1]) is int):
                 raise AssertionError(f"step {step}: squares {squares!r} are not "
                                      f"pairs of ints")
-        if len(squares) == 2:
-            tile = sorted(squares)
-            (r1, c1), (r2, c2) = tile
-            if r1 == r2 and c2 == c1 + 1:
-                rows = (r1,)
-            elif c1 == c2 and r2 == r1 + 1:
-                rows = (r1, r2)
+        entry = table.get(squares) if type(squares) is tuple else None
+        if entry is None:
+            if len(squares) == 2:
+                tile = tuple(sorted(squares))
+                (r1, c1), (r2, c2) = tile
+                if not (r1 == r2 and c2 == c1 + 1 or c1 == c2 and r2 == r1 + 1):
+                    raise AssertionError(f"step {step}: tiles are not a domino")
+            elif len(squares) == 1:
+                if squares != corner:
+                    raise AssertionError(f"step {step}: singleton is not the corner")
+                tile = corner
             else:
-                raise AssertionError(f"step {step}: tiles are not a domino")
-        elif len(squares) == 1:
-            if squares != corner:
-                raise AssertionError(f"step {step}: singleton is not the corner")
-            tile, rows = squares, (1,)
+                raise AssertionError(f"step {step}: bad tile count")
+            for r, c in tile:
+                if not board.has_square(r, c):
+                    raise AssertionError(f"step {step}: tile leaves the board")
+            entry = table[tile]
         else:
-            raise AssertionError(f"step {step}: bad tile count")
-        for r, c in tile:
-            if not board.has_square(r, c):
-                raise AssertionError(f"step {step}: tile leaves the board")
+            tile = squares
+        rows, _, wears = entry
         if verb not in ("add", "remove"):
             raise AssertionError(f"step {step}: unknown verb {verb!r}")
         after = _move(cur, tile, verb == "add")
@@ -540,7 +605,7 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
                                  f"rows' ends; result is not left-justified")
         if not _rows_fit(board, after, rows) or after != nxt:
             raise AssertionError(f"step {step}: illegal or mismatched result")
-        if _wears(board, tile)[1] != color:
+        if wears != color:
             raise AssertionError(f"step {step}: edge color disagrees between "
                                  f"board and lattice at squares {squares}")
         cur = nxt

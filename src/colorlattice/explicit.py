@@ -38,7 +38,7 @@ from itertools import chain
 
 from .core import (CapExceededError, LatticeError, NotIsomorphicError,
                    NotRankedError, TupleLattice, UnreachableError, render_vertex)
-from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _wears
+from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _tiles
 from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _on_diagonal,
                      _pull_back, _still_tiling, _tilings, enumerate_tilings, is_tiling)
 from .switchgame import _cushioned_lattice, _may_toggle, int_to_bits
@@ -131,7 +131,7 @@ class ColoredDigraph:
     equal graphs compare equal and print identically.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_inc", "_succ", "_indeg")
+    __slots__ = ("_vertices", "_edges", "_out", "_inc", "_succ", "_indeg", "_colors")
 
     def __init__(self, vertices, edges):
         vs = _canonical_sorted(vertices)
@@ -157,7 +157,8 @@ class ColoredDigraph:
         # the vertex order is canonical, so positions in it order the edges;
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
         # for the passes that rank and certify without hashing payloads, and
-        # _indeg the in-degrees, which is all a build reads of the in-edges.
+        # _indeg the in-degrees, which is all a build reads of the in-edges,
+        # and _colors the sorted edge colors, which never change.
         # Each temporary structure goes once it is read, which keeps the peak down
         keys = sorted(keyed)
         es = tuple(map(keyed.__getitem__, keys))
@@ -178,6 +179,7 @@ class ColoredDigraph:
         self._inc = None
         self._succ = tuple(map(tuple, succ))
         self._indeg = tuple(indeg)
+        self._colors = tuple(sorted({c for (_, _, c) in es}))
 
     @property
     def _in(self):
@@ -235,7 +237,8 @@ class ColoredDigraph:
         return None
 
     def colors(self):
-        return sorted({c for (_, _, c) in self._edges})
+        """Every edge color, sorted: a new list each call."""
+        return list(self._colors)
 
     def sources(self):
         return [v for v, d in zip(self._vertices, self._indeg) if not d]
@@ -281,6 +284,7 @@ class ColoredDigraph:
             for j in js:
                 indeg[j] += 1
         sub._indeg = tuple(indeg)
+        sub._colors = (color,) if sub._edges else ()
         return sub
 
 
@@ -919,8 +923,10 @@ def legal_moves(board: Board, tau):
     and the corner singleton (lifted).  A tile is kept when ``_move`` plays
     it, the result is again a partition of the board's kind, which only the
     rows it touched can break and which keeps its squares on the board
-    (`_rows_fit`), and ``_wears`` names the verb played.  The reversals of
-    these moves appear as forward moves of the partner partition instead.
+    (`_rows_fit`), and ``_wears`` names the verb played, read through the
+    board's tile table (`_tiles`), which the replay reads too.  The
+    reversals of these moves appear as forward moves of the partner
+    partition instead.
     """
     tau = tuple(tau)
     if not board.valid(tau):
@@ -939,12 +945,13 @@ def _legal_moves(board: Board, tau):
             tiles += [(False, ((r, cur), (r + 1, cur))),
                       (True, ((r, cur + 1), (r + 1, cur + 1)))]
     tiles.append((False, (board.singleton,)))
+    table = _tiles(board.kind, board.k, board.n)
     moves = []
     for add, tile in tiles:
         result = _move(tau, tile, add)
         if result is None or not _rows_fit(board, result, {r for r, _ in tile}):
             continue
-        verb, color = _wears(board, tile)
+        _, verb, color = table[tile]
         if (verb == "add") == add:
             moves.append((verb, tile, color, result))
     return moves

@@ -59,6 +59,15 @@ class TestColoredDigraph:
         sub = diamond().color_subgraph(1)
         assert set(sub.edges) == {("s", "x", 1), ("y", "t", 1)}
 
+    def test_colors_are_kept_and_each_call_returns_a_new_list(self):
+        g = diamond()
+        colors = g.colors()
+        colors.append(9)
+        assert g.colors() == [1, 2] and g.colors() is not g.colors()
+        assert g.color_subgraph(2).colors() == [2]
+        assert g.color_subgraph(3).colors() == []
+        assert ColoredDigraph(["a"], []).colors() == []
+
     def test_rank_function_on_diamond(self):
         rk = rank_function(diamond())
         assert rk["s"] == 0 and rk["t"] == 2

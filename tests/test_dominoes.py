@@ -41,7 +41,7 @@ from colorlattice import (
     tab_to_part,
     wt_c,
 )
-from colorlattice import explicit
+from colorlattice import dominoes, explicit
 from colorlattice.dominoes import _decode, _encode, _move, _rows_fit, _wears
 from colorlattice.tableaux import _check_tab, box_to_tab, to_tally
 
@@ -667,6 +667,63 @@ def test_the_first_refusal_that_applies_is_the_one_named(states, action, message
     with pytest.raises(AssertionError, match=f"step 0: .*{message}"):
         replay_domino(Board("ballot", 2, 3),
                       DominoSolution("ballot", 2, 3, states, [action], {}, None))
+
+
+def coded_as(monkeypatch, tau, other):
+    """Make the solver's coding send ``tau`` where it sends ``other``."""
+    real = dominoes._encode
+    monkeypatch.setattr(dominoes, "_encode",
+                        lambda x, k, n: real(other if x == tau else x, k, n))
+
+
+def test_a_solve_whose_pushed_play_misses_its_target_is_refused(monkeypatch):
+    # the geodesic runs to the code of (1, 1), so the push ends there
+    coded_as(monkeypatch, (2, 2), (1, 1))
+    with pytest.raises(AssertionError, match="does not reach the target"):
+        solve_domino("full", 2, 3, (0, 0), (2, 2))
+
+
+def test_a_solve_whose_lattice_step_cannot_be_played_is_refused(monkeypatch):
+    # the geodesic starts at the code of (1, 0), whose first step moves a
+    # value that the rows of (0, 0) do not hold
+    coded_as(monkeypatch, (0, 0), (1, 0))
+    with pytest.raises(AssertionError, match="step 0: coordinate 2 cannot move"):
+        solve_domino("full", 2, 3, (0, 0), (1, 1))
+
+
+def board_tiles(board):
+    """Every tile on the board, its squares sorted: the corner singleton,
+    and each domino lying in one row or down one column."""
+    squares = [(r, c) for r in range(1, board.k + 1)
+               for c in range(1, board.width + 1) if board.has_square(r, c)]
+    return [(board.singleton,)] + [
+        ((r, c), nb) for r, c in squares for nb in ((r, c + 1), (r + 1, c))
+        if board.has_square(*nb)]
+
+
+@pytest.mark.parametrize("kind", ["ballot", "staircase", "full"])
+def test_the_tile_table_is_the_move_rule_on_every_tile(kind):
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            board = Board(kind, k, n)
+            table = dominoes._tiles(kind, k, n)
+            for tile in board_tiles(board):
+                rows = tuple(sorted({r for r, _ in tile}))
+                assert table[tile] == (rows, *_wears(board, tile)), (kind, k, n, tile)
+                assert table.get(tile) is table[tile]
+
+
+def test_replays_on_fresh_boards_share_one_tile_table_per_size():
+    # the bench replays each solve on a new Board of the same kind and size
+    dominoes._tiles.cache_clear()
+    parts = Board("full", 3, 4).partitions()
+    for s, t in zip(parts, parts[::-1]):
+        sol = solve_domino("full", 3, 4, s, t)
+        replay_domino(Board("full", 3, 4), sol)
+        replay_domino(Board("full", 3, 4), sol)
+    table = dominoes._tiles("full", 3, 4)
+    assert dominoes._tiles.cache_info().currsize == 1
+    assert 0 < len(table) <= len(board_tiles(Board("full", 3, 4)))
 
 
 # The board coding as the five stages that define it: partition -> tableau

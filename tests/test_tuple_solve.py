@@ -40,7 +40,7 @@ from colorlattice import (
     z_lattice,
 )
 from colorlattice.cli import _CAP_DOMINO, _CAP_SNAKES, _CAP_SWITCH, main
-from colorlattice.dominoes import _action, _board_lattice
+from colorlattice.dominoes import _board_lattice
 from colorlattice.snakes import _catalan_lattice, _pull_back
 from colorlattice.switchgame import (_cushioned_lattice, all_cushioned, int_to_bits,
                                      is_cushioned)
@@ -127,9 +127,9 @@ def test_board_solves_match_the_explicit_lattice_on_every_pair(kind, k, n):
                     assert verb == ("remove" if sum(b) < sum(a) else "add")
 
 
-# The board path as it read before its tables: the place values rebuilt
-# for every vertex, and every row's squares between two states.  The oracle
-# for `_decoder` and `_action`.
+# The board path as it read before the push: the place values rebuilt for
+# every vertex, and every row's squares between two states.  The oracle for
+# the actions `solve_domino` pushes onto the board.
 
 def per_vertex_decode(x, k, n):
     m = 2 * n - k
@@ -198,13 +198,13 @@ def test_an_action_whose_squares_disagree_with_the_lattice_color_is_refused():
             for move in legal_moves(board, tau):
                 _, squares, color, result = move
                 # played forward, the move is the solver's action for it
-                assert _action(tau, result, color) == move[:3]
+                assert diff_action(tau, result, color) == move[:3]
                 for a, b in ((tau, result), (result, tau)):
-                    action = _action(a, b, color)
+                    action = diff_action(a, b, color)
                     assert action[1:] == (squares, color)
                     replay_domino(board, DominoSolution(
                         kind, k, n, [a, b], [action], {}, None))
-                    forged = _action(a, b, color + 1)
+                    forged = diff_action(a, b, color + 1)
                     with pytest.raises(AssertionError,
                                        match="edge color disagrees"):
                         replay_domino(board, DominoSolution(
