@@ -218,6 +218,8 @@ class Board:
     def __init__(self, kind: str, k: int, n: int):
         if kind not in ("ballot", "staircase", "full"):
             raise ValueError(f"unknown board kind {kind!r}")
+        if type(k) is not int or type(n) is not int:
+            raise ValueError(f"board sizes must be ints, got k={k!r}, n={n!r}")
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         self.kind = kind
@@ -533,9 +535,10 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     return sol
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _board(kind: str, k: int, n: int) -> Board:
-    """The board ``solve_domino`` plays on, built once per kind and size."""
+    """The board ``solve_domino`` plays on, built once per kind and size
+    (typed, so that a bool size is refused and not served the int's board)."""
     return Board(kind, k, n)
 
 

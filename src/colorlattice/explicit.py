@@ -41,7 +41,7 @@ from .core import (CapExceededError, LatticeError, NotIsomorphicError,
 from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _tiles
 from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _on_diagonal,
                      _pull_back, _still_tiling, _tilings, enumerate_tilings, is_tiling)
-from .switchgame import _cushioned_lattice, _may_toggle, int_to_bits
+from .switchgame import _bits, _cushioned_lattice, _may_toggle, int_to_bits
 
 __all__ = [
     "ColoredDigraph",
@@ -128,10 +128,11 @@ class ColoredDigraph:
     frozensets of poset elements, ...).  Vertex and edge sequences are kept
     sorted under :func:`canonical_key` (by `_canonical_sorted`, which skips
     the key on int tuples and on frozensets of them), so two structurally
-    equal graphs compare equal and print identically.
+    equal graphs compare equal and print identically.  Each edge is kept once:
+    its (target, color) pair in ``_out``, its target's position in ``_succ``.
     """
 
-    __slots__ = ("_vertices", "_edges", "_out", "_inc", "_succ", "_indeg", "_colors")
+    __slots__ = ("_vertices", "_out", "_inc", "_succ", "_indeg", "_colors")
 
     def __init__(self, vertices, edges):
         vs = _canonical_sorted(vertices)
@@ -153,33 +154,30 @@ class ColoredDigraph:
                 raise ValueError(f"parallel edge {u!r} -> {v!r}")
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
-            keyed[key] = (u, v, c)
+            keyed[key] = c
         # the vertex order is canonical, so positions in it order the edges;
         # _succ keeps each vertex's out-neighbours as positions, beside _out,
         # for the passes that rank and certify without hashing payloads, and
         # _indeg the in-degrees, which is all a build reads of the in-edges,
         # and _colors the sorted edge colors, which never change.
         # Each temporary structure goes once it is read, which keeps the peak down
-        keys = sorted(keyed)
-        es = tuple(map(keyed.__getitem__, keys))
-        del keyed, index
+        del index
+        self._colors = tuple(sorted(set(keyed.values())))
         out = [[] for _ in vs]
         succ = [[] for _ in vs]
         indeg = [0] * len(vs)
-        for key, (u, v, c) in zip(keys, es):
+        for key in sorted(keyed):
             i, j = divmod(key, len(vs))
-            out[i].append((v, c))
+            out[i].append((vs[j], keyed[key]))
             succ[i].append(j)
             indeg[j] += 1
-        del keys
+        del keyed
         self._vertices = tuple(vs)
-        self._edges = es
         self._out = {v: tuple(nbrs) for v, nbrs in zip(vs, out)}
         del out
         self._inc = None
         self._succ = tuple(map(tuple, succ))
         self._indeg = tuple(indeg)
-        self._colors = tuple(sorted({c for (_, _, c) in es}))
 
     @property
     def _in(self):
@@ -202,7 +200,8 @@ class ColoredDigraph:
 
     @property
     def edges(self):
-        return self._edges
+        """The (source, target, color) triples in position order, read off ``_out``."""
+        return tuple((u, v, c) for u, pairs in self._out.items() for (v, c) in pairs)
 
     def __len__(self):
         return len(self._vertices)
@@ -213,13 +212,13 @@ class ColoredDigraph:
     def __eq__(self, other):
         if not isinstance(other, ColoredDigraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._vertices == other._vertices and self._out == other._out
 
     def __hash__(self):
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, tuple(self._out.values())))
 
     def __repr__(self):
-        return f"ColoredDigraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"ColoredDigraph({len(self._vertices)} vertices, {sum(self._indeg)} edges)"
 
     def out_edges(self, v):
         """Pairs (target, color) of edges leaving ``v``."""
@@ -273,7 +272,6 @@ class ColoredDigraph:
         # filtering keeps the canonical orders, so nothing is sorted again
         sub = object.__new__(ColoredDigraph)
         sub._vertices = self._vertices
-        sub._edges = tuple(e for e in self._edges if e[2] == color)
         sub._out = {v: tuple(p for p in nbrs if p[1] == color)
                     for v, nbrs in self._out.items()}
         sub._inc = None     # built on the sub's own first read, as for any digraph
@@ -284,7 +282,7 @@ class ColoredDigraph:
             for j in js:
                 indeg[j] += 1
         sub._indeg = tuple(indeg)
-        sub._colors = (color,) if sub._edges else ()
+        sub._colors = (color,) if any(indeg) else ()
         return sub
 
 
@@ -785,6 +783,9 @@ def _birkhoff_ints(lat: DiamondLattice):
     element of an ideal, and by the tests below that rank, every maximal
     element is removed by one).  That is O(E + V·c) int operations, c the
     most upper covers in P.  A failed test raises LatticeError.
+
+    Test 4 is needed: the subsets of {a, ..., e} without the cover ab -> abc
+    pass tests 1-3, and only test 4 refuses them, at ab.
     """
     _count_irreducibles(lat)
     vs, succ = lat.diagram._vertices, lat.diagram._succ
@@ -888,7 +889,7 @@ def switch_moves(s):
     """
     s = tuple(s)
     n = len(s)
-    if n < 2 or any(b not in (0, 1) for b in s):
+    if not _bits(s):
         raise ValueError("positions are 0/1 tuples of length >= 2")
     z = (0,) + s   # z[i] is bit i, z[0] the virtual 0
     return [(i, s[:i - 1] + (1 - s[i - 1],) + s[i:]) for i in range(1, n + 1)
@@ -1156,7 +1157,7 @@ def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
     if set(mapping) != set(A.vertices) or set(values) != set(B.vertices) \
             or len(set(values)) != len(values):
         raise NotIsomorphicError("mapping is not a vertex bijection")
-    if len(A.edges) != len(B.edges):
+    if sum(A._indeg) != sum(B._indeg):
         raise NotIsomorphicError("edge counts differ")
     for (u, v, c) in A.edges:
         if B.edge_color(mapping[u], mapping[v]) != c:

@@ -59,7 +59,8 @@ from itertools import chain
 from math import comb
 
 from .core import NotIsomorphicError, TupleLattice   # the error's former home keeps it
-from .dominoes import _board, _move, _rows_fit, enumerate_box_partitions, is_box_partition
+from .dominoes import (_board, _box_lattice, _move, _rows_fit, enumerate_box_partitions,
+                       is_box_partition)
 
 __all__ = [
     "NotIsomorphicError",
@@ -85,11 +86,11 @@ def catalan_tuples(n: int):
 def _catalan_lattice(n: int) -> TupleLattice:
     """The lattice of ``c_lattice(n)`` by rules, with nothing enumerated.
 
-    The least member with coordinate q >= v is (v, ..., v, 0, ..., 0), q parts v.
-    Built once per size: its color list is kept with it.
+    The down-set of ``a_lattice(n, n)`` below the staircase (n, ..., 1): the
+    box's rules under that top.  Built once per size, with its color list.
     """
-    return TupleLattice(range(n, 0, -1), lambda q, t: n + q - t,
-                        lambda q, v: (v,) * q + (0,) * (n - q))
+    box = _box_lattice(n, n)
+    return TupleLattice(range(n, 0, -1), box.color, box.least)
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +290,8 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     the end of each content's diagonal.  The play must reach t, and is
     replayed under the raw rules.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
     s, t = tuple(s), tuple(t)

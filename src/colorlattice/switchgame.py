@@ -88,6 +88,11 @@ def _cushioned_lattice(n: int) -> TupleLattice:
         lambda q, v: tuple(range(v + q - 1, v - 1, -1)) + (0,) * (n - q))
 
 
+def _bits(y) -> bool:
+    """Whether ``y`` has two or more entries, each the int 0 or 1, never a bool."""
+    return len(y) >= 2 and all(type(b) is int and b in (0, 1) for b in y)
+
+
 def _may_toggle(s, i) -> bool:
     """The game's one rule: may switch i (1-indexed) toggle at position s?
 
@@ -134,7 +139,7 @@ def b_inv(y):
     """
     y = tuple(y)
     n = len(y)
-    if n < 2 or any(b not in (0, 1) for b in y):
+    if not _bits(y):
         raise ValueError("expected a 0/1 tuple of length >= 2")
     changes = [j for j in range(1, n + 1) if (y[j - 2] if j > 1 else 0) != y[j - 1]]
     x = tuple(n + 1 - j for j in changes) + (0,) * (n - len(changes))
@@ -210,6 +215,8 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
     reported distance equals the rank formula value; the flip sequence is
     replayed move by move under the game rules.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     s, t = tuple(s), tuple(t)
     if len(s) != n or len(t) != n:
         raise ValueError(f"positions must have length {n}")
@@ -239,7 +246,7 @@ def replay_switches(sol: SwitchSolution) -> None:
     if sol.positions[0] != pos:
         raise AssertionError(f"play starts at {format_bits(sol.positions[0])}, "
                              f"not at the start {format_bits(pos)}")
-    if type(pos) is not tuple or len(pos) < 2 or any(b not in (0, 1) for b in pos):
+    if type(pos) is not tuple or not _bits(pos):
         raise AssertionError(f"play starts at {pos}, not a 0/1 tuple of length >= 2")
     for step, (i, nxt) in enumerate(zip(sol.flips, sol.positions[1:])):
         if not _may_toggle(pos, i):

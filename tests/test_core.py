@@ -1,6 +1,7 @@
 """Colored digraphs, rank functions, and the order-ideal correspondence."""
 
 import random
+from itertools import combinations
 from operator import le
 
 import pytest
@@ -506,23 +507,39 @@ def _layered(spec):
     return ColoredDigraph({x for (u, v, _) in edges for x in (u, v)}, edges)
 
 
-@pytest.mark.parametrize("spec, match", [
-    ("0a→1a,1b,1c; 1a,1b,1c→2a; 2a→3a,3b; 3a,3b→4a,4b; 4a,4b→5a",
+def _subsets_but_one_cover():
+    """The subsets of {a, b, c, d, e}, ordered by inclusion, without the
+    cover ab -> abc: each edge adds one letter and wears its place in the
+    alphabet as its color."""
+    subsets = ["".join(c) for size in range(6) for c in combinations("abcde", size)]
+    return ColoredDigraph(subsets, [(s, "".join(sorted(s + x)), "abcde".index(x) + 1)
+                                    for s in subsets for x in "abcde"
+                                    if x not in s and (s, x) != ("ab", "c")])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _layered("0a→1a,1b,1c; 1a,1b,1c→2a; 2a→3a,3b; 3a,3b→4a,4b; 4a,4b→5a"),
      "^'4a' and '5a' have the same join irreducibles below them; "
      "lattice not distributive$"),
-    ("0a→1a,1b,1c; 1a→2b,2c; 1b→2a,2c; 1c→2a,2b,2c; 2a,2b,2c→3a",
+    (lambda: _layered("0a→1a,1b,1c; 1a→2b,2c; 1b→2a,2c; 1c→2a,2b,2c; 2a,2b,2c→3a"),
      "^the cover '1c' -> '2c' does not add exactly one join irreducible; "
      "lattice not distributive$"),
-    ("0a→1a,1b,1c; 1a→2a; 1b,1c→2a,2b; 2a,2b→3a→4a→5a",
+    (lambda: _layered("0a→1a,1b,1c; 1a→2a; 1b,1c→2a,2b; 2a,2b→3a→4a→5a"),
      "^the covers above '1a' do not add exactly the join irreducibles "
      "addable there; lattice not distributive$"),
-], ids=["injective", "edge", "addable"])
-def test_certificate_refusals_past_the_counts(spec, match):
+    # the one diagram here that the first three tests pass: its ints are
+    # distinct and each of its 79 edges adds one bit, so only the addable
+    # test refuses it
+    (_subsets_but_one_cover,
+     "^the covers above 'ab' do not add exactly the join irreducibles "
+     "addable there; lattice not distributive$"),
+], ids=["injective", "edge", "addable", "addable-only"])
+def test_certificate_refusals_past_the_counts(make, match):
     """Each diagram has as many join and meet irreducibles as it is long,
     and fails one later test of the Birkhoff certificate."""
-    lat = DiamondLattice(_layered(spec), "distributive")
+    lat = DiamondLattice(make(), "distributive")
     _count_irreducibles(lat)
-    for read in (lat.check_lattice, lambda: lat.join("0a", "1a")):
+    for read in (lat.check_lattice, lambda: lat.join(lat.minimum, lat.maximum)):
         with pytest.raises(LatticeError, match=match):
             read()
 

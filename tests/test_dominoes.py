@@ -147,6 +147,11 @@ class TestBoard:
         with pytest.raises(ValueError):
             Board("ballot", 3, 2)
 
+    @pytest.mark.parametrize("k, n", [(True, 1), (1, True), (2.0, 3), (2, 3.0)])
+    def test_sizes_are_ints_and_never_bools(self, k, n):
+        with pytest.raises(ValueError, match=r"^board sizes must be ints, got k=.*, n=.*$"):
+            Board("full", k, n)
+
     def test_geometry_of_the_three_kinds(self):
         ballot, stair, full = (Board(kind, 2, 3)
                                for kind in ("ballot", "staircase", "full"))
@@ -814,3 +819,11 @@ def test_board_coding_refuses_what_the_pipeline_refuses(coding, tau, k):
         coding(tau, k, 3)
     if coding in (l_map, l_inv):
         assert str(refusal.value) == f"not a partition in a {k} x {6 - k} box: {tau}"
+
+
+def test_a_bool_size_does_not_reach_the_cached_board():
+    """``True == 1`` and hashes as 1, so an untyped cache would hand a
+    bool size the 1 x 1 board it once played on."""
+    solve_domino("full", 1, 1, (1,), (0,))
+    with pytest.raises(ValueError, match="^board sizes must be ints, got k=True, n=True$"):
+        solve_domino("full", True, True, (1,), (0,))

@@ -17,6 +17,7 @@ from colorlattice import (
     color_counts,
     dec_lattice,
     gods_number,
+    ideals_lattice,
     kn_lattice,
     lattice_distance,
     shortest_path,
@@ -99,6 +100,28 @@ def test_one_tally_equals_the_join_and_meet_tallies_on_every_pair(build, args):
             up, down = two_sided_counts(lat, s, t)
             assert up == down
             assert color_counts(lat, s, t) == {c: up[c] for c in colors}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: z_lattice(4), id="z n=4"),
+    pytest.param(lambda: c_lattice(4), id="c n=4"),
+    pytest.param(lambda: kn_lattice(2, 3), id="kn k=2 n=3"),
+    pytest.param(lambda: dec_lattice(2, 3), id="dec k=2 n=3"),
+    pytest.param(lambda: ideals_lattice(z_lattice(3).poset), id="ideals of z n=3"),
+])
+def test_rank_formula_through_the_meet_gives_the_distance_and_path_lengths(make):
+    """`lattice_distance` evaluates the rank formula through the join only,
+    and `shortest_path` no longer checks its length: through the meet the
+    formula gives the same number on every pair, and both certificates are
+    that long."""
+    lat = make()
+    rank = lat.rank
+    for s in lat.vertices:
+        for t in lat.vertices:
+            d = rank[s] + rank[t] - 2 * rank[lat.meet(s, t)]
+            assert lattice_distance(lat, s, t) == d
+            for via in ("join", "meet"):
+                assert shortest_path(lat, s, t, via=via).distance == d
 
 
 def test_every_geodesic_shares_one_color_multiset(zee4):

@@ -10,6 +10,7 @@ from colorlattice import (
     ColoredDigraph,
     NotIsomorphicError,
     SnakeSolution,
+    a_lattice,
     all_snakes,
     bfs_distance,
     c_lattice,
@@ -565,3 +566,24 @@ def test_replay_refuses_a_state_count_off_the_action_count(states):
 def test_replay_refuses_a_play_that_starts_off_the_tilings(sol):
     with pytest.raises(AssertionError, match="not a tiling"):
         replay_snakes(sol)
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_the_solver_refuses_a_board_size_that_is_not_an_int(n):
+    # True once played on the 1 x 1 board, and 2.0 raised TypeError in range()
+    for s, t in (((1,), (0,)), ((0, 0), (2, 2))):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+            solve_snakes(n, s, t)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_catalan_lattice_is_the_box_below_the_staircase(n):
+    """``c_lattice(n)`` is the down-set of ``a_lattice(n, n)`` below the
+    staircase (n, ..., 1): its rules are the box's under that top."""
+    box = a_lattice(n, n)
+    staircase = tuple(range(n, 0, -1))
+    below = {x for x in box.vertices if all(a <= b for a, b in zip(x, staircase))}
+    lat = c_lattice(n)
+    assert set(lat.vertices) == below
+    assert lat.diagram.edges == tuple((u, v, c) for (u, v, c) in box.diagram.edges
+                                      if u in below and v in below)

@@ -250,7 +250,33 @@ def test_replay_refuses_a_play_that_leaves_from_elsewhere():
     # a zero-move play checks no flip; the game needs n >= 2
     SwitchSolution((5,), (5,), [(5,)], [], None),
     SwitchSolution((1,), (1,), [(1,)], [], None),
+    # True == 1, and flip 3 is allowed and lands on the next position, but
+    # a bool is no bit
+    SwitchSolution((True, 0, 0), (True, 0, 1), [(True, 0, 0), (True, 0, 1)], [3], None),
 ])
 def test_replay_refuses_a_play_that_starts_off_the_positions(sol):
     with pytest.raises(AssertionError, match="not a 0/1 tuple of length >= 2"):
         replay_switches(sol)
+
+
+@pytest.mark.parametrize("position", [(True, 0, 0), (1.0, 0, 0), (0, 0, False), (True, 0)])
+def test_a_bool_or_a_float_is_no_bit(position):
+    """``True == 1`` and ``1.0 == 1``, but neither is a bit: the coding, the
+    solver and the move graph refuse them, each with its own message (the
+    solver once printed ``True00 --2--> True10`` and ``1.000``, and the
+    move graph gave ``(True, 0)`` no moves, as it gives ``(1, 0)``)."""
+    n, zero = len(position), (0,) * len(position)
+    with pytest.raises(ValueError, match="^expected a 0/1 tuple of length >= 2$"):
+        b_inv(position)
+    for s, t in ((position, zero), (zero, position)):
+        with pytest.raises(ValueError, match="^expected a 0/1 tuple of length >= 2$"):
+            solve_mixedmiddleswitch(n, s, t)
+    with pytest.raises(ValueError, match="^positions are 0/1 tuples of length >= 2$"):
+        switch_moves(position)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+def test_the_solver_refuses_a_row_size_that_is_not_an_int(n):
+    # 2.0 once reached range() and raised TypeError there
+    with pytest.raises(ValueError, match=f"^n must be an int, got {n!r}$"):
+        solve_mixedmiddleswitch(n, (0, 0), (1, 0))

@@ -378,20 +378,41 @@ def two_sided_gaps(rules, s, t):
     return gaps((s, hi), (t, hi)), gaps((lo, s), (lo, t))
 
 
-@pytest.mark.parametrize("rules", [
+RULE_LATTICES = pytest.mark.parametrize("rules", [
     _cushioned_lattice(5), _board_lattice("full", 3, 3),
     _board_lattice("staircase", 3, 4), _board_lattice("ballot", 3, 4),
     _catalan_lattice(5),
 ], ids=["switch", "box", "staircase", "ballot", "catalan"])
+
+
+def rule_members(rules):
+    return [x for x in product(*(range(hi + 1) for hi in rules.top)) if rules.member(x)]
+
+
+@RULE_LATTICES
 def test_rule_tally_equals_the_join_and_meet_tallies_on_every_member_pair(rules):
-    members = [x for x in product(*(range(hi + 1) for hi in rules.top))
-               if rules.member(x)]
+    members = rule_members(rules)
     colors = rules.colors()
     for s in members:
         for t in members:
             up, down = two_sided_gaps(rules, s, t)
             assert up == down
             assert rules.color_counts(s, t) == {c: up[c] for c in colors}
+
+
+@RULE_LATTICES
+def test_rank_formula_through_the_meet_gives_the_distance_and_geodesic_lengths(rules):
+    """`distance` evaluates the rank formula through the join only, and
+    `geodesic` no longer checks its length: through the meet the formula
+    gives the same number on every member pair, and each geodesic is that
+    long."""
+    members = rule_members(rules)
+    for s in members:
+        for t in members:
+            d = rules.rank(s) + rules.rank(t) - 2 * rules.rank(rules.meet(s, t))
+            assert rules.distance(s, t) == d
+            for via in ("join", "meet"):
+                assert rules.geodesic(s, t, via).distance == d
 
 
 # --------------------------------------------------------------------------

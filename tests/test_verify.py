@@ -13,7 +13,7 @@ from colorlattice import (
     shortest_path,
     z_lattice,
 )
-from colorlattice import verify
+from colorlattice import paths, verify
 from colorlattice.core import render_vertex
 from colorlattice.switchgame import format_bits
 from helpers import two_colored_square
@@ -74,6 +74,19 @@ def test_certificate_sweep_refuses_a_walk_of_the_wrong_length(monkeypatch):
     with pytest.raises(verify._CheckFailed) as err:
         verify._check_certificates(z_lattice(2), format_bits)
     assert str(err.value) == "join certificate for 00 -> 00 has length 2, distance is 0"
+
+
+def test_certificate_sweep_evaluates_the_rank_formula_once_per_pair(monkeypatch):
+    # the sweep's own evaluation is the only one: the certificates are as
+    # long as the formula by construction, and check nothing against it
+    calls = []
+    for module in (verify, paths):
+        def counted(lat, s, t, exact=module.lattice_distance):
+            calls.append((s, t))
+            return exact(lat, s, t)
+        monkeypatch.setattr(module, "lattice_distance", counted)
+    verify._check_certificates(z_lattice(4), format_bits)
+    assert len(calls) == 256 == len(set(calls))
 
 
 def test_validate_refuses_a_mixed_walk_of_the_wrong_length():
