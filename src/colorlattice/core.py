@@ -58,6 +58,13 @@ class CapExceededError(RuntimeError):
     """An enumeration or closure grew past its configured size cap."""
 
 
+def _int_sizes(**sizes) -> None:
+    """Refuse with ValueError any size that is not an int, a bool included."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def render_vertex(v) -> str:
     """Compact, stable text form of a vertex payload (used by DOT and the CLI)."""
     if isinstance(v, (set, frozenset)):

@@ -36,8 +36,8 @@ from collections import deque
 from functools import lru_cache
 from itertools import chain
 
-from .core import (CapExceededError, LatticeError, NotIsomorphicError,
-                   NotRankedError, TupleLattice, UnreachableError, render_vertex)
+from .core import (CapExceededError, LatticeError, NotIsomorphicError, NotRankedError,
+                   TupleLattice, UnreachableError, _int_sizes, render_vertex)
 from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _tiles
 from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _on_diagonal,
                      _pull_back, _still_tiling, _tilings, enumerate_tilings, is_tiling)
@@ -152,7 +152,7 @@ class ColoredDigraph:
             key = i * len(vs) + j
             if key in keyed:
                 raise ValueError(f"parallel edge {u!r} -> {v!r}")
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError(f"edge color must be a positive integer, got {c!r}")
             keyed[key] = c
         # the vertex order is canonical, so positions in it order the edges;
@@ -417,7 +417,7 @@ class VertexColoredPoset:
             if e not in color:
                 raise ValueError(f"element {e!r} has no color")
             c = color[e]
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError(f"color of {e!r} must be a positive integer")
             col[e] = c
         # strict up- and down-sets as bitmasks over positions, one pass each
@@ -494,40 +494,6 @@ class VertexColoredPoset:
             sub |= 1 << self._index[e]
         return [e for i, e in enumerate(self._elements)
                 if sub >> i & 1 and not beyond[i] & sub]
-
-    def peel(self, subset, maximal=False):
-        """The elements of ``subset`` in the order that removes, one at a
-        time, its canonical-first minimal (``maximal``: maximal) element.
-
-        Removing an element can free only members of its strict up-set
-        (down-set), so each removal tests just those: one pass over the
-        subset, where calling :meth:`minimal_of` per element costs O(len(self))
-        each time.  The free members are a bitmask over positions, whose
-        lowest bit is the canonical-first one.
-        """
-        beyond, freed = (self._up, self._down) if maximal else (self._down, self._up)
-        places = [self._index[e] for e in subset]
-        rest = 0
-        for i in places:
-            rest |= 1 << i
-        ready = 0
-        for i in places:
-            if not beyond[i] & rest:
-                ready |= 1 << i
-        order = []
-        while ready:
-            low = ready & -ready
-            ready ^= low
-            rest ^= low
-            i = low.bit_length() - 1
-            order.append(self._elements[i])
-            near = freed[i] & rest
-            while near:
-                bit = near & -near
-                near ^= bit
-                if not beyond[bit.bit_length() - 1] & rest:
-                    ready |= bit
-        return order
 
     def ideals(self):
         """All order ideals (downward closed subsets), as frozensets.
@@ -607,7 +573,7 @@ class DiamondLattice:
     @property
     def ideal_coords(self):
         if self._coords is None:
-            code, _, irr, _ = self._birkhoff()
+            code, _, irr, _, _ = self._birkhoff()
             self._coords = {v: frozenset(e for e, bit in irr.items() if x & bit)
                             for v, x in code.items()}
         return self._coords
@@ -619,7 +585,7 @@ class DiamondLattice:
         return self._poset
 
     def _birkhoff(self):
-        """``(code, vertex, irr, covers)`` of `_birkhoff_ints`, built and
+        """``(code, vertex, irr, covers, colors)`` of `_birkhoff_ints`, built and
         certified on the first call and kept; a refusal is not kept."""
         if self._birk is None:
             self._birk = _birkhoff_ints(self)
@@ -653,7 +619,7 @@ class DiamondLattice:
         the vertex of the OR or AND of the ints.  A lattice with neither, as
         every tuple lattice, has no claims.
         """
-        code, vertex, _, _ = self._birkhoff()
+        code, vertex, _, _, _ = self._birkhoff()
         if not (self.coord_join or self.coord_meet):
             return
         join, meet = self.coord_join or self.join, self.coord_meet or self.meet
@@ -730,15 +696,12 @@ def join_irreducibles(lat: DiamondLattice) -> VertexColoredPoset:
     """The vertex-colored poset of join irreducibles of a distributive lattice.
 
     A join irreducible covers exactly one vertex; its color is the color of
-    that unique incoming diagram edge, from the vertex whose int lacks only
-    its bit.  Its covers are read off the Birkhoff ints (`_birkhoff_ints`):
-    an irreducible a covers the irreducibles that the edges into a's lower
-    cover add.
+    that unique incoming diagram edge.  Its colors and covers are read off
+    the Birkhoff ints (`_birkhoff_ints`): an irreducible a covers the
+    irreducibles that the edges into a's lower cover add.
     """
-    code, vertex, irr, covers = lat._birkhoff()
-    g = lat.diagram
-    return VertexColoredPoset(
-        irr, covers, {v: g.edge_color(vertex[code[v] ^ bit], v) for v, bit in irr.items()})
+    _, _, irr, covers, colors = lat._birkhoff()
+    return VertexColoredPoset(irr, covers, dict(zip(irr, colors)))
 
 
 def _count_irreducibles(lat: DiamondLattice) -> None:
@@ -759,12 +722,14 @@ def _count_irreducibles(lat: DiamondLattice) -> None:
 def _birkhoff_ints(lat: DiamondLattice):
     """The Birkhoff coordinates of a lattice as ints, certified.
 
-    Returns ``(code, vertex, irr, covers)``: ``irr`` maps each join
+    Returns ``(code, vertex, irr, covers, colors)``: ``irr`` maps each join
     irreducible (one lower cover), in vertex order, to its bit, ``code``
     each vertex to the OR of the bits of the irreducibles below it, given
     in rank order (an irreducible gets its lower cover's int plus its bit,
     any other vertex the OR of two lower covers' ints), ``vertex`` is its
-    inverse, and ``covers`` lists the covering pairs (b, a) of irreducibles.
+    inverse, ``covers`` lists the covering pairs (b, a) of irreducibles,
+    and ``colors`` the irreducibles' colors in bit order, each read once
+    off its one in-edge.
 
     With j <= k in P, the irreducibles, when bit j is in k's int, each int
     is closed downward in P, and four tests make the diagram that of J(P),
@@ -837,7 +802,8 @@ def _birkhoff_ints(lat: DiamondLattice):
                 "irreducibles addable there; lattice not distributive")
         addable[i] = have
     covers = [(vs[places[j]], vs[places[k]]) for j, ks in enumerate(ups) for k in ks]
-    return dict(zip(vs, code)), vertex, {vs[i]: b for i, b in bit.items()}, covers
+    colors = [lat.diagram.edge_color(vs[pred[i][0]], vs[i]) for i in places]
+    return dict(zip(vs, code)), vertex, {vs[i]: b for i, b in bit.items()}, covers, colors
 
 
 def attach_birkhoff_coords(lat: DiamondLattice) -> DiamondLattice:
@@ -866,7 +832,7 @@ def to_dot(g: ColoredDigraph, name: str = "G", label=render_vertex) -> str:
 # --------------------------------------------------------------------------
 # switch rows
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def z_lattice(n: int) -> DiamondLattice:
     """The distributive lattice of cushioned tuples under component-wise order.
 
@@ -875,6 +841,7 @@ def z_lattice(n: int) -> DiamondLattice:
     component-wise max and min, and the Birkhoff coordinates, derived on
     first read, build explicit optimal paths.
     """
+    _int_sizes(n=n)
     if n < 2:
         raise ValueError("the game is played at n >= 2")
     return tuple_lattice(_cushioned_lattice(n))
@@ -898,14 +865,11 @@ def switch_moves(s):
 
 def mixedmiddleswitch_digraph(n: int) -> ColoredDigraph:
     """The full game graph on all 2^n positions, edges colored by flip index."""
+    _int_sizes(n=n)
     if n < 2:
         raise ValueError("the game is played at n >= 2")
     verts = [int_to_bits(v, n) for v in range(2 ** n)]
-    edges = []
-    for s in verts:
-        for i, t in switch_moves(s):
-            edges.append((s, t, i))
-    return ColoredDigraph(verts, edges)
+    return ColoredDigraph(verts, [(s, t, i) for s in verts for i, t in switch_moves(s)])
 
 
 # --------------------------------------------------------------------------
@@ -958,7 +922,7 @@ def _legal_moves(board: Board, tau):
     return moves
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
     """The directed move graph on all partitions of the board's kind.
 
@@ -972,7 +936,7 @@ def domino_digraph(kind: str, k: int, n: int) -> ColoredDigraph:
     return ColoredDigraph(verts, edges)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def a_lattice(k: int, m: int) -> DiamondLattice:
     """The distributive lattice of partitions in a k x m box.
 
@@ -980,22 +944,25 @@ def a_lattice(k: int, m: int) -> DiamondLattice:
     color q - t + m.  Note the second parameter is the box width m (which
     equals 2n-k when the lattice is paired with a (k, n) board family).
     """
+    _int_sizes(k=k, m=m)
     if k < 1 or m < 1:
         raise ValueError("box dimensions must be positive")
     return tuple_lattice(_box_lattice(k, m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kn_lattice(k: int, n: int) -> DiamondLattice:
     """The sublattice of the folded box lattice on the first admissible family."""
+    _int_sizes(k=k, n=n)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return tuple_lattice(_board_lattice("staircase", k, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dec_lattice(k: int, n: int) -> DiamondLattice:
     """The sublattice of the folded box lattice on the second admissible family."""
+    _int_sizes(k=k, n=n)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return tuple_lattice(_board_lattice("ballot", k, n))
@@ -1004,19 +971,20 @@ def dec_lattice(k: int, n: int) -> DiamondLattice:
 # --------------------------------------------------------------------------
 # snake tilings
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_lattice(n: int) -> DiamondLattice:
     """The distributive lattice of staircase-bounded tuples.
 
     Component-wise order; a cover raises coordinate q by one, onto the new
     value t_q, and wears color n + q - t_q.
     """
+    _int_sizes(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     return tuple_lattice(_catalan_lattice(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_snakes(n: int):
     """Every centered southwesterly snake on the n x n board.
 
@@ -1025,6 +993,7 @@ def all_snakes(n: int):
     that diagonal square (North/East for the head, South/West for the
     tail), so each is produced exactly once.
     """
+    _int_sizes(n=n)
     snakes = []
     for m in range(1, 2 * n):
         p = (m + 1) // 2
@@ -1134,7 +1103,7 @@ def _rim_segment(n: int, rim, m: int):
     return tuple(rim[head:head + m])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ming_digraph(n: int) -> ColoredDigraph:
     """The directed snake-move graph on all tilings of the n x n board.
 
@@ -1143,6 +1112,7 @@ def ming_digraph(n: int) -> ColoredDigraph:
     forward ones are tried (`_rim_moves`), on tilings the enumeration
     already checked.
     """
+    _int_sizes(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     verts = enumerate_tilings(n)
@@ -1165,7 +1135,7 @@ def verify_isomorphism(A: ColoredDigraph, B: ColoredDigraph, mapping) -> None:
                 f"edge {u} -> {v} (color {c}) is not preserved")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cached_isomorphism(n: int) -> dict:
     """The lattice-to-tilings correspondence, from the closed-form pull-back.
 
@@ -1174,6 +1144,7 @@ def cached_isomorphism(n: int) -> dict:
     Catalan number of tilings exceeds the cap raise CapExceededError before
     either graph is built.
     """
+    _int_sizes(n=n)
     size = _tilings(n)
     if size > _TILINGS_CAP:
         raise CapExceededError(

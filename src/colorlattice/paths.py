@@ -11,7 +11,7 @@ one (Stanley, *EC1* §3.3), and `lattice_distance` evaluates the first.  On
 a distributive lattice the per-color step counts of *every* geodesic
 coincide, and mountain/valley certificates are constructed one join
 irreducible at a time from the Birkhoff ints (`DiamondLattice._birkhoff`):
-each step sets or clears one irreducible's bit.
+each step flips the lowest bit left that lands on a vertex.
 """
 
 from __future__ import annotations
@@ -50,22 +50,29 @@ def color_counts(lat: DiamondLattice, s, t) -> dict:
     t; the steps down to the meet and up from it are the same bits, so one
     tally over the symmetric difference serves both.
     """
-    code, _, irr, _ = lat._birkhoff()
+    code, _, _, _, colors = lat._birkhoff()
     gap = code[s] ^ code[t]
-    steps = Counter(lat.poset.color(e) for e, bit in irr.items() if gap & bit)
+    steps = Counter(c for k, c in enumerate(colors) if gap >> k & 1)
     return {c: steps[c] for c in lat.diagram.colors()}
 
 
-def _leg(lat, x, gap, maximal, vertices, steps):
-    """Walk from the int x across the irreducibles whose bits are in ``gap``,
-    one bit at a time: set them (``maximal`` false) or clear them (true)."""
-    _, vertex, irr, _ = lat._birkhoff()
-    p = lat.poset
-    sign = -1 if maximal else +1
-    for e in p.peel([e for e, bit in irr.items() if gap & bit], maximal):
-        x ^= irr[e]
+def _leg(lat, x, gap, sign, vertices, steps):
+    """Walk from the int x over the bits of ``gap``, setting them (``sign``
+    +1) or clearing them (-1), each step the lowest bit that lands on a
+    vertex: for ideals x and goal g, the irreducible e that `minimal_of`
+    (`maximal_of`) puts first in the gap left.  Climbing, e is minimal there
+    iff x + {e} is an ideal (all below e lies in g, and g's part taken so
+    far in x); falling, maximal iff x - {e} is one (an f above e in x but
+    not left would lie in g, and so would e); bits run in canonical order."""
+    _, vertex, _, _, colors = lat._birkhoff()
+    while gap:
+        rest = gap
+        while x ^ (bit := rest & -rest) not in vertex:
+            rest ^= bit
+        x ^= bit
+        gap ^= bit
         vertices.append(vertex[x])
-        steps.append((p.color(e), sign))
+        steps.append((colors[bit.bit_length() - 1], sign))
 
 
 def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertificate:
@@ -73,25 +80,23 @@ def shortest_path(lat: DiamondLattice, s, t, via: str = "join") -> PathCertifica
 
     Mountain paths add, one at a time, a minimal missing irreducible of
     s v t until the apex is reached, then remove maximal irreducibles not
-    lying below t.  Each leg is one :meth:`VertexColoredPoset.peel` of the
-    irreducibles whose bits lie between its two Birkhoff ints: every step
-    takes the canonical-first minimal (on the way down, maximal) one still
-    missing, so the certificate is reproducible.  The peels take each bit of
-    the XOR of the ints of s and t once: the rank-formula distance.
+    lying below t.  Each leg (`_leg`) takes the canonical-first minimal (on
+    the way down, maximal) irreducible still to go at every step, so the
+    certificate is reproducible, and the legs take each bit of the XOR of
+    the Birkhoff ints of s and t once: the rank-formula distance.
     """
     if via not in ("join", "meet"):
         raise ValueError("via must be 'join' or 'meet'")
-    code, vertex, _, _ = lat._birkhoff()
+    code, vertex, _, _, _ = lat._birkhoff()
     cs, ct = code[s], code[t]
     up, down = ct & ~cs, cs & ~ct
-    vertices = [s]
-    steps = []
+    vertices, steps = [s], []
     if via == "join":
-        _leg(lat, cs, up, False, vertices, steps)
-        _leg(lat, cs | ct, down, True, vertices, steps)
+        _leg(lat, cs, up, +1, vertices, steps)
+        _leg(lat, cs | ct, down, -1, vertices, steps)
         return PathCertificate(vertices, "mountain", vertex[cs | ct], steps)
-    _leg(lat, cs, down, True, vertices, steps)
-    _leg(lat, cs & ct, up, False, vertices, steps)
+    _leg(lat, cs, down, -1, vertices, steps)
+    _leg(lat, cs & ct, up, +1, vertices, steps)
     return PathCertificate(vertices, "valley", vertex[cs & ct], steps)
 
 

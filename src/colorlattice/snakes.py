@@ -58,7 +58,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .core import NotIsomorphicError, TupleLattice   # the error's former home keeps it
+from .core import NotIsomorphicError, TupleLattice, _int_sizes   # the error's former home keeps it
 from .dominoes import (_board, _box_lattice, _move, _rows_fit, enumerate_box_partitions,
                        is_box_partition)
 
@@ -290,8 +290,7 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     the end of each content's diagonal.  The play must reach t, and is
     replayed under the raw rules.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _int_sizes(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     s, t = tuple(s), tuple(t)

@@ -26,7 +26,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from .core import TupleLattice
+from .core import TupleLattice, _int_sizes
 
 __all__ = [
     "is_cushioned",
@@ -69,6 +69,7 @@ def is_cushioned(x, n=None) -> bool:
 
 def all_cushioned(n: int):
     """All cushioned tuples of length n, sorted; there are exactly 2^n."""
+    _int_sizes(n=n)
     if n < 2:
         raise ValueError("the game is played at n >= 2")
     return sorted(sub[::-1] + (0,) * (n - k)
@@ -215,8 +216,7 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
     reported distance equals the rank formula value; the flip sequence is
     replayed move by move under the game rules.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _int_sizes(n=n)
     s, t = tuple(s), tuple(t)
     if len(s) != n or len(t) != n:
         raise ValueError(f"positions must have length {n}")

@@ -164,6 +164,10 @@ class TestVertexColoredPoset:
         with pytest.raises(ValueError):
             VertexColoredPoset("ab", [("a", "b")], {"a": 0, "b": 1})
 
+    def test_a_bool_is_no_color(self):
+        with pytest.raises(ValueError, match="^color of 'a' must be a positive integer$"):
+            VertexColoredPoset(["a", "b"], [("a", "b")], {"a": True, "b": 2})
+
     def test_long_chain_builds_without_recursion(self):
         size = 2000
         p = VertexColoredPoset(range(size), [(i, i + 1) for i in range(size - 1)],
@@ -188,29 +192,6 @@ class TestVertexColoredPoset:
                    for bits in range(2 ** len(els)))
         assert set(found) == {x for x in subsets
                               if all(p.strict_downset(e) <= x for e in x)}
-
-
-def stepwise_peel(p, subset, maximal=False):
-    """Remove the canonical-first minimal (maximal) element again and again,
-    finding it afresh each time."""
-    rest, order = set(subset), []
-    while rest:
-        e = (p.maximal_of(rest) if maximal else p.minimal_of(rest))[0]
-        rest.discard(e)
-        order.append(e)
-    return order
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_peel_matches_repeated_extremes(seed):
-    # any subset, convex or not: removing an element frees only its up-set
-    rng = random.Random(seed)
-    p = random_poset(rng, size=rng.randint(1, 12), colors=2, edge_p=rng.random())
-    for _ in range(20):
-        sub = {e for e in p.elements if rng.random() < 0.6}
-        for maximal in (False, True):
-            assert p.peel(sub, maximal) == stepwise_peel(p, sub, maximal)
-    assert p.peel(set()) == []
 
 
 def test_ideals_lattice_is_diamond_colored_and_balanced():
@@ -724,6 +705,8 @@ def test_the_canonical_sort_equals_the_keyed_sort(seed):
     (["s", "t"], [("s", "t", 1.0)], "positive integer, got 1.0"),
     # the first bad edge in the given order is the one named
     (["s", "t"], [("s", "s", 1), ("s", "u", 1)], "loop at 's'"),
+    # a bool is an int, but no color
+    (["a", "b"], [("a", "b", True)], "positive integer, got True"),
 ])
 def test_digraphs_refuse_bad_edges_by_name(vertices, edges, match):
     with pytest.raises(ValueError, match=match):

@@ -25,7 +25,7 @@ from colorlattice import (
 )
 from colorlattice.explicit import distances_from
 from colorlattice.paths import geodesic_multisets
-from helpers import all_shortest_paths, random_lattice, two_colored_square
+from helpers import all_shortest_paths, random_lattice, random_poset, two_colored_square
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +247,34 @@ def test_peeled_legs_give_the_stepwise_certificates(make):
         for via in ("join", "meet"):
             assert fields(shortest_path(lat, s, t, via=via)) == \
                 fields(stepwise_shortest_path(lat, vertex, s, t, via))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lowest_landing_bits_match_repeated_extremes(seed):
+    """On the ideals of random posets of every density, each leg's steps are
+    the canonical-first minimal (maximal) irreducibles found afresh each
+    time; sparse posets make climbs skip bits that do not land."""
+    rng = random.Random(seed)
+    p = random_poset(rng, size=rng.randint(1, 12), colors=2, edge_p=rng.random())
+    lat = ideals_lattice(p)
+    vertex = {x: v for v, x in lat.ideal_coords.items()}
+    for _ in range(20):
+        s, t = rng.choice(lat.vertices), rng.choice(lat.vertices)
+        for via in ("join", "meet"):
+            assert fields(shortest_path(lat, s, t, via=via)) == \
+                fields(stepwise_shortest_path(lat, vertex, s, t, via))
+
+
+def test_paths_and_tallies_build_no_poset():
+    """Geodesics and color tallies read the Birkhoff ints and their colors
+    alone: neither the poset of irreducibles nor the diagram's in-edges."""
+    lat = z_lattice.__wrapped__(8)
+    for via in ("join", "meet"):
+        shortest_path(lat, lat.minimum, lat.maximum, via=via)
+        shortest_path(lat, (3, 1, 0, 0, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0, 0, 0), via=via)
+    assert sum(color_counts(lat, lat.minimum, lat.maximum).values()) == lat.length
+    assert lat._poset is None
+    assert lat.diagram._inc is None
 
 
 SWEEP_FAMILIES = (

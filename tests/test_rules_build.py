@@ -7,6 +7,8 @@ filters, staircase-bounded tuples) and finds the unit raises among them
 through a set.
 """
 
+import re
+
 import pytest
 
 from colorlattice import (
@@ -15,16 +17,21 @@ from colorlattice import (
     LatticeError,
     TupleLattice,
     a_lattice,
+    all_snakes,
     attach_birkhoff_coords,
     c_lattice,
+    cached_isomorphism,
     catalan_tuples,
     dec_admissible,
     dec_lattice,
+    domino_digraph,
     enumerate_box_partitions,
     ideals_lattice,
     join_irreducibles,
     kn_admissible,
     kn_lattice,
+    ming_digraph,
+    mixedmiddleswitch_digraph,
     root_data,
     sigma,
     tuple_lattice,
@@ -214,3 +221,37 @@ def test_distances_and_color_counts_refuse_tuples_of_the_wrong_length():
     # a length check only: tuples of the right length that are not members
     # still get the rank formula
     assert lat.distance((0, 0, 0, 0), (0, 0, 0, 1)) == 1
+
+
+# each explicit builder, the arguments before its sizes, and int sizes it builds
+SIZED_BUILDERS = [
+    (z_lattice, (), (2,)),
+    (a_lattice, (), (1, 2)),
+    (kn_lattice, (), (1, 2)),
+    (dec_lattice, (), (1, 2)),
+    (c_lattice, (), (1,)),
+    (mixedmiddleswitch_digraph, (), (2,)),
+    (domino_digraph, ("full",), (1, 1)),
+    (ming_digraph, (), (1,)),
+    (all_snakes, (), (1,)),
+    (cached_isomorphism, (), (2,)),
+    (all_cushioned, (), (2,)),
+]
+
+
+@pytest.mark.parametrize("build, head, sizes", SIZED_BUILDERS,
+                         ids=[b.__name__ for b, _, _ in SIZED_BUILDERS])
+def test_builders_refuse_bool_and_float_sizes_cold_and_warm(build, head, sizes):
+    """``True == 1`` and ``2.0 == 2``, and both hash as the int, so an untyped
+    cache would serve them the lattice of the int once it is built."""
+    for i, size in enumerate(sizes):
+        for bad in (True, 2.0, float(size)):
+            args = head + sizes[:i] + (bad,) + sizes[i + 1:]
+            for warm in (False, True):
+                if warm:
+                    build(*head, *sizes)
+                elif hasattr(build, "cache_clear"):
+                    build.cache_clear()
+                with pytest.raises(ValueError, match=r"must be (an int|ints), got .*"
+                                   + re.escape(repr(bad))):
+                    build(*args)
