@@ -240,6 +240,12 @@ class TupleLattice:
     irreducible.  `member`, the geodesic legs and `color_counts` read it,
     `certify` fills and returns it, and ``explicit.tuple_lattice`` climbs
     over it.
+
+    `geodesic` tests both ends with `member`, then walks (`_walk`).  The
+    solvers call `_walk` alone: each has coded its ends from positions
+    that passed its game's own test, and `_walk` also hands over the
+    coordinate each step moves.  `color_counts` tallies the gaps in one
+    pass.
     """
 
     __slots__ = ("top", "color", "least", "_least_rows", "_color_rows", "_colors")
@@ -343,43 +349,57 @@ class TupleLattice:
         the irreducibles (q, v) with min(s_q, t_q) < v <= max(s_q, t_q).
         Per coordinate max(a, b) - a = b - min(a, b), so the gaps down to
         the meet hold the same irreducibles, and one tally serves both.
-        A gap outside the box, where no member lies, reads the rule.
+        One pass adds each gap's colors into a dict of every sorted color
+        at 0.  A gap outside the box, where no member lies, reads the rule,
+        and a color the lattice does not have is dropped.
         """
         self._lengths(s, t)
-        gaps = []
+        counts = dict.fromkeys(self._sorted_colors(), 0)
         for q, (row, a, b) in enumerate(zip(self._color_table(), s, t), 1):
             lo, hi = (a, b) if a < b else (b, a)
             if 0 <= lo and hi <= len(row):
-                gaps += row[lo:hi]
+                for c in row[lo:hi]:
+                    counts[c] += 1
             else:
-                gaps += [self.color(q, v) for v in range(lo + 1, hi + 1)]
-        steps = Counter(gaps)
-        return {c: steps[c] for c in self._sorted_colors()}
+                for v in range(lo + 1, hi + 1):
+                    c = self.color(q, v)
+                    if c in counts:
+                        counts[c] += 1
+        return counts
 
     def geodesic(self, s, t, via: str = "join") -> PathCertificate:
         """An optimal mountain (via="join") or valley (via="meet") certificate.
 
         As long as `distance` by construction: a climb from x to goal takes
         sum(goal - x) steps and a fall sum(x - goal) or raises LatticeError.
+        Tests both ends for membership, then runs `_walk`.
         """
-        if via not in ("join", "meet"):
-            raise ValueError("via must be 'join' or 'meet'")
-        for x in (s, t):
-            if not self.member(x):
-                raise LatticeError(f"{x!r} is not a member of the lattice")
-        vertices, steps = [s], []
+        if via in ("join", "meet"):
+            for x in (s, t):
+                if not self.member(x):
+                    raise LatticeError(f"{x!r} is not a member of the lattice")
+        return self._walk(s, t, via)[0]
+
+    def _walk(self, s, t, via):
+        """`geodesic` between two known members, with no membership test,
+        and beside it the coordinate (0-based) each step moves.  The
+        solvers walk here: each codes its ends from positions that passed
+        its game's own test, and the coding lands on members."""
+        vertices, steps, coords = [s], [], []
         if via == "join":
             turn = self.join(s, t)
-            self._ascend(turn, vertices, steps)
-            self._descend(t, vertices, steps)
-        else:
+            self._ascend(turn, vertices, steps, coords)
+            self._descend(t, vertices, steps, coords)
+        elif via == "meet":
             turn = self.meet(s, t)
-            self._descend(turn, vertices, steps)
-            self._ascend(t, vertices, steps)
+            self._descend(turn, vertices, steps, coords)
+            self._ascend(t, vertices, steps, coords)
+        else:
+            raise ValueError("via must be 'join' or 'meet'")
         return PathCertificate(vertices, "mountain" if via == "join" else "valley",
-                               turn, steps)
+                               turn, steps), coords
 
-    def _ascend(self, goal, vertices, steps):
+    def _ascend(self, goal, vertices, steps, coords):
         """Climb from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
         least, colors = self._least_of, self._color_table()
@@ -389,8 +409,9 @@ class TupleLattice:
             x[q] += 1
             vertices.append(tuple(x))
             steps.append((colors[q][x[q] - 1], +1))
+            coords.append(q)
 
-    def _descend(self, goal, vertices, steps):
+    def _descend(self, goal, vertices, steps, coords):
         """Fall from the last vertex to ``goal`` (see the class docstring)."""
         x = list(vertices[-1])
         least, colors = self._least_of, self._color_table()
@@ -410,3 +431,4 @@ class TupleLattice:
                 insort(tops, (least(q + 1, x[q]), q))
             vertices.append(tuple(x))
             steps.append((colors[q][x[q]], -1))
+            coords.append(q)

@@ -470,36 +470,40 @@ def solve_domino(kind: str, k: int, n: int, start, target,
     by 2s: a horizontal domino at its end.  Otherwise the row holding w+s
     is its neighbour (r+1 below for s = -1, r-1 above for s = +1), and the
     two rows, of equal length w - (k+1-r), swap ranks and both change by s:
-    a vertical domino at their common end.  The coordinate a step moves is
-    the one its two vertices differ in, so each action comes off the rows
-    it touches, with no state decoded and no two states compared.
+    a vertical domino at their common end.  The walk
+    (`TupleLattice._walk`) hands over the coordinate each step moves, so
+    each action comes off the rows it touches, with no state decoded and
+    no two states compared.
 
     The endpoints are checked once, on entry: a partition of the board's
-    kind is a box partition, so the coding runs unchecked (`_encode`).  A
+    kind is a box partition, so the coding runs unchecked (`_encode`) and
+    lands on members, which the walk does not test again.  A
     step whose value is not held, or whose new place is off the range or
     taken, cannot be played; it and a play that ends off ``target`` raise
     AssertionError, as a failed replay does.
     """
     board = _board(kind, k, n)
-    start, target = tuple(start), tuple(target)
+    ends = []
     for tau in (start, target):
-        if not board.valid(tau):
+        try:
+            tau = tuple(tau)
+        except TypeError:       # not iterable: refused below as it stands
+            pass
+        if type(tau) is not tuple or not board.valid(tau):
             raise ValueError(f"{tau} is not a {kind} partition for "
                              f"k={k}, n={n}")
+        ends.append(tau)
+    start, target = ends
     lat = _board_lattice(kind, k, n)
     enc_s, enc_t = _encode(start, k, n), _encode(target, k, n)
-    cert = lat.geodesic(enc_s, enc_t, via=via)
+    cert, coords = lat._walk(enc_s, enc_t, via)
     m = 2 * n - k
     rows = list(start)
     held = [0] * (2 * n + 2)    # per value, the row holding it (0: none)
     for r, p in enumerate(start, 1):
         held[p + k + 1 - r] = r
     states, actions = [start], []
-    verts = cert.vertices
-    for step, (a, b, (color, d)) in enumerate(zip(verts, verts[1:], cert.steps)):
-        j = 0
-        while a[j] == b[j]:
-            j += 1
+    for step, (a, j, (color, d)) in enumerate(zip(cert.vertices, coords, cert.steps)):
         p = m + j + 1 - a[j]    # coordinate j + 1's place, which moves to p - d
         w = 2 * p - 1 if p <= n else 4 * n + 2 - 2 * p
         p -= d

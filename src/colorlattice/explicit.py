@@ -971,6 +971,14 @@ def dec_lattice(k: int, n: int) -> DiamondLattice:
 # --------------------------------------------------------------------------
 # snake tilings
 
+def _snake_size(n) -> None:
+    """Refuse a snake board size that is not an int of at least 1, as every
+    snake builder does."""
+    _int_sizes(n=n)
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 @lru_cache(maxsize=None, typed=True)
 def c_lattice(n: int) -> DiamondLattice:
     """The distributive lattice of staircase-bounded tuples.
@@ -978,9 +986,7 @@ def c_lattice(n: int) -> DiamondLattice:
     Component-wise order; a cover raises coordinate q by one, onto the new
     value t_q, and wears color n + q - t_q.
     """
-    _int_sizes(n=n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _snake_size(n)
     return tuple_lattice(_catalan_lattice(n))
 
 
@@ -993,7 +999,7 @@ def all_snakes(n: int):
     that diagonal square (North/East for the head, South/West for the
     tail), so each is produced exactly once.
     """
-    _int_sizes(n=n)
+    _snake_size(n)
     snakes = []
     for m in range(1, 2 * n):
         p = (m + 1) // 2
@@ -1112,9 +1118,7 @@ def ming_digraph(n: int) -> ColoredDigraph:
     forward ones are tried (`_rim_moves`), on tilings the enumeration
     already checked.
     """
-    _int_sizes(n=n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    _snake_size(n)
     verts = enumerate_tilings(n)
     edges = [(rows, result, len(snake)) for rows in verts
              for snake, _, result in _rim_moves(n, rows, forward=True)]
@@ -1144,7 +1148,7 @@ def cached_isomorphism(n: int) -> dict:
     Catalan number of tilings exceeds the cap raise CapExceededError before
     either graph is built.
     """
-    _int_sizes(n=n)
+    _snake_size(n)
     size = _tilings(n)
     if size > _TILINGS_CAP:
         raise CapExceededError(

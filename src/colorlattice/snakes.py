@@ -288,19 +288,27 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     builds on ``c_lattice(n)``, with nothing enumerated.  A step of color m
     adds tiles exactly when (m is even) == (the step goes up), one square at
     the end of each content's diagonal.  The play must reach t, and is
-    replayed under the raw rules.
+    replayed under the raw rules.  Both ends pass `is_tiling` on entry, so
+    the walk (`TupleLattice._walk`) does not test the pulled-back ends
+    again.
     """
     _int_sizes(n=n)
     if n < 1:
         raise ValueError("n must be positive")
-    s, t = tuple(s), tuple(t)
+    ends = []
     for rows in (s, t):
-        if not is_tiling(rows, n):
+        try:
+            rows = tuple(rows)
+        except TypeError:       # not iterable: refused below as it stands
+            pass
+        if type(rows) is not tuple or not is_tiling(rows, n):
             raise ValueError(f"not a tiling of the {n} x {n} board: {rows}")
+        ends.append(rows)
+    s, t = ends
     lat = _catalan_lattice(n)
     d = _diagonal_lengths(s, n)
     xs, xt = _pull_back_lengths(d, n), _pull_back(t, n)
-    cert = lat.geodesic(xs, xt, via=via)
+    cert = lat._walk(xs, xt, via)[0]
     rows = list(s)
     states, actions = [s], []
     for color, direction in cert.steps:

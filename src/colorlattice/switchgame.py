@@ -214,20 +214,25 @@ def solve_mixedmiddleswitch(n: int, s, t, via: str = "join") -> SwitchSolution:
     step as a bit flip.  Nothing is enumerated: the steps and the
     certificate are those `shortest_path` builds on `z_lattice(n)`.  The
     reported distance equals the rank formula value; the flip sequence is
-    replayed move by move under the game rules.
+    replayed move by move under the game rules.  `b_inv` checks both
+    positions, so the walk (`TupleLattice._walk`) does not test the coded
+    ends again, and each flip is made in place on one list of bits.
     """
     _int_sizes(n=n)
-    s, t = tuple(s), tuple(t)
+    try:
+        s, t = tuple(s), tuple(t)
+    except TypeError:       # a position that is not iterable
+        raise ValueError("expected a 0/1 tuple of length >= 2") from None
     if len(s) != n or len(t) != n:
         raise ValueError(f"positions must have length {n}")
     xs, xt = b_inv(s), b_inv(t)
-    cert = _cushioned_lattice(n).geodesic(xs, xt, via=via)
+    cert = _cushioned_lattice(n)._walk(xs, xt, via)[0]
     # each step flips the bit its color names; the replay checks every flip
     flips = [color for color, _ in cert.steps]
-    positions = [s]
+    bits, positions = list(s), [s]
     for i in flips:
-        p = positions[-1]
-        positions.append(p[:i - 1] + (1 - p[i - 1],) + p[i:])
+        bits[i - 1] ^= 1
+        positions.append(tuple(bits))
     sol = SwitchSolution(s, t, positions, flips, cert)
     replay_switches(sol)
     return sol
@@ -248,10 +253,12 @@ def replay_switches(sol: SwitchSolution) -> None:
                              f"not at the start {format_bits(pos)}")
     if type(pos) is not tuple or not _bits(pos):
         raise AssertionError(f"play starts at {pos}, not a 0/1 tuple of length >= 2")
+    bits = list(pos)        # the landed position, each flip made in place
     for step, (i, nxt) in enumerate(zip(sol.flips, sol.positions[1:])):
         if not _may_toggle(pos, i):
             raise AssertionError(f"move {step}: flip {i} illegal at {format_bits(pos)}")
-        landed = pos[:i - 1] + (1 - pos[i - 1],) + pos[i:]
+        bits[i - 1] ^= 1
+        landed = tuple(bits)
         if landed != nxt:
             raise AssertionError(f"move {step}: flip {i} lands on "
                                  f"{format_bits(landed)}, not {format_bits(nxt)}")

@@ -255,3 +255,13 @@ def test_builders_refuse_bool_and_float_sizes_cold_and_warm(build, head, sizes):
                 with pytest.raises(ValueError, match=r"must be (an int|ints), got .*"
                                    + re.escape(repr(bad))):
                     build(*args)
+
+
+@pytest.mark.parametrize("build", [c_lattice, ming_digraph, all_snakes, cached_isomorphism],
+                         ids=lambda b: b.__name__)
+def test_snake_builders_share_one_lower_bound(build):
+    """Every snake builder refuses a board below 1 x 1 alike: ``all_snakes``
+    returned () and ``cached_isomorphism(-1)`` failed inside ``math.comb``."""
+    for n in (0, -1, -2):
+        with pytest.raises(ValueError, match=r"^n must be positive$"):
+            build(n)

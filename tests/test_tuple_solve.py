@@ -1,6 +1,7 @@
 """Solving on tuple coordinates, checked against the explicit lattices."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -334,10 +335,16 @@ def test_solves_run_past_the_exhaustive_sizes():
 
 def test_geodesics_refuse_non_members_and_unknown_turns():
     lat = _cushioned_lattice(4)
-    with pytest.raises(LatticeError, match="not a member"):
+    with pytest.raises(LatticeError, match=r"^\(2, 2, 0, 0\) is not a member of the lattice$"):
         lat.geodesic((0, 0, 0, 0), (2, 2, 0, 0))
+    with pytest.raises(LatticeError, match=r"^\(0, 0, 0, 5\) is not a member of the lattice$"):
+        lat.geodesic((0, 0, 0, 5), (2, 2, 0, 0), via="meet")
     with pytest.raises(ValueError, match="via"):
         lat.geodesic((0, 0, 0, 0), (2, 1, 0, 0), via="around")
+    # an unknown turn is refused before a non-member end
+    with pytest.raises(ValueError, match=r"^via must be 'join' or 'meet'$") as refused:
+        lat.geodesic((0, 0, 0, 0), (2, 2, 0, 0), via="around")
+    assert type(refused.value) is ValueError
 
 
 def test_descent_reports_rules_that_leave_no_lower_cover():
@@ -397,7 +404,8 @@ def test_rule_tally_equals_the_join_and_meet_tallies_on_every_member_pair(rules)
         for t in members:
             up, down = two_sided_gaps(rules, s, t)
             assert up == down
-            assert rules.color_counts(s, t) == {c: up[c] for c in colors}
+            # the same keys in the same order
+            assert list(rules.color_counts(s, t).items()) == [(c, up[c]) for c in colors]
 
 
 @RULE_LATTICES
@@ -726,3 +734,109 @@ def test_a_changed_color_list_leaves_the_lattice_unchanged(lat):
     lat.colors().reverse()
     assert lat.color_counts(lat.top, zero) == counts
     assert lat.colors() == sorted(counts)
+
+
+# --------------------------------------------------------------------------
+# the solver walk: no membership test, and each step's coordinate
+
+@RULE_LATTICES
+def test_the_solver_walk_is_the_geodesic_and_names_each_step_coordinate(rules):
+    members = rule_members(rules)
+    for s in members:
+        for t in members:
+            for via in ("join", "meet"):
+                cert, coords = rules._walk(s, t, via)
+                same_certificate(cert, rules.geodesic(s, t, via))
+                assert len(coords) == cert.distance
+                verts = cert.vertices
+                for a, b, j in zip(verts, verts[1:], coords):
+                    assert [i for i, (x, y) in enumerate(zip(a, b)) if x != y] == [j]
+
+
+def one_solve_per_family():
+    solve_mixedmiddleswitch(6, (0,) * 6, (1, 0, 1, 1, 0, 1))
+    for kind in KINDS:
+        parts = Board(kind, 3, 4).partitions()
+        solve_domino(kind, 3, 4, parts[0], parts[-1], via="meet")
+    tilings = enumerate_tilings(4)
+    solve_snakes(4, tilings[-1], tilings[0])
+
+
+def test_solves_test_no_membership_and_geodesic_tests_both_ends(monkeypatch):
+    one_solve_per_family()      # the rule lattices are built and cached
+    calls = Counter()
+    member = TupleLattice.member
+
+    def counted(self, x):
+        calls["member"] += 1
+        return member(self, x)
+
+    monkeypatch.setattr(TupleLattice, "member", counted)
+    one_solve_per_family()
+    assert calls["member"] == 0
+    lat = _cushioned_lattice(4)
+    lat.geodesic((0, 0, 0, 0), (4, 3, 0, 0), via="meet")
+    assert calls["member"] == 2
+
+
+SOLVES = [
+    (solve_mixedmiddleswitch, (3,), (0, 0, 0), (1, 0, 1),
+     r"^expected a 0/1 tuple of length >= 2$"),
+    (solve_domino, ("full", 3, 6), (0, 0, 0), (1, 1, 0),
+     r"^{} is not a full partition for k=3, n=6$"),
+    (solve_snakes, (3,), (0, 0, 0), (1, 0, 0), r"^not a tiling of the 3 x 3 board: {}$"),
+]
+
+
+@pytest.mark.parametrize("solve, head, s, t, refusal", SOLVES,
+                         ids=["switch", "domino", "snakes"])
+def test_solvers_refuse_a_bad_turn_where_they_did(solve, head, s, t, refusal):
+    with pytest.raises(ValueError, match=r"^via must be 'join' or 'meet'$") as refused:
+        solve(*head, s, t, via="around")
+    assert type(refused.value) is ValueError
+    # a malformed position is refused first, as before
+    bad = (10,) * len(t)
+    with pytest.raises(ValueError, match=refusal.format(re.escape(repr(bad)))):
+        solve(*head, s, bad, via="around")
+
+
+@pytest.mark.parametrize("solve, head, s, t, refusal", SOLVES,
+                         ids=["switch", "domino", "snakes"])
+def test_solvers_refuse_a_position_that_is_not_iterable(solve, head, s, t, refusal):
+    for bad in (None, 5, 2.5):
+        for ends in ((bad, t), (s, bad)):
+            with pytest.raises(ValueError, match=refusal.format(re.escape(repr(bad)))):
+                solve(*head, *ends)
+    # any iterable is read once, as a tuple
+    assert solve(*head, iter(s), list(t)).distance == solve(*head, s, t).distance
+
+
+# --------------------------------------------------------------------------
+# the one-pass tally outside the box, and a walk that reads only its cells
+
+def test_a_gap_outside_the_box_reads_the_rule_and_drops_unknown_colors():
+    rules = _cushioned_lattice(3)
+    # colors 0 and -1 of the rule lie outside the lattice
+    for s, t, want in (((0, 0, 0), (5, 0, 0), [(1, 1), (2, 1), (3, 1)]),
+                       ((-1, 0, 0), (0, 0, 0), [(1, 0), (2, 0), (3, 0)])):
+        up, _ = two_sided_gaps(rules, s, t)
+        assert list(rules.color_counts(s, t).items()) == want == \
+            [(c, up[c]) for c in rules.colors()]
+
+
+def test_a_neighbouring_solve_fills_only_the_cells_its_walk_reads():
+    # raising coordinate 2 onto 31 at n=80: every walk between the two reads
+    # least(2, 31) alone, of the table's 3 240 cells; a membership test of
+    # either end read one cell per nonzero coordinate
+    n = 80
+    low = (40, 30, 20, 10) + (0,) * (n - 4)
+    high = (40, 31, 20, 10) + (0,) * (n - 4)
+    s, t = b_map(low), b_map(high)
+    _cushioned_lattice.cache_clear()
+    for a, b in ((s, t), (t, s)):
+        for via in ("join", "meet"):
+            assert solve_mixedmiddleswitch(n, a, b, via=via).flips == (n + 1 - 31,)
+    rows = _cushioned_lattice(n)._least_rows
+    filled = {(q, v) for q, row in enumerate(rows, 1) for v, x in enumerate(row, 1)
+              if x is not None}
+    assert filled == {(2, 31)}
