@@ -549,10 +549,11 @@ def _board(kind: str, k: int, n: int) -> Board:
 def replay_domino(board: Board, sol: DominoSolution) -> None:
     """Re-run a solution under the raw tile rules; raise if any step cheats.
 
-    The play must hold one more state than actions and start on a
-    partition of the board's kind.  Each square must be a pair of ints, and
-    each action must wear its tile's color: the one ``_wears`` gives the
-    move ``legal_moves`` lists through that tile, played either way.
+    The play must be a `DominoSolution`, hold one more state than actions
+    and start on a partition of the board's kind.  Each square must be a
+    pair of ints, and each action must wear its tile's color: the one
+    ``_wears`` gives the move ``legal_moves`` lists through that tile,
+    played either way.
 
     Each tile is read from the board's tile table (`_tiles`, one per kind
     and size), which holds the rows it touches and its color.  A tile the
@@ -570,6 +571,8 @@ def replay_domino(board: Board, sol: DominoSolution) -> None:
     ``board.valid``: the start is checked whole, and each later state
     equals a result that passed.
     """
+    if not isinstance(sol, DominoSolution):
+        raise AssertionError(f"not a DominoSolution: {sol!r}")
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     cur = sol.start

@@ -39,8 +39,8 @@ from itertools import chain
 from .core import (CapExceededError, LatticeError, NotIsomorphicError, NotRankedError,
                    TupleLattice, UnreachableError, _int_sizes, render_vertex)
 from .dominoes import Board, _board_lattice, _box_lattice, _move, _rows_fit, _tiles
-from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _on_diagonal,
-                     _pull_back, _still_tiling, _tilings, enumerate_tilings, is_tiling)
+from .snakes import (_TILINGS_CAP, _catalan_lattice, _diagonal_lengths, _pull_back,
+                     _still_tiling, _strip, _tilings, enumerate_tilings, is_tiling)
 from .switchgame import _bits, _cushioned_lattice, _may_toggle, int_to_bits
 
 __all__ = [
@@ -1060,7 +1060,7 @@ def _rim_moves(n: int, rows, forward: bool):
     Such a segment is a snake on the board exactly when its two end squares
     are on the board.  Its centre square has content 0, so lies on the main
     diagonal.  Its steps are all South or West.  Count row 0 and column 0
-    as tiled, where `_on_diagonal` puts the last tiled square of an empty
+    as tiled, where `_strip` puts the last tiled square of an empty
     diagonal; the tiled squares stay closed to the upper left.  If (i, j)
     is the last tiled square of content c, then (i, j - 1), West of it, is
     tiled, and the last tiled square of content c - 1 is that one or
@@ -1091,8 +1091,8 @@ def _rim(n: int, d, shift: int):
     """The squares of the inner (shift -1) or outer (shift 0) rim of the
     tiling with diagonal lengths ``d``: the last tiled or first bare square
     of each content's diagonal, contents n-1 down to 1-n, possibly off the
-    board."""
-    return [_on_diagonal(c, d[c] + shift) for c in range(n - 1, -n, -1)]
+    board: the strip of a length-(2n-1) snake, which covers them all."""
+    return _strip(d, 2 * n - 1, shift)
 
 
 def _rim_segment(n: int, rim, m: int):

@@ -41,21 +41,26 @@ when m >= n+q-x_q (which is >= 2q-1), and
 
 ``solve_snakes`` builds neither graph: it pulls both ends back, walks a
 geodesic on tuple coordinates and pushes each step forward on the
-diagonal lengths.  This module holds what a solve runs: the tiling check,
-one O(1) test on the rows per diagonal index (`_diagonal_ok`), and its
-local form (`_still_tiling`, which tests a move's result at the rows and
-columns it touched, and which the replay and the move graph share), the
-least-member rule (`_catalan_lattice`), the rim geometry, the pull-back, the solver and its replay, whose snake test (`_is_snake`) is
-one pass over the squares.  The snakes, the move graph
-(`legal_snake_moves`, `ming_digraph`), ``c_lattice`` and
-``cached_isomorphism``, which checks the pull-back edge by edge on the
-boards small enough to build, live in :mod:`colorlattice.explicit`.
+diagonal lengths, so a solve costs O(n + squares moved).  This module
+holds what a solve runs: the tiling check, one O(1) test on the rows per
+diagonal index (`_diagonal_ok`), and its local form (`_still_tiling`,
+which tests a move's result at the rows and columns it touched, and which
+the replay and the move graph share), the least-member rule
+(`_catalan_lattice`), the diagonal lengths (`_diagonal_lengths`, one pass
+over the rows), the rim geometry (`_strip`, which reads a snake's squares
+off the diagonal lengths for the push and the rims), the pull-back
+(`_pull_back_lengths`, one pass over the colors), the solver and its
+replay, whose snake test (`_is_snake`) is one pass over the squares.  The
+snakes, the move graph (`legal_snake_moves`, `ming_digraph`),
+``c_lattice`` and ``cached_isomorphism``, which checks the pull-back edge
+by edge on the boards small enough to build, live in
+:mod:`colorlattice.explicit`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 
 from .core import NotIsomorphicError, TupleLattice, _int_sizes   # the error's former home keeps it
@@ -190,24 +195,54 @@ def _contents(m: int):
 
 
 def _diagonal_lengths(rows, n):
-    """Per content c = j - i, from -n to n-1, the number of tiled squares.
+    """Per content c = j - i, from -n to n-1, the number of tiled squares of
+    the partition ``rows`` of the n x n board.
 
-    Tiled squares fill a prefix of each diagonal of the board, so the last
-    tiled square of content c is ``_on_diagonal(c, d_c - 1)`` and the first
-    bare one ``_on_diagonal(c, d_c)``.  Content -n lies off the board: 0.
+    The result is a list of 2n counts read as ``d[c]``: contents 0 ... n-1
+    at places 0 ... n-1, and -n ... -1 where Python's negative indices put
+    them, at places n ... 2n-1.  Row i covers the contents 1-i ... rows_i-i
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.1), so one pass
+    over the rows writes each row's run into a difference array, and one
+    prefix sum reads the counts off it.  Content -n lies off the board: 0.
+
+    Tiled squares fill a prefix of each diagonal of a partition, so the
+    last tiled square of content c is square d[c] - 1 of its diagonal and
+    the first bare one square d[c] (`_strip`).
     """
-    d = {}
-    for c in range(-n, n):
-        first, last = max(1, 1 - c), min(n, n - c)
-        i = first
-        while i <= last and rows[i - 1] >= i + c:
-            i += 1
-        d[c] = i - first
-    return d
+    runs = [0] * (2 * n + 1)        # content c at place n + c
+    for i, r in enumerate(rows, 1):
+        runs[n + 1 - i] += 1
+        runs[n + 1 - i + r] -= 1
+    lengths = list(accumulate(runs[:2 * n]))
+    return lengths[n:] + lengths[:n]
+
+
+def _strip(d, m: int, shift: int):
+    """The squares of a length-m snake's contents (`_contents`), head to
+    tail, each square d[c] + shift (from 0) of its content's diagonal:
+    the last tiled (shift -1) or first bare (shift 0) square of each when
+    ``d`` holds a tiling's diagonal lengths, possibly off the board.
+
+    A diagonal of content c >= 0 starts in row 1, and one of content c < 0
+    in column 1.  The push of `solve_snakes` and the rims of
+    :mod:`colorlattice.explicit` read their squares here.
+    """
+    p = (m + 1) // 2
+    squares = []
+    for c in range(p - 1, -1, -1):
+        i = 1 + d[c] + shift
+        squares.append((i, i + c))
+    for c in range(-1, p - m - 1, -1):
+        j = 1 + d[c] + shift
+        squares.append((j - c, j))
+    return squares
 
 
 def _on_diagonal(c: int, k: int):
-    """Square k (from 0) of the diagonal of content c, possibly off the board."""
+    """Square k (from 0) of the diagonal of content c, possibly off the board.
+
+    One square at a time: the tests hold `_strip`, which reads a whole
+    snake's squares, to this and `_contents`."""
     i = max(1, 1 - c) + k
     return (i, i + c)
 
@@ -221,12 +256,21 @@ def _pull_back(rows, n: int):
 
 
 def _pull_back_lengths(d, n: int):
-    """`_pull_back` of the tiling whose diagonal lengths are ``d``."""
-    # d_{c(m)} for m = 1 ... 2n, where c(m) is the content C(m) adds
-    dc = [d[m // 2 if m % 2 else -(m // 2)] for m in range(1, 2 * n + 1)]
-    r = [(m + 1) // 2 + (-1) ** m * (dc[m - 1] - dc[m]) for m in range(1, 2 * n)]
-    return tuple(next((n + q - m for m, r_m in enumerate(r, 1) if r_m >= q), 0)
-                 for q in range(1, n + 1))
+    """`_pull_back` of the tiling whose diagonal lengths are ``d``.
+
+    One pass over m = 1 ... 2n-1: with p = floor((m+1)/2), the color-m
+    snake adds content p-1 (m odd) or -p (m even) to C(m-1), and C(m+1)
+    adds -p (m odd) or p (m even), so r_m = p + d_{-p} - d_{p - (m mod 2)}.
+    Each q takes the first m at which the running maximum of r_m reaches q.
+    """
+    x, q = [], 1
+    for m in range(1, 2 * n):
+        p = (m + 1) // 2
+        r = p + d[-p] - d[p - m % 2]
+        while q <= r:
+            x.append(n + q - m)
+            q += 1
+    return tuple(x) + (0,) * (n - len(x))
 
 
 # The largest boards, in tilings, whose move graph and tuple lattice are
@@ -287,7 +331,9 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     valley geodesic is built on tuple coordinates: the one ``shortest_path``
     builds on ``c_lattice(n)``, with nothing enumerated.  A step of color m
     adds tiles exactly when (m is even) == (the step goes up), one square at
-    the end of each content's diagonal.  The play must reach t, and is
+    the end of each content's diagonal (`_strip`); a strip lies on the
+    board exactly when its two ends do, as a rim segment does (see
+    `explicit._rim_moves`).  The play must reach t, and is
     replayed under the raw rules.  Both ends pass `is_tiling` on entry, so
     the walk (`TupleLattice._walk`) does not test the pulled-back ends
     again.
@@ -314,13 +360,14 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
     for color, direction in cert.steps:
         adds = (color % 2 == 0) == (direction == +1)
         shift = 1 if adds else -1
-        snake = []
-        for c in _contents(color):
-            i, j = _on_diagonal(c, d[c] if adds else d[c] - 1)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise AssertionError(f"no color-{color} snake fits at {tuple(rows)}")
-            snake.append((i, j))
+        snake = _strip(d, color, 0 if adds else -1)
+        (head_i, head_j), (tail_i, tail_j) = snake[0], snake[-1]
+        if not (1 <= head_i and head_j <= n and tail_i <= n and 1 <= tail_j):
+            raise AssertionError(f"no color-{color} snake fits at {tuple(rows)}")
+        p = (color + 1) // 2
+        for c in range(p - color, p):
             d[c] += shift
+        for i, _ in snake:
             rows[i - 1] += shift
         states.append(tuple(rows))
         actions.append(("add" if adds else "remove", tuple(snake)))
@@ -334,7 +381,8 @@ def solve_snakes(n: int, s, t, via: str = "join") -> SnakeSolution:
 def replay_snakes(sol: SnakeSolution) -> None:
     """Re-run a solution under the raw snake rules; raise if any move cheats.
 
-    The play must hold one more state than actions and start on a tiling.
+    The play must be a `SnakeSolution`, hold one more state than actions
+    and start on a tiling.
 
     Each result is tested at the rows and columns its snake touched
     (`_still_tiling`), as the move graph tests it.  By induction on the
@@ -342,6 +390,8 @@ def replay_snakes(sol: SnakeSolution) -> None:
     whole ``is_tiling``: the start is checked whole, and each later state
     equals a result that passed.
     """
+    if not isinstance(sol, SnakeSolution):
+        raise AssertionError(f"not a SnakeSolution: {sol!r}")
     if len(sol.states) != len(sol.actions) + 1:
         raise AssertionError(f"{len(sol.states)} states for {len(sol.actions)} moves")
     n = sol.n

@@ -243,8 +243,11 @@ def replay_switches(sol: SwitchSolution) -> None:
 
     The play must start at the start, a 0/1 tuple of length >= 2, hold one
     more position than flips, and toggle, either way, only what
-    `_may_toggle` allows: the rule `switch_moves` orients.
+    `_may_toggle` allows: the rule `switch_moves` orients.  Anything but a
+    `SwitchSolution` is refused before any of it is read.
     """
+    if not isinstance(sol, SwitchSolution):
+        raise AssertionError(f"not a SwitchSolution: {sol!r}")
     if len(sol.positions) != len(sol.flips) + 1:
         raise AssertionError(f"{len(sol.positions)} states for {len(sol.flips)} moves")
     pos = sol.start

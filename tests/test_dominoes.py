@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -592,6 +593,13 @@ def test_replay_refuses_a_state_count_off_the_action_count(states):
 ])
 def test_replay_refuses_a_play_that_starts_off_the_board(sol):
     with pytest.raises(AssertionError, match="not a ballot partition"):
+        replay_domino(Board("ballot", 2, 3), sol)
+
+
+@pytest.mark.parametrize("sol", [None, (3, 2, 1), [(0, 0), (1, 0)]])
+def test_replay_refuses_what_is_not_a_solution(sol):
+    # None raised AttributeError on its first attribute read
+    with pytest.raises(AssertionError, match=f"^not a DominoSolution: {re.escape(repr(sol))}$"):
         replay_domino(Board("ballot", 2, 3), sol)
 
 

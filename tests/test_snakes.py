@@ -1,5 +1,6 @@
 """Square-board tilings, snake moves, and the closed-form correspondence."""
 
+import re
 from collections import Counter, deque
 
 import pytest
@@ -31,7 +32,7 @@ from colorlattice import explicit
 from colorlattice.dominoes import _move, _rows_fit
 from colorlattice.explicit import _rim, _rim_segment
 from colorlattice.snakes import (_contents, _diagonal_lengths, _diagonal_ok, _is_snake,
-                                 _on_diagonal, _still_tiling)
+                                 _on_diagonal, _pull_back_lengths, _still_tiling, _strip)
 
 CATALAN = {1: 2, 2: 5, 3: 14, 4: 42, 5: 132, 6: 429}
 
@@ -251,6 +252,55 @@ def test_a_rim_segment_is_a_snake_exactly_when_its_ends_are_on_the_board(n):
                 whole = tuple(_on_diagonal(c, d[c] + shift) for c in _contents(m))
                 want = whole if _snake_shape(whole, n) else None
                 assert _rim_segment(n, rim, m) == want, (rows, m, shift)
+
+
+def scanned_diagonal_lengths(rows, n):
+    """Reference for ``_diagonal_lengths``: each content's diagonal walked
+    from its first square while the squares are tiled, O(n^2)."""
+    d = {}
+    for c in range(-n, n):
+        first, last = max(1, 1 - c), min(n, n - c)
+        i = first
+        while i <= last and rows[i - 1] >= i + c:
+            i += 1
+        d[c] = i - first
+    return d
+
+
+def scanned_pull_back(d, n):
+    """Reference for ``_pull_back_lengths``: the closed form with every r_m
+    listed, then scanned for each q, O(n^2)."""
+    dc = [d[m // 2 if m % 2 else -(m // 2)] for m in range(1, 2 * n + 1)]
+    r = [(m + 1) // 2 + (-1) ** m * (dc[m - 1] - dc[m]) for m in range(1, 2 * n)]
+    return tuple(next((n + q - m for m, r_m in enumerate(r, 1) if r_m >= q), 0)
+                 for q in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_diagonal_lengths_equal_the_diagonal_scan_on_every_box_partition(n):
+    for rows in enumerate_box_partitions(n, n):
+        d, want = _diagonal_lengths(rows, n), scanned_diagonal_lengths(rows, n)
+        assert len(d) == 2 * n
+        assert [d[c] for c in range(-n, n)] == [want[c] for c in range(-n, n)], rows
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_pull_back_equals_the_per_q_scan_on_every_tiling(n):
+    for rows in enumerate_tilings(n):
+        d = scanned_diagonal_lengths(rows, n)
+        want = scanned_pull_back(d, n)
+        assert _pull_back_lengths(d, n) == want, rows
+        assert _pull_back_lengths(_diagonal_lengths(rows, n), n) == want, rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_strip_is_its_contents_squares_one_by_one(n):
+    for rows in enumerate_tilings(n):
+        d = _diagonal_lengths(rows, n)
+        for shift in (-1, 0):
+            for m in range(1, 2 * n):
+                assert _strip(d, m, shift) == [_on_diagonal(c, d[c] + shift)
+                                               for c in _contents(m)], (rows, m, shift)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -554,6 +604,13 @@ class TestSolving:
 def test_replay_refuses_a_state_count_off_the_action_count(states):
     sol = SnakeSolution(3, states, [("add", ((1, 1),))], {}, None)
     with pytest.raises(AssertionError, match="states for 1 moves"):
+        replay_snakes(sol)
+
+
+@pytest.mark.parametrize("sol", [None, 3, [(0, 0), (1, 0)]])
+def test_replay_refuses_what_is_not_a_solution(sol):
+    # None raised AttributeError on its first attribute read
+    with pytest.raises(AssertionError, match=f"^not a SnakeSolution: {re.escape(repr(sol))}$"):
         replay_snakes(sol)
 
 

@@ -3,6 +3,7 @@
 import doctest
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given
@@ -153,6 +154,13 @@ def test_replay_rejects_a_tampered_solution():
                             (sol.flips[0],) + sol.flips[2:], sol.certificate)
     with pytest.raises(AssertionError):
         replay_switches(broken)
+
+
+@pytest.mark.parametrize("sol", [None, "0011", ((0, 0), (1, 0))])
+def test_replay_refuses_what_is_not_a_solution(sol):
+    # None raised AttributeError on its first attribute read
+    with pytest.raises(AssertionError, match=f"^not a SwitchSolution: {re.escape(repr(sol))}$"):
+        replay_switches(sol)
 
 
 def test_solution_serialization_shows_flip_indices():
